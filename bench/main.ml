@@ -1101,17 +1101,6 @@ let () =
     | [ "--jobs" ] ->
         prerr_endline "bench: --jobs expects a value";
         exit 2
-    | "--event-ff" :: value :: rest -> (
-        match Ccsim.Eventff.mode_of_string value with
-        | Some m ->
-            Ccsim.Eventff.set_mode m;
-            parse rest names jobs_n json baseline
-        | None ->
-            prerr_endline "bench: --event-ff expects on, off or diff";
-            exit 2)
-    | [ "--event-ff" ] ->
-        prerr_endline "bench: --event-ff expects a mode";
-        exit 2
     | "--cache-dir" :: value :: rest ->
         Soc.Runcache.set_dir (Some value);
         parse rest names jobs_n json baseline

@@ -44,8 +44,22 @@ let config_arg =
   Arg.(value & opt config_conv Soc.Config.ccpu_caccel & info [ "c"; "config" ]
          ~doc:"System configuration.")
 
+(* Integer options with a floor: a value below it is a usage error (exit
+   124) instead of an exception escaping the library. *)
+let int_at_least ~min ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least ~min:1 ~what:"a positive integer"
+let non_negative_int = int_at_least ~min:0 ~what:"a non-negative integer"
+
 let tasks_arg =
-  Arg.(value & opt int 8 & info [ "t"; "tasks" ] ~doc:"Concurrent accelerator tasks.")
+  Arg.(value & opt positive_int 8
+       & info [ "t"; "tasks" ] ~doc:"Concurrent accelerator tasks.")
 
 let engines =
   [ ("replay", Soc.Run.Legacy_replay); ("event", Soc.Run.Event_driven) ]
@@ -130,33 +144,6 @@ let fastpath_arg =
                    $(b,off) re-interprets everything (the ground truth); \
                    $(b,diff) computes both legs and fails on any divergence.")
 
-(* Event-engine steady-state fast-forward (lib/sim/eventff.ml): flat bus
-   drivers plus periodic-schedule leaping in the contended event core.
-   Exact by construction — the CI event-ff gate diffs on/off — so, like
-   --fast-path, the flag only trades simulation time for re-verification. *)
-let eventff_conv =
-  let parse s =
-    match Ccsim.Eventff.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown event-ff mode %s (on, off or diff)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt m -> Format.pp_print_string fmt (Ccsim.Eventff.mode_to_string m) )
-
-let eventff_arg =
-  Arg.(value & opt eventff_conv Ccsim.Eventff.On
-         & info [ "event-ff" ]
-             ~doc:"Event-engine steady-state fast-forward: $(b,on) (the \
-                   default) drives contended buses with flat callback \
-                   clients and leaps periodic arbitration schedules whole \
-                   periods at a time — byte-identical results; $(b,off) \
-                   single-steps every event (the ground truth); $(b,diff) \
-                   runs both legs and fails on any divergence.")
-
 let cache_dir_arg =
   Arg.(value & opt (some string) None
          & info [ "cache-dir" ] ~docv:"DIR"
@@ -166,15 +153,11 @@ let cache_dir_arg =
                    them across processes.  Off unless given; a rebuild \
                    orphans old entries.")
 
-let apply_common ~eventff ~cache_dir =
-  Ccsim.Eventff.set_mode eventff;
-  Soc.Runcache.set_dir cache_dir
-
 (* Parallelism across independent simulations (Ccsim.Pool).  Results are
    index-deterministic: any --jobs value produces byte-identical output to
    --jobs 1 (the CI gate diffs them). *)
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt non_negative_int 1
          & info [ "j"; "jobs" ]
              ~doc:"Worker domains for independent simulations: $(b,1) runs \
                    serially (the default), $(b,0) uses every core.  Output \
@@ -261,10 +244,9 @@ let run_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
   in
-  let run bench config tasks engine topology checkers fastpath eventff
-      cache_dir json =
+  let run bench config tasks engine topology checkers fastpath cache_dir json =
     Soc.Fastpath.set_mode fastpath;
-    apply_common ~eventff ~cache_dir;
+    Soc.Runcache.set_dir cache_dir;
     let engine = resolve_engine ~topology engine in
     let r = Soc.Run.run ~tasks ~engine ~topology ~checkers config bench in
     if json then print_endline (Obs.Json.to_string (json_of_result r))
@@ -286,8 +268,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark end to end")
     Term.(const run $ bench_arg $ config_arg $ tasks_arg $ engine_arg
-          $ topology_arg $ checkers_arg $ fastpath_arg $ eventff_arg
-          $ cache_dir_arg $ json_arg)
+          $ topology_arg $ checkers_arg $ fastpath_arg $ cache_dir_arg
+          $ json_arg)
 
 (* ---- trace ---- *)
 
@@ -331,9 +313,9 @@ let sweep_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the sweep as JSON.")
   in
-  let run bench engine topology checkers fastpath eventff cache_dir jobs json =
+  let run bench engine topology checkers fastpath cache_dir jobs json =
     Soc.Fastpath.set_mode fastpath;
-    apply_common ~eventff ~cache_dir;
+    Soc.Runcache.set_dir cache_dir;
     let engine = resolve_engine ~topology engine in
     (* All 15 points (5 task counts x 3 configs) are independent full-system
        runs; they execute as one Ccsim.Pool batch and are re-assembled in
@@ -406,7 +388,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Parallelism sweep (Figure 11 style)")
     Term.(const run $ bench_arg $ engine_arg $ topology_arg $ checkers_arg
-          $ fastpath_arg $ eventff_arg $ cache_dir_arg $ jobs_arg $ json_arg)
+          $ fastpath_arg $ cache_dir_arg $ jobs_arg $ json_arg)
 
 (* ---- attack ---- *)
 
@@ -455,7 +437,7 @@ let faults_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
   in
   let runs_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
            & info [ "runs" ]
                ~doc:"Number of independent runs at consecutive seeds (seed, \
                      seed+1, ...).  Each run is its own deterministic \
@@ -489,15 +471,9 @@ let faults_cmd =
     else
       print_endline "  invariant VIOLATED: incorrect result without a covering fallback"
   in
-  let run bench config tasks seed runs engine fastpath eventff jobs json =
+  let run bench config tasks seed runs engine fastpath jobs json =
     Soc.Fastpath.set_mode fastpath;
-    (* Faulted runs never take the fast-forward leg or the disk cache, but
-       diff mode still sanity-degrades explicitly through the same switch. *)
-    apply_common ~eventff ~cache_dir:None;
     let engine = resolve_engine ~topology:Bus.Topology.Shared engine in
-    if runs < 1 then (
-      prerr_endline "capsim: --runs must be at least 1";
-      exit 2);
     let seeds = List.init runs (fun i -> seed + i) in
     let plans = List.map (fun s -> Fault.Plan.default ~seed:s) seeds in
     let specs =
@@ -535,7 +511,7 @@ let faults_cmd =
        ~doc:"Run one benchmark under a seeded deterministic fault plan")
     Term.(
       const run $ bench_arg $ config_arg $ tasks_arg $ seed_arg $ runs_arg
-      $ engine_arg $ fastpath_arg $ eventff_arg $ jobs_arg $ json_arg)
+      $ engine_arg $ fastpath_arg $ jobs_arg $ json_arg)
 
 (* ---- lint ---- *)
 
@@ -926,10 +902,8 @@ let serve_cmd =
                      repeat seeds and $(b,--jobs) values).")
   in
   let run config tenants requests seed instances entries topology checkers
-      fastpath eventff inflight watermark spill gap util churn top bench jobs
-      json =
+      fastpath inflight watermark spill gap util churn top bench jobs json =
     Soc.Fastpath.set_mode fastpath;
-    apply_common ~eventff ~cache_dir:None;
     let spill = if spill < 0 then 2 * instances else spill in
     let mix =
       match bench with
@@ -977,7 +951,7 @@ let serve_cmd =
              reporting")
     Term.(const run $ config_arg $ tenants_arg $ requests_arg $ seed_arg
           $ instances_arg $ entries_arg $ topology_arg $ checkers_arg
-          $ fastpath_arg $ eventff_arg $ inflight_arg $ watermark_arg
+          $ fastpath_arg $ inflight_arg $ watermark_arg
           $ spill_arg $ gap_arg
           $ util_arg $ churn_arg $ top_arg $ bench_opt $ jobs_arg $ json_arg)
 

@@ -422,285 +422,3 @@ let drive_event s ?error_retry_limit ~sched ~ic ~start ~bus ~mem_size
           e_fastpathed = env.v_fastpathed; e_reads = env.v_reads;
           e_writes = env.v_writes; e_ops = env.v_ops;
           e_finish = Flow.finish flow; e_failed = !failed })
-
-(* ---- flat (coroutine-free) event driving ----
-
-   Under a constant-latency adjudication ({!Adj_elide} / {!Adj_fastpath})
-   the whole clock-dependent half of {!drive_event} collapses: adjudication
-   is a counter bump, denial is a pure function of layout bases and sizes,
-   and the burst sequence the fiber would feed {!Flow.issue} is known before
-   the clock starts.  So derive the *plan* — the burst array plus the final
-   [ev_derived] — once, and drive the bus with a single persistent grant
-   callback instead of an effect-suspended coroutine: the callback absorbs
-   each grant with {!Flow}'s exact rules and pushes the next request
-   synchronously.  The request [at]s, per-source order and rotation
-   registration cycle are identical to the fiber's, so the arbiter grants
-   the identical schedule (the differential suite and [--event-ff diff] pin
-   it); what changes is that no effect continuation is captured per
-   transaction, no per-burst wake event is scheduled, and — because the
-   driver never needs the scheduler between grants — the arbiter may grant
-   whole stretches ahead of the event heap and leap periodic steady state
-   (see {!Bus.Arbiter.flat_client}). *)
-
-type flat_burst = {
-  fb_gap : int;
-  fb_kind : Guard.Iface.kind;
-  fb_beats : int;
-  fb_dependent : bool;
-  fb_latency : int;
-}
-
-type flat_plan = {
-  fp_bursts : flat_burst array;
-  fp_run_start : int array;  (* first burst of the uniform run containing i *)
-  fp_run_len : int array;    (* length of that run *)
-  fp_done : ev_derived;      (* final counters/denial; e_finish patched *)
-}
-
-let flat_plan s ~bus ~mem_size ~layout ~obj_ids ~addressing ~source adj =
-  match adj with
-  | Adj_live _ -> None (* guard possibly stateful: only the live orders do *)
-  | Adj_elide | Adj_fastpath _ ->
-      let env = make_env s ~mem_size ~layout ~obj_ids ~addressing ~source adj in
-      let max_burst = bus.Bus.Params.max_burst in
-      let bursts = ref [] in
-      let nb = ref 0 in
-      let pending = ref None in
-      let flush () =
-        match !pending with
-        | None -> ()
-        | Some p ->
-            pending := None;
-            bursts :=
-              { fb_gap = p.pb_gap; fb_kind = p.pb_kind;
-                fb_beats = Bus.Params.beats_for bus p.pb_bytes;
-                fb_dependent = p.pb_dependent; fb_latency = p.pb_latency }
-              :: !bursts;
-            incr nb
-      in
-      let denied =
-        match
-          Array.iter
-            (fun op ->
-              match op with
-              | Access
-                  { a_gap; a_kind; a_buf; a_off; a_size; a_dependent; a_ops }
-                ->
-                  env.v_ops <- a_ops;
-                  let addr = env.e_bus_base.(a_buf) + a_off in
-                  let plain = env.e_base.(a_buf) + a_off in
-                  let mergeable =
-                    match !pending with
-                    | Some p ->
-                        a_gap = 0 && (not a_dependent) && addr = p.pb_end
-                        && p.pb_kind = a_kind && (not p.pb_dependent)
-                        && Bus.Params.beats_for bus (p.pb_bytes + a_size)
-                           <= max_burst
-                    | None -> false
-                  in
-                  let phys =
-                    if mergeable then begin
-                      let phys, _latency =
-                        adjudicate env ~buf:a_buf ~addr ~plain ~size:a_size
-                          ~kind:a_kind
-                      in
-                      (match !pending with
-                      | Some p ->
-                          p.pb_bytes <- p.pb_bytes + a_size;
-                          p.pb_end <- addr + a_size
-                      | None -> assert false);
-                      phys
-                    end
-                    else begin
-                      flush ();
-                      let phys, latency =
-                        adjudicate env ~buf:a_buf ~addr ~plain ~size:a_size
-                          ~kind:a_kind
-                      in
-                      pending :=
-                        Some
-                          { pb_gap = a_gap; pb_kind = a_kind;
-                            pb_dependent = a_dependent; pb_latency = latency;
-                            pb_target = 0; pb_end = addr + a_size;
-                            pb_bytes = a_size };
-                      phys
-                    end
-                  in
-                  (match a_kind with
-                  | Guard.Iface.Read -> env.v_reads <- env.v_reads + 1
-                  | Guard.Iface.Write -> env.v_writes <- env.v_writes + 1);
-                  bounds_check env ~phys ~size:a_size
-              | Copy { y_gap; y_bytes; y_src; y_dst; y_ops } ->
-                  env.v_ops <- y_ops;
-                  if y_bytes > 0 then begin
-                    flush ();
-                    let src_phys, rd_latency =
-                      adjudicate env ~buf:y_src ~addr:env.e_bus_base.(y_src)
-                        ~plain:env.e_base.(y_src) ~size:y_bytes
-                        ~kind:Guard.Iface.Read
-                    in
-                    let dst_phys, wr_latency =
-                      adjudicate env ~buf:y_dst ~addr:env.e_bus_base.(y_dst)
-                        ~plain:env.e_base.(y_dst) ~size:y_bytes
-                        ~kind:Guard.Iface.Write
-                    in
-                    let beats_left = ref (Bus.Params.beats_for bus y_bytes) in
-                    let copy_gap = ref y_gap in
-                    while !beats_left > 0 do
-                      let beats = min !beats_left max_burst in
-                      beats_left := !beats_left - beats;
-                      bursts :=
-                        { fb_gap = 0; fb_kind = Guard.Iface.Write;
-                          fb_beats = beats; fb_dependent = false;
-                          fb_latency = wr_latency }
-                        :: { fb_gap = !copy_gap; fb_kind = Guard.Iface.Read;
-                             fb_beats = beats; fb_dependent = false;
-                             fb_latency = rd_latency }
-                        :: !bursts;
-                      nb := !nb + 2;
-                      copy_gap := 0
-                    done;
-                    env.v_reads <- env.v_reads + 1;
-                    env.v_writes <- env.v_writes + 1;
-                    bounds_check env ~phys:src_phys ~size:y_bytes;
-                    bounds_check env ~phys:dst_phys ~size:y_bytes
-                  end)
-            s.s_ops
-        with
-        | () ->
-            env.v_ops <- s.s_total_ops;
-            flush ();
-            None
-        | exception Denied denial ->
-            flush ();
-            Some denial
-      in
-      let arr =
-        Array.make !nb
-          { fb_gap = 0; fb_kind = Guard.Iface.Read; fb_beats = 0;
-            fb_dependent = false; fb_latency = 0 }
-      in
-      List.iteri (fun i b -> arr.(!nb - 1 - i) <- b) !bursts;
-      let run_start = Array.make !nb 0 and run_len = Array.make !nb 0 in
-      let i = ref 0 in
-      while !i < !nb do
-        let j = ref (!i + 1) in
-        while !j < !nb && arr.(!j) = arr.(!i) do incr j done;
-        for k = !i to !j - 1 do
-          run_start.(k) <- !i;
-          run_len.(k) <- !j - !i
-        done;
-        i := !j
-      done;
-      Some
-        { fp_bursts = arr; fp_run_start = run_start; fp_run_len = run_len;
-          fp_done =
-            { e_denied = denied; e_checks = env.v_checks;
-              e_elided = env.v_elided; e_fastpathed = env.v_fastpathed;
-              e_reads = env.v_reads; e_writes = env.v_writes;
-              e_ops = env.v_ops; e_finish = 0; e_failed = false } }
-
-let drive_event_flat plan ~sched ~ic ~start ~max_outstanding ~source ~on_done =
-  let bursts = plan.fp_bursts in
-  let nb = Array.length bursts in
-  let limit = max 1 max_outstanding in
-  let outstanding = Queue.create () in
-  let issued = ref 0 in
-  let ready = ref start in
-  let finish = ref start in
-  let last_settle = ref start in
-  let last_popped = ref min_int in
-  let retire () = on_done { plan.fp_done with e_finish = !finish } in
-  let fc_uniform ~delta =
-    let q = !issued in
-    let b = bursts.(q) in
-    let remaining = plan.fp_run_len.(q) - (q - plan.fp_run_start.(q)) in
-    if not (b.fb_kind = Guard.Iface.Read && not b.fb_dependent) then remaining
-    else if q - plan.fp_run_start.(q) < limit + 1 then 0
-    else begin
-      (* The outstanding window must be entrained on the period: spaced
-         exactly [delta] oldest-to-newest and continuing the progression of
-         the value the last submission popped — then pops, pushes and the
-         issue-time max all advance by [delta] per period, shift-equivariant
-         by induction. *)
-      let ok = ref (!last_popped <> min_int) in
-      let prev = ref !last_popped in
-      Queue.iter
-        (fun c ->
-          if c - !prev <> delta then ok := false;
-          prev := c)
-        outstanding;
-      if !ok then remaining else 0
-    end
-  in
-  let fc_jump ~n ~dt =
-    let q = !issued in
-    let b = bursts.(q) in
-    issued := q + n;
-    ready := !ready + dt;
-    last_settle := !last_settle + dt;
-    if !last_settle > !finish then finish := !last_settle;
-    if b.fb_kind = Guard.Iface.Read && not b.fb_dependent then begin
-      (* In-run streaming completions shift with the schedule; stale
-         completions from before a streaming run never coexist with a
-         certificate (fc_uniform's warmup excludes them). *)
-      let shifted = Queue.create () in
-      Queue.iter (fun c -> Queue.push (c + dt) shifted) outstanding;
-      Queue.clear outstanding;
-      Queue.transfer shifted outstanding;
-      last_popped := !last_popped + dt
-    end
-  in
-  let client = { Bus.Arbiter.fc_uniform; fc_jump } in
-  let rec submit q =
-    (* Register flatness right before the first request: rotation order is
-       first-request order, and an earlier registration would move this
-       source's rotation slot relative to coroutine-driven tasks. *)
-    if q = 0 then ignore (Bus.Topology.set_flat ic ~src:source client);
-    let b = bursts.(q) in
-    let is_read = b.fb_kind = Guard.Iface.Read in
-    let cand = !ready + b.fb_gap in
-    let cand =
-      if is_read && (not b.fb_dependent) && Queue.length outstanding >= limit
-      then begin
-        let oldest = Queue.pop outstanding in
-        last_popped := oldest;
-        max cand oldest
-      end
-      else cand
-    in
-    issued := q;
-    Bus.Topology.request ic ~src:source ~target:0 ~at:cand ~beats:b.fb_beats
-      ~is_read ~extra_latency:b.fb_latency ~on_grant
-  and on_grant (g : Bus.Fabric.grant) =
-    if g.Bus.Fabric.errored then
-      (* Flat driving is gated on an inert fault injector. *)
-      failwith "Accel.Script: flat driver saw a bus error";
-    let q = !issued in
-    let b = bursts.(q) in
-    (match (b.fb_kind, b.fb_dependent) with
-    | Guard.Iface.Write, _ ->
-        ready := g.Bus.Fabric.granted_at + 1;
-        last_settle := g.Bus.Fabric.data_done
-    | Guard.Iface.Read, true ->
-        ready := g.Bus.Fabric.completed;
-        last_settle := g.Bus.Fabric.completed
-    | Guard.Iface.Read, false ->
-        Queue.push g.Bus.Fabric.completed outstanding;
-        ready := g.Bus.Fabric.granted_at + 1;
-        last_settle := g.Bus.Fabric.completed);
-    if !last_settle > !finish then finish := !last_settle;
-    if q + 1 < nb then submit (q + 1) else retire ()
-  in
-  (* Mirror the fiber's event structure exactly: one event at [start] (the
-     spawn's position, so same-cycle seq order across tasks is preserved),
-     which either retires an empty plan, submits directly when the first
-     burst has no gap (the fiber's [wait 0] is a no-op), or schedules the
-     first submission where the fiber's gap wake would land. *)
-  Ccsim.Sched.at sched ~cycle:start (fun () ->
-      if nb = 0 then retire ()
-      else begin
-        let gap0 = bursts.(0).fb_gap in
-        if gap0 = 0 then submit 0
-        else Ccsim.Sched.at sched ~cycle:(start + gap0) (fun () -> submit 0)
-      end)

@@ -161,44 +161,3 @@ val drive_event :
     stateful-guard check order and fault-draw interleavings are identical to
     interpreting the task live.  [on_done] fires when the stream retires;
     collect after {!Ccsim.Sched.run} drains. *)
-
-type flat_plan
-(** Everything about one task's event-core run that does not depend on the
-    clock, derived ahead of time: the exact burst sequence {!drive_event}'s
-    fiber would feed {!Flow.issue}, plus the final counters and denial.
-    Only derivable under a constant-latency adjudication — with a live
-    (possibly stateful) guard the check results, and therefore the bursts,
-    depend on cross-task interleaving. *)
-
-val flat_plan :
-  t ->
-  bus:Bus.Params.t ->
-  mem_size:int ->
-  layout:Memops.Layout.t ->
-  obj_ids:(string * int) list ->
-  addressing:addressing ->
-  source:int ->
-  adjudication ->
-  flat_plan option
-(** [None] for {!Adj_live}. *)
-
-val drive_event_flat :
-  flat_plan ->
-  sched:Ccsim.Sched.t ->
-  ic:Bus.Topology.t ->
-  start:int ->
-  max_outstanding:int ->
-  source:int ->
-  on_done:(ev_derived -> unit) ->
-  unit
-(** Drive the event core from a precomputed plan without a coroutine: one
-    persistent grant callback absorbs each grant with {!Flow}'s exact rules
-    and pushes the next request synchronously, producing the identical grant
-    schedule, finish time and counters as {!drive_event} — the steady-state
-    fast-forward's fast leg.  Registers a {!Bus.Arbiter.flat_client} at the
-    first request so the shared arbiter may leap periodic steady state.
-    Preconditions (the run layer gates them): shared-bus topology (burst
-    targets are not re-derived) and an inert fault injector (a bus error in
-    flat mode is a [failwith]).  [on_done] fires synchronously at the last
-    grant's absorption rather than at the final wake cycle — byte-identical
-    results either way, since retirement only records counters. *)

@@ -6,25 +6,6 @@ type req = {
   on_grant : Fabric.grant -> unit;
 }
 
-(* A source that is driven by direct callbacks (no coroutine) may register a
-   flat client; when *every* active source has one, the arbiter can grant
-   scalar-ly ahead of the event heap, and — once the grant schedule proves
-   periodic — advance whole periods in O(1) (see [leap] below). *)
-type flat_client = {
-  fc_uniform : delta:int -> int;
-      (* Number of upcoming bursts (starting at the currently queued one)
-         the driver certifies to be shift-equivariant under a per-period
-         shift of [delta] cycles: identical burst parameters, and
-         next-arrival/state updates that are pure functions of previous
-         grant times (the driver checks its outstanding-window warmup and
-         that the window is entrained on period [delta] internally).
-         0 = no certificate. *)
-  fc_jump : n:int -> dt:int -> unit;
-      (* Absorb [n] further grants of the current uniform stretch, shifting
-         every time-valued state component by [dt]; only called with
-         [n <= fc_uniform ~delta () - 2]. *)
-}
-
 (* Sources live in a doubly-linked ring over a dense slot array, kept in
    first-request order, so registration, unregistration and the grant scan
    are allocation-free and O(1) amortized (the old list rotation was O(K²)
@@ -35,64 +16,7 @@ type slot = {
   mutable s_prev : int;
   mutable s_next : int;
   mutable s_active : bool;
-  mutable s_flat : flat_client option;
-  mutable s_mark : int;  (* rotation-distinctness scratch for the leap *)
 }
-
-(* Fingerprint of one arbitration rotation, collected only while leaping:
-   per grant the slot, the grant cycle and request-arrival cycle relative to
-   the rotation start, and the burst shape.  Two consecutive equal
-   fingerprints with a constant offset are the recurrence the O(1) period
-   jump keys on. *)
-type rot_buf = {
-  mutable rb_len : int;
-  mutable rb_t0 : int;
-  mutable rb_slot : int array;
-  mutable rb_dt : int array;
-  mutable rb_at : int array;  (* request [at] relative to the rotation start *)
-  mutable rb_beats : int array;
-  mutable rb_shape : int array;  (* extra_latency * 2 + is_read *)
-}
-
-let rot_create () =
-  { rb_len = 0; rb_t0 = 0; rb_slot = Array.make 16 0; rb_dt = Array.make 16 0;
-    rb_at = Array.make 16 0; rb_beats = Array.make 16 0;
-    rb_shape = Array.make 16 0 }
-
-let rot_reset rb ~t0 =
-  rb.rb_len <- 0;
-  rb.rb_t0 <- t0
-
-let rot_push rb ~slot ~dt ~at ~beats ~shape =
-  let n = rb.rb_len in
-  if n = Array.length rb.rb_slot then begin
-    let grow a = Array.append a (Array.make n 0) in
-    rb.rb_slot <- grow rb.rb_slot;
-    rb.rb_dt <- grow rb.rb_dt;
-    rb.rb_at <- grow rb.rb_at;
-    rb.rb_beats <- grow rb.rb_beats;
-    rb.rb_shape <- grow rb.rb_shape
-  end;
-  rb.rb_slot.(n) <- slot;
-  rb.rb_dt.(n) <- dt;
-  rb.rb_at.(n) <- at;
-  rb.rb_beats.(n) <- beats;
-  rb.rb_shape.(n) <- shape;
-  rb.rb_len <- n + 1
-
-let rot_equal a b =
-  a.rb_len = b.rb_len
-  &&
-  let rec go i =
-    i >= a.rb_len
-    || a.rb_slot.(i) = b.rb_slot.(i)
-       && a.rb_dt.(i) = b.rb_dt.(i)
-       && a.rb_at.(i) = b.rb_at.(i)
-       && a.rb_beats.(i) = b.rb_beats.(i)
-       && a.rb_shape.(i) = b.rb_shape.(i)
-       && go (i + 1)
-  in
-  go 0
 
 type t = {
   sched : Ccsim.Sched.t;
@@ -106,7 +30,6 @@ type t = {
   mutable head : int;  (* first active slot in rotation order, -1 if none *)
   mutable tail : int;
   mutable active : int;
-  mutable flats : int;  (* active slots with a flat client *)
   mutable last_granted : int;  (* source id, -1 before any grant *)
   mutable last_slot : int;  (* slot hint for [last_granted], may be stale *)
   mutable free_at : int;
@@ -116,12 +39,7 @@ type t = {
      none known).  A schedule at or after it is skipped — see
      [schedule_arbitration] for the covering argument. *)
   mutable armed : int;
-  mutable live_events : int;  (* arbitration events in the heap *)
-  mutable leaping : bool;
   mutable entry : unit -> unit;  (* preallocated arbitrate closure *)
-  mutable rot_mark : int;  (* epoch for slot distinctness marks *)
-  mutable rot_prev : rot_buf;
-  mutable rot_cur : rot_buf;
 }
 
 let no_slot = -1
@@ -145,8 +63,7 @@ let slot_alloc t =
               if j < i then t.slots.(j)
               else
                 { s_src = -1; s_q = Queue.create (); s_prev = no_slot;
-                  s_next = no_slot; s_active = false; s_flat = None;
-                  s_mark = -1 })
+                  s_next = no_slot; s_active = false })
         in
         t.slots <- fresh
       end;
@@ -165,8 +82,6 @@ let slot_of t src =
       sl.s_prev <- t.tail;
       sl.s_next <- no_slot;
       sl.s_active <- true;
-      sl.s_flat <- None;
-      sl.s_mark <- -1;
       if t.tail = no_slot then t.head <- i else t.slots.(t.tail).s_next <- i;
       t.tail <- i;
       t.active <- t.active + 1;
@@ -186,19 +101,11 @@ let unregister t ~src =
         if sl.s_next = no_slot then t.tail <- sl.s_prev
         else t.slots.(sl.s_next).s_prev <- sl.s_prev;
         sl.s_active <- false;
-        if sl.s_flat <> None then t.flats <- t.flats - 1;
-        sl.s_flat <- None;
         sl.s_src <- -1;
         t.active <- t.active - 1;
         t.free_slots <- i :: t.free_slots;
         true
       end
-
-let set_flat t ~src client =
-  let i = slot_of t src in
-  let sl = t.slots.(i) in
-  if sl.s_flat = None then t.flats <- t.flats + 1;
-  sl.s_flat <- Some client
 
 let sources t =
   let rec go acc i =
@@ -296,11 +203,10 @@ let min_head_arrival t =
    recomputes the identical re-arm. *)
 
 let schedule_arbitration t ~cycle =
-  if t.leaping || (t.armed <> min_int && t.armed <= cycle) then
+  if t.armed <> min_int && t.armed <= cycle then
     Obs.Counters.incr Obs.Counters.events_coalesced
   else begin
     t.armed <- cycle;
-    t.live_events <- t.live_events + 1;
     Ccsim.Sched.at t.sched ~cycle ~rank:Ccsim.Sched.rank_arbitrate t.entry
   end
 
@@ -324,9 +230,7 @@ let rearm_after t ~data_done =
   in
   if start = no_slot then data_done else go max_int start t.active
 
-(* One grant: the winning burst holds the bus until [data_done]; timing,
-   fault draws and observability are shared verbatim between the evented
-   path and the leap. *)
+(* One grant: the winning burst holds the bus until [data_done]. *)
 let do_grant t ~now i =
   let sl = t.slots.(i) in
   let r = Queue.pop sl.s_q in
@@ -351,178 +255,23 @@ let do_grant t ~now i =
     Obs.Trace.emit_at t.obs ~cycle:data_done
       (Obs.Event.Bus_beat { source = sl.s_src; beats = r.beats })
   end;
-  if t.queued > 0 && not t.leaping then
+  if t.queued > 0 then
     schedule_arbitration t ~cycle:(rearm_after t ~data_done);
   r.on_grant { Fabric.granted_at; data_done; completed; errored }
-
-(* ---- steady-state leap ----
-
-   When every active source is flat-driven (pure-callback, no coroutine to
-   resume on the heap), no sink observes, no fault plan is live and the heap
-   holds nothing but this arbiter's own events, the entire remaining grant
-   schedule is a closed deterministic system: each grant's callback pushes
-   the next request synchronously.  So instead of bouncing every grant
-   through the heap, grant scalar-ly in a loop — the virtual time [tcur]
-   advances along [free_at] while the heap clock stays behind; stale armed
-   events later fire as busy no-ops.  Nothing can be scheduled meanwhile
-   ([leaping] suppresses re-arms and flat drivers call [on_done]
-   synchronously), so eligibility cannot change mid-loop and the loop drains
-   every queue.
-
-   On top of the scalar loop, a recurrence detector fingerprints rotations
-   (anchor slot, per-grant relative cycle and burst shape).  Two consecutive
-   identical fingerprints a constant [delta] apart, with each source granted
-   exactly once per rotation and each driver guaranteeing enough further
-   shift-invariant steps, prove the next rotations repeat shifted — so the
-   jump advances [n] whole periods in O(active): retime each queued request
-   by [n * delta], let each driver absorb [n] grants, and bump the bus
-   aggregates. *)
-
-let try_jump t ~tcur =
-  let prev = t.rot_prev and cur = t.rot_cur in
-  let delta = cur.rb_t0 - prev.rb_t0 in
-  if
-    delta > 0 && cur.rb_len = t.active && t.queued = t.active
-    && rot_equal prev cur
-  then begin
-    (* Per fingerprint row: the slot granted exactly once per rotation,
-       exactly one request queued (the shape the per-source retime below
-       relies on), and — the induction's base case — that queued request is
-       the last rotation's request for this slot shifted by one period:
-       same burst shape, arrival exactly [delta] later.  Together with the
-       matching fingerprints (grants and arrivals of the last two rotations
-       repeat shifted) and each driver's shift-equivariance certificate,
-       this pins the next rotation's arbitration inputs to the current
-       rotation's shifted by [delta], so by determinism and
-       time-translation invariance every skipped rotation replays. *)
-    t.rot_mark <- t.rot_mark + 1;
-    let entrained = ref true in
-    for k = 0 to cur.rb_len - 1 do
-      let sl = t.slots.(cur.rb_slot.(k)) in
-      if
-        sl.s_mark = t.rot_mark
-        || Queue.length sl.s_q <> 1
-        ||
-        let r = Queue.peek sl.s_q in
-        r.at <> cur.rb_t0 + cur.rb_at.(k) + delta
-        || r.beats <> cur.rb_beats.(k)
-        || (r.extra_latency * 2) + Bool.to_int r.is_read <> cur.rb_shape.(k)
-      then entrained := false
-      else sl.s_mark <- t.rot_mark
-    done;
-    if not !entrained then tcur
-    else begin
-      let n = ref max_int in
-      let rec min_uniform i =
-        if i = no_slot then ()
-        else begin
-          let sl = t.slots.(i) in
-          (match sl.s_flat with
-          | Some fc -> n := min !n (fc.fc_uniform ~delta - 2)
-          | None -> n := 0);
-          min_uniform sl.s_next
-        end
-      in
-      min_uniform t.head;
-      let n = !n in
-      if n < 4 then tcur
-      else begin
-        let dt = n * delta in
-        let rot_beats = ref 0 in
-        for k = 0 to cur.rb_len - 1 do
-          rot_beats := !rot_beats + cur.rb_beats.(k)
-        done;
-        let rec apply i =
-          if i = no_slot then ()
-          else begin
-            let sl = t.slots.(i) in
-            let r = Queue.pop sl.s_q in
-            Queue.push { r with at = r.at + dt } sl.s_q;
-            (match sl.s_flat with
-            | Some fc -> fc.fc_jump ~n ~dt
-            | None -> assert false);
-            apply sl.s_next
-          end
-        in
-        apply t.head;
-        t.free_at <- t.free_at + dt;
-        t.beats <- t.beats + (n * !rot_beats);
-        Obs.Counters.add Obs.Counters.periods_leaped n;
-        (* Post-jump state is the pre-jump state shifted by [dt] exactly, so
-           the scalar loop resumes at the shifted current time and replays
-           the tail of the schedule verbatim; fingerprinting restarts from
-           scratch at the anchor's next grant. *)
-        rot_reset prev ~t0:min_int;
-        rot_reset cur ~t0:min_int;
-        tcur + dt
-      end
-    end
-  end
-  else tcur
-
-let leap t ~now =
-  t.leaping <- true;
-  let anchor = ref no_slot in
-  let fingerprinting = ref false in
-  let tcur = ref now in
-  let continue = ref true in
-  while !continue do
-    match find_winner t ~now:!tcur with
-    | -1 -> (
-        match min_head_arrival t with
-        | Some a when a > !tcur -> tcur := a
-        | Some _ -> assert false (* an arrived head is a winner *)
-        | None -> continue := false (* every queue drained *))
-    | i ->
-        if !anchor = no_slot then anchor := i;
-        if i = !anchor then begin
-          (* Rotation boundary: compare the two completed fingerprints and
-             jump if they recur, then start collecting the next one. *)
-          if !fingerprinting && t.rot_cur.rb_t0 <> min_int then begin
-            tcur := try_jump t ~tcur:!tcur;
-            let p = t.rot_prev in
-            t.rot_prev <- t.rot_cur;
-            t.rot_cur <- p
-          end;
-          rot_reset t.rot_cur ~t0:!tcur;
-          fingerprinting := true
-        end;
-        (if !fingerprinting then
-           let sl = t.slots.(i) in
-           if not (Queue.is_empty sl.s_q) then
-             let r = Queue.peek sl.s_q in
-             rot_push t.rot_cur ~slot:i ~dt:(!tcur - t.rot_cur.rb_t0)
-               ~at:(r.at - t.rot_cur.rb_t0) ~beats:r.beats
-               ~shape:((r.extra_latency * 2) + Bool.to_int r.is_read));
-        do_grant t ~now:!tcur i;
-        tcur := t.free_at
-  done;
-  t.leaping <- false;
-  rot_reset t.rot_prev ~t0:min_int;
-  rot_reset t.rot_cur ~t0:min_int
-
-let leap_eligible t =
-  t.flats > 0 && t.flats = t.active && t.queued > 0
-  && (not (Obs.Trace.enabled t.obs))
-  && (not (Fault.Injector.active t.faults))
-  && Ccsim.Sched.pending t.sched = t.live_events
 
 let arbitrate t () =
   (* Entry bookkeeping: this event is no longer live; free its arm slot. *)
   let now = Ccsim.Sched.now t.sched in
-  t.live_events <- t.live_events - 1;
   if t.armed = now then t.armed <- min_int;
   if t.free_at <= now then begin
-    if leap_eligible t then leap t ~now
-    else
-      match find_winner t ~now with
-      | -1 -> (
-          (* Bus idle but every queued request arrives later: re-arm at the
-             earliest arrival.  (A grant while we slept re-arms on its own.) *)
-          match min_head_arrival t with
-          | Some a when a > now -> schedule_arbitration t ~cycle:a
-          | Some _ | None -> ())
-      | i -> do_grant t ~now i
+    match find_winner t ~now with
+    | -1 -> (
+        (* Bus idle but every queued request arrives later: re-arm at the
+           earliest arrival.  (A grant while we slept re-arms on its own.) *)
+        match min_head_arrival t with
+        | Some a when a > now -> schedule_arbitration t ~cycle:a
+        | Some _ | None -> ())
+    | i -> do_grant t ~now i
   end
   else begin
     (* Bus busy: pushes that coalesced onto this event still need coverage
@@ -541,19 +290,13 @@ let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) ~sched p =
       head = no_slot;
       tail = no_slot;
       active = 0;
-      flats = 0;
       last_granted = -1;
       last_slot = no_slot;
       free_at = 0;
       beats = 0;
       queued = 0;
       armed = min_int;
-      live_events = 0;
-      leaping = false;
       entry = ignore;
-      rot_mark = 0;
-      rot_prev = rot_create ();
-      rot_cur = rot_create ();
     }
   in
   (* One arbitrate closure for the arbiter's whole life: scheduling used to

@@ -121,18 +121,6 @@ let request t ~src ~target ~at ~beats ~is_read ~extra_latency ~on_grant =
               on_grant
                 { g with Fabric.completed = g.Fabric.completed + uplink_latency }))
 
-(* Flat (direct-callback) drivers only exist for the shared bus: the leap's
-   closed-system argument needs every grant in the process to flow through
-   one arbiter, which crossbar banks and hierarchy levels break.  Reports
-   whether the client was accepted, so the run layer can fall back to the
-   coroutine driver on other topologies. *)
-let set_flat t ~src client =
-  match t with
-  | Sh a ->
-      Arbiter.set_flat a ~src client;
-      true
-  | Xbar _ | Hier _ -> false
-
 let total_beats = function
   | Sh a -> Arbiter.total_beats a
   | Xbar { arbs; _ } ->

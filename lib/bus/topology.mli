@@ -74,13 +74,6 @@ val request :
     elsewhere.  On the hierarchy the grant delivered to [on_grant] is the
     root grant with the return uplink hop added to [completed]. *)
 
-val set_flat : t -> src:int -> Arbiter.flat_client -> bool
-(** Declare [src] flat-driven (direct-callback, no coroutine) so the shared
-    arbiter may leap periodic steady state.  Returns [false] without
-    registering anything on crossbar and hierarchical topologies — the leap's
-    closed-system argument only holds with a single arbiter — in which case
-    the caller must use the coroutine driver. *)
-
 val total_beats : t -> int
 (** Beats transferred, summed over bank arbiters (root only for the
     hierarchy — each transaction is counted once). *)

@@ -27,12 +27,12 @@ let runs_disk_cached = make "runs_disk_cached"
 (* whole system runs served from the on-disk cross-process cache *)
 
 let periods_leaped = make "periods_leaped"
-(* steady-state arbitration periods advanced in O(1) by the event
-   fast-forward's recurrence detector instead of being single-stepped *)
+(* always 0: kept registered for the benchmark's [bus.periods_leaped]
+   metric, see counters.mli *)
 
 let events_coalesced = make "events_coalesced"
-(* arbitration events never enqueued because a live event at the same cycle
-   (or an in-progress leap) makes them provable no-ops *)
+(* arbitration events never enqueued because a live event at or before the
+   same cycle makes them provable no-ops *)
 
 let all =
   [ segments_replayed; accesses_fast_pathed; traces_memoized; runs_memoized;

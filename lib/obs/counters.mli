@@ -26,13 +26,13 @@ val runs_disk_cached : t
 (** Whole system runs served from the on-disk cross-process cache. *)
 
 val periods_leaped : t
-(** Steady-state arbitration periods advanced in O(1) by the event
-    fast-forward's recurrence detector instead of being single-stepped.
-    Always 0 for faulted or observed runs (leaping bails on both). *)
+(** Always 0: nothing in the simulator leaps.  Registered only because the
+    frozen [bench/perf] harness reports it as [bus.periods_leaped]; it goes
+    with that metric at the next change to the benchmark. *)
 
 val events_coalesced : t
-(** Arbitration events never enqueued because a live event at the same cycle
-    (or an in-progress leap) makes them provable no-ops. *)
+(** Arbitration events never enqueued because a live event at or before
+    the same cycle makes them provable no-ops. *)
 
 val name : t -> string
 val get : t -> int

@@ -1,24 +1,3 @@
-(* Process-global policy for the event-engine fast-forward layers.
+type mode = Off
 
-   Mirrors Soc.Fastpath's mode cell: [On] lets the event core drive scripted
-   tasks through direct callbacks and lets the arbiter leap periodic steady
-   state, [Off] forces the coroutine single-step path (the differential
-   oracle's ground truth), and [Diff] makes the run layer execute both legs
-   and [failwith] on any structural divergence.  The cell is read once per
-   run when the legs are chosen — never inside the hot loop — so a Diff run
-   can hold the mode fixed while its two legs disagree about [ff]. *)
-
-type mode = On | Off | Diff
-
-let mode_cell = Atomic.make On
-
-let set_mode m = Atomic.set mode_cell m
-let current_mode () = Atomic.get mode_cell
-
-let mode_to_string = function On -> "on" | Off -> "off" | Diff -> "diff"
-
-let mode_of_string = function
-  | "on" -> Some On
-  | "off" -> Some Off
-  | "diff" | "differential" -> Some Diff
-  | _ -> None
+let set_mode Off = ()

@@ -1,22 +1,11 @@
-(** Process-global mode for the event-engine steady-state fast-forward.
+(** No-op stand-in for the deleted event-engine fast-forward selector.
 
-    [On] (the default) lets {!Soc.Run}'s event compute phase drive scripted
-    constant-latency tasks through direct arbiter callbacks instead of
-    effect-based coroutines, and lets {!Bus.Arbiter} leap periodic steady
-    state; every reported cycle is identical to the [Off] leg by
-    construction, and the differential suite plus the [Diff] mode pin it.
+    The event engine has a single accelerator driver, so this module
+    selects nothing.  It keeps the smallest signature the frozen
+    [bench/perf] harness compiles against (its [eventff_off] leg), and is
+    deleted together with that leg by the next change to the benchmark. *)
 
-    [Off] forces the coroutine single-step path — the oracle.
-
-    [Diff] makes the run layer execute both legs against fresh systems and
-    [failwith] on any divergence in the complete result record. *)
-
-type mode = On | Off | Diff
+type mode = Off
 
 val set_mode : mode -> unit
-val current_mode : unit -> mode
-
-val mode_to_string : mode -> string
-(** ["on"], ["off"], ["diff"] — the [--event-ff] CLI spellings. *)
-
-val mode_of_string : string -> mode option
+(** No-op. *)

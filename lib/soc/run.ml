@@ -204,7 +204,7 @@ let interpreted_ev_task ?(elide = false) ?(fastpath = Accel.Engine.Fp_off)
   { et_bench = bench; et_alloc = alloc; et_elide = elide;
     et_fastpath = fastpath; et_recorder = recorder; et_script = script }
 
-let run_event_compute sys ~ff ~start tasks_l =
+let run_event_compute sys ~start tasks_l =
   let obs = sys.System.obs in
   let backend = Option.get sys.System.backend in
   let sched =
@@ -251,37 +251,11 @@ let run_event_compute sys ~ff ~start tasks_l =
           let max_outstanding =
             bench.Machsuite.Bench_def.directives.Hls.Directives.max_outstanding
           in
-          (* Steady-state fast-forward leg: a coroutine-free driver the shared
-             arbiter can leap over.  Only sound when the burst sequence is
-             clock-independent (constant-latency adjudication), targets are
-             static (shared bus) and nothing aperiodic watches the run (no
-             sink, inert injector); anything else falls back to the exact
-             fiber driver. *)
-          let flat =
-            if
-              ff
-              && sys.System.topology = Bus.Topology.Shared
-              && (not (Obs.Trace.enabled obs))
-              && not (Fault.Injector.active sys.System.faults)
-            then
-              Accel.Script.flat_plan script ~bus:sys.System.bus
-                ~mem_size:(Tagmem.Mem.size sys.System.mem)
-                ~layout:handle.Driver.layout ~obj_ids:handle.Driver.obj_ids
-                ~addressing:(Driver.Backend.addressing backend)
-                ~source:handle.Driver.task_id adj
-            else None
-          in
-          (match flat with
-          | Some plan ->
-              Accel.Script.drive_event_flat plan ~sched ~ic ~start
-                ~max_outstanding ~source:handle.Driver.task_id ~on_done
-          | None ->
-              Accel.Script.drive_event script ~sched ~ic ~start
-                ~bus:sys.System.bus
-                ~mem_size:(Tagmem.Mem.size sys.System.mem) ~max_outstanding
-                ~layout:handle.Driver.layout ~obj_ids:handle.Driver.obj_ids
-                ~addressing:(Driver.Backend.addressing backend)
-                ~source:handle.Driver.task_id adj ~on_done)
+          Accel.Script.drive_event script ~sched ~ic ~start ~bus:sys.System.bus
+            ~mem_size:(Tagmem.Mem.size sys.System.mem) ~max_outstanding
+            ~layout:handle.Driver.layout ~obj_ids:handle.Driver.obj_ids
+            ~addressing:(Driver.Backend.addressing backend)
+            ~source:handle.Driver.task_id adj ~on_done
       | None ->
           Accel.Engine.run_event ~obs ~elide:et.et_elide ~fastpath:et.et_fastpath
             ?recorder:et.et_recorder ~sched ~ic ~start ~mem:sys.System.mem
@@ -387,7 +361,7 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
    the accelerator, replicates its DMA stream per instance, and replays the
    contention; [Event_driven] runs every instance live on the shared
    event timeline (see {!run_event_compute}). *)
-let run_hetero sys ~fast ~ff (bench : Machsuite.Bench_def.t) ~tasks ~elide
+let run_hetero sys ~fast (bench : Machsuite.Bench_def.t) ~tasks ~elide
     ~engine =
   let kernel = bench.Machsuite.Bench_def.kernel in
   let driver = Option.get sys.System.driver in
@@ -561,7 +535,7 @@ let run_hetero sys ~fast ~ff (bench : Machsuite.Bench_def.t) ~tasks ~elide
             allocated
         in
         let outcomes, makespan, bus_beats =
-          run_event_compute sys ~ff ~start:replay_start ev_tasks
+          run_event_compute sys ~start:replay_start ev_tasks
         in
         List.iter
           (fun (_, o) ->
@@ -863,43 +837,13 @@ let require_event_engine ~engine ~topology ~what =
            (Bus.Topology.kind_to_string kind))
   | _ -> ()
 
-(* Event fast-forward leg selection, orthogonal to the fast-path mode:
-   [execute ~fast ~ff] performs one complete run against a fresh system, the
-   [ff] flag enabling the flat event drivers and steady-state leaping in
-   {!run_event_compute}.  [Diff] runs both complete legs and compares the
-   full result records — the fast-forward is exact by construction, so any
-   divergence [failwith]s.  Runs with a sink attached or a live fault plan
-   never take the fast-forward leg (both legs would be identical, and the
-   off leg would double every emission), so Diff degrades to the off leg
-   there. *)
-let eventff_execute ~memo_eligible ~what execute ~fast =
-  match Ccsim.Eventff.current_mode () with
-  | Ccsim.Eventff.On -> execute ~fast ~ff:true
-  | Ccsim.Eventff.Off -> execute ~fast ~ff:false
-  | Ccsim.Eventff.Diff ->
-      if not memo_eligible then execute ~fast ~ff:false
-      else begin
-        let on_r = execute ~fast ~ff:true in
-        let off_r = execute ~fast ~ff:false in
-        if on_r <> off_r then
-          failwith
-            (Printf.sprintf
-               "%s: event fast-forward divergence on %s under %s: leaped and \
-                single-stepped results differ"
-               what on_r.benchmark on_r.config_label);
-        off_r
-      end
-
-(* Mode dispatch shared by [run] and [run_mixed]: [execute ~fast ~ff]
-   performs one complete run against a fresh system.  [Fast] wraps it in the
+(* Mode dispatch shared by [run] and [run_mixed]: [execute ~fast] performs
+   one complete run against a fresh system.  [Fast] wraps it in the
    whole-run memo when eligible; [Differential] computes both legs (the fast
    leg still warming and exercising every cache) and compares the complete
    result records — any divergence is a bug in the fast-path layers, never a
-   tuning matter, so it [failwith]s.  The event fast-forward legs nest
-   inside each fast-path leg, so the memo caches an already-checked
-   result. *)
+   tuning matter, so it [failwith]s. *)
 let dispatch ~memo_eligible ~key ~what execute =
-  let execute = eventff_execute ~memo_eligible ~what execute in
   match Fastpath.current_mode () with
   | Fastpath.Interpretive -> execute ~fast:false
   | Fastpath.Fast ->
@@ -927,7 +871,7 @@ let run ?(tasks = 8) ?instances ?(cc_entries = 256) ?(bus = Bus.Params.default)
   if tasks <= 0 then invalid_arg "Run.run: needs at least one task";
   require_event_engine ~engine ~topology ~what:"Run.run";
   let instances' = match instances with Some n -> max n tasks | None -> max 8 tasks in
-  let execute ~fast ~ff =
+  let execute ~fast =
     let sys =
       System.create ~instances:instances' ~cc_entries ~bus ?obs ~faults
         ~topology ~checkers config
@@ -936,7 +880,7 @@ let run ?(tasks = 8) ?instances ?(cc_entries = 256) ?(bus = Bus.Params.default)
     | Config.Cpu_only isa -> run_cpu_only sys ~fast isa bench ~tasks
     | Config.Hetero _ ->
         if Fault.Plan.is_none faults then
-          run_hetero sys ~fast ~ff bench ~tasks ~elide ~engine
+          run_hetero sys ~fast bench ~tasks ~elide ~engine
         else
           let design =
             Hls.Directives.synthesize ~kernel:bench.Machsuite.Bench_def.kernel
@@ -1034,7 +978,7 @@ let run_mixed ?instances ?obs ?(faults = Fault.Plan.none)
   let design_of (b : Machsuite.Bench_def.t) =
     Hls.Directives.synthesize ~kernel:b.Machsuite.Bench_def.kernel b.directives
   in
-  let execute ~fast ~ff =
+  let execute ~fast =
   let sys =
     System.create ~instances:instances' ?obs ~faults ~topology ~checkers config
   in
@@ -1229,7 +1173,7 @@ let run_mixed ?instances ?obs ?(faults = Fault.Plan.none)
             plans
         in
         let outcomes, makespan, bus_beats =
-          run_event_compute sys ~ff ~start:replay_start ev_tasks
+          run_event_compute sys ~start:replay_start ev_tasks
         in
         let outcomes =
           List.map2

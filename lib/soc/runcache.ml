@@ -9,15 +9,26 @@
    Safety over speed: entries are keyed by the digest of the marshalled memo
    key *and* a digest of the running binary, so any rebuild — which may
    change timing, result layout or the meaning of a key field — orphans the
-   old entries rather than replaying them.  The stamp is repeated inside
-   each file and re-checked on load, files are written to a temp name and
-   renamed into place (concurrent sweep workers race benignly), and any
-   read or decode failure degrades to a miss. *)
+   old entries rather than replaying them.  Files are written to a temp name
+   and renamed into place (concurrent sweep workers race benignly).
+
+   [Marshal] trusts its input, so a file is never unmarshalled until plain
+   byte comparisons have shown it is exactly what this binary wrote:
+
+     magic (8) | binary stamp (16) | payload length (8, big-endian)
+     | payload MD5 (16) | payload (marshalled value)
+
+   A file that is short, foreign, truncated, padded or altered in any byte
+   fails one of those checks and degrades to a miss. *)
 
 let dir_ref = Atomic.make None
 
 let set_dir d = Atomic.set dir_ref d
 let dir () = Atomic.get dir_ref
+
+let magic = "CAPRUN01"
+
+let header_len = String.length magic + 16 + 8 + 16
 
 (* Digest of the running executable: ties every entry to the exact binary
    that produced it.  [Sys.executable_name] can be unreadable under exotic
@@ -38,38 +49,65 @@ let with_cache f =
       | None -> None
       | Some stamp -> f ~dir ~stamp)
 
+let encode ~stamp payload =
+  let len = Bytes.create 8 in
+  Bytes.set_int64_be len 0 (Int64.of_int (String.length payload));
+  String.concat ""
+    [ magic; stamp; Bytes.to_string len; Digest.string payload; payload ]
+
+(* The payload of [file] if every header field checks out, else [None]. *)
+let decode ~stamp file =
+  let n = String.length file in
+  if n < header_len then None
+  else
+    let field off len = String.sub file off len in
+    let m = String.length magic in
+    let len = String.get_int64_be file (m + 16) in
+    if
+      field 0 m <> magic
+      || field m 16 <> stamp
+      || not (Int64.equal len (Int64.of_int (n - header_len)))
+    then None
+    else
+      let payload = field header_len (n - header_len) in
+      if Digest.string payload <> field (m + 24) 16 then None
+      else Some payload
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let load (key : 'k) : 'v option =
   with_cache (fun ~dir ~stamp ->
-      let path = entry_path ~dir ~stamp key in
-      try
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let stored_stamp : string = Marshal.from_channel ic in
-            if stored_stamp <> stamp then None
-            else begin
-              let v : 'v = Marshal.from_channel ic in
+      match decode ~stamp (read_file (entry_path ~dir ~stamp key)) with
+      | exception _ -> None
+      | None -> None
+      | Some payload -> (
+          match (Marshal.from_string payload 0 : 'v) with
+          | exception _ -> None
+          | v ->
               Obs.Counters.incr Obs.Counters.runs_disk_cached;
-              Some v
-            end)
-      with _ -> None)
+              Some v))
 
 let store (key : 'k) (v : 'v) =
   ignore
     (with_cache (fun ~dir ~stamp ->
+         (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
+         let path = entry_path ~dir ~stamp key in
+         let tmp =
+           Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
+             (Domain.self () :> int)
+         in
          (try
-            (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let path = entry_path ~dir ~stamp key in
-            let tmp =
-              Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
-            in
             let oc = open_out_bin tmp in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                Marshal.to_channel oc stamp [];
-                Marshal.to_channel oc v []);
+            (try
+               output_string oc (encode ~stamp (Marshal.to_string v []));
+               close_out oc
+             with e ->
+               close_out_noerr oc;
+               raise e);
             Sys.rename tmp path
-          with _ -> ());
+          with _ -> ( try Sys.remove tmp with Sys_error _ -> ()));
          None))

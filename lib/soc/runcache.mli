@@ -3,8 +3,10 @@
     Opt-in: disabled until {!set_dir} names a directory (the [--cache-dir]
     flag on [capsim] and the bench harness).  Entries are keyed by the
     digest of the marshalled memo key combined with a digest of the running
-    binary, so results never survive a rebuild; any I/O or decode failure
-    degrades to a miss.  Only results eligible for the in-memory memo (no
+    binary, so results never survive a rebuild.  Each file carries a magic,
+    the binary stamp, the payload length and the payload's MD5, all checked
+    before the payload is unmarshalled, so a truncated, altered or foreign
+    file — like any I/O failure — degrades to a miss.  Only results eligible for the in-memory memo (no
     observability sink, no fault plan) ever reach the disk — {!Run} enforces
     the gate. *)
 
@@ -22,5 +24,5 @@ val load : 'k -> 'v option
 
 val store : 'k -> 'v -> unit
 (** Persist atomically (temp file + rename); concurrent writers race
-    benignly.  Failures are silent — the cache is an accelerator, never a
-    correctness dependency. *)
+    benignly.  Failures are silent and leave no temp file behind — the cache
+    is an accelerator, never a correctness dependency. *)

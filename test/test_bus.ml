@@ -393,6 +393,17 @@ let test_topology_kind_strings () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* A contended event-engine run must drop redundant arbitration events
+   rather than enqueue one per request (see [Arbiter.schedule_arbitration]). *)
+let test_coalescing_counter_moves () =
+  Soc.Fastpath.clear ();
+  Obs.Counters.reset ();
+  ignore
+    (Soc.Run.run ~tasks:8 ~engine:Soc.Run.Event_driven Soc.Config.ccpu_caccel
+       (Machsuite.Registry.find "kmp"));
+  checkb "contended run coalesces arbitration events" true
+    (Obs.Counters.get Obs.Counters.events_coalesced > 0)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_fifo_monotonic; prop_beats_conserved ]
 
@@ -422,5 +433,6 @@ let suite =
     ("topology: fairness and determinism", `Quick,
      test_topology_fairness_and_determinism);
     ("topology: kind strings", `Quick, test_topology_kind_strings);
+    ("coalescing counter moves", `Quick, test_coalescing_counter_moves);
   ]
   @ qsuite

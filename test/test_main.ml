@@ -30,5 +30,5 @@ let () =
       ("serve", Test_serve.suite);
       ("verify", Test_verify.suite);
       ("fastpath", Test_fastpath.suite);
-      ("eventff", Test_eventff.suite);
+      ("runcache", Test_runcache.suite);
     ]
