@@ -721,6 +721,20 @@ let micro () =
   let words = Cheri.Compress.encode cap in
   let mem = Tagmem.Mem.create ~size:65536 in
   let small_bench = Machsuite.Registry.find "aes" in
+  (* Event-engine layers, one per hot-path operation of the interconnect
+     workload: a lone source's request through to its grant callback, the
+     CapChecker table's associative fetch, and one process suspension and
+     resumption through the scheduler. *)
+  let arb_sched = Ccsim.Sched.create () in
+  let arbiter = Bus.Arbiter.create ~sched:arb_sched Bus.Params.default in
+  let on_grant (_ : Bus.Fabric.grant) = () in
+  let table = Capchecker.Table.create ~entries:256 in
+  for task = 0 to 63 do
+    ignore (Capchecker.Table.install table ~task ~obj:(task mod 4) cap)
+  done;
+  let proc_sched = Ccsim.Sched.create () in
+  Ccsim.Sched.spawn proc_sched ~at:0 (fun () ->
+      while true do Ccsim.Sched.wait proc_sched 1 done);
   let tests =
     [
       (* table1/table3: one protection adjudication *)
@@ -739,6 +753,16 @@ let micro () =
       Test.make ~name:"end_to_end_aes (figs 9,11)"
         (Staged.stage (fun () ->
              ignore (Soc.Run.run ~tasks:1 Soc.Config.ccpu_caccel small_bench)));
+      Test.make ~name:"arbiter_request_grant (event)"
+        (Staged.stage (fun () ->
+             Bus.Arbiter.request arbiter ~src:3 ~at:(Ccsim.Sched.now arb_sched)
+               ~beats:4 ~is_read:true ~extra_latency:0 ~on_grant;
+             Ccsim.Sched.run arb_sched));
+      Test.make ~name:"table_lookup (event)"
+        (Staged.stage (fun () ->
+             ignore (Capchecker.Table.lookup table ~task:41 ~obj:1)));
+      Test.make ~name:"sched_suspend_resume (event)"
+        (Staged.stage (fun () -> ignore (Ccsim.Sched.run_steps proc_sched 1)));
     ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in

@@ -44,18 +44,20 @@ let config_arg =
   Arg.(value & opt config_conv Soc.Config.ccpu_caccel & info [ "c"; "config" ]
          ~doc:"System configuration.")
 
-(* Integer options with a floor: a value below it is a usage error (exit
-   124) instead of an exception escaping the library. *)
-let int_at_least ~min ~what =
+(* Range-checked integer options: a value outside [min, max] is a usage
+   error (exit 124) instead of an exception escaping the library. *)
+let int_in ~min ~max ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
+    | Some n when n >= min && n <= max -> Ok n
     | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let int_at_least ~min ~what = int_in ~min ~max:max_int ~what
 let positive_int = int_at_least ~min:1 ~what:"a positive integer"
 let non_negative_int = int_at_least ~min:0 ~what:"a non-negative integer"
+let percent ~min = int_in ~min ~max:100 ~what:(Printf.sprintf "a percentage in %d-100" min)
 
 let tasks_arg =
   Arg.(value & opt positive_int 8
@@ -643,12 +645,16 @@ let verify_cmd =
                      multinomial of this).")
   in
   let accels_arg =
-    Arg.(value & opt int Verify.Engine.default_opts.Verify.Engine.v_accels
-           & info [ "accels" ] ~doc:"Accelerator tasks (1-8).")
+    Arg.(value
+         & opt (int_in ~min:1 ~max:8 ~what:"an accelerator count in 1-8")
+             Verify.Engine.default_opts.Verify.Engine.v_accels
+         & info [ "accels" ] ~doc:"Accelerator tasks (1-8).")
   in
   let objs_arg =
-    Arg.(value & opt int Verify.Engine.default_opts.Verify.Engine.v_objs
-           & info [ "objs" ]
+    Arg.(value
+         & opt (int_in ~min:1 ~max:16 ~what:"an object count in 1-16")
+             Verify.Engine.default_opts.Verify.Engine.v_objs
+         & info [ "objs" ]
                ~doc:"Protected objects (1-16); grant maps grow as \
                      $(b,3^(accels*objs)).")
   in
@@ -834,26 +840,26 @@ let matrix_cmd =
 
 let serve_cmd =
   let tenants_arg =
-    Arg.(value & opt int 100
+    Arg.(value & opt positive_int 100
            & info [ "tenants" ] ~doc:"Tenant compartments sharing the SoC.")
   in
   let requests_arg =
-    Arg.(value & opt int 1000
+    Arg.(value & opt non_negative_int 1000
            & info [ "requests" ] ~doc:"Total requests offered over the run.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload RNG seed.")
   in
   let instances_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive_int 8
            & info [ "instances" ] ~doc:"Accelerator instances.")
   in
   let entries_arg =
-    Arg.(value & opt int 256
+    Arg.(value & opt positive_int 256
            & info [ "cc-entries" ] ~doc:"CapChecker table capacity.")
   in
   let inflight_arg =
-    Arg.(value & opt int 4
+    Arg.(value & opt positive_int 4
            & info [ "max-inflight" ]
                ~doc:"Per-tenant bound on concurrently admitted requests.")
   in
@@ -876,13 +882,13 @@ let serve_cmd =
                      from the profiled service time and $(b,--util)).")
   in
   let util_arg =
-    Arg.(value & opt int 80
+    Arg.(value & opt (percent ~min:1) 80
            & info [ "util" ]
                ~doc:"Target accelerator utilization (percent) for the \
                      derived gap.")
   in
   let churn_arg =
-    Arg.(value & opt int 10
+    Arg.(value & opt (percent ~min:0) 10
            & info [ "churn" ]
                ~doc:"Percentage of tenants that depart mid-run.")
   in

@@ -34,8 +34,16 @@ val create :
   t
 (** [error_retry_limit] defaults to 4, matching {!Replay.run}. *)
 
-val issue : ?target:int -> t -> Trace.event -> unit
-(** Submit one transaction, suspending the calling process per the event's
+val issue :
+  t ->
+  target:int ->
+  gap:int ->
+  kind:Guard.Iface.kind ->
+  beats:int ->
+  dependent:bool ->
+  latency:int ->
+  unit
+(** Submit one transaction, suspending the calling process per its
     semantics: the request becomes ready [gap] cycles after the previous
     transaction released the datapath (a streaming read additionally waits
     for the oldest in-flight read when the outstanding window is full), and
@@ -43,7 +51,12 @@ val issue : ?target:int -> t -> Trace.event -> unit
     writes and streaming reads, or at [completed] for dependent reads.
     Injected error responses re-issue after {!error_turnaround} cycles and
     raise {!Failed} once the budget is spent.  [target] selects the bank on a
-    crossbar topology and defaults to the flow's home bank
+    crossbar topology.  The flow keeps the transaction in its own mutable
+    fields and reuses one preallocated grant callback, so an issue allocates
+    nothing beyond the scheduler's own suspension. *)
+
+val issue_event : t -> Trace.event -> unit
+(** {!issue} a recorded trace event to the flow's home bank
     ({!Bus.Topology.home_target}), the deterministic fallback for trace-fed
     streams whose events carry no addresses. *)
 

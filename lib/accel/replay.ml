@@ -267,7 +267,7 @@ let run_event ?error_retry_limit ~sched ~ic ~start streams =
         in
         let failed = ref false in
         Ccsim.Sched.spawn sched ~at:start (fun () ->
-            try Trace.iter (Flow.issue flow) s.trace
+            try Trace.iter (Flow.issue_event flow) s.trace
             with Flow.Failed -> failed := true);
         (s.instance, flow, failed))
       streams

@@ -114,7 +114,9 @@ let adjudicate_entry t (req : Guard.Iface.req) ~task ~obj ~phys ~latency
   in
   match Cheri.Cap.access_ok entry.Table.cap ~addr:phys ~size:req.size kind with
   | Ok () ->
-      Obs.Trace.emit t.obs (Obs.Event.Check_ok { task; obj; latency });
+      (* Guarded so a null sink costs no event record per granted check. *)
+      if Obs.Trace.enabled t.obs then
+        Obs.Trace.emit t.obs (Obs.Event.Check_ok { task; obj; latency });
       Guard.Iface.Granted { phys; latency }
   | Error e ->
       deny t ~task ~obj

@@ -68,9 +68,32 @@ module Free_heap = struct
     end
 end
 
+(* The live (task, obj) -> slot index is keyed by one packed int, hashed by
+   a multiplicative mix: a lookup allocates no tuple and runs no polymorphic
+   hash or compare.  Keys pack injectively for every task in
+   [0, 2^key_task_bits) and obj in [0, 2^key_obj_bits) — the driver's ids,
+   and the Coarse encoding's 8-bit object field, sit far inside. *)
+let key_obj_bits = 20
+let key_task_bits = Sys.int_size - 1 - key_obj_bits
+
+module Index = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
+
+let packable ~task ~obj =
+  task >= 0 && task lsr key_task_bits = 0 && obj >= 0 && obj lsr key_obj_bits = 0
+
+let key ~task ~obj = (task lsl key_obj_bits) lor obj
+
 type t = {
   slots : entry array;
-  index : (int * int, int) Hashtbl.t; (* live (task, obj) -> slot *)
+  index : int Index.t; (* live (task, obj), packed -> slot *)
   free : Free_heap.h;
   mutable installs : int;
   mutable evictions : int;
@@ -90,7 +113,7 @@ let create ~entries =
     Free_heap.push free idx
   done;
   { slots = Array.init entries (fun _ -> fresh ());
-    index = Hashtbl.create (2 * entries);
+    index = Index.create (2 * entries);
     free;
     installs = 0; conflicts = 0; evictions = 0; rejected = 0; live = 0;
     peak = 0 }
@@ -107,13 +130,17 @@ let stats t =
 type install_result = Installed of int | Table_full | Rejected_untagged
 
 let install t ~task ~obj cap =
+  if not (packable ~task ~obj) then
+    invalid_arg
+      (Printf.sprintf "Table.install: key (task %d, obj %d) out of range" task
+         obj);
   if not cap.Cheri.Cap.tag then begin
     t.rejected <- t.rejected + 1;
     Rejected_untagged
   end
   else
     let replacing, slot =
-      match Hashtbl.find_opt t.index (task, obj) with
+      match Index.find_opt t.index (key ~task ~obj) with
       | Some idx -> (true, Some idx)
       | None -> (false, Free_heap.pop t.free)
     in
@@ -130,16 +157,24 @@ let install t ~task ~obj cap =
         e.exn_bit <- false;
         t.installs <- t.installs + 1;
         if not replacing then begin
-          Hashtbl.replace t.index (task, obj) idx;
+          Index.replace t.index (key ~task ~obj) idx;
           t.live <- t.live + 1;
           if t.live > t.peak then t.peak <- t.live
         end;
         Installed idx
 
+(* Slot of a live key, or -1.  An unpackable key can never have been
+   installed. *)
+let find_slot t ~task ~obj =
+  if not (packable ~task ~obj) then -1
+  else match Index.find t.index (key ~task ~obj) with
+    | idx -> idx
+    | exception Not_found -> -1
+
 let lookup t ~task ~obj =
-  match Hashtbl.find_opt t.index (task, obj) with
-  | Some idx -> Some t.slots.(idx)
-  | None -> None
+  match find_slot t ~task ~obj with
+  | -1 -> None
+  | idx -> Some t.slots.(idx)
 
 let mark_exception t ~task ~obj =
   match lookup t ~task ~obj with
@@ -156,21 +191,21 @@ let release_slot t idx =
   Free_heap.push t.free idx
 
 let evict t ~task ~obj =
-  match Hashtbl.find_opt t.index (task, obj) with
-  | Some idx ->
+  match find_slot t ~task ~obj with
+  | -1 -> false
+  | idx ->
       release_slot t idx;
-      Hashtbl.remove t.index (task, obj);
+      Index.remove t.index (key ~task ~obj);
       t.evictions <- t.evictions + 1;
       t.live <- t.live - 1;
       true
-  | None -> false
 
 let evict_task t ~task =
   let n = ref 0 in
   Array.iteri
     (fun idx (e : entry) ->
       if e.live && e.task = task then begin
-        Hashtbl.remove t.index (task, e.obj);
+        Index.remove t.index (key ~task ~obj:e.obj);
         release_slot t idx;
         incr n
       end)

@@ -155,46 +155,107 @@ let test_soc_fast_matches_cpu () =
         (go Soc.Fastpath.Interpretive 4))
     (Machsuite.Registry.all)
 
-(* Event engine, shared and crossbar topologies, plus mixed compositions:
-   script-driven streams must land on the interpretive results. *)
+(* Event engine on every fabric shape — shared and crossbar with central
+   checking, hierarchical with per-source shims — plus mixed compositions.
+   Each fabric starts cold (no script: the run records one guard-free, then
+   drives every task from it) and is then re-run warm; both must land on the
+   interpretive results. *)
+let event_fabrics =
+  [ (Bus.Topology.Shared, Capchecker.Shim.Central);
+    (Bus.Topology.Crossbar { banks = Bus.Topology.default_banks },
+     Capchecker.Shim.Central);
+    (Bus.Topology.Hierarchical { clusters = Bus.Topology.default_clusters },
+     Capchecker.Shim.Distributed) ]
+
 let test_soc_fast_matches_event () =
-  Soc.Fastpath.clear ();
   let benches =
     List.filteri (fun i _ -> i mod 4 = 0) (Machsuite.Registry.all)
   in
   List.iter
     (fun bench ->
       List.iter
-        (fun topology ->
+        (fun (topology, checkers) ->
           let go mode tasks =
             with_mode mode (fun () ->
                 Soc.Run.run ~tasks ~engine:Soc.Run.Event_driven ~topology
-                  Soc.Config.ccpu_caccel bench)
+                  ~checkers Soc.Config.ccpu_caccel bench)
           in
+          Soc.Fastpath.clear ();
           soc_result_eq "event cold" (go Soc.Fastpath.Fast 2)
             (go Soc.Fastpath.Interpretive 2);
           soc_result_eq "event warm" (go Soc.Fastpath.Fast 3)
             (go Soc.Fastpath.Interpretive 3))
-        [ Bus.Topology.Shared;
-          Bus.Topology.Crossbar { banks = Bus.Topology.default_banks } ])
+        event_fabrics)
     benches;
-  (* Mixed composition with a repeated bench: recorder claims deduplicate. *)
+  (* Mixed composition with a repeated bench: the repeat reuses the script
+     its first occurrence recorded in the same run. *)
   match Machsuite.Registry.all with
   | b0 :: b1 :: _ ->
       let mix = [ b0; b1; b0 ] in
+      let go ?topology ?checkers engine mode =
+        with_mode mode (fun () ->
+            Soc.Run.run_mixed ~engine ?topology ?checkers
+              Soc.Config.ccpu_caccel mix)
+      in
+      let cold_then_warm ?topology ?checkers engine =
+        Soc.Fastpath.clear ();
+        soc_result_eq "mixed cold"
+          (go ?topology ?checkers engine Soc.Fastpath.Fast)
+          (go ?topology ?checkers engine Soc.Fastpath.Interpretive);
+        soc_result_eq "mixed warm"
+          (go ?topology ?checkers engine Soc.Fastpath.Fast)
+          (go ?topology ?checkers engine Soc.Fastpath.Interpretive)
+      in
+      cold_then_warm Soc.Run.Legacy_replay;
+      List.iter
+        (fun (topology, checkers) ->
+          cold_then_warm ~topology ~checkers Soc.Run.Event_driven)
+        event_fabrics
+  | _ -> Alcotest.fail "registry empty"
+
+(* A kernel whose CapChecker denies mid-stream: the ninth store runs one
+   element past [out] and three more iterations never issue.  The guard-free
+   recording must give up exactly there (it cannot know the verdict), store
+   no script, and leave the run to live interpretation — so fast path on and
+   off agree on the whole result record, denial included. *)
+let oob_bench =
+  let open Kernel.Ir in
+  Machsuite.Bench_def.make
+    ~kernel:
+      { name = "fastpath-oob";
+        bufs = [ buf ~writable:false "in" I64 16; buf "out" I64 8 ];
+        scratch = [];
+        body = [ for_ "j" (i 0) (i 12) [ store "out" (v "j") (ld "in" (v "j")) ] ] }
+    ~directives:Hls.Directives.default
+    ~init:(fun _ idx -> Kernel.Value.VI idx)
+    ~output_bufs:[ "out" ] ~description:"stores past its output buffer" ()
+
+let test_soc_denial_mid_stream () =
+  List.iter
+    (fun (topology, checkers) ->
       List.iter
         (fun engine ->
-          let go mode =
+          let go mode tasks =
             with_mode mode (fun () ->
-                Soc.Run.run_mixed ~engine Soc.Config.ccpu_caccel mix)
+                Soc.Run.run ~tasks ~engine ~topology ~checkers
+                  Soc.Config.ccpu_caccel oob_bench)
           in
           Soc.Fastpath.clear ();
-          soc_result_eq "mixed cold" (go Soc.Fastpath.Fast)
-            (go Soc.Fastpath.Interpretive);
-          soc_result_eq "mixed warm" (go Soc.Fastpath.Fast)
-            (go Soc.Fastpath.Interpretive))
-        [ Soc.Run.Legacy_replay; Soc.Run.Event_driven ]
-  | _ -> Alcotest.fail "registry empty"
+          let cold = go Soc.Fastpath.Fast 2 in
+          soc_result_eq "denied cold" cold (go Soc.Fastpath.Interpretive 2);
+          checkb "denied run is incorrect" false cold.Soc.Run.correct;
+          checkb "denial reported" true (cold.Soc.Run.denials <> []);
+          (* Per task: 8 loads and 8 stores in bounds, the ninth load, and
+             the denied ninth store. *)
+          checki "checks stop at the denied store" (2 * 18) cold.Soc.Run.checks;
+          checkb "no script recorded" true
+            (Soc.Fastpath.find_script (Soc.Fastpath.bench_key oob_bench) = None);
+          soc_result_eq "denied warm" (go Soc.Fastpath.Fast 3)
+            (go Soc.Fastpath.Interpretive 3))
+        (if topology = Bus.Topology.Shared then
+           [ Soc.Run.Legacy_replay; Soc.Run.Event_driven ]
+         else [ Soc.Run.Event_driven ]))
+    event_fabrics
 
 (* Elision interplay: fast paths under Elide_on and Elide_differential must
    not disturb verdicts or counts. *)
@@ -293,6 +354,8 @@ let suite =
       test_soc_fast_matches_cpu;
     Alcotest.test_case "soc: fast == interpretive (event, mixed)" `Quick
       test_soc_fast_matches_event;
+    Alcotest.test_case "soc: denial mid-stream, fast == interpretive" `Quick
+      test_soc_denial_mid_stream;
     Alcotest.test_case "soc: fast == interpretive (elision modes)" `Quick
       test_soc_fast_matches_elide;
     Alcotest.test_case "soc: faulted runs never fast-pathed" `Quick

@@ -93,6 +93,28 @@ let test_failed_store_cleans_up () =
       checki "no temp file left" 0 (List.length leftovers);
       checkb "occupied entry is a miss" true (lookup () = None))
 
+(* Two domains store the same key at the same time, many times over: each
+   writes its own temp file and renames it into place, so whichever rename
+   lands last wins whole.  The entry must load intact and no temp file may
+   survive. *)
+let test_concurrent_writers () =
+  with_cache_dir (fun dir ->
+      let rounds = 50 in
+      let ready = Atomic.make 0 in
+      let writer () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do Domain.cpu_relax () done;
+        for _ = 1 to rounds do Soc.Runcache.store key value done
+      in
+      let other = Domain.spawn writer in
+      writer ();
+      Domain.join other;
+      Obs.Counters.reset ();
+      checkb "entry intact after concurrent stores" true (lookup () = Some value);
+      checki "hit counted" 1 (Obs.Counters.get Obs.Counters.runs_disk_cached);
+      Alcotest.(check (list string)) "only the entry remains"
+        (entries dir) (Array.to_list (Sys.readdir dir)))
+
 let suite =
   [
     ("round trip is a hit", `Quick, test_round_trip_hits);
@@ -105,4 +127,6 @@ let suite =
     ("empty entry misses", `Quick, miss_after "empty" empty);
     ("garbage entry misses", `Quick, miss_after "garbage" garbage);
     ("failed store leaves no temp", `Quick, test_failed_store_cleans_up);
+    ("concurrent writers leave one intact entry", `Quick,
+     test_concurrent_writers);
   ]
