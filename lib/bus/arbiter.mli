@@ -42,7 +42,9 @@ val request :
     grant cycle with the same {!Fabric.grant} record the legacy fabric
     returns; the caller decides when its requester may proceed
     ([granted_at + 1] for posted writes and streaming reads, [completed]
-    for dependent reads). *)
+    for dependent reads).  Source ids index an array sized to the largest
+    id seen, so they must be small non-negative integers (instance ids,
+    cluster numbers); a negative [src] raises [Invalid_argument]. *)
 
 val busy_until : t -> int
 (** Cycle at which the data bus frees given grants so far. *)

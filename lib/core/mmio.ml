@@ -45,9 +45,13 @@ let staged_capability t =
 let execute t command =
   let task, obj = split_key t.key in
   if Int64.equal command cmd_install then
-    match Checker.install t.checker ~task ~obj (staged_capability t) with
-    | Table.Installed _ -> t.rejected <- false
-    | Table.Table_full | Table.Rejected_untagged -> t.rejected <- true
+    (* The key register is 32+32 bits wide, wider than the table's key
+       range: a key the table cannot hold is refused like a full table. *)
+    if not (Table.packable ~task ~obj) then t.rejected <- true
+    else
+      match Checker.install t.checker ~task ~obj (staged_capability t) with
+      | Table.Installed _ -> t.rejected <- false
+      | Table.Table_full | Table.Rejected_untagged -> t.rejected <- true
   else if Int64.equal command cmd_evict then
     t.rejected <- not (Checker.evict t.checker ~task ~obj)
   else if Int64.equal command cmd_evict_task then begin

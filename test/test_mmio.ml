@@ -73,6 +73,21 @@ let test_raw_overwrite_after_stage_clears_tag () =
   checkb "rejected" true (Mmio.last_rejected m);
   checki "empty" 0 (Table.live_count (Checker.table checker))
 
+(* The key register carries a 32-bit object id, wider than the table's key
+   range: an object id the table cannot hold is a refused install (status
+   bit set), not a fault escaping the register write. *)
+let test_install_key_out_of_table_range () =
+  let checker, m = make () in
+  Mmio.stage_cap m (cap 0x1000 64);
+  Mmio.write m ~offset:Mmio.reg_key (Mmio.key_of ~task:1 ~obj:(1 lsl 20));
+  Mmio.write m ~offset:Mmio.reg_command Mmio.cmd_install;
+  checkb "rejected" true (Mmio.last_rejected m);
+  check64 "status reports rejection" 2L
+    (Int64.logand (Mmio.read m ~offset:Mmio.reg_status) 2L);
+  checki "nothing installed" 0 (Table.live_count (Checker.table checker));
+  Mmio.write m ~offset:Mmio.reg_command Mmio.cmd_evict;
+  checkb "evict of that key rejected" true (Mmio.last_rejected m)
+
 let test_evict_commands () =
   let checker, m = make () in
   (match Mmio.install m ~task:1 ~obj:0 (cap 0x1000 64) with Ok () -> () | Error e -> Alcotest.fail e);
@@ -135,6 +150,8 @@ let suite =
     ("raw writes cannot forge", `Quick, test_raw_writes_cannot_forge);
     ("stage_raw untagged", `Quick, test_stage_raw_is_untagged);
     ("raw overwrite detags stage", `Quick, test_raw_overwrite_after_stage_clears_tag);
+    ("install key out of table range", `Quick,
+     test_install_key_out_of_table_range);
     ("evict commands", `Quick, test_evict_commands);
     ("status register", `Quick, test_status_register);
     ("exception key drain", `Quick, test_exception_key_drain);
