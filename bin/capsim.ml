@@ -639,10 +639,10 @@ let lint_cmd =
 
 let verify_cmd =
   let depth_arg =
-    Arg.(value & opt int Verify.Engine.default_opts.Verify.Engine.v_depth
+    Arg.(value & opt positive_int Verify.Engine.default_opts.Verify.Engine.v_depth
            & info [ "depth" ]
-               ~doc:"Ops per source program (interleavings grow as a \
-                     multinomial of this).")
+               ~doc:"Ops per source program, at least 1 (interleavings grow \
+                     as a multinomial of this).")
   in
   let accels_arg =
     Arg.(value
@@ -659,14 +659,20 @@ let verify_cmd =
                      $(b,3^(accels*objs)).")
   in
   let obj_len_arg =
-    Arg.(value & opt int Verify.Engine.default_opts.Verify.Engine.v_obj_len
-           & info [ "obj-len" ] ~doc:"Bytes per object (2-4096).")
+    Arg.(value
+         & opt (int_in ~min:2 ~max:4096 ~what:"an object length in 2-4096")
+             Verify.Engine.default_opts.Verify.Engine.v_obj_len
+         & info [ "obj-len" ] ~doc:"Bytes per object (2-4096).")
   in
   let space_arg =
-    Arg.(value & opt int Verify.Engine.default_opts.Verify.Engine.v_space_bits
-           & info [ "space-bits" ]
+    Arg.(value
+         & opt (int_in ~min:0 ~max:14 ~what:"a window size in 0-14 bits")
+             Verify.Engine.default_opts.Verify.Engine.v_space_bits
+         & info [ "space-bits" ]
                ~doc:"Phase-1 encoding sweep runs over a $(b,2^bits)-byte \
-                     window; cost grows as $(b,4^bits).")
+                     window (0-14: every region of a wider window is no \
+                     longer exactly representable); cost grows as \
+                     $(b,4^bits).")
   in
   let mutation_conv =
     let parse s =
@@ -689,11 +695,12 @@ let verify_cmd =
                      $(b,none): the real system, which must verify clean.")
   in
   let random_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative_int 0
            & info [ "random" ]
                ~doc:"Instead of the exhaustive sweep, run N seeded random \
                      scenarios (the QCheck-style fallback for bounds the \
-                     exhaustive mode cannot reach).")
+                     exhaustive mode cannot reach); 0, the default, runs \
+                     the exhaustive sweep.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed for $(b,--random).")

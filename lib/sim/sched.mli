@@ -19,7 +19,21 @@ type t
 val create : ?on_advance:(int -> unit) -> unit -> t
 (** [on_advance] is invoked whenever the current cycle moves forward, with
     the new cycle — the hook the SoC layer uses to keep the observability
-    clock in lock-step with simulated time.  It is never called backwards. *)
+    clock in lock-step with simulated time.  It is never called backwards
+    within a run ({!reset} starts a new one at cycle 0). *)
+
+val reset : t -> unit
+(** Return [t] to the state {!create} left it in, keeping its [on_advance]
+    hook: the clock and the scheduling counter are back at 0 and every
+    pending event is dropped unrun.  Processes suspended on [t] are
+    abandoned; their resume thunks must not be called afterwards.  A run
+    on a reset scheduler executes exactly as on a fresh one, so a caller
+    running many short simulations (the verifier runs one per explored
+    schedule) can reuse one scheduler instead of allocating the wheel each
+    time.  Cost follows the pending events, not the wheel's capacity: the
+    wheel buckets they span plus the heap's occupied prefix, and only the
+    latter when the wheel is empty.  Must not be called from inside one of
+    [t]'s events. *)
 
 val now : t -> int
 (** The current simulated cycle (0 before any event has run). *)
@@ -46,7 +60,8 @@ val run_steps : t -> int -> int
     never as a hung exploration. *)
 
 val pending : t -> int
-(** Number of events still in the heap. *)
+(** Number of events scheduled but not yet run, in the calendar wheel and
+    the heap together. *)
 
 (** {1 Processes}
 

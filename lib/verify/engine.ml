@@ -122,10 +122,11 @@ let random_suite o ~seed ~runs =
   let violating = ref 0 in
   let cx = ref None in
   let i = ref 0 in
+  let sched = Ccsim.Sched.create () in
   while !i < runs && !cx = None do
     incr i;
     let sc, schedule = Space.random_scenario rng d in
-    let h = Explore.run_schedule sc schedule in
+    let h = Explore.run_schedule ~sched sc schedule in
     match Harness.violation h with
     | None -> ()
     | Some _ ->

@@ -78,8 +78,14 @@ let independent sc (src_a, op_a) (src_b, op_b) =
 
 (* ---- schedule execution over the event engine ---- *)
 
-let run_schedule sc schedule =
-  let t = Ccsim.Sched.create () in
+let run_schedule ?sched sc schedule =
+  let t =
+    match sched with
+    | Some t ->
+        Ccsim.Sched.reset t;
+        t
+    | None -> Ccsim.Sched.create ()
+  in
   let h = Harness.boot sc in
   let n = Model.sources sc in
   let waiting = Array.make n None in
@@ -113,6 +119,7 @@ let run_schedule sc schedule =
 (* ---- enumeration ---- *)
 
 let explore sc =
+  let timeline = Ccsim.Sched.create () in
   let progs = Array.map Array.of_list sc.Model.sc_programs in
   let n = Model.sources sc in
   let total = Array.fold_left (fun a p -> a + Array.length p) 0 progs in
@@ -127,7 +134,7 @@ let explore sc =
       incr schedules;
       ops := !ops + total;
       let schedule = Array.to_list (Array.sub sched 0 total) in
-      let h = run_schedule sc schedule in
+      let h = run_schedule ~sched:timeline sc schedule in
       invalidations := !invalidations + Harness.shim_invalidations h;
       match Harness.violation h with
       | Some v -> viol := Some (v, Harness.trace h, schedule)
@@ -170,10 +177,8 @@ let explore sc =
    re-execution, so the result is exact, and [of_token]-valid by
    construction. *)
 
-let reproduce sc schedule =
-  match Harness.violation (run_schedule sc schedule) with
-  | Some v -> Some v
-  | None -> None
+let reproduce ~sched sc schedule =
+  Harness.violation (run_schedule ~sched sc schedule)
 
 let drop_pos sc schedule k =
   let src = List.nth schedule k in
@@ -190,6 +195,7 @@ let drop_grant sc g =
     Model.sc_grants = List.filter (fun g' -> g' <> g) sc.Model.sc_grants }
 
 let minimize sc schedule =
+  let reproduce = reproduce ~sched:(Ccsim.Sched.create ()) in
   match reproduce sc schedule with
   | None -> (sc, schedule) (* not reproducible: return untouched *)
   | Some v0 ->

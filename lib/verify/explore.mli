@@ -3,7 +3,8 @@
     Enumerates every interleaving of the scenario's per-source programs
     (DFS over "which source issues next"), executing each complete schedule
     through a fresh {!Harness} driven by a schedule-controlled
-    {!Ccsim.Sched} — one source granted per cycle, like the arbiter.
+    {!Ccsim.Sched} — one source granted per cycle, like the arbiter.  Each
+    exploration creates one scheduler and resets it between schedules.
 
     Pruning is DPOR in its simplest sound form: an extension that would put
     two adjacent {e independent} ops from sources [j > s] in non-sorted
@@ -33,9 +34,12 @@ val independent : Model.scenario -> int * Model.op -> int * Model.op -> bool
 (** Exposed for the soundness cross-check in the test-suite (exploring with
     pruning disabled must find exactly the same verdict). *)
 
-val run_schedule : Model.scenario -> int list -> Harness.t
-(** Execute one schedule (replay path).  The schedule must be feasible for
-    the scenario's programs ({!Model.of_token} validates this).
+val run_schedule :
+  ?sched:Ccsim.Sched.t -> Model.scenario -> int list -> Harness.t
+(** Execute one schedule (replay path) on [sched], which is
+    {!Ccsim.Sched.reset} first, or on a fresh scheduler.  The result does
+    not depend on which.  The schedule must be feasible for the scenario's
+    programs ({!Model.of_token} validates this).
     @raise Invalid_argument on an infeasible schedule. *)
 
 val explore : Model.scenario -> outcome
