@@ -15,6 +15,7 @@ type kind =
 
 let default_banks = 4
 let default_clusters = 4
+let max_count = 4096
 
 let uplink_latency = 2
 (* cycles for a transaction to cross from a cluster's local bus to the root
@@ -34,9 +35,11 @@ let kind_of_string s =
     | None -> Ok default
     | Some n -> (
         match int_of_string_opt n with
-        | Some v when v > 0 -> Ok v
+        | Some v when v > 0 && v <= max_count -> Ok v
         | Some _ | None ->
-            Error (Printf.sprintf "%s wants a positive count, got %S" what n))
+            Error
+              (Printf.sprintf "%s wants a count in 1-%d, got %S" what max_count
+                 n))
   in
   let name, rest =
     match String.index_opt s ':' with
@@ -71,6 +74,13 @@ type t =
 
 let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) ~sched ~kind
     p =
+  (match kind with
+  | Shared -> ()
+  | Crossbar { banks = n } | Hierarchical { clusters = n } ->
+      if n <= 0 || n > max_count then
+        invalid_arg
+          (Printf.sprintf "Topology.create: %s needs a count in 1-%d"
+             (kind_to_string kind) max_count));
   match kind with
   | Shared -> Sh (Arbiter.create ~obs ~faults ~sched p)
   | Crossbar { banks } ->

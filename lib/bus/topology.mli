@@ -26,6 +26,11 @@ type kind =
 val default_banks : int
 val default_clusters : int
 
+val max_count : int
+(** 4096: the largest bank or cluster count a topology accepts.  Each bank
+    or cluster is a live arbiter, so the bound keeps a mistyped count from
+    exhausting memory. *)
+
 val uplink_latency : int
 (** One-way cycles between a cluster-local bus and the root interconnect. *)
 
@@ -38,13 +43,16 @@ val kind_to_string : kind -> string
 
 val kind_of_string : string -> (kind, string) result
 (** Accepts [shared], [crossbar], [xbar], [hier], [hierarchical], optionally
-    suffixed [:<n>] for the bank/cluster count. *)
+    suffixed [:<n>] for the bank/cluster count, [1 <= n <= ]{!max_count}.
+    Any other count is an [Error] that names the limit. *)
 
 type t
 
 val create :
   ?obs:Obs.Trace.t -> ?faults:Fault.Injector.t -> sched:Ccsim.Sched.t ->
   kind:kind -> Params.t -> t
+(** Raises [Invalid_argument] for a bank or cluster count outside
+    [1, ]{!max_count}. *)
 
 val kind : t -> kind
 

@@ -325,10 +325,36 @@ let run_event_compute sys ~start tasks_l =
   in
   (outcomes, makespan, Bus.Topology.total_beats ic)
 
+(* One task's CPU execution on fresh buffers: allocate, initialize, run the
+   CPU model, verify, free.  Returns the model's (cycles, verified). *)
+let cpu_execute sys (bench : Machsuite.Bench_def.t) =
+  let kernel = bench.Machsuite.Bench_def.kernel in
+  let bindings =
+    List.map
+      (fun (decl : Kernel.Ir.buf_decl) ->
+        let bytes = Kernel.Ir.buf_decl_bytes decl in
+        let align, padded = Cheri.Bounds_enc.malloc_shape ~length:bytes in
+        { Memops.Layout.decl;
+          base = Tagmem.Alloc.malloc sys.System.heap ~align:(max align 16) padded })
+      kernel.bufs
+  in
+  let layout = Memops.Layout.make bindings in
+  init_layout sys.System.mem bench layout;
+  let res =
+    Cpu.Model.run ~obs:sys.System.obs sys.System.cpu_cfg sys.System.mem kernel
+      layout ~params:bench.params ()
+  in
+  (match res.Cpu.Model.trap with
+  | None -> ()
+  | Some reason -> failwith ("CPU run trapped: " ^ reason));
+  let correct = verify sys.System.mem bench layout in
+  List.iter (fun b -> Tagmem.Alloc.free sys.System.heap b.Memops.Layout.base) bindings;
+  (res.Cpu.Model.cycles, correct)
+
 (* CPU-only execution: tasks run back-to-back on the one core. *)
 let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
   let kernel = bench.Machsuite.Bench_def.kernel in
-  let cfg = Cpu.Model.config isa in
+  let cfg = sys.System.cpu_cfg in
   let n_bufs = List.length kernel.bufs in
   let obs = sys.System.obs in
   let fast = fast && not (Obs.Trace.enabled obs) in
@@ -344,31 +370,9 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
     match if fast then Fastpath.find_cpu ~isa bkey else None with
     | Some cached -> cached
     | None ->
-        let bindings =
-          List.map
-            (fun (decl : Kernel.Ir.buf_decl) ->
-              let bytes = Kernel.Ir.buf_decl_bytes decl in
-              let align, padded = Cheri.Bounds_enc.malloc_shape ~length:bytes in
-              { Memops.Layout.decl;
-                base =
-                  Tagmem.Alloc.malloc sys.System.heap ~align:(max align 16) padded })
-            kernel.bufs
-        in
-        let layout = Memops.Layout.make bindings in
-        init_layout sys.System.mem bench layout;
-        let res =
-          Cpu.Model.run ~obs cfg sys.System.mem kernel layout
-            ~params:bench.params ()
-        in
-        (match res.Cpu.Model.trap with
-        | None -> ()
-        | Some reason -> failwith ("benign CPU run trapped: " ^ reason));
-        let correct = verify sys.System.mem bench layout in
-        List.iter
-          (fun b -> Tagmem.Alloc.free sys.System.heap b.Memops.Layout.base)
-          bindings;
-        if fast then Fastpath.store_cpu ~isa bkey (res.Cpu.Model.cycles, correct);
-        (res.Cpu.Model.cycles, correct)
+        let r = cpu_execute sys bench in
+        if fast then Fastpath.store_cpu ~isa bkey r;
+        r
   in
   let per_task_compute = cycles + Cpu.Model.cap_setup_cycles cfg ~n_bufs in
   let phases =
@@ -388,173 +392,216 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
     ~tasks ~phases ~correct ~denials:[] ~checks:0 ~entries_peak:0 ~bus_beats:0
     ~area_luts:(System.total_area_luts sys ~accel_luts_per_instance:0) ()
 
-(* Heterogeneous execution.  [Legacy_replay] interprets the kernel once as
-   the accelerator, replicates its DMA stream per instance, and replays the
-   contention; [Event_driven] runs every instance live on the shared
-   event timeline (see {!run_event_compute}). *)
-let run_hetero sys ~fast (bench : Machsuite.Bench_def.t) ~tasks ~elide
-    ~engine =
-  let kernel = bench.Machsuite.Bench_def.kernel in
+(* Fault-free heterogeneous execution over task groups, shared by [run] (one
+   group of [tasks] identical tasks) and [run_mixed] (one group of one task
+   per bench).  A group is [(bench, synthesized design, task count)].
+
+   [Legacy_replay] derives one DMA trace per group from its lead task — the
+   bench's script, or a live interpretation — and replays it once per task of
+   the group through the serialized fabric: concurrent timing is modeled
+   per instance while the functional work happens once.  Only the lead
+   carries the group's denial and verdict; its checks and elided checks
+   count once per task.  [Event_driven] runs every task on the shared event
+   timeline (see {!run_event_compute}). *)
+type group = {
+  g_bench : Machsuite.Bench_def.t;
+  g_design : Hls.Directives.design;
+  g_allocs : Driver.allocated list;  (** lead first *)
+  g_eligible : bool;
+  g_elide_exec : bool;
+  g_fp : Accel.Engine.fastpath;
+  g_script : (Accel.Script.t * bool) option;
+}
+
+let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
   let driver = Option.get sys.System.driver in
   let backend = Option.get sys.System.backend in
-  let eligible = elide_eligible backend elide bench in
-  let elide_exec = (match elide with Elide_on -> eligible | _ -> false) in
-  let directives = bench.directives in
-  (* One synthesized design per (kernel, directives): a sweep re-running this
-     benchmark at other task counts or configs hits the memo cache instead of
-     re-elaborating the datapath schedule. *)
-  let design = Hls.Directives.synthesize ~kernel directives in
-  let cfg = sys.System.cpu_cfg in
-  let rec allocate acc n =
-    if n = 0 then List.rev acc
-    else
-      match Driver.allocate driver kernel with
-      | Ok a -> allocate (a :: acc) (n - 1)
-      | Error msg -> failwith ("driver allocation failed: " ^ msg)
-  in
+  let addressing = Driver.Backend.addressing backend in
   let obs = sys.System.obs in
   (* Scripts and fast paths are gated off while a sink is attached: the
      derivations skip the interpreter whose side effects (guard events on the
      interpreter's clock, functional stores) the sink would have seen. *)
   let fast = fast && not (Obs.Trace.enabled obs) in
   let guard = System.guard sys in
-  let fp = fastpath_for ~fast ~elide_exec ~backend ~guard bench in
   let t0 = Obs.Trace.now obs in
-  let allocated = allocate [] tasks in
-  let alloc_cycles =
-    List.fold_left (fun acc (a : Driver.allocated) -> acc + a.cycles) 0 allocated
+  let allocs =
+    List.map
+      (fun ((bench : Machsuite.Bench_def.t), design, count) ->
+        ( bench, design,
+          List.init count (fun _ ->
+              match Driver.allocate driver bench.kernel with
+              | Ok a -> a
+              | Error msg ->
+                  failwith
+                    ("driver allocation failed for " ^ bench.name ^ ": " ^ msg)) ))
+      groups
   in
-  (* A fast run records a missing script up front and then derives every
-     task from it, on either engine. *)
-  let script_hit =
-    if fast then record_script sys bench (List.hd allocated) else None
+  (* A fast run records a missing script up front from the group's lead and
+     then derives every task of the group from it, on either engine. *)
+  let groups =
+    List.map
+      (fun (bench, design, allocs) ->
+        let eligible = elide_eligible backend elide bench in
+        let elide_exec = elide = Elide_on && eligible in
+        { g_bench = bench; g_design = design; g_allocs = allocs;
+          g_eligible = eligible; g_elide_exec = elide_exec;
+          g_fp = fastpath_for ~fast ~elide_exec ~backend ~guard bench;
+          g_script =
+            (if fast then record_script sys bench (List.hd allocs) else None) })
+      allocs
   in
   (* Functional buffer initialization only feeds the interpreter and the
      verifier; a script replaces both (it carries the recording run's
      verdict), so the stores can be skipped wholesale. *)
-  if script_hit = None then
-    List.iter
-      (fun (a : Driver.allocated) ->
-        init_layout sys.System.mem bench a.handle.Driver.layout)
-      allocated;
-  let bytes = buffer_bytes kernel in
-  let init_cycles = tasks * Cpu.Model.init_store_cycles cfg ~bytes in
-  let first = (List.hd allocated).handle in
-  emit_phase obs ~at:t0 ~task:first.Driver.task_id "alloc" alloc_cycles;
-  emit_phase obs ~at:(t0 + alloc_cycles) ~task:first.Driver.task_id "init"
-    init_cycles;
+  List.iter
+    (fun g ->
+      if g.g_script = None then
+        List.iter
+          (fun (a : Driver.allocated) ->
+            init_layout sys.System.mem g.g_bench a.handle.Driver.layout)
+          g.g_allocs)
+    groups;
+  let alloc_cycles, init_cycles =
+    List.fold_left
+      (fun (alloc, init) g ->
+        let bytes = buffer_bytes g.g_bench.Machsuite.Bench_def.kernel in
+        List.fold_left
+          (fun (alloc, init) (a : Driver.allocated) ->
+            ( alloc + a.cycles,
+              init + Cpu.Model.init_store_cycles sys.System.cpu_cfg ~bytes ))
+          (alloc, init) g.g_allocs)
+      (0, 0) groups
+  in
+  let lead_task = (List.hd (List.hd groups).g_allocs).handle.Driver.task_id in
+  emit_phase obs ~at:t0 ~task:lead_task "alloc" alloc_cycles;
+  emit_phase obs ~at:(t0 + alloc_cycles) ~task:lead_task "init" init_cycles;
   Obs.Trace.set_now obs (t0 + alloc_cycles + init_cycles);
   (* Compute on the shared timeline starting at the compute phase, so bus
      events land at their true cycles even when the sink is shared across
      runs; the phase length is the makespan relative to that start. *)
   let replay_start = t0 + alloc_cycles + init_cycles in
-  let per_task, compute_cycles, bus_beats, checks, elided_checks, entries_peak,
-      correct =
+  (* Per task (allocation, denial); then totals. *)
+  let per_task, makespan, bus_beats, checks, elided_checks, correct =
     match engine with
     | Legacy_replay ->
-        (* (trace, denial, checks, elided, single-task verdict) of the lead
-           task — derived from the cached script when available, interpreted
-           (and recorded) otherwise. *)
-        let trace, denied, t_checks, t_elided, t_correct =
-          match script_hit with
-          | Some (script, s_correct) ->
-              let d =
-                Accel.Script.to_trace script ~bus:sys.System.bus
-                  ~mem_size:(Tagmem.Mem.size sys.System.mem)
-                  ~layout:first.Driver.layout ~obj_ids:first.Driver.obj_ids
-                  ~addressing:(Driver.Backend.addressing backend)
-                  ~source:first.Driver.task_id
-                  (adjudication_of ~elide_exec ~guard fp)
+        let derived =
+          List.map
+            (fun g ->
+              let bench = g.g_bench in
+              let lead = (List.hd g.g_allocs).handle in
+              let trace, denied, checks, elided, correct =
+                match g.g_script with
+                | Some (script, s_correct) ->
+                    let d =
+                      Accel.Script.to_trace script ~bus:sys.System.bus
+                        ~mem_size:(Tagmem.Mem.size sys.System.mem)
+                        ~layout:lead.Driver.layout ~obj_ids:lead.Driver.obj_ids
+                        ~addressing ~source:lead.Driver.task_id
+                        (adjudication_of ~elide_exec:g.g_elide_exec ~guard
+                           g.g_fp)
+                    in
+                    Obs.Counters.incr Obs.Counters.traces_memoized;
+                    if d.Accel.Script.d_fastpathed > 0 then
+                      Obs.Counters.add Obs.Counters.accesses_fast_pathed
+                        d.Accel.Script.d_fastpathed;
+                    ( d.Accel.Script.d_trace, d.Accel.Script.d_denied,
+                      d.Accel.Script.d_checks, d.Accel.Script.d_elided,
+                      d.Accel.Script.d_denied = None && s_correct )
+                | None ->
+                    let o =
+                      Accel.Engine.run ~obs ~elide:g.g_elide_exec
+                        ~fastpath:g.g_fp ~mem:sys.System.mem ~guard
+                        ~bus:sys.System.bus
+                        ~directives:bench.Machsuite.Bench_def.directives
+                        ~addressing
+                        ~naive_tag_writes:(System.naive_tag_writes sys)
+                        (engine_task bench lead)
+                    in
+                    ( o.Accel.Engine.trace, o.Accel.Engine.denied,
+                      o.Accel.Engine.checks, o.Accel.Engine.elided,
+                      o.Accel.Engine.denied = None
+                      && verify sys.System.mem bench lead.Driver.layout )
               in
-              Obs.Counters.incr Obs.Counters.traces_memoized;
-              if d.Accel.Script.d_fastpathed > 0 then
-                Obs.Counters.add Obs.Counters.accesses_fast_pathed
-                  d.Accel.Script.d_fastpathed;
-              ( d.Accel.Script.d_trace, d.Accel.Script.d_denied,
-                d.Accel.Script.d_checks, d.Accel.Script.d_elided,
-                d.Accel.Script.d_denied = None && s_correct )
-          | None ->
-              let outcome =
-                Accel.Engine.run ~obs ~elide:elide_exec ~fastpath:fp
-                  ~mem:sys.System.mem ~guard ~bus:sys.System.bus ~directives
-                  ~addressing:(Driver.Backend.addressing backend)
-                  ~naive_tag_writes:(System.naive_tag_writes sys)
-                  (engine_task bench first)
-              in
-              let correct =
-                outcome.Accel.Engine.denied = None
-                && verify sys.System.mem bench first.Driver.layout
-              in
-              ( outcome.Accel.Engine.trace, outcome.Accel.Engine.denied,
-                outcome.Accel.Engine.checks, outcome.Accel.Engine.elided,
-                correct )
+              differential_check elide ~eligible:g.g_eligible ~bench denied;
+              (g, trace, denied, checks, elided, correct))
+            groups
         in
-        differential_check elide ~eligible ~bench denied;
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
         let replayed =
           if fast then
-            (* Compile once; the replicated streams share the segments. *)
-            let ctrace =
-              Accel.Trace.Compiled.compile ~bus:sys.System.bus
-                ~max_outstanding:(max 1 design.Hls.Directives.d_max_outstanding)
-                trace
-            in
+            (* Compile once per group; the group's streams share the
+               segments. *)
             Accel.Replay.run_compiled sys.System.fabric ~start:replay_start
-              (List.map
-                 (fun (a : Driver.allocated) ->
-                   { Accel.Replay.cinstance = a.handle.Driver.task_id;
-                     ctrace })
-                 allocated)
+              (List.concat_map
+                 (fun (g, trace, _, _, _, _) ->
+                   let ctrace =
+                     Accel.Trace.Compiled.compile ~bus:sys.System.bus
+                       ~max_outstanding:
+                         (max 1 g.g_design.Hls.Directives.d_max_outstanding)
+                       trace
+                   in
+                   List.map
+                     (fun (a : Driver.allocated) ->
+                       { Accel.Replay.cinstance = a.handle.Driver.task_id;
+                         ctrace })
+                     g.g_allocs)
+                 derived)
           else
             Accel.Replay.run sys.System.fabric ~start:replay_start
-              (List.map
-                 (fun (a : Driver.allocated) ->
-                   { Accel.Replay.instance = a.handle.Driver.task_id;
-                     trace;
-                     max_outstanding = design.Hls.Directives.d_max_outstanding })
-                 allocated)
+              (List.concat_map
+                 (fun (g, trace, _, _, _, _) ->
+                   List.map
+                     (fun (a : Driver.allocated) ->
+                       { Accel.Replay.instance = a.handle.Driver.task_id;
+                         trace;
+                         max_outstanding =
+                           g.g_design.Hls.Directives.d_max_outstanding })
+                     g.g_allocs)
+                 derived)
         in
-        let per_task =
-          List.map
-            (fun (a : Driver.allocated) ->
-              let denied =
-                if a.handle.Driver.task_id = first.Driver.task_id then denied
-                else None
-              in
-              (a, denied))
-            allocated
+        let per_group f =
+          List.fold_left
+            (fun acc ((g, _, _, _, _, _) as d) ->
+              acc + (f d * List.length g.g_allocs))
+            0 derived
         in
-        ( per_task,
-          replayed.Accel.Replay.makespan - replay_start,
+        ( List.concat_map
+            (fun (g, _, denied, _, _, _) ->
+              List.mapi
+                (fun i a -> (a, if i = 0 then denied else None))
+                g.g_allocs)
+            derived,
+          replayed.Accel.Replay.makespan,
           replayed.Accel.Replay.bus_beats,
-          t_checks * tasks,
-          t_elided * tasks,
-          entries_peak, t_correct )
+          per_group (fun (_, _, _, checks, _, _) -> checks),
+          per_group (fun (_, _, _, _, elided, _) -> elided),
+          List.for_all (fun (_, _, _, _, _, correct) -> correct) derived )
     | Event_driven ->
+        let tasks =
+          List.concat_map (fun g -> List.map (fun a -> (g, a)) g.g_allocs) groups
+        in
         let outcomes, makespan, bus_beats =
           run_event_compute sys ~start:replay_start
             (List.map
-               (fun a -> ev_task ~guard ~elide_exec fp bench a script_hit)
-               allocated)
+               (fun (g, a) ->
+                 ev_task ~guard ~elide_exec:g.g_elide_exec g.g_fp g.g_bench a
+                   g.g_script)
+               tasks)
         in
-        List.iter
-          (fun (_, o) ->
-            differential_check elide ~eligible ~bench o.Accel.Engine.ev_denied)
-          outcomes;
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
-        let correct = List.for_all (ev_verified sys) outcomes in
-        let per_task =
-          List.map (fun (et, o) -> (et.et_alloc, o.Accel.Engine.ev_denied)) outcomes
-        in
-        ( per_task,
-          makespan - replay_start,
-          bus_beats,
-          List.fold_left (fun acc (_, o) -> acc + o.Accel.Engine.ev_checks) 0 outcomes,
-          List.fold_left (fun acc (_, o) -> acc + o.Accel.Engine.ev_elided) 0 outcomes,
-          entries_peak, correct )
+        List.iter2
+          (fun (g, _) (_, o) ->
+            differential_check elide ~eligible:g.g_eligible ~bench:g.g_bench
+              o.Accel.Engine.ev_denied)
+          tasks outcomes;
+        let sum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 outcomes in
+        ( List.map (fun (et, o) -> (et.et_alloc, o.Accel.Engine.ev_denied)) outcomes,
+          makespan, bus_beats,
+          sum (fun o -> o.Accel.Engine.ev_checks),
+          sum (fun o -> o.Accel.Engine.ev_elided),
+          List.for_all (ev_verified sys) outcomes )
   in
-  emit_phase obs ~at:replay_start ~task:first.Driver.task_id "compute"
-    compute_cycles;
+  let entries_peak = guard.Guard.Iface.entries_in_use () in
+  let compute_cycles = makespan - replay_start in
+  emit_phase obs ~at:replay_start ~task:lead_task "compute" compute_cycles;
   Obs.Trace.set_now obs (replay_start + compute_cycles);
   let teardown_start = Obs.Trace.now obs in
   let teardown_cycles, denial_lists =
@@ -565,20 +612,15 @@ let run_hetero sys ~fast (bench : Machsuite.Bench_def.t) ~tasks ~elide
       (0, []) per_task
   in
   let denials = List.concat (List.rev denial_lists) in
-  emit_phase obs ~at:teardown_start ~task:first.Driver.task_id "teardown"
-    teardown_cycles;
+  emit_phase obs ~at:teardown_start ~task:lead_task "teardown" teardown_cycles;
   Obs.Trace.set_now obs (teardown_start + teardown_cycles);
   let phases =
     { alloc = alloc_cycles; init = init_cycles;
       compute = compute_cycles; teardown = teardown_cycles }
   in
-  finish sys ~config_label:(Config.label sys.System.config) ~benchmark:kernel.name
-    ~tasks ~phases ~correct ~denials ~checks ~elided_checks
-    ~entries_peak ~bus_beats
-    ~area_luts:
-      (System.total_area_luts sys
-         ~accel_luts_per_instance:design.Hls.Directives.d_area_luts)
-    ()
+  finish sys ~config_label:(Config.label sys.System.config) ~benchmark
+    ~tasks:(List.length per_task) ~phases ~correct ~denials ~checks
+    ~elided_checks ~entries_peak ~bus_beats ~area_luts ()
 
 (* Fault-aware execution. *)
 
@@ -593,40 +635,20 @@ type placed_task =
   | P_accel of accel_task
   | P_degraded of Machsuite.Bench_def.t * string
 
-(* CPU fallback for one task of a degraded heterogeneous run: fresh buffers,
-   full recompute, verify, free.  Returns (cycles, correct). *)
+(* CPU fallback for one task of a degraded heterogeneous run: a full
+   recompute on fresh buffers plus the driver's allocation, initialization,
+   capability setup and free.  Returns (cycles, correct). *)
 let cpu_fallback sys (bench : Machsuite.Bench_def.t) =
   let kernel = bench.Machsuite.Bench_def.kernel in
   let cfg = sys.System.cpu_cfg in
   let n_bufs = List.length kernel.bufs in
-  let bindings =
-    List.map
-      (fun (decl : Kernel.Ir.buf_decl) ->
-        let bytes = Kernel.Ir.buf_decl_bytes decl in
-        let align, padded = Cheri.Bounds_enc.malloc_shape ~length:bytes in
-        { Memops.Layout.decl;
-          base = Tagmem.Alloc.malloc sys.System.heap ~align:(max align 16) padded })
-      kernel.bufs
-  in
-  let layout = Memops.Layout.make bindings in
-  init_layout sys.System.mem bench layout;
-  let res =
-    Cpu.Model.run ~obs:sys.System.obs cfg sys.System.mem kernel layout
-      ~params:bench.params ()
-  in
-  (match res.Cpu.Model.trap with
-  | None -> ()
-  | Some reason -> failwith ("CPU fallback trapped: " ^ reason));
-  let correct = verify sys.System.mem bench layout in
-  List.iter (fun b -> Tagmem.Alloc.free sys.System.heap b.Memops.Layout.base) bindings;
-  let cycles =
-    (n_bufs * Driver.malloc_cycles)
+  let cycles, correct = cpu_execute sys bench in
+  ( (n_bufs * Driver.malloc_cycles)
     + Cpu.Model.init_store_cycles cfg ~bytes:(buffer_bytes kernel)
-    + res.Cpu.Model.cycles
+    + cycles
     + Cpu.Model.cap_setup_cycles cfg ~n_bufs
-    + (n_bufs * Driver.free_cycles)
-  in
-  (cycles, correct)
+    + (n_bufs * Driver.free_cycles),
+    correct )
 
 (* Heterogeneous execution under an active fault plan.  Tasks are placed and
    interpreted one at a time so each can independently retry (transient
@@ -840,21 +862,22 @@ let run ?(tasks = 8) ?instances ?(cc_entries = 256) ?(bus = Bus.Params.default)
     match config with
     | Config.Cpu_only isa -> run_cpu_only sys ~fast isa bench ~tasks
     | Config.Hetero _ ->
+        let benchmark = bench.Machsuite.Bench_def.kernel.Kernel.Ir.name in
+        let design =
+          Hls.Directives.synthesize ~kernel:bench.Machsuite.Bench_def.kernel
+            bench.Machsuite.Bench_def.directives
+        in
+        let area_luts =
+          System.total_area_luts sys
+            ~accel_luts_per_instance:design.Hls.Directives.d_area_luts
+        in
         if Fault.Plan.is_none faults then
-          run_hetero sys ~fast bench ~tasks ~elide ~engine
+          run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts
+            [ (bench, design, tasks) ]
         else
-          let design =
-            Hls.Directives.synthesize ~kernel:bench.Machsuite.Bench_def.kernel
-              bench.Machsuite.Bench_def.directives
-          in
           (* Faulted runs never consult a cache or skip an adjudication: every
              retry, degrade and fault draw happens against the live system. *)
-          run_hetero_faulted sys
-            ~benchmark:bench.Machsuite.Bench_def.kernel.Kernel.Ir.name
-            ~area_luts:
-              (System.total_area_luts sys
-                 ~accel_luts_per_instance:design.Hls.Directives.d_area_luts)
-            ~policy:retry ~engine
+          run_hetero_faulted sys ~benchmark ~area_luts ~policy:retry ~engine
             (List.init tasks (fun _ -> bench))
   in
   let memo_eligible = obs = None && Fault.Plan.is_none faults in
@@ -907,19 +930,6 @@ let service_profile ?(engine = Event_driven) ?(topology = Bus.Topology.Shared)
     sv_cpu_wall = cpu.wall;
   }
 
-(* Per-task plan of a fault-free mixed run: the bench's script when one
-   exists or can be recorded up front, otherwise live interpretation (mixed
-   compositions repeat benches; the first task of a bench records, the rest
-   find its script). *)
-type mixed_plan = {
-  mp_bench : Machsuite.Bench_def.t;
-  mp_alloc : Driver.allocated;
-  mp_eligible : bool;
-  mp_elide_exec : bool;
-  mp_fp : Accel.Engine.fastpath;
-  mp_script : (Accel.Script.t * bool) option;
-}
-
 let run_mixed ?instances ?obs ?(faults = Fault.Plan.none)
     ?(retry = Driver.default_retry_policy) ?(elide = Elide_off)
     ?(engine = Legacy_replay) ?(topology = Bus.Topology.Shared)
@@ -931,216 +941,33 @@ let run_mixed ?instances ?obs ?(faults = Fault.Plan.none)
   (match config with
   | Config.Hetero _ -> ()
   | Config.Cpu_only _ -> invalid_arg "Run.run_mixed: needs a heterogeneous config");
-  (* Exact datapath area: per-instance LUTs summed, never a truncating
-     per-task mean — mixed benches with unequal area would under-report the
-     silicon the power model is charged for. *)
-  let design_of (b : Machsuite.Bench_def.t) =
-    Hls.Directives.synthesize ~kernel:b.Machsuite.Bench_def.kernel b.directives
+  let designs =
+    List.map
+      (fun (b : Machsuite.Bench_def.t) ->
+        Hls.Directives.synthesize ~kernel:b.Machsuite.Bench_def.kernel
+          b.directives)
+      benches
   in
   let execute ~fast =
-  let sys =
-    System.create ~instances:instances' ?obs ~faults ~topology ~checkers config
-  in
-  let area_luts =
-    System.total_area_luts_exact sys
-      ~accel_luts_total:
-        (List.fold_left
-           (fun acc (b : Machsuite.Bench_def.t) ->
-             acc + (design_of b).Hls.Directives.d_area_luts)
-           0 benches)
-  in
-  if not (Fault.Plan.is_none faults) then
-    run_hetero_faulted sys ~benchmark:"mixed" ~area_luts ~policy:retry ~engine
-      benches
-  else begin
-  let driver = Option.get sys.System.driver in
-  let backend = Option.get sys.System.backend in
-  let cfg = sys.System.cpu_cfg in
-  let obs = sys.System.obs in
-  let fast = fast && not (Obs.Trace.enabled obs) in
-  let guard = System.guard sys in
-  let allocated =
-    List.map
-      (fun (bench : Machsuite.Bench_def.t) ->
-        match Driver.allocate driver bench.kernel with
-        | Ok a -> (bench, a)
-        | Error msg ->
-            failwith ("driver allocation failed for " ^ bench.name ^ ": " ^ msg))
-      benches
-  in
-  let plans =
-    List.map
-      (fun ((bench : Machsuite.Bench_def.t), (a : Driver.allocated)) ->
-        let eligible = elide_eligible backend elide bench in
-        let elide_exec = match elide with Elide_on -> eligible | _ -> false in
-        let fp = fastpath_for ~fast ~elide_exec ~backend ~guard bench in
-        { mp_bench = bench; mp_alloc = a; mp_eligible = eligible;
-          mp_elide_exec = elide_exec; mp_fp = fp;
-          mp_script = (if fast then record_script sys bench a else None) })
-      allocated
-  in
-  let t0 = Obs.Trace.now obs in
-  let alloc_cycles =
-    List.fold_left (fun acc (_, (a : Driver.allocated)) -> acc + a.cycles) 0 allocated
-  in
-  List.iter
-    (fun p ->
-      if p.mp_script = None then
-        init_layout sys.System.mem p.mp_bench
-          p.mp_alloc.Driver.handle.Driver.layout)
-    plans;
-  let init_cycles =
-    List.fold_left
-      (fun acc ((bench : Machsuite.Bench_def.t), _) ->
-        acc + Cpu.Model.init_store_cycles cfg ~bytes:(buffer_bytes bench.kernel))
-      0 allocated
-  in
-  let lead_task = (snd (List.hd allocated)).Driver.handle.Driver.task_id in
-  emit_phase obs ~at:t0 ~task:lead_task "alloc" alloc_cycles;
-  emit_phase obs ~at:(t0 + alloc_cycles) ~task:lead_task "init" init_cycles;
-  Obs.Trace.set_now obs (t0 + alloc_cycles + init_cycles);
-  let replay_start = t0 + alloc_cycles + init_cycles in
-  (* Per task: (bench, allocation, denial, checks, elided, verified). *)
-  let per_task, compute_cycles, bus_beats, entries_peak =
-    match engine with
-    | Legacy_replay ->
-        let outcomes =
-          List.map
-            (fun p ->
-              let bench = p.mp_bench in
-              let a = p.mp_alloc in
-              let handle = a.Driver.handle in
-              let trace, denied, checks, elided, verified =
-                match p.mp_script with
-                | Some (script, s_correct) ->
-                    let d =
-                      Accel.Script.to_trace script ~bus:sys.System.bus
-                        ~mem_size:(Tagmem.Mem.size sys.System.mem)
-                        ~layout:handle.Driver.layout
-                        ~obj_ids:handle.Driver.obj_ids
-                        ~addressing:(Driver.Backend.addressing backend)
-                        ~source:handle.Driver.task_id
-                        (adjudication_of ~elide_exec:p.mp_elide_exec ~guard
-                           p.mp_fp)
-                    in
-                    Obs.Counters.incr Obs.Counters.traces_memoized;
-                    if d.Accel.Script.d_fastpathed > 0 then
-                      Obs.Counters.add Obs.Counters.accesses_fast_pathed
-                        d.Accel.Script.d_fastpathed;
-                    ( d.Accel.Script.d_trace, d.Accel.Script.d_denied,
-                      d.Accel.Script.d_checks, d.Accel.Script.d_elided,
-                      d.Accel.Script.d_denied = None && s_correct )
-                | None ->
-                    let outcome =
-                      Accel.Engine.run ~obs ~elide:p.mp_elide_exec
-                        ~fastpath:p.mp_fp
-                        ~mem:sys.System.mem ~guard ~bus:sys.System.bus
-                        ~directives:bench.Machsuite.Bench_def.directives
-                        ~addressing:(Driver.Backend.addressing backend)
-                        ~naive_tag_writes:(System.naive_tag_writes sys)
-                        (engine_task bench handle)
-                    in
-                    let verified =
-                      outcome.Accel.Engine.denied = None
-                      && verify sys.System.mem bench handle.Driver.layout
-                    in
-                    ( outcome.Accel.Engine.trace, outcome.Accel.Engine.denied,
-                      outcome.Accel.Engine.checks, outcome.Accel.Engine.elided,
-                      verified )
-              in
-              differential_check elide ~eligible:p.mp_eligible ~bench denied;
-              (p, trace, denied, checks, elided, verified))
-            plans
-        in
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
-        let replayed =
-          if fast then
-            Accel.Replay.run_compiled sys.System.fabric ~start:replay_start
-              (List.map
-                 (fun (p, trace, _, _, _, _) ->
-                   { Accel.Replay.cinstance =
-                       p.mp_alloc.Driver.handle.Driver.task_id;
-                     ctrace =
-                       Accel.Trace.Compiled.compile ~bus:sys.System.bus
-                         ~max_outstanding:
-                           (max 1
-                              (design_of p.mp_bench)
-                                .Hls.Directives.d_max_outstanding)
-                         trace })
-                 outcomes)
-          else
-            Accel.Replay.run sys.System.fabric ~start:replay_start
-              (List.map
-                 (fun (p, trace, _, _, _, _) ->
-                   { Accel.Replay.instance =
-                       p.mp_alloc.Driver.handle.Driver.task_id;
-                     trace;
-                     max_outstanding =
-                       (design_of p.mp_bench).Hls.Directives.d_max_outstanding })
-                 outcomes)
-        in
-        ( List.map
-            (fun (p, _, denied, checks, elided, verified) ->
-              (p.mp_bench, p.mp_alloc, denied, checks, elided, verified))
-            outcomes,
-          replayed.Accel.Replay.makespan - replay_start,
-          replayed.Accel.Replay.bus_beats,
-          entries_peak )
-    | Event_driven ->
-        let outcomes, makespan, bus_beats =
-          run_event_compute sys ~start:replay_start
-            (List.map
-               (fun p ->
-                 ev_task ~guard ~elide_exec:p.mp_elide_exec p.mp_fp p.mp_bench
-                   p.mp_alloc p.mp_script)
-               plans)
-        in
-        let per_task =
-          List.map2
-            (fun p ((_, (o : Accel.Engine.ev_outcome)) as outcome) ->
-              differential_check elide ~eligible:p.mp_eligible
-                ~bench:p.mp_bench o.Accel.Engine.ev_denied;
-              (p.mp_bench, p.mp_alloc, o.Accel.Engine.ev_denied,
-               o.Accel.Engine.ev_checks, o.Accel.Engine.ev_elided,
-               ev_verified sys outcome))
-            plans outcomes
-        in
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
-        ( per_task,
-          makespan - replay_start,
-          bus_beats,
-          entries_peak )
-  in
-  emit_phase obs ~at:replay_start ~task:lead_task "compute" compute_cycles;
-  Obs.Trace.set_now obs (replay_start + compute_cycles);
-  let correct =
-    List.for_all (fun (_, _, _, _, _, verified) -> verified) per_task
-  in
-  let teardown_start = Obs.Trace.now obs in
-  let teardown_cycles, denial_lists =
-    List.fold_left
-      (fun (cycles, acc) (_, (a : Driver.allocated), denied, _, _, _) ->
-        let report = Driver.deallocate driver a.handle ~denied in
-        (cycles + report.Driver.cycles, report.Driver.denials :: acc))
-      (0, []) per_task
-  in
-  let denials = List.concat (List.rev denial_lists) in
-  emit_phase obs ~at:teardown_start ~task:lead_task "teardown" teardown_cycles;
-  Obs.Trace.set_now obs (teardown_start + teardown_cycles);
-  let checks =
-    List.fold_left (fun acc (_, _, _, checks, _, _) -> acc + checks) 0 per_task
-  in
-  let elided_checks =
-    List.fold_left (fun acc (_, _, _, _, elided, _) -> acc + elided) 0 per_task
-  in
-  let phases =
-    { alloc = alloc_cycles; init = init_cycles;
-      compute = compute_cycles; teardown = teardown_cycles }
-  in
-  finish sys ~config_label:(Config.label config) ~benchmark:"mixed" ~tasks ~phases
-    ~correct ~denials ~checks ~elided_checks ~entries_peak
-    ~bus_beats ~area_luts ()
-  end
+    let sys =
+      System.create ~instances:instances' ?obs ~faults ~topology ~checkers config
+    in
+    (* Exact datapath area: per-instance LUTs summed, never a truncating
+       per-task mean — mixed benches with unequal area would under-report the
+       silicon the power model is charged for. *)
+    let area_luts =
+      System.total_area_luts_exact sys
+        ~accel_luts_total:
+          (List.fold_left
+             (fun acc (d : Hls.Directives.design) -> acc + d.d_area_luts)
+             0 designs)
+    in
+    if Fault.Plan.is_none faults then
+      run_groups sys ~fast ~elide ~engine ~benchmark:"mixed" ~area_luts
+        (List.map2 (fun b d -> (b, d, 1)) benches designs)
+    else
+      run_hetero_faulted sys ~benchmark:"mixed" ~area_luts ~policy:retry ~engine
+        benches
   in
   let memo_eligible = obs = None && Fault.Plan.is_none faults in
   let key =

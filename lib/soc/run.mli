@@ -169,7 +169,17 @@ val run_mixed :
     mixed-accelerator SoCs of Figure 9.  Requires a heterogeneous config and
     at least one benchmark (raises [Invalid_argument] otherwise).
     [faults]/[retry]/[engine] behave as in {!run}.  [area_luts] sums each
-    instance's datapath exactly (no per-task mean). *)
+    instance's datapath exactly (no per-task mean).
+
+    Fault-free, [run] and [run_mixed] share one executor over task groups
+    [(bench, design, task count)]: [run] passes one group of [tasks] tasks,
+    [run_mixed] one group of one task per listed bench.  Under
+    [Legacy_replay] each group derives one DMA trace from its lead task and
+    every task of the group replays it; the lead alone carries the group's
+    denial and verdict, and its checks count once per task.  A repeated
+    bench in a mixed list is its own group, so it derives its own trace.
+    Hence [run_mixed config [b]] equals [run ~tasks:1 ~instances:1 config b]
+    in every field but [benchmark]. *)
 
 (** {1 Batch execution on a domain pool}
 

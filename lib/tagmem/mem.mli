@@ -8,7 +8,12 @@
     The unforgeability mechanism is enforced here: {e any} raw write — in
     particular accelerator DMA — clears the tag of every granule it touches.
     Only {!store_cap}, reachable solely from capability-aware agents (the CPU
-    model and the test bench), can set a tag. *)
+    model and the test bench), can set a tag.
+
+    Data is demand-paged: 64 KiB pages are allocated on first write and an
+    absent page reads as zeros, so a fresh memory costs its flat tag store
+    plus the pages a run actually writes.  Zero-filling an absent page (the
+    driver's teardown scrub) allocates nothing. *)
 
 type t
 

@@ -427,7 +427,34 @@ let test_topology_kind_strings () =
   checkb "zero banks rejected" true
     (match Topology.kind_of_string "crossbar:0" with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  let rejected_naming_limit s =
+    match Topology.kind_of_string s with
+    | Ok _ -> false
+    | Error msg ->
+        let limit = string_of_int Topology.max_count in
+        let n = String.length limit in
+        List.exists
+          (fun i -> String.sub msg i n = limit)
+          (List.init (String.length msg - n + 1) Fun.id)
+  in
+  checkb "the limit itself accepted" true
+    (Topology.kind_of_string "hier:4096"
+    = Ok (Topology.Hierarchical { clusters = 4096 }));
+  List.iter
+    (fun s -> checkb (s ^ " rejected, naming the limit") true (rejected_naming_limit s))
+    [ "crossbar:4097"; "crossbar:100000000"; "crossbar:1000000000000";
+      "hier:4097"; "hier:4611686018427387903"; "xbar:-1" ];
+  List.iter
+    (fun kind ->
+      match
+        Topology.create ~sched:(Ccsim.Sched.create ()) ~kind Params.default
+      with
+      | _ -> Alcotest.failf "%s created" (Topology.kind_to_string kind)
+      | exception Invalid_argument _ -> ())
+    [ Topology.Crossbar { banks = 0 }; Topology.Crossbar { banks = 4097 };
+      Topology.Hierarchical { clusters = -2 };
+      Topology.Hierarchical { clusters = max_int } ]
 
 (* A contended event-engine run must drop redundant arbitration events
    rather than enqueue one per request (see [Arbiter.schedule_arbitration]). *)

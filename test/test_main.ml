@@ -31,4 +31,5 @@ let () =
       ("verify", Test_verify.suite);
       ("fastpath", Test_fastpath.suite);
       ("runcache", Test_runcache.suite);
+      ("golden", Test_golden.suite);
     ]

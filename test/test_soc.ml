@@ -123,6 +123,57 @@ let test_mixed_area_exact_sum () =
   if (luts b1 + luts b2) mod 2 <> 0 then
     checkb "truncating mean under-reports" true (mean_based < r.Soc.Run.area_luts)
 
+(* [run] and [run_mixed] share one executor: a singleton mixed system is a
+   one-task [run] on one instance, apart from its "mixed" label.  The full
+   cross product is 19 benches x 9 heterogeneous configs x 2 engines x 2
+   elide modes x 2 fast-path modes.  Bench [i] takes the combinations [c]
+   with [7i + c = 0 (mod 36)]: two per bench, 38 of the 72, and every
+   config, engine, elide mode and fast-path mode among them. *)
+let test_singleton_mixed_is_run () =
+  let hetero cpu_isa protection = Soc.Config.Hetero { cpu_isa; protection } in
+  let configs =
+    hetero Cpu.Model.Rv64 Soc.Config.Prot_none
+    :: List.map (hetero Cpu.Model.Cheri_rv64)
+         Soc.Config.
+           [ Prot_none; Prot_naive; Prot_iopmp; Prot_iommu; Prot_snpu;
+             Prot_cc_fine; Prot_cc_coarse; Prot_cc_cached ]
+  in
+  let combos =
+    List.concat_map
+      (fun config ->
+        List.concat_map
+          (fun engine ->
+            List.concat_map
+              (fun elide ->
+                List.map
+                  (fun mode -> (config, engine, elide, mode))
+                  [ Soc.Fastpath.Fast; Soc.Fastpath.Interpretive ])
+              [ Soc.Run.Elide_off; Soc.Run.Elide_on ])
+          [ Soc.Run.Legacy_replay; Soc.Run.Event_driven ])
+      configs
+  in
+  let stride = 36 in
+  Fun.protect
+    ~finally:(fun () -> Soc.Fastpath.set_mode Soc.Fastpath.Fast)
+    (fun () ->
+      List.iteri
+        (fun bi (bench : Machsuite.Bench_def.t) ->
+          List.iteri
+            (fun ci (config, engine, elide, mode) ->
+              if ((7 * bi) + ci) mod stride = 0 then begin
+                Soc.Fastpath.set_mode mode;
+                let r =
+                  Soc.Run.run ~tasks:1 ~instances:1 ~engine ~elide config bench
+                in
+                let m = Soc.Run.run_mixed ~engine ~elide config [ bench ] in
+                checkb
+                  (Printf.sprintf "%s under %s" bench.name r.config_label)
+                  true
+                  ({ m with Soc.Run.benchmark = r.benchmark } = r)
+              end)
+            combos)
+        Machsuite.Registry.all)
+
 let test_power_model_monotonic () =
   checkb "more luts more power" true
     (Soc.Power.power_mw ~luts:100_000 ~utilization:0.0
@@ -239,6 +290,7 @@ let suite =
     ("area composition", `Quick, test_area_composition);
     ("mixed system", `Slow, test_run_mixed);
     ("mixed area exact sum", `Slow, test_mixed_area_exact_sum);
+    ("singleton mixed system is a run", `Slow, test_singleton_mixed_is_run);
     ("power model", `Quick, test_power_model_monotonic);
     ("system shapes", `Quick, test_system_create_shapes);
     ("naive flag", `Quick, test_naive_flag_only_on_naive);

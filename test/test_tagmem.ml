@@ -176,9 +176,134 @@ let prop_free_restores_bytes =
       List.iter (Alloc.free a) ps;
       Alloc.bytes_free a = total)
 
+(* Demand-paged data against a flat reference model.  Random raw writes,
+   fills, capability stores and naive writes — with addresses biased onto the
+   64 KiB page boundaries so scalars, byte runs and fills straddle them —
+   must leave every read, every byte and every tag exactly as one flat
+   [Bytes] pair would. *)
+
+let page = 65536
+let model_size = (2 * page) + 4096  (* a partial last page *)
+
+type op =
+  | W8 of int * int
+  | W32 of int * int
+  | W64 of int * int64
+  | Wbytes of int * string
+  | Fill of int * int * char
+  | Store_cap of int * int * bool  (* address, bounds length, tagged *)
+  | Naive of int * string
+  | R8 of int
+  | R32 of int
+  | R64 of int
+  | Rbytes of int * int
+  | Load_cap of int
+
+let gen_addr len =
+  QCheck.Gen.(
+    let near boundary = map (fun d -> boundary + d - (len / 2)) (int_range (-24) 24) in
+    let* a = oneof [ int_bound (model_size - len); near page; near (2 * page) ] in
+    return (max 0 (min a (model_size - len))))
+
+let gen_op =
+  QCheck.Gen.(
+    let str = string_size ~gen:char (int_range 0 40) in
+    let cap_addr = map (fun a -> a / Mem.granule * Mem.granule) (gen_addr 16) in
+    frequency
+      [ (2, map2 (fun a v -> W8 (a, v)) (gen_addr 1) (int_bound 255));
+        (2, map2 (fun a v -> W32 (a, v)) (gen_addr 4) (int_bound 0x3fffffff));
+        (2, map2 (fun a v -> W64 (a, Int64.of_int v)) (gen_addr 8) int);
+        (2, let* s = str in map (fun a -> Wbytes (a, s)) (gen_addr (String.length s)));
+        (2,
+          let* n = oneof [ int_bound 64; int_range 60000 70000 ] in
+          let* c = oneofl [ '\000'; '\000'; '\xa5' ] in
+          map (fun a -> Fill (a, n, c)) (gen_addr n));
+        (2, map3 (fun a l t -> Store_cap (a, l, t)) cap_addr (int_range 1 4096) bool);
+        (1, let* s = str in map (fun a -> Naive (a, s)) (gen_addr (String.length s)));
+        (2, map (fun a -> R8 a) (gen_addr 1));
+        (2, map (fun a -> R32 a) (gen_addr 4));
+        (2, map (fun a -> R64 a) (gen_addr 8));
+        (2, let* n = int_range 0 100 in map (fun a -> Rbytes (a, n)) (gen_addr n));
+        (2, map (fun a -> Load_cap a) cap_addr) ])
+
+(* Apply [op] to the memory and to the model; [false] on a read mismatch. *)
+let step mem data tags op =
+  let clear addr sz =
+    if sz > 0 then
+      for g = addr / Mem.granule to (addr + sz - 1) / Mem.granule do
+        Bytes.set tags g '\000'
+      done
+  in
+  let model_cap addr =
+    Cheri.Compress.decode
+      ~tag:(Bytes.get tags (addr / Mem.granule) <> '\000')
+      { Cheri.Compress.lo = Bytes.get_int64_le data addr;
+        hi = Bytes.get_int64_le data (addr + 8) }
+  in
+  match op with
+  | W8 (a, v) ->
+      Mem.write_u8 mem ~addr:a v;
+      Bytes.set data a (Char.chr v);
+      clear a 1;
+      true
+  | W32 (a, v) ->
+      Mem.write_u32 mem ~addr:a v;
+      Bytes.set_int32_le data a (Int32.of_int v);
+      clear a 4;
+      true
+  | W64 (a, v) ->
+      Mem.write_u64 mem ~addr:a v;
+      Bytes.set_int64_le data a v;
+      clear a 8;
+      true
+  | Wbytes (a, s) ->
+      Mem.write_bytes mem ~addr:a (Bytes.of_string s);
+      Bytes.blit_string s 0 data a (String.length s);
+      clear a (String.length s);
+      true
+  | Fill (a, n, c) ->
+      Mem.fill mem ~addr:a ~size:n c;
+      Bytes.fill data a n c;
+      clear a n;
+      true
+  | Store_cap (a, len, tagged) ->
+      let cap = some_cap 0x1000 len in
+      let cap = if tagged then cap else Cheri.Cap.clear_tag cap in
+      Mem.store_cap mem ~addr:a cap;
+      let w = Cheri.Compress.encode cap in
+      Bytes.set_int64_le data a w.Cheri.Compress.lo;
+      Bytes.set_int64_le data (a + 8) w.Cheri.Compress.hi;
+      Bytes.set tags (a / Mem.granule) (if tagged then '\001' else '\000');
+      true
+  | Naive (a, s) ->
+      Mem.unsafe_write_preserving_tags mem ~addr:a (Bytes.of_string s);
+      Bytes.blit_string s 0 data a (String.length s);
+      true
+  | R8 a -> Mem.read_u8 mem ~addr:a = Char.code (Bytes.get data a)
+  | R32 a ->
+      Mem.read_u32 mem ~addr:a
+      = Int32.to_int (Bytes.get_int32_le data a) land 0xffffffff
+  | R64 a -> Mem.read_u64 mem ~addr:a = Bytes.get_int64_le data a
+  | Rbytes (a, n) -> Bytes.equal (Mem.read_bytes mem ~addr:a ~size:n) (Bytes.sub data a n)
+  | Load_cap a -> Cheri.Cap.equal (Mem.load_cap mem ~addr:a) (model_cap a)
+
+let prop_paged_matches_flat =
+  QCheck.Test.make ~count:200 ~name:"paged memory matches a flat model"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      let mem = Mem.create ~size:model_size in
+      let data = Bytes.make model_size '\000' in
+      let tags = Bytes.make (model_size / Mem.granule) '\000' in
+      List.for_all (step mem data tags) ops
+      && Bytes.equal (Mem.read_bytes mem ~addr:0 ~size:model_size) data
+      && List.for_all
+           (fun g ->
+             Mem.tag_at mem ~addr:(g * Mem.granule) = (Bytes.get tags g <> '\000'))
+           (List.init (Bytes.length tags) Fun.id))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_allocations_disjoint; prop_free_restores_bytes ]
+    [ prop_allocations_disjoint; prop_free_restores_bytes; prop_paged_matches_flat ]
 
 let suite =
   [
