@@ -50,9 +50,10 @@ let () =
     | Error msg -> failwith msg
   in
   let outcome =
-    Accel.Engine.run ~mem:sys.Soc.System.mem ~guard:(Soc.System.guard sys)
-      ~bus:sys.Soc.System.bus ~directives:Hls.Directives.default
-      ~addressing:Accel.Engine.Fine_ports ~naive_tag_writes:false
+    Accel.Engine.run ~mem:sys.Soc.System.mem ~bus:sys.Soc.System.bus
+      ~directives:Hls.Directives.default ~addressing:Accel.Engine.Fine_ports
+      ~naive_tag_writes:false
+      (Accel.Engine.Adj_live (Soc.System.guard sys)) Accel.Engine.Interpret
       {
         Accel.Engine.instance = allocated.Driver.handle.Driver.task_id;
         kernel = buggy;

@@ -1,15 +1,23 @@
 (** Accelerator task execution: functional effects, protection checks and
-    trace recording.
+    DMA timing.
 
     This is the "black-box accelerator" of the paper as seen from its memory
-    interface.  The engine interprets the kernel exactly like the CPU model
-    does, but every buffer access becomes a DMA transaction: an address is
+    interface.  Every buffer access becomes a DMA transaction: an address is
     {e generated} (never checked by the accelerator itself), submitted to the
     configured guard, and — only if granted — performed against physical
     memory.  A denial aborts the task, mirroring the CapChecker catching the
-    access and raising its exception flag. *)
+    access and raising its exception flag.
 
-type addressing = Script.addressing =
+    A task's access stream has two possible {!source}s — interpreting the
+    kernel, or replaying the bench's recorded {!Script} — and both feed one
+    pipeline: one adjudicator (see {!adjudication}) and one sink per timing
+    model, a DMA trace ({!run}) or the live event core ({!run_event}).  The
+    source decides only where transactions come from and whether data
+    moves; every check, count, burst and bus error is produced by the same
+    code either way, so the two are interchangeable wherever the verdict is
+    known (a script carries its recording run's verdict). *)
+
+type addressing =
   | Plain        (** raw physical addresses, no provenance (unguarded, IOMMU,
                      IOPMP, sNPU configurations) *)
   | Coarse_ids   (** object id retrofitted into the top 8 address bits by the
@@ -17,20 +25,35 @@ type addressing = Script.addressing =
   | Fine_ports   (** per-object port provenance carried out of band
                      (CapChecker Fine) *)
 
-type fastpath =
-  | Fp_off       (** adjudicate every access against the guard *)
-  | Fp_on of int
-      (** skip the guard call and grant at this constant latency.  Sound only
-          when the task's whole footprint is statically proven in bounds
-          ({!Analysis.proven}) {e and} the guard declares a pure
-          constant-latency check path ({!Guard.Iface.const_latency}).  The
-          access still counts in [checks] — the modeled hardware would have
-          performed it; only the simulator skips — so every reported number
-          matches the un-fast-pathed run.  Skips are tallied in
-          {!Obs.Counters.accesses_fast_pathed}. *)
-  | Fp_check of int
-      (** differential oracle: adjudicate anyway and [failwith] if the grant
-          differs from what [Fp_on] would have fabricated *)
+(** How each access is adjudicated. *)
+type adjudication =
+  | Adj_live of Guard.Iface.t
+      (** call the guard at the access's issue point — sound for any guard,
+          stateful or not *)
+  | Adj_fastpath of int
+      (** skip the guard call and grant the plain physical address at this
+          constant latency.  Sound only when the task's whole footprint is
+          statically proven in bounds ({!Analysis.proven}) {e and} the guard
+          declares a pure constant-latency check path
+          ({!Guard.Iface.const_latency}).  The access still counts in
+          [checks] — the modeled hardware would have performed it; only the
+          simulator skips — so every reported number matches a live run.
+          Skips are tallied in {!Obs.Counters.accesses_fast_pathed}. *)
+  | Adj_elide
+      (** elide the check: the access resolves to its plain physical address
+          with zero checker latency and counts in [elided], not [checks]; a
+          {!Obs.Event.Check_elided} event is emitted once the task retires.
+          Only sound when a static analysis has proven the task's whole
+          footprint inside its granted capabilities — {!Soc.Run} gates this
+          on {!Analysis.proven}. *)
+
+type source =
+  | Interpret
+      (** interpret the task's kernel: functional effects land in [mem] *)
+  | Replay of Script.t
+      (** replay the kernel's recorded script: no data moves, [mem] is only
+          consulted for its bounds (an escaping access is the same bus error
+          the interpreter's data movement would raise) *)
 
 type task = {
   instance : int;  (** functional-unit instance = interconnect source id *)
@@ -74,17 +97,18 @@ type ev_outcome = {
 
 val run :
   ?obs:Obs.Trace.t ->
-  ?elide:bool ->
-  ?fastpath:fastpath ->
   mem:Tagmem.Mem.t ->
-  guard:Guard.Iface.t ->
   bus:Bus.Params.t ->
   directives:Hls.Directives.t ->
   addressing:addressing ->
   naive_tag_writes:bool ->
+  adjudication ->
+  source ->
   task ->
   outcome
-(** [naive_tag_writes] selects the tag-oblivious DMA write path of the
+(** Feed the task's stream into a DMA trace for {!Replay}.
+
+    [naive_tag_writes] selects the tag-oblivious DMA write path of the
     unguarded CHERI system (see {!Tagmem.Mem.unsafe_write_preserving_tags});
     every guarded configuration must pass [false] — granted writes clear
     tags, which is the CapChecker's anti-forgery rule.
@@ -93,20 +117,7 @@ val run :
     compute-local issue clock (datapath gaps plus burst beats) so that guard
     events emitted during adjudication carry meaningful timestamps; exact bus
     occupancy is only known at replay.  Tracing never alters the recorded DMA
-    trace or the outcome.
-
-    [elide] (default [false]) skips guard adjudication entirely: accesses
-    resolve to their plain physical address with zero checker latency and are
-    counted in [elided] instead of [checks], and a {!Obs.Event.Check_elided}
-    event is emitted once the task retires.  Only sound when a static
-    analysis has proven the task's whole access footprint inside its granted
-    capabilities — {!Soc.Run} gates this on {!Analysis.proven}.
-
-    [fastpath] (default [Fp_off]) replaces adjudication of each access with a
-    fabricated grant at the guard's declared constant latency; {!Soc.Run}
-    gates it on the same proof plus {!Guard.Iface.const_latency}.  Unlike
-    [elide] it models the checker as present (checks counted, latency
-    charged) — it is a pure simulator speedup, not a hardware configuration. *)
+    trace or the outcome. *)
 
 val record :
   mem:Tagmem.Mem.t ->
@@ -115,43 +126,42 @@ val record :
   naive_tag_writes:bool ->
   task ->
   Script.t option
-(** Record the task's access script with one guard-free, trace-free
-    interpretation: every access resolves to its plain physical address
-    without consulting any guard (so no checker state moves), no DMA trace
-    is built and no simulated time passes.  The functional effects land in
-    [mem] as in {!run}.  [None] when an access left its buffer's declared
-    extent (the pass stops before moving that access's data) or escaped
-    physical memory: only a guard could decide what such a task does next,
-    so it must be interpreted live. *)
+(** Record the task's access script: the interpreter feeding only the
+    recorder.  Every access resolves to its plain physical address without
+    consulting any guard (so no checker state moves), no DMA trace is built
+    and no simulated time passes.  The functional effects land in [mem] as
+    in {!run}.  [None] when an access left its buffer's declared extent (the
+    pass stops before moving that access's data) or escaped physical memory:
+    only a guard could decide what such a task does next, so it must be
+    interpreted live. *)
 
 val run_event :
   ?obs:Obs.Trace.t ->
-  ?elide:bool ->
-  ?fastpath:fastpath ->
   ?error_retry_limit:int ->
   sched:Ccsim.Sched.t ->
   ic:Bus.Topology.t ->
   start:int ->
   mem:Tagmem.Mem.t ->
-  guard:Guard.Iface.t ->
   bus:Bus.Params.t ->
   directives:Hls.Directives.t ->
   addressing:addressing ->
   naive_tag_writes:bool ->
+  adjudication ->
+  source ->
   task ->
   on_done:(ev_outcome -> unit) ->
   unit
-(** Event-driven execution: spawns a {!Ccsim.Sched} process at cycle [start]
-    that interprets the kernel stepwise, suspending at each memory access to
+(** Feed the task's stream into the live event core: spawns a
+    {!Ccsim.Sched} process at cycle [start] that suspends at each burst to
     contend for the interconnect [ic] (via {!Flow}) instead of accumulating a
-    trace for later replay.  Guard adjudication happens at the access's live
-    issue point, so a stateful checker (e.g. the cached CapChecker) sees
-    checks from concurrent instances interleaved in true bus order.  Burst
-    formation replicates {!Trace.add_access} exactly — on a crossbar each
-    burst is addressed to the bank of its first beat's physical address —
-    and with a single instance on a [Shared] topology the resulting schedule
-    is cycle-identical to {!run} followed by {!Replay.run} — the
-    differential tests enforce it.
+    trace for later replay.  Adjudication happens at the access's live issue
+    point, so a stateful checker (e.g. the cached CapChecker) sees checks
+    from concurrent instances interleaved in true bus order.  Burst formation
+    follows {!Trace.add_access}'s merge rule — on a crossbar each burst is
+    addressed to the bank of its first beat's physical address — and with a
+    single instance on a [Shared] topology the resulting schedule is
+    cycle-identical to {!run} followed by {!Replay.run} — the differential
+    tests enforce it.
 
     [on_done] is called from inside the process when the task retires; the
     caller collects outcomes after {!Ccsim.Sched.run} drains.  [obs] is only

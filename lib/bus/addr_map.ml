@@ -8,4 +8,4 @@ let capchecker_mmio_base = 0x2000_0000_0000
 let ctrl_reg ~instance ~reg = accel_ctrl_base + (instance * accel_ctrl_stride) + (reg * 8)
 
 let in_dram ~addr ~size =
-  addr >= dram_base && size >= 0 && addr + size <= dram_base + dram_size
+  addr >= dram_base && size >= 0 && size <= dram_base + dram_size - addr

@@ -49,7 +49,7 @@ let make_child c ~base ~top =
   else Ok { c with base; top; addr = base }
 
 let set_bounds c ~base ~length =
-  if length < 0 || base < 0 || base + length > max_address then
+  if length < 0 || base < 0 || length > max_address - base then
     Error Monotonicity_violation
   else
     let* () = check_derivable c in
@@ -57,7 +57,7 @@ let set_bounds c ~base ~length =
     make_child c ~base:base' ~top:top'
 
 let set_bounds_exact c ~base ~length =
-  if length < 0 || base < 0 || base + length > max_address then
+  if length < 0 || base < 0 || length > max_address - base then
     Error Monotonicity_violation
   else
     let* () = check_derivable c in
@@ -105,7 +105,7 @@ let access_ok c ~addr ~size kind =
   else
     let p = perm_for kind in
     if not (Perms.mem p c.perms) then Error (Perm_violation p)
-    else if size < 0 || addr < c.base || addr + size > c.top then
+    else if size < 0 || addr < c.base || size > c.top - addr then
       Error (Bounds_violation { addr; size })
     else Ok ()
 

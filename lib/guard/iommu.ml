@@ -66,6 +66,12 @@ let tlb_lookup t key =
 let as_guard t =
   let check (req : Iface.req) =
     if req.size <= 0 then Iface.Granted { phys = req.addr; latency = 2 }
+    else if req.addr >= 0 && req.size - 1 > max_int - req.addr then
+      (* The access runs past the end of the address space, where no page
+         can be mapped; its last page would otherwise wrap negative and
+         admit it with no page checked. *)
+      Iface.Denied
+        { code = "iommu"; detail = "page fault: " ^ Iface.req_to_string req }
     else begin
       let first = page_of req.addr and last = page_of (req.addr + req.size - 1) in
       let rec pages_ok page =

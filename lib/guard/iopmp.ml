@@ -31,7 +31,7 @@ let area_luts t = 400 + (260 * t.max_regions)
 let matches (req : Iface.req) r =
   req.Iface.source = r.source
   && req.addr >= r.base
-  && req.addr + req.size <= r.top
+  && req.size <= r.top - req.addr
   &&
   match req.kind with Iface.Read -> r.can_read | Iface.Write -> r.can_write
 

@@ -34,7 +34,7 @@ let as_guard t =
       | None -> false
       | Some regions ->
           List.exists
-            (fun (base, top) -> req.addr >= base && req.addr + req.size <= top)
+            (fun (base, top) -> req.addr >= base && req.size <= top - req.addr)
             !regions
     in
     (* Task granularity: any region of the task admits the access, regardless

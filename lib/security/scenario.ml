@@ -65,10 +65,11 @@ let setup ?(attacker_body = []) (protection : Soc.Config.protection) =
 (* Run the attacker's kernel as its accelerator task. *)
 let run_attacker ?(params = []) env =
   let backend = Option.get env.sys.Soc.System.backend in
-  Accel.Engine.run ~mem:env.sys.Soc.System.mem ~guard:(Soc.System.guard env.sys)
-    ~bus:env.sys.Soc.System.bus ~directives:Hls.Directives.default
+  Accel.Engine.run ~mem:env.sys.Soc.System.mem ~bus:env.sys.Soc.System.bus
+    ~directives:Hls.Directives.default
     ~addressing:(Driver.Backend.addressing backend)
     ~naive_tag_writes:(Soc.System.naive_tag_writes env.sys)
+    (Accel.Engine.Adj_live (Soc.System.guard env.sys)) Accel.Engine.Interpret
     {
       Accel.Engine.instance = env.attacker.Driver.task_id;
       kernel = env.attacker_kernel;

@@ -89,33 +89,25 @@ let differential_check mode ~eligible ~(bench : Machsuite.Bench_def.t)
            d.Guard.Iface.detail)
   | _ -> ()
 
-(* Fast-path adjudication decision for one bench under one system: skip the
-   per-access guard call only when the guard declares a pure constant-latency
-   check path, the backend adjudicates against the per-buffer capabilities the
-   static analysis models, and the analysis proves the task's whole footprint
-   in bounds — the same contract that gates elision, minus turning the modeled
-   hardware off.  In [Differential] mode the guard stays in the loop as an
-   oracle ([Fp_check]) and the engine [failwith]s on any divergence. *)
-let fastpath_for ~fast ~elide_exec ~backend ~(guard : Guard.Iface.t) bench =
-  if (not fast) || elide_exec then Accel.Engine.Fp_off
+(* How one bench's accesses are adjudicated under one system.  Elision turns
+   the modeled checker off; otherwise the per-access guard call is skipped
+   only when the guard declares a pure constant-latency check path, the
+   backend adjudicates against the per-buffer capabilities the static
+   analysis models, and the analysis proves the task's whole footprint in
+   bounds — the same contract that gates elision, minus turning the modeled
+   hardware off.  [Differential] mode keeps the guard in the loop so its fast
+   leg exercises every live check. *)
+let adjudication_for ~fast ~elide_exec ~backend ~(guard : Guard.Iface.t) bench =
+  if elide_exec then Accel.Engine.Adj_elide
   else
     match guard.Guard.Iface.const_latency with
     | Some l
-      when Driver.Backend.supports_elision backend && Fastpath.proven bench ->
-        if Fastpath.current_mode () = Fastpath.Differential then
-          Accel.Engine.Fp_check l
-        else Accel.Engine.Fp_on l
-    | _ -> Accel.Engine.Fp_off
-
-(* The script-derivation mirror of the engine's elide/fast-path/live-guard
-   trichotomy. *)
-let adjudication_of ~elide_exec ~(guard : Guard.Iface.t) fp =
-  if elide_exec then Accel.Script.Adj_elide
-  else
-    match fp with
-    | Accel.Engine.Fp_on l -> Accel.Script.Adj_fastpath l
-    | Accel.Engine.Fp_off | Accel.Engine.Fp_check _ ->
-        Accel.Script.Adj_live guard
+      when fast
+           && Driver.Backend.supports_elision backend
+           && Fastpath.proven bench
+           && Fastpath.current_mode () <> Fastpath.Differential ->
+        Accel.Engine.Adj_fastpath l
+    | _ -> Accel.Engine.Adj_live guard
 
 (* ------------------------------------------------------------------ *)
 (* Cross-sweep whole-run memoization.  A result is a deterministic      *)
@@ -209,44 +201,40 @@ let record_script sys (bench : Machsuite.Bench_def.t) (a : Driver.allocated) =
           Fastpath.store_script key script ~correct;
           Some (script, correct))
 
-(* Event-driven compute phase of a fault-free heterogeneous run: one engine
-   process per task, all contending for the bus through a round-robin
-   arbiter on a shared discrete-event timeline.  The scheduler's clock is
-   mirrored into the observability sink so guard and bus events carry their
-   true cycles.  A task's stream is either interpreted live — every layout
-   executes functionally and can be verified — or driven from its bench's
-   recorded script, which issues the identical scheduler calls without the
-   functional work.  Either way a stateful checker sees the real
-   interleaving of checks across instances. *)
-type ev_source =
-  | Ev_interpret of { elide : bool; fastpath : Accel.Engine.fastpath }
-  | Ev_script of Accel.Script.t * Accel.Script.adjudication * bool
-      (** the script, its adjudication and its recorded verdict *)
-
-type ev_task = {
-  et_bench : Machsuite.Bench_def.t;
-  et_alloc : Driver.allocated;
-  et_source : ev_source;
+(* Fault-free heterogeneous execution runs over task groups, shared by
+   [run] (one group of [tasks] identical tasks) and [run_mixed] (one group of
+   one task per bench).  Every task of a group is adjudicated alike and fed
+   from the same source: the bench's recorded script (which carries its
+   recording run's verdict) or, without one, a live interpretation. *)
+type group = {
+  g_bench : Machsuite.Bench_def.t;
+  g_design : Hls.Directives.design;
+  g_allocs : Driver.allocated list;  (** lead first *)
+  g_eligible : bool;
+  g_adj : Accel.Engine.adjudication;
+  g_script : (Accel.Script.t * bool) option;
 }
 
-let ev_task ~guard ~elide_exec fp bench alloc script =
-  { et_bench = bench; et_alloc = alloc;
-    et_source =
-      (match script with
-      | Some (script, correct) ->
-          Ev_script (script, adjudication_of ~elide_exec ~guard fp, correct)
-      | None -> Ev_interpret { elide = elide_exec; fastpath = fp }) }
+let source_of g =
+  match g.g_script with
+  | Some (script, _) -> Accel.Engine.Replay script
+  | None -> Accel.Engine.Interpret
 
 (* A retired task's golden-output verdict: its script's recorded one, or a
    check of its own buffers. *)
-let ev_verified sys (et, (o : Accel.Engine.ev_outcome)) =
-  o.Accel.Engine.ev_denied = None
+let verified sys g (a : Driver.allocated) denied =
+  denied = None
   &&
-  match et.et_source with
-  | Ev_script (_, _, correct) -> correct
-  | Ev_interpret _ ->
-      verify sys.System.mem et.et_bench et.et_alloc.Driver.handle.Driver.layout
+  match g.g_script with
+  | Some (_, correct) -> correct
+  | None -> verify sys.System.mem g.g_bench a.Driver.handle.Driver.layout
 
+(* Event-driven compute phase: one engine process per task, all contending
+   for the bus through a round-robin arbiter on a shared discrete-event
+   timeline.  The scheduler's clock is mirrored into the observability sink
+   so guard and bus events carry their true cycles.  Whatever a task's
+   source, a stateful checker sees the real interleaving of checks across
+   instances. *)
 let run_event_compute sys ~start tasks_l =
   let obs = sys.System.obs in
   let backend = Option.get sys.System.backend in
@@ -265,43 +253,13 @@ let run_event_compute sys ~start tasks_l =
   let n = List.length tasks_l in
   let results = Array.make (max n 1) None in
   List.iteri
-    (fun idx et ->
-      let bench = et.et_bench in
-      let handle = et.et_alloc.Driver.handle in
-      let addressing = Driver.Backend.addressing backend in
-      match et.et_source with
-      | Ev_script (script, adj, _) ->
-          let on_done (d : Accel.Script.ev_derived) =
-            Obs.Counters.incr Obs.Counters.traces_memoized;
-            if d.Accel.Script.e_fastpathed > 0 then
-              Obs.Counters.add Obs.Counters.accesses_fast_pathed
-                d.Accel.Script.e_fastpathed;
-            results.(idx) <-
-              Some
-                {
-                  Accel.Engine.ev_denied = d.Accel.Script.e_denied;
-                  ev_checks = d.e_checks;
-                  ev_elided = d.e_elided;
-                  ev_reads = d.e_reads;
-                  ev_writes = d.e_writes;
-                  ev_ops = d.e_ops;
-                  ev_finish = d.e_finish;
-                  ev_failed = d.e_failed;
-                }
-          in
-          Accel.Script.drive_event script ~sched ~ic ~start ~bus:sys.System.bus
-            ~mem_size:(Tagmem.Mem.size sys.System.mem)
-            ~max_outstanding:
-              bench.Machsuite.Bench_def.directives.Hls.Directives.max_outstanding
-            ~layout:handle.Driver.layout ~obj_ids:handle.Driver.obj_ids
-            ~addressing ~source:handle.Driver.task_id adj ~on_done
-      | Ev_interpret { elide; fastpath } ->
-          Accel.Engine.run_event ~obs ~elide ~fastpath ~sched ~ic ~start
-            ~mem:sys.System.mem ~guard:(System.guard sys) ~bus:sys.System.bus
-            ~directives:bench.Machsuite.Bench_def.directives ~addressing
-            ~naive_tag_writes:(System.naive_tag_writes sys)
-            (engine_task bench handle)
-            ~on_done:(fun o -> results.(idx) <- Some o))
+    (fun idx (g, (a : Driver.allocated)) ->
+      Accel.Engine.run_event ~obs ~sched ~ic ~start ~mem:sys.System.mem
+        ~bus:sys.System.bus ~directives:g.g_bench.Machsuite.Bench_def.directives
+        ~addressing:(Driver.Backend.addressing backend)
+        ~naive_tag_writes:(System.naive_tag_writes sys) g.g_adj (source_of g)
+        (engine_task g.g_bench a.Driver.handle)
+        ~on_done:(fun o -> results.(idx) <- Some o))
     tasks_l;
   Ccsim.Sched.run sched;
   (match sys.System.fleet with
@@ -309,13 +267,13 @@ let run_event_compute sys ~start tasks_l =
   | None -> ());
   let outcomes =
     List.mapi
-      (fun idx et ->
+      (fun idx ((_, (a : Driver.allocated)) as task) ->
         match results.(idx) with
-        | Some o -> (et, o)
+        | Some o -> (task, o)
         | None ->
             failwith
               (Printf.sprintf "Run: event core deadlock: task %d never retired"
-                 et.et_alloc.Driver.handle.Driver.task_id))
+                 a.Driver.handle.Driver.task_id))
       tasks_l
   in
   let makespan =
@@ -392,27 +350,14 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
     ~tasks ~phases ~correct ~denials:[] ~checks:0 ~entries_peak:0 ~bus_beats:0
     ~area_luts:(System.total_area_luts sys ~accel_luts_per_instance:0) ()
 
-(* Fault-free heterogeneous execution over task groups, shared by [run] (one
-   group of [tasks] identical tasks) and [run_mixed] (one group of one task
-   per bench).  A group is [(bench, synthesized design, task count)].
+(* Fault-free heterogeneous execution over task groups (see {!group}).
 
-   [Legacy_replay] derives one DMA trace per group from its lead task — the
-   bench's script, or a live interpretation — and replays it once per task of
-   the group through the serialized fabric: concurrent timing is modeled
-   per instance while the functional work happens once.  Only the lead
-   carries the group's denial and verdict; its checks and elided checks
-   count once per task.  [Event_driven] runs every task on the shared event
-   timeline (see {!run_event_compute}). *)
-type group = {
-  g_bench : Machsuite.Bench_def.t;
-  g_design : Hls.Directives.design;
-  g_allocs : Driver.allocated list;  (** lead first *)
-  g_eligible : bool;
-  g_elide_exec : bool;
-  g_fp : Accel.Engine.fastpath;
-  g_script : (Accel.Script.t * bool) option;
-}
-
+   [Legacy_replay] feeds one DMA trace per group from its lead task and
+   replays it once per task of the group through the serialized fabric:
+   concurrent timing is modeled per instance while the functional work
+   happens once.  Only the lead carries the group's denial and verdict; its
+   checks and elided checks count once per task.  [Event_driven] runs every
+   task on the shared event timeline (see {!run_event_compute}). *)
 let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
   let driver = Option.get sys.System.driver in
   let backend = Option.get sys.System.backend in
@@ -444,8 +389,8 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
         let eligible = elide_eligible backend elide bench in
         let elide_exec = elide = Elide_on && eligible in
         { g_bench = bench; g_design = design; g_allocs = allocs;
-          g_eligible = eligible; g_elide_exec = elide_exec;
-          g_fp = fastpath_for ~fast ~elide_exec ~backend ~guard bench;
+          g_eligible = eligible;
+          g_adj = adjudication_for ~fast ~elide_exec ~backend ~guard bench;
           g_script =
             (if fast then record_script sys bench (List.hd allocs) else None) })
       allocs
@@ -484,46 +429,20 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
   let per_task, makespan, bus_beats, checks, elided_checks, correct =
     match engine with
     | Legacy_replay ->
-        let derived =
+        let fed =
           List.map
             (fun g ->
-              let bench = g.g_bench in
-              let lead = (List.hd g.g_allocs).handle in
-              let trace, denied, checks, elided, correct =
-                match g.g_script with
-                | Some (script, s_correct) ->
-                    let d =
-                      Accel.Script.to_trace script ~bus:sys.System.bus
-                        ~mem_size:(Tagmem.Mem.size sys.System.mem)
-                        ~layout:lead.Driver.layout ~obj_ids:lead.Driver.obj_ids
-                        ~addressing ~source:lead.Driver.task_id
-                        (adjudication_of ~elide_exec:g.g_elide_exec ~guard
-                           g.g_fp)
-                    in
-                    Obs.Counters.incr Obs.Counters.traces_memoized;
-                    if d.Accel.Script.d_fastpathed > 0 then
-                      Obs.Counters.add Obs.Counters.accesses_fast_pathed
-                        d.Accel.Script.d_fastpathed;
-                    ( d.Accel.Script.d_trace, d.Accel.Script.d_denied,
-                      d.Accel.Script.d_checks, d.Accel.Script.d_elided,
-                      d.Accel.Script.d_denied = None && s_correct )
-                | None ->
-                    let o =
-                      Accel.Engine.run ~obs ~elide:g.g_elide_exec
-                        ~fastpath:g.g_fp ~mem:sys.System.mem ~guard
-                        ~bus:sys.System.bus
-                        ~directives:bench.Machsuite.Bench_def.directives
-                        ~addressing
-                        ~naive_tag_writes:(System.naive_tag_writes sys)
-                        (engine_task bench lead)
-                    in
-                    ( o.Accel.Engine.trace, o.Accel.Engine.denied,
-                      o.Accel.Engine.checks, o.Accel.Engine.elided,
-                      o.Accel.Engine.denied = None
-                      && verify sys.System.mem bench lead.Driver.layout )
+              let lead = List.hd g.g_allocs in
+              let o =
+                Accel.Engine.run ~obs ~mem:sys.System.mem ~bus:sys.System.bus
+                  ~directives:g.g_bench.Machsuite.Bench_def.directives
+                  ~addressing ~naive_tag_writes:(System.naive_tag_writes sys)
+                  g.g_adj (source_of g)
+                  (engine_task g.g_bench lead.Driver.handle)
               in
-              differential_check elide ~eligible:g.g_eligible ~bench denied;
-              (g, trace, denied, checks, elided, correct))
+              differential_check elide ~eligible:g.g_eligible ~bench:g.g_bench
+                o.Accel.Engine.denied;
+              (g, o, verified sys g lead o.Accel.Engine.denied))
             groups
         in
         let replayed =
@@ -532,72 +451,68 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
                segments. *)
             Accel.Replay.run_compiled sys.System.fabric ~start:replay_start
               (List.concat_map
-                 (fun (g, trace, _, _, _, _) ->
+                 (fun (g, (o : Accel.Engine.outcome), _) ->
                    let ctrace =
                      Accel.Trace.Compiled.compile ~bus:sys.System.bus
                        ~max_outstanding:
                          (max 1 g.g_design.Hls.Directives.d_max_outstanding)
-                       trace
+                       o.trace
                    in
                    List.map
                      (fun (a : Driver.allocated) ->
                        { Accel.Replay.cinstance = a.handle.Driver.task_id;
                          ctrace })
                      g.g_allocs)
-                 derived)
+                 fed)
           else
             Accel.Replay.run sys.System.fabric ~start:replay_start
               (List.concat_map
-                 (fun (g, trace, _, _, _, _) ->
+                 (fun (g, (o : Accel.Engine.outcome), _) ->
                    List.map
                      (fun (a : Driver.allocated) ->
                        { Accel.Replay.instance = a.handle.Driver.task_id;
-                         trace;
+                         trace = o.trace;
                          max_outstanding =
                            g.g_design.Hls.Directives.d_max_outstanding })
                      g.g_allocs)
-                 derived)
+                 fed)
         in
         let per_group f =
           List.fold_left
-            (fun acc ((g, _, _, _, _, _) as d) ->
-              acc + (f d * List.length g.g_allocs))
-            0 derived
+            (fun acc (g, o, _) -> acc + (f o * List.length g.g_allocs))
+            0 fed
         in
         ( List.concat_map
-            (fun (g, _, denied, _, _, _) ->
+            (fun (g, (o : Accel.Engine.outcome), _) ->
               List.mapi
-                (fun i a -> (a, if i = 0 then denied else None))
+                (fun i a -> (a, if i = 0 then o.denied else None))
                 g.g_allocs)
-            derived,
+            fed,
           replayed.Accel.Replay.makespan,
           replayed.Accel.Replay.bus_beats,
-          per_group (fun (_, _, _, checks, _, _) -> checks),
-          per_group (fun (_, _, _, _, elided, _) -> elided),
-          List.for_all (fun (_, _, _, _, _, correct) -> correct) derived )
+          per_group (fun o -> o.Accel.Engine.checks),
+          per_group (fun o -> o.Accel.Engine.elided),
+          List.for_all (fun (_, _, correct) -> correct) fed )
     | Event_driven ->
-        let tasks =
-          List.concat_map (fun g -> List.map (fun a -> (g, a)) g.g_allocs) groups
-        in
         let outcomes, makespan, bus_beats =
           run_event_compute sys ~start:replay_start
-            (List.map
-               (fun (g, a) ->
-                 ev_task ~guard ~elide_exec:g.g_elide_exec g.g_fp g.g_bench a
-                   g.g_script)
-               tasks)
+            (List.concat_map
+               (fun g -> List.map (fun a -> (g, a)) g.g_allocs)
+               groups)
         in
-        List.iter2
-          (fun (g, _) (_, o) ->
+        List.iter
+          (fun ((g, _), o) ->
             differential_check elide ~eligible:g.g_eligible ~bench:g.g_bench
               o.Accel.Engine.ev_denied)
-          tasks outcomes;
+          outcomes;
         let sum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 outcomes in
-        ( List.map (fun (et, o) -> (et.et_alloc, o.Accel.Engine.ev_denied)) outcomes,
+        ( List.map (fun ((_, a), o) -> (a, o.Accel.Engine.ev_denied)) outcomes,
           makespan, bus_beats,
           sum (fun o -> o.Accel.Engine.ev_checks),
           sum (fun o -> o.Accel.Engine.ev_elided),
-          List.for_all (ev_verified sys) outcomes )
+          List.for_all
+            (fun ((g, a), o) -> verified sys g a o.Accel.Engine.ev_denied)
+            outcomes )
   in
   let entries_peak = guard.Guard.Iface.entries_in_use () in
   let compute_cycles = makespan - replay_start in
@@ -685,10 +600,11 @@ let run_hetero_faulted sys ~benchmark ~area_luts ~policy ~engine
             + Cpu.Model.init_store_cycles sys.System.cpu_cfg
                 ~bytes:(buffer_bytes kernel);
           let outcome =
-            Accel.Engine.run ~obs ~mem:sys.System.mem ~guard ~bus:sys.System.bus
+            Accel.Engine.run ~obs ~mem:sys.System.mem ~bus:sys.System.bus
               ~directives:bench.directives
               ~addressing:(Driver.Backend.addressing backend)
               ~naive_tag_writes:(System.naive_tag_writes sys)
+              (Accel.Engine.Adj_live guard) Accel.Engine.Interpret
               (engine_task bench a.Driver.handle)
           in
           checks := !checks + outcome.Accel.Engine.checks;

@@ -25,7 +25,7 @@ let create ~size =
 let size t = t.size
 
 let check t ~addr ~size:sz =
-  if addr < 0 || sz < 0 || addr + sz > t.size then
+  if addr < 0 || sz < 0 || sz > t.size - addr then
     raise (Out_of_range { addr; size = sz })
 
 let page t addr = Array.unsafe_get t.pages (addr lsr page_bits)

@@ -30,6 +30,11 @@ exception Out_of_range of { addr : int; size : int }
     addresses before they reach memory, so in a full system this models a bus
     error. *)
 
+val check : t -> addr:int -> size:int -> unit
+(** Raise {!Out_of_range} unless [addr, addr + size) lies inside [0, size t)
+    — the decode every data access below performs first.  Exact for any
+    [addr] and [size]: the end is never computed, so it cannot wrap. *)
+
 (** {1 Raw (tag-clearing) data access} *)
 
 val read_bytes : t -> addr:int -> size:int -> bytes

@@ -107,7 +107,7 @@ let spec_access t ~src ~obj ~off ~len ~write =
   | None -> S_deny "no live capability"
   | Some perm ->
       if write && perm = Model.Ro then S_deny "read-only grant"
-      else if off < 0 || len < 1 || off + len > sc.Model.sc_obj_len then
+      else if off < 0 || len < 1 || len > sc.Model.sc_obj_len - off then
         S_deny "out of object bounds"
       else S_grant (Model.obj_base sc obj + off)
 

@@ -136,7 +136,7 @@ let statically_proven sc task =
   in
   let access_ok = function
     | Access { obj; off; len; write } ->
-        granted obj write && off >= 0 && len >= 1 && off + len <= sc.sc_obj_len
+        granted obj write && off >= 0 && len >= 1 && len <= sc.sc_obj_len - off
     | Install _ | Evict _ | Revoke _ -> false
   in
   let driver_touches = function
@@ -236,7 +236,7 @@ let validate sc schedule =
     let bad_op = function
       | Access { obj; off; len; _ } ->
           obj < 0 || obj >= sc.sc_objs || off < 0 || len < 1
-          || off + len > 4 * sc.sc_obj_len
+          || len > (4 * sc.sc_obj_len) - off
       | Install { task; obj; _ } | Evict { task; obj } -> bad_key task obj
       | Revoke { task } -> task < 0 || task >= sc.sc_accels
     in

@@ -40,7 +40,7 @@ let sem_ok (c : Cheri.Cap.t) ~addr ~size kind =
   && Cheri.Perms.mem (sem_perm kind) c.Cheri.Cap.perms
   && size >= 0
   && addr >= c.Cheri.Cap.base
-  && addr + size <= c.Cheri.Cap.top
+  && size <= c.Cheri.Cap.top - addr
 
 let encoding_sweep ~space_bits =
   let w = 1 lsl space_bits in

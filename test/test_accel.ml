@@ -81,8 +81,8 @@ let layout_for heap (kernel : Kernel.Ir.t) =
 
 let run_engine ?(guard = Guard.Iface.pass_through)
     ?(addressing = Accel.Engine.Plain) ?(naive = false) mem kernel layout =
-  Accel.Engine.run ~mem ~guard ~bus ~directives:Hls.Directives.default ~addressing
-    ~naive_tag_writes:naive
+  Accel.Engine.run ~mem ~bus ~directives:Hls.Directives.default ~addressing
+    ~naive_tag_writes:naive (Accel.Engine.Adj_live guard) Accel.Engine.Interpret
     {
       Accel.Engine.instance = 0;
       kernel;

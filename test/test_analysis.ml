@@ -385,11 +385,12 @@ let test_witness_replay_reproduces_denial () =
         | Error msg -> Alcotest.failf "allocate: %s" msg
       in
       let outcome =
-        Accel.Engine.run ~mem
-          ~guard:(Driver.Backend.guard_of backend)
-          ~bus:Bus.Params.default ~directives:Hls.Directives.default
+        Accel.Engine.run ~mem ~bus:Bus.Params.default
+          ~directives:Hls.Directives.default
           ~addressing:(Driver.Backend.addressing backend)
           ~naive_tag_writes:false
+          (Accel.Engine.Adj_live (Driver.Backend.guard_of backend))
+          Accel.Engine.Interpret
           {
             Accel.Engine.instance = a.Driver.handle.Driver.task_id;
             kernel;
@@ -431,10 +432,11 @@ let test_readonly_witness_replay () =
     Memops.Layout.make [ { Memops.Layout.decl = List.hd kernel.bufs; base } ]
   in
   let outcome =
-    Accel.Engine.run ~mem
-      ~guard:(Capchecker.Checker.as_guard checker)
-      ~bus:Bus.Params.default ~directives:Hls.Directives.default
-      ~addressing:Accel.Engine.Fine_ports ~naive_tag_writes:false
+    Accel.Engine.run ~mem ~bus:Bus.Params.default
+      ~directives:Hls.Directives.default ~addressing:Accel.Engine.Fine_ports
+      ~naive_tag_writes:false
+      (Accel.Engine.Adj_live (Capchecker.Checker.as_guard checker))
+      Accel.Engine.Interpret
       { Accel.Engine.instance = 0; kernel; layout; params = [];
         obj_ids = [ ("out", 0) ] }
   in

@@ -340,6 +340,49 @@ let test_soc_counters_move () =
   checkb "whole run memoized" true
     (Obs.Counters.get Obs.Counters.runs_memoized > 0)
 
+(* Fast-pathing happens only on a script-replayed stream: [Soc.Run] records
+   a script for every fast group and interprets live only when recording
+   stopped early.  That is sound because a proven bench never stops early:
+   each one records a complete script under every addressing mode. *)
+let test_proven_benches_record () =
+  let modes =
+    List.map
+      (fun config ->
+        let sys = Soc.System.create config in
+        (sys, Driver.Backend.addressing (Option.get sys.Soc.System.backend)))
+      [ Soc.Config.ccpu_accel; Soc.Config.ccpu_caccel_coarse;
+        Soc.Config.ccpu_caccel ]
+  in
+  checkb "every addressing mode covered" true
+    (List.sort compare (List.map snd modes)
+     = Accel.Engine.[ Plain; Coarse_ids; Fine_ports ]);
+  let proven = List.filter Soc.Fastpath.proven Machsuite.Registry.all in
+  checkb "some benches are proven" true (proven <> []);
+  List.iter
+    (fun (bench : Machsuite.Bench_def.t) ->
+      List.iter
+        (fun (sys, addressing) ->
+          let driver = Option.get sys.Soc.System.driver in
+          let a = Result.get_ok (Driver.allocate driver bench.kernel) in
+          let h = a.Driver.handle in
+          List.iter
+            (fun (b : Memops.Layout.binding) ->
+              Memops.Layout.init_buffer sys.Soc.System.mem b (fun idx ->
+                  bench.init b.decl.Kernel.Ir.buf_name idx))
+            (Memops.Layout.bindings h.Driver.layout);
+          let script =
+            Accel.Engine.record ~mem:sys.Soc.System.mem
+              ~directives:bench.directives ~addressing
+              ~naive_tag_writes:(Soc.System.naive_tag_writes sys)
+              { Accel.Engine.instance = h.Driver.task_id; kernel = bench.kernel;
+                layout = h.Driver.layout; params = bench.params;
+                obj_ids = h.Driver.obj_ids }
+          in
+          checkb (bench.name ^ ": complete script") true (script <> None);
+          ignore (Driver.deallocate driver h ~denied:None))
+        modes)
+    proven
+
 let suite =
   [
     Alcotest.test_case "compiled == interpretive (random traces)" `Quick
@@ -364,4 +407,6 @@ let suite =
       test_soc_differential_mode;
     Alcotest.test_case "soc: speedup counters move" `Quick
       test_soc_counters_move;
+    Alcotest.test_case "soc: proven benches record complete scripts" `Quick
+      test_proven_benches_record;
   ]

@@ -170,7 +170,116 @@ let test_snpu_capacity () =
   checkb "3rd rejected" true (Result.is_error (Snpu.grant s ~source:0 ~base:32 ~size:8));
   checkb "other task unaffected" true (Snpu.grant s ~source:1 ~base:0 ~size:8 = Ok ())
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_iommu_entries_model ]
+(* ---------------- ends past a region, wrapping included ---------------- *)
+
+(* Every bounds check must deny a request whose true end lies past its
+   region, also when [addr + size] would wrap past [max_int].  A case is a
+   region of [len] units at [base] units (units of the guard's granularity),
+   the request's start [dx] bytes from the region base (possibly past the
+   top), and a size chosen just past the top, anywhere past it, or so large
+   that the end wraps. *)
+let past_end_arb =
+  QCheck.make
+    ~print:(fun (base, len, dx, how, r) ->
+      Printf.sprintf "base=%d len=%d dx=%d how=%d r=%d" base len dx how r)
+    QCheck.Gen.(
+      let* base = int_range 0 256 in
+      let* len = int_range 1 8 in
+      let* dx = int_range 0 ((8 * 4096) + 64) in
+      let* how = int_bound 2 in
+      let* r = map (fun r -> r land max_int) int in
+      return (base, len, dx, how, r))
+
+(* A request at [base + dx] whose true end lies past [top]. *)
+let past_request ~base ~top ~dx ~how ~r =
+  let addr = base + dx in
+  let lo = max 1 (top - addr + 1) in
+  let size =
+    match how with
+    | 0 -> lo + (r mod 64)
+    | 1 -> lo + (r mod (max_int - lo + 1))
+    | _ -> if addr = 0 then max_int else max_int - addr + 1 + (r mod addr)
+  in
+  (addr, size)
+
+(* [setup ~base ~len] builds a guard granting [len] bytes at [base] and
+   returns the region [b, t) it really admits plus its admission test; the
+   whole region must be admitted and every request ending past [t] denied. *)
+let prop_past_end name ~align setup =
+  QCheck.Test.make ~count:1000
+    ~name:(name ^ ": end past region denied, wrap included")
+    past_end_arb
+    (fun (base, len, dx, how, r) ->
+      let b, t, admits = setup ~base:(base * align) ~len:(len * align) in
+      let addr, size = past_request ~base:b ~top:t ~dx ~how ~r in
+      admits ~addr:b ~size:(t - b) && not (admits ~addr ~size))
+
+let admitted_by (g : Iface.t) ~addr ~size =
+  granted (g.Iface.check (read_req ~source:0 ~addr ~size ()))
+
+let prop_past_end_iopmp =
+  prop_past_end "iopmp" ~align:1 (fun ~base ~len ->
+      let pmp = Iopmp.create () in
+      ignore
+        (Iopmp.add_rule pmp
+           { Iopmp.source = 0; base; top = base + len; can_read = true;
+             can_write = true });
+      (base, base + len, admitted_by (Iopmp.as_guard pmp)))
+
+let prop_past_end_snpu =
+  prop_past_end "snpu" ~align:1 (fun ~base ~len ->
+      let s = Snpu.create () in
+      ignore (Snpu.grant s ~source:0 ~base ~size:len);
+      (base, base + len, admitted_by (Snpu.as_guard s)))
+
+let prop_past_end_iommu =
+  prop_past_end "iommu" ~align:Iommu.page_size (fun ~base ~len ->
+      let m = Iommu.create () in
+      Iommu.map_range m ~source:0 ~base ~size:len ~read:true ~write:true;
+      (base, base + len, admitted_by (Iommu.as_guard m)))
+
+let prop_past_end_cap =
+  prop_past_end "cheri cap" ~align:1 (fun ~base ~len ->
+      let c =
+        Result.get_ok (Cheri.Cap.set_bounds Cheri.Cap.root ~base ~length:len)
+      in
+      ( c.Cheri.Cap.base, c.Cheri.Cap.top,
+        fun ~addr ~size -> Cheri.Cap.access_ok c ~addr ~size Cheri.Cap.Read = Ok () ))
+
+let prop_past_end_mem =
+  prop_past_end "tagmem" ~align:Tagmem.Mem.granule (fun ~base:_ ~len ->
+      let mem = Tagmem.Mem.create ~size:len in
+      ( 0, Tagmem.Mem.size mem,
+        fun ~addr ~size ->
+          match Tagmem.Mem.read_bytes mem ~addr ~size with
+          | _ -> true
+          | exception Tagmem.Mem.Out_of_range _ -> false ))
+
+let prop_past_end_dram =
+  prop_past_end "addr map" ~align:1 (fun ~base:_ ~len:_ ->
+      let base = Bus.Addr_map.dram_base in
+      ( base, base + Bus.Addr_map.dram_size,
+        fun ~addr ~size -> Bus.Addr_map.in_dram ~addr ~size ))
+
+(* The guard-free recording pass stops at the first access that leaves its
+   buffer; it is the only bounds check a recorded script ever sees. *)
+let prop_past_end_recorder =
+  prop_past_end "script recorder" ~align:1 (fun ~base:_ ~len ->
+      ( 0, len,
+        fun ~addr ~size ->
+          let r = Accel.Script.Recorder.create ~extents:[| len |] in
+          match
+            Accel.Script.Recorder.access r ~gap:0 ~kind:Iface.Read ~buf:0
+              ~off:addr ~size ~dependent:false ~ops:0
+          with
+          | () -> true
+          | exception Accel.Script.Recorder.Escaped -> false ))
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_iommu_entries_model; prop_past_end_iopmp; prop_past_end_snpu;
+      prop_past_end_iommu; prop_past_end_cap; prop_past_end_mem;
+      prop_past_end_dram; prop_past_end_recorder ]
 
 let suite =
   [

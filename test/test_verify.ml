@@ -141,6 +141,32 @@ let test_token_rejects_garbage () =
   let tampered = tok ^ ",0,0,0,0,0,0,0,0" in
   checkb "infeasible schedule rejected" true (bad tampered)
 
+(* A token is outside input: cut short or with one byte changed, parsing
+   and replaying it must end in [Ok] or a clean [Error], never raise. *)
+let sample_tokens =
+  lazy
+    (Seq.fold_left
+       (fun (i, acc) sc ->
+         (i + 1, if i mod 17 = 0 then M.token_of sc (seq_schedule sc) :: acc else acc))
+       (0, []) (S.scenarios small_dims)
+    |> snd |> Array.of_list)
+
+let prop_tampered_tokens =
+  QCheck.Test.make ~count:2000 ~name:"tampered replay tokens fail cleanly"
+    QCheck.(quad small_nat small_nat bool printable_char)
+    (fun (which, pos, truncate, c) ->
+      let tokens = Lazy.force sample_tokens in
+      let tok = tokens.(which mod Array.length tokens) in
+      let pos = pos mod String.length tok in
+      let t =
+        if truncate then String.sub tok 0 pos
+        else String.mapi (fun i x -> if i = pos then c else x) tok
+      in
+      match (M.of_token t, E.replay t) with
+      | (Ok _ | Error _), (Ok _ | Error _) -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%S raised %s" t (Printexc.to_string e))
+
 (* ---------------- DPOR soundness ---------------- *)
 
 (* Brute-force enumeration with pruning disabled: the reduced exploration
@@ -232,6 +258,7 @@ let suite =
   @ [
       ("replay token round-trip", `Quick, test_token_roundtrip);
       ("replay token rejects garbage", `Quick, test_token_rejects_garbage);
+      QCheck_alcotest.to_alcotest prop_tampered_tokens;
       ("DPOR agrees with brute force (clean)", `Quick, test_dpor_sound_clean);
       ("DPOR agrees with brute force (mutated)", `Quick, test_dpor_sound_mutated);
       ("random suite deterministic", `Quick, test_random_suite_deterministic);
