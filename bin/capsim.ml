@@ -138,8 +138,8 @@ let fastpath_conv =
 let fastpath_arg =
   Arg.(value & opt fastpath_conv Soc.Fastpath.Fast
          & info [ "fast-path" ]
-             ~doc:"Replay acceleration: $(b,on) (the default) compiles \
-                   recorded DMA traces into burst segments, derives cached \
+             ~doc:"Replay acceleration: $(b,on) (the default) leaps over \
+                   uncontended DMA trace tails in one step, derives cached \
                    access scripts instead of re-interpreting kernels, and \
                    skips per-access guard calls on statically proven tasks — \
                    byte-identical results, order-of-magnitude faster sweeps; \

@@ -3,8 +3,9 @@
    A task's DMA stream comes either from interpreting its kernel or from
    replaying the bench's recorded script.  Both sources resolve each
    transaction to (buffer index, byte offset, size, kind) and hand it to the
-   same per-task pipeline: one adjudicator, then one sink — a DMA trace for
-   the legacy replay fabric, the live event core, or the script recorder.
+   same per-task pipeline: one adjudicator, one burst former, then one
+   sink — a DMA trace for the legacy replay fabric, the live event core, or
+   the script recorder.
    Nothing in the pipeline knows which source fed it, so a replayed task
    cannot drift from an interpreted one.  The pipeline is a mutable record
    per task and every stage is a direct call on it: nothing is allocated per
@@ -52,28 +53,10 @@ type ev_outcome = {
    reported in the outcome. *)
 exception Denied_access of Guard.Iface.denial
 
-(* The burst the event sink is forming, under {!Trace.add_access}'s merge
-   rule: back-to-back (gap-0) same-kind independent accesses to contiguous
-   addresses coalesce into one AXI burst, and the merged burst keeps the
-   first access's checker latency.  [b_live] says whether it holds one. *)
-type burst = {
-  b_flow : Flow.t;
-  b_sched : Ccsim.Sched.t;
-  b_ic : Bus.Topology.t;
-  mutable b_live : bool;
-  mutable b_gap : int;
-  mutable b_kind : Guard.Iface.kind;
-  mutable b_dependent : bool;
-  mutable b_latency : int;
-  mutable b_target : int; (* bank of the first beat; a burst never switches banks *)
-  mutable b_end : int;    (* one past the last bus byte merged so far *)
-  mutable b_bytes : int;
-}
-
 type sink =
   | Trace_sink of Trace.t * Obs.Trace.t
       (* the sink's clock advances with the compute-local issue clock *)
-  | Event_sink of burst
+  | Event_sink of Flow.t * Ccsim.Sched.t * Bus.Topology.t
   | Record_sink of Script.Recorder.t
 
 type pipe = {
@@ -93,6 +76,18 @@ type pipe = {
   mutable p_latency : int;        (* checker latency of the last grant *)
   mutable p_src_phys : int;       (* physical ends of the last copy *)
   mutable p_dst_phys : int;
+  (* The burst being formed (AXI burst formation, for both timing sinks):
+     back-to-back (gap-0) same-op streaming accesses to contiguous addresses
+     coalesce into one burst up to [max_burst] beats, and the merged burst
+     keeps the first access's checker latency.  [b_live] says whether it
+     holds one. *)
+  mutable b_live : bool;
+  mutable b_gap : int;
+  mutable b_op : Trace.op;
+  mutable b_latency : int;
+  mutable b_target : int;  (* bank of the first beat; a burst never switches banks *)
+  mutable b_end : int;     (* one past the last bus byte merged so far *)
+  mutable b_bytes : int;
 }
 
 (* Buffers are indexed in the kernel's declaration order, by both sources. *)
@@ -120,7 +115,9 @@ let pipe ~bus ~addressing adj sink task =
           | Fine_ports -> Some (obj i)
           | Plain | Coarse_ids -> None);
     p_checks = 0; p_elided = 0; p_fastpathed = 0; p_reads = 0; p_writes = 0;
-    p_ops = 0; p_latency = 0; p_src_phys = 0; p_dst_phys = 0 }
+    p_ops = 0; p_latency = 0; p_src_phys = 0; p_dst_phys = 0;
+    b_live = false; b_gap = 0; b_op = Trace.Write; b_latency = 0; b_target = 0;
+    b_end = 0; b_bytes = 0 }
 
 (* The adjudicator: one guard decision.  Counters move first, so a denial
    unwinds with this access already counted.  Returns the granted physical
@@ -152,64 +149,77 @@ let adjudicate p ~buf ~off ~size ~kind =
           phys
       | Guard.Iface.Denied denial -> raise (Denied_access denial))
 
-(* Event sink: hand the formed burst to the flow. *)
-let flush b bus =
-  if b.b_live then begin
-    b.b_live <- false;
-    Flow.issue b.b_flow ~target:b.b_target ~gap:b.b_gap ~kind:b.b_kind
-      ~beats:(Bus.Params.beats_for bus b.b_bytes)
-      ~dependent:b.b_dependent ~latency:b.b_latency
+(* One transaction to the timing sink. *)
+let emit p ~target ~gap ~op ~beats ~latency =
+  match p.p_sink with
+  | Trace_sink (trace, _) -> Trace.add trace ~gap ~op ~beats ~latency
+  | Event_sink (flow, _, _) -> Flow.issue flow ~target ~gap ~op ~beats ~latency
+  | Record_sink _ -> ()
+
+let flush p =
+  if p.b_live then begin
+    p.b_live <- false;
+    emit p ~target:p.b_target ~gap:p.b_gap ~op:p.b_op
+      ~beats:(Bus.Params.beats_for p.p_bus p.b_bytes)
+      ~latency:p.b_latency
   end
 
-(* One transaction through the pipeline: adjudicated at its issue point in
-   the sink's notion of time, then committed to the sink.  Returns the
-   physical address the source moves data at. *)
+(* [gap] datapath cycles pass before the next transaction issues. *)
+let wait p gap =
+  match p.p_sink with
+  | Trace_sink (_, obs) -> Obs.Trace.advance obs gap
+  | Event_sink (_, sched, _) -> Ccsim.Sched.wait sched gap
+  | Record_sink _ -> ()
+
+(* The bank a transaction starting at physical address [phys] goes to. *)
+let target p phys =
+  match p.p_sink with
+  | Event_sink (_, _, ic) -> Bus.Topology.target_for ic ~addr:phys
+  | Trace_sink _ | Record_sink _ -> 0
+
+(* One access through the pipeline: adjudicated at its issue point in the
+   sink's notion of time, then merged into the pending burst or starting a
+   new one.  Returns the physical address the source moves data at. *)
 let access p ~gap ~kind ~buf ~off ~size ~dependent =
   let bus = p.p_bus in
-  let addr = p.p_bus_base.(buf) + off in
   let phys =
     match p.p_sink with
-    | Trace_sink (trace, obs) ->
-        Obs.Trace.advance obs gap;
-        let phys = adjudicate p ~buf ~off ~size ~kind in
-        Trace.add_access trace ~bus ~max_burst:bus.Bus.Params.max_burst ~gap
-          ~kind ~addr ~size ~dependent ~latency:p.p_latency;
-        Obs.Trace.advance obs (Bus.Params.beats_for bus size);
-        phys
-    | Event_sink b ->
-        if
-          b.b_live && gap = 0 && (not dependent) && addr = b.b_end
-          && b.b_kind = kind && (not b.b_dependent)
-          && Bus.Params.beats_for bus (b.b_bytes + size)
-             <= bus.Bus.Params.max_burst
-        then begin
-          (* Adjudicated like every access (check counts and checker state
-             must not depend on burst formation), but the merged burst keeps
-             the first access's latency. *)
-          let phys = adjudicate p ~buf ~off ~size ~kind in
-          b.b_bytes <- b.b_bytes + size;
-          b.b_end <- addr + size;
-          phys
-        end
-        else begin
-          flush b bus;
-          Ccsim.Sched.wait b.b_sched gap;
-          let phys = adjudicate p ~buf ~off ~size ~kind in
-          b.b_live <- true;
-          b.b_gap <- gap;
-          b.b_kind <- kind;
-          b.b_dependent <- dependent;
-          b.b_latency <- p.p_latency;
-          b.b_target <- Bus.Topology.target_for b.b_ic ~addr:phys;
-          b.b_end <- addr + size;
-          b.b_bytes <- size;
-          phys
-        end
     | Record_sink r ->
         Script.Recorder.access r ~gap ~kind ~buf ~off ~size ~dependent
           ~ops:p.p_ops;
         adjudicate p ~buf ~off ~size ~kind
+    | Trace_sink _ | Event_sink _ ->
+        let addr = p.p_bus_base.(buf) + off in
+        let op = Trace.op_of kind ~dependent in
+        if
+          p.b_live && gap = 0 && op <> Trace.Dep_read && op = p.b_op
+          && addr = p.b_end
+          && Bus.Params.beats_for bus (p.b_bytes + size) <= bus.Bus.Params.max_burst
+        then begin
+          (* Adjudicated like every access (check counts and checker state
+             must not depend on burst formation). *)
+          let phys = adjudicate p ~buf ~off ~size ~kind in
+          p.b_bytes <- p.b_bytes + size;
+          p.b_end <- addr + size;
+          phys
+        end
+        else begin
+          flush p;
+          wait p gap;
+          let phys = adjudicate p ~buf ~off ~size ~kind in
+          p.b_live <- true;
+          p.b_gap <- gap;
+          p.b_op <- op;
+          p.b_latency <- p.p_latency;
+          p.b_target <- target p phys;
+          p.b_end <- addr + size;
+          p.b_bytes <- size;
+          phys
+        end
   in
+  (match p.p_sink with
+  | Trace_sink (_, obs) -> Obs.Trace.advance obs (Bus.Params.beats_for bus size)
+  | Event_sink _ | Record_sink _ -> ());
   (match kind with
   | Guard.Iface.Read -> p.p_reads <- p.p_reads + 1
   | Guard.Iface.Write -> p.p_writes <- p.p_writes + 1);
@@ -222,11 +232,10 @@ let access p ~gap ~kind ~buf ~off ~size ~dependent =
 let copy p ~gap ~bytes ~src ~dst =
   let bus = p.p_bus in
   (match p.p_sink with
-  | Trace_sink (_, obs) -> Obs.Trace.advance obs gap
-  | Event_sink b ->
-      flush b bus;
-      Ccsim.Sched.wait b.b_sched gap
-  | Record_sink r -> Script.Recorder.copy r ~gap ~bytes ~src ~dst ~ops:p.p_ops);
+  | Record_sink r -> Script.Recorder.copy r ~gap ~bytes ~src ~dst ~ops:p.p_ops
+  | Trace_sink _ | Event_sink _ ->
+      flush p;
+      wait p gap);
   let src_phys = adjudicate p ~buf:src ~off:0 ~size:bytes ~kind:Guard.Iface.Read in
   let rd_latency = p.p_latency in
   let dst_phys = adjudicate p ~buf:dst ~off:0 ~size:bytes ~kind:Guard.Iface.Write in
@@ -239,24 +248,10 @@ let copy p ~gap ~bytes ~src ~dst =
   while !beats_left > 0 do
     let beats = min !beats_left bus.Bus.Params.max_burst in
     beats_left := !beats_left - beats;
-    (match p.p_sink with
-    | Trace_sink (trace, _) ->
-        Trace.add trace
-          { Trace.gap = !gap; kind = Guard.Iface.Read; beats; dependent = false;
-            latency = rd_latency };
-        Trace.add trace
-          { Trace.gap = 0; kind = Guard.Iface.Write; beats; dependent = false;
-            latency = wr_latency }
-    | Event_sink b ->
-        Flow.issue b.b_flow
-          ~target:(Bus.Topology.target_for b.b_ic ~addr:(src_phys + !off))
-          ~gap:!gap ~kind:Guard.Iface.Read ~beats ~dependent:false
-          ~latency:rd_latency;
-        Flow.issue b.b_flow
-          ~target:(Bus.Topology.target_for b.b_ic ~addr:(dst_phys + !off))
-          ~gap:0 ~kind:Guard.Iface.Write ~beats ~dependent:false
-          ~latency:wr_latency
-    | Record_sink _ -> ());
+    emit p ~target:(target p (src_phys + !off)) ~gap:!gap ~op:Trace.Stream_read
+      ~beats ~latency:rd_latency;
+    emit p ~target:(target p (dst_phys + !off)) ~gap:0 ~op:Trace.Write ~beats
+      ~latency:wr_latency;
     gap := 0;
     off := !off + (beats * bus.Bus.Params.beat_bytes)
   done;
@@ -383,6 +378,9 @@ let run ?(obs = Obs.Trace.null) ~mem ~bus ~directives ~addressing
   let trace = Trace.create () in
   let p = pipe ~bus ~addressing adj (Trace_sink (trace, obs)) task in
   let denied = feed p source ~mem ~directives ~naive_tag_writes task in
+  (* A denial truncates the stream, but the burst already formed before the
+     denied access still transfers. *)
+  flush p;
   retire p ~obs task;
   { trace; denied; checks = p.p_checks; elided = p.p_elided;
     reads = p.p_reads; writes = p.p_writes; ops = p.p_ops }
@@ -413,32 +411,21 @@ let record ~mem ~directives ~addressing ~naive_tag_writes task =
 let run_event ?(obs = Obs.Trace.null) ?error_retry_limit ~sched ~ic ~start ~mem
     ~bus ~directives ~addressing ~naive_tag_writes adj source task ~on_done =
   Ccsim.Sched.spawn sched ~at:start (fun () ->
-      let b =
-        { b_flow =
-            Flow.create ?error_retry_limit ~sched ~ic ~src:task.instance ~start
-              ~max_outstanding:directives.Hls.Directives.max_outstanding ();
-          b_sched = sched; b_ic = ic; b_live = false; b_gap = 0;
-          b_kind = Guard.Iface.Read; b_dependent = false; b_latency = 0;
-          b_target = 0; b_end = 0; b_bytes = 0 }
+      let issue =
+        Issue.create ?error_retry_limit ~start
+          ~max_outstanding:directives.Hls.Directives.max_outstanding ()
       in
-      let p = pipe ~bus ~addressing adj (Event_sink b) task in
-      let failed = ref false in
+      let flow = Flow.create ~sched ~ic ~src:task.instance issue in
+      let p = pipe ~bus ~addressing adj (Event_sink (flow, sched, ic)) task in
       let denied =
         match feed p source ~mem ~directives ~naive_tag_writes task with
-        | denied -> (
-            (* A denial truncates the stream, but the burst already formed
-               before the denied access was committed and still transfers. *)
-            match flush b bus with
-            | () -> denied
-            | exception Flow.Failed ->
-                failed := true;
-                denied)
-        | exception Flow.Failed ->
-            failed := true;
-            None
+        | denied ->
+            (try flush p with Flow.Failed -> ());
+            denied
+        | exception Flow.Failed -> None
       in
       retire p ~obs task;
       on_done
         { ev_denied = denied; ev_checks = p.p_checks; ev_elided = p.p_elided;
           ev_reads = p.p_reads; ev_writes = p.p_writes; ev_ops = p.p_ops;
-          ev_finish = Flow.finish b.b_flow; ev_failed = !failed })
+          ev_finish = Issue.finish issue; ev_failed = Issue.failed issue })

@@ -10,8 +10,11 @@
 
     A task's access stream has two possible {!source}s — interpreting the
     kernel, or replaying the bench's recorded {!Script} — and both feed one
-    pipeline: one adjudicator (see {!adjudication}) and one sink per timing
-    model, a DMA trace ({!run}) or the live event core ({!run_event}).  The
+    pipeline: one adjudicator (see {!adjudication}), one AXI burst former
+    (back-to-back gap-0 same-op streaming accesses to contiguous addresses
+    merge into one burst of at most [max_burst] beats, keeping the first
+    access's checker latency) and one sink per timing model, a DMA trace
+    ({!run}) or the live event core ({!run_event}).  The
     source decides only where transactions come from and whether data
     moves; every check, count, burst and bus error is produced by the same
     code either way, so the two are interchangeable wherever the verdict is
@@ -156,9 +159,9 @@ val run_event :
     contend for the interconnect [ic] (via {!Flow}) instead of accumulating a
     trace for later replay.  Adjudication happens at the access's live issue
     point, so a stateful checker (e.g. the cached CapChecker) sees checks
-    from concurrent instances interleaved in true bus order.  Burst formation
-    follows {!Trace.add_access}'s merge rule — on a crossbar each burst is
-    addressed to the bank of its first beat's physical address — and with a
+    from concurrent instances interleaved in true bus order.  Bursts are
+    formed by the same burst former as {!run}'s — on a crossbar each burst
+    is addressed to the bank of its first beat's physical address — and with a
     single instance on a [Shared] topology the resulting schedule is
     cycle-identical to {!run} followed by {!Replay.run} — the differential
     tests enforce it.
@@ -167,4 +170,4 @@ val run_event :
     caller collects outcomes after {!Ccsim.Sched.run} drains.  [obs] is only
     used to emit the task's {!Obs.Event.Check_elided} marker — timestamps come
     from the shared scheduler clock, which the SoC layer mirrors into the
-    sink.  [error_retry_limit] is passed to {!Flow.create}. *)
+    sink.  [error_retry_limit] is passed to {!Issue.create}. *)

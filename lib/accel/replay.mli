@@ -5,7 +5,9 @@
     per cycle on the AXI fabric, posted writes, pipelined streaming reads up
     to the FU's outstanding limit, and dependent (pointer-chasing) reads that
     stall their instance for the full round trip — including the guard's
-    checking latency, which is otherwise hidden under pipelining. *)
+    checking latency, which is otherwise hidden under pipelining.  The
+    per-transaction rule is {!Issue}'s; this module only decides the order
+    in which instances issue. *)
 
 type result = {
   makespan : int;
@@ -17,9 +19,13 @@ type result = {
   bus_errors : int;
       (** injected error responses observed (each re-issues the transaction) *)
   failed : int list;
-      (** instances that exhausted the per-event error-retry budget; their
-          remaining events were abandoned *)
+      (** instances that exhausted the per-transaction error-retry budget;
+          their remaining transactions were abandoned *)
 }
+
+type leaps
+(** Leap tables of one trace: a solo reference run of it (see
+    {!leap_tables}). *)
 
 type stream = {
   instance : int;
@@ -27,32 +33,35 @@ type stream = {
   max_outstanding : int;
       (** this FU's streaming-read depth — mixed systems combine
           accelerators with different interface quality *)
+  leaps : leaps option;
+      (** [Some] licenses {!run} to leap over this stream's tail; the
+          tables must come from {!leap_tables} on the same trace, bus and
+          depth (asserted).  [None] replays every transaction. *)
 }
 
-val run : ?error_retry_limit:int -> Bus.Fabric.t -> start:int -> stream list -> result
-(** Replay every stream beginning at cycle [start].  Instances arbitrate in
-    earliest-ready order (FIFO).  An empty trace completes at [start].
+val leap_tables : Bus.Params.t -> max_outstanding:int -> Trace.t -> leaps
+(** Run {!run}'s scheduler solo over the trace, from cycle 0 on a private
+    fault-free untraced fabric with the given bus parameters, and note
+    every index the run entered "clean": the fabric free and every
+    outstanding streaming read returned by the transaction's candidate
+    cycle.  From a clean index the rest of a solo schedule is invariant
+    under time translation, so one set of tables serves every stream that
+    replays the trace. *)
 
-    An errored grant (injected bus fault) is re-issued after a fixed
-    turnaround; after [error_retry_limit] (default 4) consecutive errors on
-    the same event the instance is marked failed and abandons its remaining
-    events.  Without fault injection no grant errors and behaviour is
-    identical to the error-free scheduler. *)
+val run :
+  ?error_retry_limit:int -> Bus.Fabric.t -> start:int -> stream list -> result
+(** Replay every stream beginning at cycle [start].  Instances issue in
+    global earliest-ready order (FIFO; ties go to the earlier stream).  An
+    empty trace completes at [start].  Errored grants follow {!Issue}'s
+    retry rule, [error_retry_limit] defaulting to 4.
 
-type cstream = { cinstance : int; ctrace : Trace.Compiled.t }
-
-val run_compiled :
-  ?error_retry_limit:int -> Bus.Fabric.t -> start:int -> cstream list -> result
-(** {!run} over precompiled traces: cycle-identical by construction (the
-    test suite pins it) — per-event scheduling mirrors {!run} exactly, over
-    packed arrays instead of event records, and issues the same fabric
-    requests in the same order, so even injected-fault RNG draws line up.
     On a {!Bus.Fabric.quiescent} fabric, once a single unfinished stream
-    remains and its state is clean at a compile-clean index, the remaining
-    suffix is fast-forwarded in one jump (counted in
-    {!Obs.Counters.segments_replayed}); a solo stream on a fresh fabric
-    replays in O(1).  Every compiled trace must have been compiled against
-    this fabric's bus parameters (asserted). *)
+    remains and it enters a clean index of its leap tables in a clean state,
+    the rest of the stream is accounted in one jump
+    ({!Bus.Fabric.fast_forward}, counted in
+    {!Obs.Counters.segments_replayed}): a solo stream on a fresh fabric
+    replays in O(1).  The jump lands on exactly the cycles the same loop
+    without leap tables reaches. *)
 
 val run_event :
   ?error_retry_limit:int ->
@@ -64,10 +73,12 @@ val run_event :
 (** Replay every stream through the event-driven core: one {!Flow} process
     per instance feeds its recorded trace to the interconnect topology, and
     the scheduler is drained before the result is assembled ([sched] and
-    [ic] must be fresh and private to this call).  Per-event semantics are
-    identical to {!run}; what changes is the arbitration policy — grants
-    rotate round-robin among contending sources instead of following the
-    global earliest-ready order — and therefore the interleaving of fault
-    draws under injection.  Recorded events carry no addresses, so on a
-    crossbar every stream issues to its home bank
-    ({!Bus.Topology.home_target}).  [bus_beats] is read from the topology. *)
+    [ic] must be fresh and private to this call).  The per-transaction rule
+    is the same {!Issue} state machine {!run} applies, so a single stream on
+    a [Shared] topology replays cycle-identically; what changes with several
+    streams is the arbitration policy — grants rotate round-robin among
+    contending sources instead of following the global earliest-ready order
+    — and therefore the interleaving of fault draws under injection.
+    Recorded transactions carry no addresses, so on a crossbar every stream
+    issues to its home bank ({!Bus.Topology.home_target}).  Leap tables are
+    ignored.  [bus_beats] is read from the topology. *)

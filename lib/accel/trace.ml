@@ -1,196 +1,54 @@
-type event = {
-  gap : int;
-  kind : Guard.Iface.kind;
-  beats : int;
-  dependent : bool;
-  latency : int;
-}
+type op = Write | Stream_read | Dep_read
 
-type t = {
-  mutable events : event array;
-  mutable len : int;
-  (* State of the burst being formed, for contiguity detection. *)
-  mutable last_end : int;   (* one past the last byte of the previous access *)
-  mutable last_bytes : int; (* bytes accumulated in the last event *)
-}
+let op_of kind ~dependent =
+  match (kind, dependent) with
+  | Guard.Iface.Write, _ -> Write
+  | Guard.Iface.Read, false -> Stream_read
+  | Guard.Iface.Read, true -> Dep_read
 
-let create () =
-  { events = Array.make 64 { gap = 0; kind = Guard.Iface.Read; beats = 0;
-                             dependent = false; latency = 0 };
-    len = 0; last_end = -1; last_bytes = 0 }
+let code = function Write -> 0 | Stream_read -> 1 | Dep_read -> 2
+let of_code = function 0 -> Write | 1 -> Stream_read | _ -> Dep_read
 
-let grow t =
-  if t.len = Array.length t.events then begin
-    let bigger = Array.make (2 * t.len) t.events.(0) in
-    Array.blit t.events 0 bigger 0 t.len;
-    t.events <- bigger
-  end
+(* Four unboxed words per transaction: [gap; op code; beats; latency]. *)
+type t = { mutable words : int array; mutable len : int }
 
-let add t e =
-  grow t;
-  t.events.(t.len) <- e;
-  t.len <- t.len + 1;
-  t.last_end <- -1;
-  t.last_bytes <- 0
+let create () = { words = Array.make 256 0; len = 0 }
 
-let add_access t ~bus ~max_burst ~gap ~kind ~addr ~size ~dependent ~latency =
-  let mergeable =
-    t.len > 0 && gap = 0 && (not dependent) && addr = t.last_end && t.last_end >= 0
-    &&
-    let prev = t.events.(t.len - 1) in
-    prev.kind = kind && (not prev.dependent)
-    && Bus.Params.beats_for bus (t.last_bytes + size) <= max_burst
-  in
-  if mergeable then begin
-    let prev = t.events.(t.len - 1) in
-    t.last_bytes <- t.last_bytes + size;
-    t.events.(t.len - 1) <- { prev with beats = Bus.Params.beats_for bus t.last_bytes };
-    t.last_end <- addr + size
-  end
-  else begin
-    grow t;
-    t.events.(t.len) <-
-      { gap; kind; beats = Bus.Params.beats_for bus size; dependent; latency };
-    t.len <- t.len + 1;
-    t.last_end <- addr + size;
-    t.last_bytes <- size
-  end
+let add t ~gap ~op ~beats ~latency =
+  let i = 4 * t.len in
+  if i = Array.length t.words then begin
+    let bigger = Array.make (2 * i) 0 in
+    Array.blit t.words 0 bigger 0 i;
+    t.words <- bigger
+  end;
+  let w = t.words in
+  w.(i) <- gap;
+  w.(i + 1) <- code op;
+  w.(i + 2) <- beats;
+  w.(i + 3) <- latency;
+  t.len <- t.len + 1
 
 let length t = t.len
 
-let get t idx =
-  if idx < 0 || idx >= t.len then invalid_arg "Accel.Trace.get";
-  t.events.(idx)
+let word t idx k =
+  if idx < 0 || idx >= t.len then invalid_arg "Accel.Trace: index out of range";
+  t.words.((4 * idx) + k)
 
-let iter f t =
+let gap t idx = word t idx 0
+let op t idx = of_code (word t idx 1)
+let beats t idx = word t idx 2
+let latency t idx = word t idx 3
+
+let iter t f =
+  let w = t.words in
   for idx = 0 to t.len - 1 do
-    f t.events.(idx)
+    let i = 4 * idx in
+    f ~gap:w.(i) ~op:(of_code w.(i + 1)) ~beats:w.(i + 2) ~latency:w.(i + 3)
   done
-
-let events t = Array.sub t.events 0 t.len
 
 let total_beats t =
   let total = ref 0 in
   for idx = 0 to t.len - 1 do
-    total := !total + t.events.(idx).beats
+    total := !total + t.words.((4 * idx) + 2)
   done;
   !total
-
-module Compiled = struct
-  (* Kind codes: flat ints so the replay hot loop switches on an array load
-     instead of destructuring an event record. *)
-  let k_write = 0
-  let k_stream_read = 1
-  let k_dep_read = 2
-
-  type t = {
-    c_gap : int array;
-    c_kind : int array;
-    c_beats : int array;
-    c_latency : int array;
-    c_n : int;
-    c_bus : Bus.Params.t;
-    c_limit : int;  (* outstanding-read limit the clean analysis assumed *)
-    c_suffix_beats : int array;
-        (* total data beats of events [i..n-1]; length n+1, last entry 0 *)
-    c_clean_finish : int array;
-        (* For a solo stream on an otherwise idle bus, the schedule of events
-           [i..n-1] is invariant under time translation whenever the state
-           entering event [i] is "clean": the fabric is free no later than
-           the event's candidate cycle and every still-outstanding streaming
-           read has already returned by then.  At such an index the whole
-           suffix collapses to three precomputed deltas, all relative to the
-           candidate cycle [cand]: the stream finishes at
-           [cand + c_clean_finish.(i)], the fabric is busy until
-           [cand + c_clean_free.(i)], and [c_suffix_beats.(i)] beats move.
-           [-1] marks indices where the compile-time solo run was not clean
-           and no jump is licensed. *)
-    c_clean_free : int array;
-  }
-
-  let length c = c.c_n
-  let total_beats c = if c.c_n = 0 then 0 else c.c_suffix_beats.(0)
-  let bus c = c.c_bus
-  let limit c = c.c_limit
-
-  let kind_code (ev : event) =
-    match (ev.kind, ev.dependent) with
-    | Guard.Iface.Write, _ -> k_write
-    | Guard.Iface.Read, false -> k_stream_read
-    | Guard.Iface.Read, true -> k_dep_read
-
-  let compile ~bus ~max_outstanding trace =
-    let n = trace.len in
-    let limit = max 1 max_outstanding in
-    let c_gap = Array.make (max n 1) 0
-    and c_kind = Array.make (max n 1) 0
-    and c_beats = Array.make (max n 1) 0
-    and c_latency = Array.make (max n 1) 0
-    and c_suffix_beats = Array.make (n + 1) 0
-    and c_clean_finish = Array.make (max n 1) (-1)
-    and c_clean_free = Array.make (max n 1) 0 in
-    for i = 0 to n - 1 do
-      let ev = trace.events.(i) in
-      c_gap.(i) <- ev.gap;
-      c_kind.(i) <- kind_code ev;
-      c_beats.(i) <- ev.beats;
-      c_latency.(i) <- ev.latency
-    done;
-    for i = n - 1 downto 0 do
-      c_suffix_beats.(i) <- c_beats.(i) + c_suffix_beats.(i + 1)
-    done;
-    (* Reference solo run under the pure (fault-free, untraced) grant
-       formulas, from a zero origin.  [contrib.(i)] is the finish constraint
-       event [i] imposes; [cand_at.(i)] its candidate cycle; clean indices
-       are detected exactly as the replayer will re-detect them at runtime. *)
-    let contrib = Array.make (max n 1) 0 and cand_at = Array.make (max n 1) 0 in
-    let addr_phase = bus.Bus.Params.addr_phase in
-    let outstanding = Queue.create () in
-    let ready = ref 0 and free_at = ref 0 and max_pushed = ref 0 in
-    for i = 0 to n - 1 do
-      let cand0 = !ready + c_gap.(i) in
-      let clean = !free_at <= cand0 && !max_pushed <= cand0 in
-      let cand =
-        if c_kind.(i) = k_stream_read && Queue.length outstanding >= limit then
-          max cand0 (Queue.peek outstanding)
-        else cand0
-      in
-      if c_kind.(i) = k_stream_read && Queue.length outstanding >= limit then
-        ignore (Queue.pop outstanding);
-      let granted_at = max cand !free_at in
-      let data_done = granted_at + addr_phase + c_beats.(i) in
-      free_at := data_done;
-      let mem_latency =
-        if c_kind.(i) = k_write then bus.Bus.Params.write_latency
-        else bus.Bus.Params.read_latency
-      in
-      let completed = data_done + mem_latency + c_latency.(i) in
-      cand_at.(i) <- cand;
-      if clean then c_clean_finish.(i) <- 0 (* patched in the backward pass *);
-      if c_kind.(i) = k_write then begin
-        ready := granted_at + 1;
-        contrib.(i) <- data_done
-      end
-      else if c_kind.(i) = k_dep_read then begin
-        ready := completed;
-        contrib.(i) <- completed
-      end
-      else begin
-        Queue.push completed outstanding;
-        if completed > !max_pushed then max_pushed := completed;
-        ready := granted_at + 1;
-        contrib.(i) <- completed
-      end
-    done;
-    let free_end = !free_at in
-    let suffix_max = ref min_int in
-    for i = n - 1 downto 0 do
-      if contrib.(i) > !suffix_max then suffix_max := contrib.(i);
-      if c_clean_finish.(i) >= 0 then begin
-        c_clean_finish.(i) <- !suffix_max - cand_at.(i);
-        c_clean_free.(i) <- free_end - cand_at.(i)
-      end
-    done;
-    { c_gap; c_kind; c_beats; c_latency; c_n = n; c_bus = bus;
-      c_limit = limit; c_suffix_beats; c_clean_finish; c_clean_free }
-end

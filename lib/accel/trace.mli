@@ -1,105 +1,48 @@
 (** DMA transaction traces.
 
-    The accelerator model executes a task in two phases: {!Engine} interprets
-    the kernel, performing functional memory effects and protection checks as
-    they occur and recording the stream of bus transactions; {!Replay} then
-    schedules the recorded streams of all concurrent instances through the
-    shared interconnect to obtain cycle timing.  This split is sound because
-    accelerator tasks are independent (threat-model assumption 2: no shared
-    mutable state between tasks' functional semantics). *)
+    A trace is what {!Engine.run} leaves for {!Replay}: the task's bus
+    transactions in issue order, after AXI burst formation (the engine's
+    burst former merges contiguous accesses before they get here).  The
+    accelerator model executes a task in two phases — {!Engine} performs the
+    functional effects and protection checks and records the stream, then
+    {!Replay} schedules the recorded streams of all concurrent instances
+    through the shared interconnect to obtain cycle timing.  This split is
+    sound because accelerator tasks are independent (threat-model assumption
+    2: no shared mutable state between tasks' functional semantics).
 
-type event = {
-  gap : int;
-      (** datapath compute cycles between this transaction becoming ready and
-          the instance's previous activity *)
-  kind : Guard.Iface.kind;
-  beats : int;       (** data beats on the bus *)
-  dependent : bool;  (** pointer-chasing read: blocks the instance *)
-  latency : int;     (** checking latency imposed by the guard on this path *)
-}
+    Traces stay resident while a run replays them, so a transaction is four
+    unboxed words of one growable flat array: gap, op, beats, latency. *)
+
+(** What the issuing instance waits for after the grant. *)
+type op =
+  | Write        (** posted write: the instance moves on after the address
+                     phase *)
+  | Stream_read  (** pipelined read, bounded by the outstanding window *)
+  | Dep_read     (** dependent (pointer-chasing) read: blocks the instance
+                     for the full round trip *)
+
+val op_of : Guard.Iface.kind -> dependent:bool -> op
 
 type t
 
 val create : unit -> t
-val add : t -> event -> unit
 
-val add_access :
-  t ->
-  bus:Bus.Params.t ->
-  max_burst:int ->
-  gap:int ->
-  kind:Guard.Iface.kind ->
-  addr:int ->
-  size:int ->
-  dependent:bool ->
-  latency:int ->
-  unit
-(** Append one element access, merging it into the previous event when it
-    continues a contiguous same-kind streaming burst with no compute gap and
-    the burst-length limit allows (AXI burst formation). *)
+val add : t -> gap:int -> op:op -> beats:int -> latency:int -> unit
+(** Append one transaction: [gap] datapath cycles between the instance's
+    previous activity and this transaction becoming ready, [beats] data
+    beats on the bus, and [latency] the checking latency the guard imposes
+    on this path. *)
 
 val length : t -> int
 
-val get : t -> int -> event
-(** [get t i] is the [i]th recorded event, without copying the trace.
-    Raises [Invalid_argument] outside [\[0, length t)]. *)
+val gap : t -> int -> int
+val op : t -> int -> op
+val beats : t -> int -> int
+val latency : t -> int -> int
+(** Fields of the [i]th transaction, without copying.  Raise
+    [Invalid_argument] outside [\[0, length t)]. *)
 
-val iter : (event -> unit) -> t -> unit
-(** In recording order, without copying.  The replay hot path uses
-    {!get}/{!iter}; {!events} stays for callers that want a stable
-    snapshot. *)
-
-val events : t -> event array
-(** A fresh snapshot of the recorded events (unaffected by later
-    {!add}/{!add_access}).  Allocates a copy on every call — prefer
-    {!get}/{!iter}/{!length} on hot paths. *)
+val iter : t -> (gap:int -> op:op -> beats:int -> latency:int -> unit) -> unit
+(** Every transaction in recording order. *)
 
 val total_beats : t -> int
-
-(** Traces preprocessed for replay: events flattened into packed arrays and,
-    for every index where a solo stream's remaining schedule is invariant
-    under time translation, the whole suffix collapsed to three precomputed
-    deltas.  {!Replay.run_compiled} consumes these; the interpretive
-    {!Replay.run} stays as the differential oracle (the test suite pins
-    cycle-identity between the two). *)
-module Compiled : sig
-  type trace := t
-
-  val k_write : int
-  val k_stream_read : int
-  val k_dep_read : int
-
-  type t = {
-    c_gap : int array;
-    c_kind : int array;  (** {!k_write} / {!k_stream_read} / {!k_dep_read} *)
-    c_beats : int array;
-    c_latency : int array;
-    c_n : int;
-    c_bus : Bus.Params.t;
-    c_limit : int;
-    c_suffix_beats : int array;
-        (** total data beats of events [i..n-1]; length [n+1], last entry 0 *)
-    c_clean_finish : int array;
-        (** At a clean index [i] (see {!compile}), events [i..n-1] replayed
-            solo finish at [cand + c_clean_finish.(i)] and leave the fabric
-            busy until [cand + c_clean_free.(i)], where [cand] is event
-            [i]'s candidate cycle.  [-1] marks non-clean indices. *)
-    c_clean_free : int array;
-  }
-
-  val compile : bus:Bus.Params.t -> max_outstanding:int -> trace -> t
-  (** Preprocess a recorded trace for replay against a fabric with params
-      [bus] by an instance with the given streaming-read depth.  Runs one
-      reference solo schedule under the pure (fault-free, untraced) grant
-      formulas to find the "clean" indices where fast-forwarding is sound:
-      entering such an index, the fabric is free no later than the event's
-      candidate cycle and every outstanding streaming read has already
-      returned, so the suffix timing depends on the candidate cycle alone.
-      A compiled trace is only valid for the [bus]/[max_outstanding] it was
-      compiled against — {!Replay.run_compiled} asserts both. *)
-
-  val length : t -> int
-  val total_beats : t -> int
-  val bus : t -> Bus.Params.t
-  val limit : t -> int
-end

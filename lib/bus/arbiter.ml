@@ -251,27 +251,16 @@ let do_grant t ~now i =
   t.queued <- t.queued - 1;
   t.last_granted <- sl.s_src;
   t.last_slot <- i;
-  let granted_at = now in
-  let data_done = granted_at + t.p.Params.addr_phase + r.beats in
-  t.free_at <- data_done;
-  t.beats <- t.beats + r.beats;
-  let mem_latency =
-    if r.is_read then t.p.Params.read_latency else t.p.Params.write_latency
+  let g =
+    Fabric.resolve t.p ~obs:t.obs ~faults:t.faults ~src:sl.s_src ~at:r.at
+      ~granted_at:now ~beats:r.beats ~is_read:r.is_read
+      ~extra_latency:r.extra_latency
   in
-  let stall = Fault.Injector.bus_stall t.faults in
-  let errored = Fault.Injector.bus_error t.faults in
-  let completed = data_done + mem_latency + r.extra_latency + stall in
-  if Obs.Trace.enabled t.obs then begin
-    Obs.Trace.emit_at t.obs ~cycle:granted_at
-      (Obs.Event.Bus_grant
-         { source = sl.s_src; beats = r.beats; read = r.is_read; at = r.at;
-           granted_at; data_done; completed });
-    Obs.Trace.emit_at t.obs ~cycle:data_done
-      (Obs.Event.Bus_beat { source = sl.s_src; beats = r.beats })
-  end;
+  t.free_at <- g.Fabric.data_done;
+  t.beats <- t.beats + r.beats;
   if t.queued > 0 then
-    schedule_arbitration t ~cycle:(rearm_after t ~data_done);
-  r.on_grant { Fabric.granted_at; data_done; completed; errored }
+    schedule_arbitration t ~cycle:(rearm_after t ~data_done:g.Fabric.data_done);
+  r.on_grant g
 
 let arbitrate t () =
   (* Entry bookkeeping: this event is no longer live; free its arm slot. *)

@@ -16,9 +16,10 @@
     {!Ccsim.Sched.rank_arbitrate}, after every same-cycle request
     submission, so the winner never depends on heap insertion order.
 
-    Timing, fault injection and observability match {!Fabric.request}
-    beat-for-beat: with a single source the arbiter grants exactly the
-    schedule the legacy fabric would (the differential tests rely on it). *)
+    Timing, fault injection and observability are {!Fabric.resolve}'s, the
+    same grant formula {!Fabric.request} applies: with a single source the
+    arbiter grants exactly the schedule the legacy fabric would (the
+    differential tests rely on it). *)
 
 type t
 

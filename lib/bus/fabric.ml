@@ -18,26 +18,35 @@ let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) p =
 
 let params t = t.p
 
-let request ?(src = -1) t ~at ~beats ~is_read ~extra_latency =
-  assert (beats > 0 && at >= 0);
-  let granted_at = max at t.free_at in
-  let data_done = granted_at + t.p.Params.addr_phase + beats in
-  t.free_at <- data_done;
-  t.beats <- t.beats + beats;
-  let mem_latency = if is_read then t.p.Params.read_latency else t.p.Params.write_latency in
-  (* Injected faults: a stall delays the response by extra cycles; an error
-     response completes on time but carries no valid data, so the requester
-     must re-issue. *)
-  let stall = Fault.Injector.bus_stall t.faults in
-  let errored = Fault.Injector.bus_error t.faults in
+(* The one grant formula: the burst holds the data bus for the address phase
+   plus its beats; a read waits the memory latency on top and a posted
+   write the write-acknowledge latency.  Injected faults: a stall delays the
+   response by extra cycles; an error response completes on time but carries
+   no valid data, so the requester must re-issue.  The stall is drawn before
+   the error. *)
+let resolve p ~obs ~faults ~src ~at ~granted_at ~beats ~is_read ~extra_latency =
+  let data_done = granted_at + p.Params.addr_phase + beats in
+  let mem_latency = if is_read then p.Params.read_latency else p.Params.write_latency in
+  let stall = Fault.Injector.bus_stall faults in
+  let errored = Fault.Injector.bus_error faults in
   let completed = data_done + mem_latency + extra_latency + stall in
-  if Obs.Trace.enabled t.obs then begin
-    Obs.Trace.emit_at t.obs ~cycle:granted_at
+  if Obs.Trace.enabled obs then begin
+    Obs.Trace.emit_at obs ~cycle:granted_at
       (Obs.Event.Bus_grant
          { source = src; beats; read = is_read; at; granted_at; data_done; completed });
-    Obs.Trace.emit_at t.obs ~cycle:data_done (Obs.Event.Bus_beat { source = src; beats })
+    Obs.Trace.emit_at obs ~cycle:data_done (Obs.Event.Bus_beat { source = src; beats })
   end;
   { granted_at; data_done; completed; errored }
+
+let request ?(src = -1) t ~at ~beats ~is_read ~extra_latency =
+  assert (beats > 0 && at >= 0);
+  let g =
+    resolve t.p ~obs:t.obs ~faults:t.faults ~src ~at ~granted_at:(max at t.free_at)
+      ~beats ~is_read ~extra_latency
+  in
+  t.free_at <- g.data_done;
+  t.beats <- t.beats + beats;
+  g
 
 let busy_until t = t.free_at
 let total_beats t = t.beats

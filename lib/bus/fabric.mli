@@ -29,6 +29,24 @@ val create : ?obs:Obs.Trace.t -> ?faults:Fault.Injector.t -> Params.t -> t
 
 val params : t -> Params.t
 
+val resolve :
+  Params.t ->
+  obs:Obs.Trace.t ->
+  faults:Fault.Injector.t ->
+  src:int ->
+  at:int ->
+  granted_at:int ->
+  beats:int ->
+  is_read:bool ->
+  extra_latency:int ->
+  grant
+(** The one grant formula, shared by {!request} and {!Arbiter}: the timing of
+    a transaction that became ready at [at] and won arbitration at
+    [granted_at].  Draws the injected stall, then the injected error, from
+    [faults], and emits the [Bus_grant]/[Bus_beat] events to [obs].  The
+    caller owns the bus latch: it must hold the data bus until the grant's
+    [data_done]. *)
+
 val request :
   ?src:int -> t -> at:int -> beats:int -> is_read:bool -> extra_latency:int -> grant
 (** [request t ~at ~beats ~is_read ~extra_latency] submits a transaction that
@@ -45,16 +63,16 @@ val quiescent : t -> bool
 (** True when every future {!request} is a pure function of its arguments and
     the [free_at] latch: the fault injector is inert (no stalls, no errors,
     no RNG draws) and bus tracing is disabled (no per-grant events to emit).
-    This is the license for compiled replay to fast-forward through a whole
-    transaction stretch with {!fast_forward} instead of issuing each
+    This is the license for replay's leap tables to fast-forward through a
+    whole transaction stretch with {!fast_forward} instead of issuing each
     request. *)
 
 val fast_forward : t -> busy_until:int -> beats:int -> unit
 (** Account for a stretch of transactions without issuing them: advance the
     grant latch to at least [busy_until] and add [beats] to the bandwidth
-    counter.  Only sound on a {!quiescent} fabric — the caller (compiled
-    replay) must have precomputed the stretch under the same pure grant
-    formulas {!request} would apply. *)
+    counter.  Only sound on a {!quiescent} fabric — the caller (replay's
+    leap tables) must have computed the stretch by issuing it through
+    {!request} on an equally pure fabric. *)
 
 val total_beats : t -> int
 (** Beats transferred so far (bandwidth accounting for the power model). *)

@@ -29,10 +29,17 @@ let kind_to_string = function
   | Crossbar { banks } -> Printf.sprintf "crossbar:%d" banks
   | Hierarchical { clusters } -> Printf.sprintf "hier:%d" clusters
 
+let is_digit c = c >= '0' && c <= '9'
+
 let kind_of_string s =
   let param ~what ~default rest =
     match rest with
     | None -> Ok default
+    | Some n when n = "" || not (String.for_all is_digit n) ->
+        (* [int_of_string_opt] would also take 0x10, 0b11, +4 or 4_0. *)
+        Error
+          (Printf.sprintf "%s wants a count in 1-%d in decimal digits, got %S"
+             what max_count n)
     | Some n -> (
         match int_of_string_opt n with
         | Some v when v > 0 && v <= max_count -> Ok v

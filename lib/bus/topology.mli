@@ -43,8 +43,10 @@ val kind_to_string : kind -> string
 
 val kind_of_string : string -> (kind, string) result
 (** Accepts [shared], [crossbar], [xbar], [hier], [hierarchical], optionally
-    suffixed [:<n>] for the bank/cluster count, [1 <= n <= ]{!max_count}.
-    Any other count is an [Error] that names the limit. *)
+    suffixed [:<n>] for the bank/cluster count: decimal digits only, with
+    [1 <= n <= ]{!max_count}.  Any other count is an [Error] that names
+    the limit, and one in a form other than decimal digits ([0x10], [+4],
+    [4_0], ...) an [Error] that also names that form.  Never raises. *)
 
 type t
 

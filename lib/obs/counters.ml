@@ -1,6 +1,6 @@
 (* Process-global fast-path visibility counters.
 
-   The compiled-replay and proof-driven fast paths are, by construction,
+   The replay leap and proof-driven fast paths are, by construction,
    invisible in every simulated number — these counters are the only place
    the skips show up.  They are plain telemetry: nothing in the simulator
    reads them back, so bumping them can never perturb a result.  Atomics,
@@ -11,7 +11,7 @@ type t = { name : string; cell : int Atomic.t }
 let make name = { name; cell = Atomic.make 0 }
 
 let segments_replayed = make "segments_replayed"
-(* compiled trace segments fast-forwarded through the fabric in one jump *)
+(* trace tails fast-forwarded through the fabric in one leap *)
 
 let accesses_fast_pathed = make "accesses_fast_pathed"
 (* adjudications skipped because the task was statically proven in bounds

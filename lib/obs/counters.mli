@@ -1,6 +1,6 @@
 (** Process-global fast-path visibility counters.
 
-    The compiled-replay and proof-driven fast paths are, by construction,
+    The replay leap and proof-driven fast paths are, by construction,
     invisible in every simulated number; these counters are the only place
     the skips show up (surfaced by [capsim bench] and the differential test
     suite).  Pure telemetry — nothing in the simulator reads them back, so
@@ -10,7 +10,7 @@
 type t
 
 val segments_replayed : t
-(** Compiled trace segments fast-forwarded through the fabric in one jump. *)
+(** Trace tails fast-forwarded through the fabric in one leap. *)
 
 val accesses_fast_pathed : t
 (** Adjudications skipped because the task was statically proven in bounds

@@ -445,37 +445,26 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
               (g, o, verified sys g lead o.Accel.Engine.denied))
             groups
         in
+        (* A fast run computes leap tables once per group; the group's
+           streams share them. *)
         let replayed =
-          if fast then
-            (* Compile once per group; the group's streams share the
-               segments. *)
-            Accel.Replay.run_compiled sys.System.fabric ~start:replay_start
-              (List.concat_map
-                 (fun (g, (o : Accel.Engine.outcome), _) ->
-                   let ctrace =
-                     Accel.Trace.Compiled.compile ~bus:sys.System.bus
-                       ~max_outstanding:
-                         (max 1 g.g_design.Hls.Directives.d_max_outstanding)
-                       o.trace
-                   in
-                   List.map
-                     (fun (a : Driver.allocated) ->
-                       { Accel.Replay.cinstance = a.handle.Driver.task_id;
-                         ctrace })
-                     g.g_allocs)
-                 fed)
-          else
-            Accel.Replay.run sys.System.fabric ~start:replay_start
-              (List.concat_map
-                 (fun (g, (o : Accel.Engine.outcome), _) ->
-                   List.map
-                     (fun (a : Driver.allocated) ->
-                       { Accel.Replay.instance = a.handle.Driver.task_id;
-                         trace = o.trace;
-                         max_outstanding =
-                           g.g_design.Hls.Directives.d_max_outstanding })
-                     g.g_allocs)
-                 fed)
+          Accel.Replay.run sys.System.fabric ~start:replay_start
+            (List.concat_map
+               (fun (g, (o : Accel.Engine.outcome), _) ->
+                 let max_outstanding = g.g_design.Hls.Directives.d_max_outstanding in
+                 let leaps =
+                   if fast then
+                     Some
+                       (Accel.Replay.leap_tables sys.System.bus ~max_outstanding
+                          o.trace)
+                   else None
+                 in
+                 List.map
+                   (fun (a : Driver.allocated) ->
+                     { Accel.Replay.instance = a.handle.Driver.task_id;
+                       trace = o.trace; max_outstanding; leaps })
+                   g.g_allocs)
+               fed)
         in
         let per_group f =
           List.fold_left
@@ -648,7 +637,8 @@ let run_hetero_faulted sys ~benchmark ~area_luts ~policy ~engine
         in
         { Accel.Replay.instance = at.at_alloc.Driver.handle.Driver.task_id;
           trace = at.at_outcome.Accel.Engine.trace;
-          max_outstanding = design.Hls.Directives.d_max_outstanding })
+          max_outstanding = design.Hls.Directives.d_max_outstanding;
+          leaps = None })
       accel
   in
   let replay_start = Obs.Trace.now obs in

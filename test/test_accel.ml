@@ -9,60 +9,6 @@ let checkb = Alcotest.(check bool)
 let bus = Bus.Params.default
 let ap = bus.Bus.Params.addr_phase
 
-(* ---------------- trace / burst formation ---------------- *)
-
-let add t ?(gap = 0) ?(kind = Guard.Iface.Read) ?(dependent = false) ~addr ~size () =
-  Accel.Trace.add_access t ~bus ~max_burst:bus.Bus.Params.max_burst ~gap ~kind ~addr
-    ~size ~dependent ~latency:0
-
-let test_burst_merge_contiguous () =
-  let t = Accel.Trace.create () in
-  for j = 0 to 15 do
-    add t ~addr:(j * 8) ~size:8 ()
-  done;
-  checki "one 16-beat burst" 1 (Accel.Trace.length t);
-  checki "beats" 16 (Accel.Trace.total_beats t)
-
-let test_burst_respects_max () =
-  let t = Accel.Trace.create () in
-  for j = 0 to 31 do
-    add t ~addr:(j * 8) ~size:8 ()
-  done;
-  checki "split at max_burst" 2 (Accel.Trace.length t)
-
-let test_burst_small_elements_share_beats () =
-  let t = Accel.Trace.create () in
-  for j = 0 to 15 do
-    add t ~addr:(j * 4) ~size:4 ()
-  done;
-  (* 64 bytes on an 8-byte bus = 8 beats. *)
-  checki "one burst" 1 (Accel.Trace.length t);
-  checki "beats from bytes" 8 (Accel.Trace.total_beats t)
-
-let test_no_merge_on_gap () =
-  let t = Accel.Trace.create () in
-  add t ~addr:0 ~size:8 ();
-  add t ~gap:3 ~addr:8 ~size:8 ();
-  checki "gap breaks burst" 2 (Accel.Trace.length t)
-
-let test_no_merge_on_kind_change () =
-  let t = Accel.Trace.create () in
-  add t ~addr:0 ~size:8 ();
-  add t ~kind:Guard.Iface.Write ~addr:8 ~size:8 ();
-  checki "kind breaks burst" 2 (Accel.Trace.length t)
-
-let test_no_merge_noncontiguous () =
-  let t = Accel.Trace.create () in
-  add t ~addr:0 ~size:8 ();
-  add t ~addr:64 ~size:8 ();
-  checki "stride breaks burst" 2 (Accel.Trace.length t)
-
-let test_no_merge_dependent () =
-  let t = Accel.Trace.create () in
-  add t ~addr:0 ~size:8 ();
-  add t ~dependent:true ~addr:8 ~size:8 ();
-  checki "dependent load stands alone" 2 (Accel.Trace.length t)
-
 (* ---------------- engine ---------------- *)
 
 let make_env () =
@@ -90,6 +36,70 @@ let run_engine ?(guard = Guard.Iface.pass_through)
       params = [];
       obj_ids = List.mapi (fun obj (d : buf_decl) -> (d.buf_name, obj)) kernel.bufs;
     }
+
+(* ---------------- burst formation ---------------- *)
+
+(* The engine's one burst former, fed a hand-written access script (script
+   replay moves no data and consults [mem] only for bounds), so every gap,
+   offset and size is exact.  Returns the DMA trace it formed. *)
+let bursts accesses =
+  let k =
+    { name = "bursts"; bufs = [ buf "a" I64 512 ]; scratch = []; body = [] }
+  in
+  let mem, heap = make_env () in
+  let layout = layout_for heap k in
+  let r = Accel.Script.Recorder.create ~extents:[| 4096 |] in
+  List.iter
+    (fun (gap, kind, dependent, off, size) ->
+      Accel.Script.Recorder.access r ~gap ~kind ~buf:0 ~off ~size ~dependent
+        ~ops:0)
+    accesses;
+  match Accel.Script.Recorder.finalize r ~total_ops:0 ~complete:true with
+  | None -> Alcotest.fail "script did not record"
+  | Some script ->
+      (Accel.Engine.run ~mem ~bus ~directives:Hls.Directives.default
+         ~addressing:Accel.Engine.Plain ~naive_tag_writes:false
+         (Accel.Engine.Adj_live Guard.Iface.pass_through)
+         (Accel.Engine.Replay script)
+         { Accel.Engine.instance = 0; kernel = k; layout; params = [];
+           obj_ids = [ ("a", 0) ] })
+        .Accel.Engine.trace
+
+let acc ?(gap = 0) ?(kind = Guard.Iface.Read) ?(dependent = false) ~addr ~size () =
+  (gap, kind, dependent, addr, size)
+
+let test_burst_merge_contiguous () =
+  let t = bursts (List.init 16 (fun j -> acc ~addr:(j * 8) ~size:8 ())) in
+  checki "one 16-beat burst" 1 (Accel.Trace.length t);
+  checki "beats" 16 (Accel.Trace.total_beats t)
+
+let test_burst_respects_max () =
+  let t = bursts (List.init 32 (fun j -> acc ~addr:(j * 8) ~size:8 ())) in
+  checki "split at max_burst" 2 (Accel.Trace.length t)
+
+let test_burst_small_elements_share_beats () =
+  let t = bursts (List.init 16 (fun j -> acc ~addr:(j * 4) ~size:4 ())) in
+  (* 64 bytes on an 8-byte bus = 8 beats. *)
+  checki "one burst" 1 (Accel.Trace.length t);
+  checki "beats from bytes" 8 (Accel.Trace.total_beats t)
+
+let test_no_merge_on_gap () =
+  let t = bursts [ acc ~addr:0 ~size:8 (); acc ~gap:3 ~addr:8 ~size:8 () ] in
+  checki "gap breaks burst" 2 (Accel.Trace.length t)
+
+let test_no_merge_on_kind_change () =
+  let t =
+    bursts [ acc ~addr:0 ~size:8 (); acc ~kind:Guard.Iface.Write ~addr:8 ~size:8 () ]
+  in
+  checki "kind breaks burst" 2 (Accel.Trace.length t)
+
+let test_no_merge_noncontiguous () =
+  let t = bursts [ acc ~addr:0 ~size:8 (); acc ~addr:64 ~size:8 () ] in
+  checki "stride breaks burst" 2 (Accel.Trace.length t)
+
+let test_no_merge_dependent () =
+  let t = bursts [ acc ~addr:0 ~size:8 (); acc ~dependent:true ~addr:8 ~size:8 () ] in
+  checki "dependent load stands alone" 2 (Accel.Trace.length t)
 
 let scale_kernel =
   {
@@ -198,20 +208,25 @@ let test_engine_tag_discipline () =
 
 (* ---------------- replay ---------------- *)
 
+type ev = { gap : int; op : Accel.Trace.op; beats : int; latency : int }
+
 let trace_of_events events =
   let t = Accel.Trace.create () in
-  List.iter (Accel.Trace.add t) events
-  |> fun () -> t
+  List.iter
+    (fun e -> Accel.Trace.add t ~gap:e.gap ~op:e.op ~beats:e.beats ~latency:e.latency)
+    events;
+  t
 
 let ev ?(gap = 0) ?(kind = Guard.Iface.Read) ?(dependent = false) ?(latency = 0)
     beats =
-  { Accel.Trace.gap; kind; beats; dependent; latency }
+  { gap; op = Accel.Trace.op_of kind ~dependent; beats; latency }
 
 let replay streams =
   Accel.Replay.run (Bus.Fabric.create bus) ~start:0
     (List.mapi
        (fun idx (trace, outstanding) ->
-         { Accel.Replay.instance = idx; trace; max_outstanding = outstanding })
+         { Accel.Replay.instance = idx; trace; max_outstanding = outstanding;
+           leaps = None })
        streams)
 
 let test_replay_empty () =
@@ -276,43 +291,43 @@ let prop_replay_makespan_bounds =
     QCheck.(small_list (pair bool (int_range 1 4)))
     (fun spec ->
       let events = List.map (fun (dep, beats) -> ev ~dependent:dep beats) spec in
-      let total_beats = List.fold_left (fun a e -> a + e.Accel.Trace.beats) 0 events in
+      let total_beats = List.fold_left (fun a e -> a + e.beats) 0 events in
       let r = replay [ (trace_of_events events, 2) ] in
       r.Accel.Replay.makespan >= total_beats
       && r.Accel.Replay.bus_beats = total_beats)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_replay_makespan_bounds ]
 
-(* ---- get/iter vs the events snapshot ---- *)
+(* ---- per-index accessors and iter vs what was added ---- *)
+
+let fields t i =
+  { gap = Accel.Trace.gap t i; op = Accel.Trace.op t i;
+    beats = Accel.Trace.beats t i; latency = Accel.Trace.latency t i }
 
 let test_trace_access_parity () =
-  let evs = List.init 9 (fun i -> ev ~dependent:(i mod 3 = 0) (1 + (i mod 4))) in
+  (* Enough transactions to regrow the flat array several times. *)
+  let evs =
+    List.init 300 (fun i ->
+        ev ~gap:(i * 7) ~latency:(i mod 3)
+          ~kind:(if i mod 4 = 1 then Guard.Iface.Write else Guard.Iface.Read)
+          ~dependent:(i mod 3 = 0) (1 + (i mod 16)))
+  in
   let t = trace_of_events evs in
-  let snapshot = Accel.Trace.events t in
   checki "length" (List.length evs) (Accel.Trace.length t);
-  Array.iteri
-    (fun i e ->
-      Alcotest.(check bool) "get matches snapshot" true (Accel.Trace.get t i = e))
-    snapshot;
+  checkb "accessors match what was added" true
+    (List.for_all Fun.id (List.mapi (fun i e -> fields t i = e) evs));
+  checki "total beats"
+    (List.fold_left (fun a e -> a + e.beats) 0 evs)
+    (Accel.Trace.total_beats t);
   let collected = ref [] in
-  Accel.Trace.iter (fun e -> collected := e :: !collected) t;
-  Alcotest.(check bool) "iter matches snapshot in order" true
-    (List.rev !collected = Array.to_list snapshot);
-  Alcotest.(check bool) "get bounds checked" true
+  Accel.Trace.iter t (fun ~gap ~op ~beats ~latency ->
+      collected := { gap; op; beats; latency } :: !collected);
+  checkb "iter matches in order" true (List.rev !collected = evs);
+  checkb "accessors bounds checked" true
     (try
-       ignore (Accel.Trace.get t (Accel.Trace.length t));
+       ignore (Accel.Trace.gap t (Accel.Trace.length t));
        false
      with Invalid_argument _ -> true)
-
-let test_trace_snapshot_is_stable () =
-  (* [events] is a copy: growing the trace afterwards must not change it. *)
-  let t = trace_of_events [ ev 2; ev 3 ] in
-  let snapshot = Accel.Trace.events t in
-  Accel.Trace.add t (ev 4);
-  checki "snapshot keeps its length" 2 (Array.length snapshot);
-  checki "trace grew" 3 (Accel.Trace.length t);
-  Alcotest.(check bool) "new event visible via get" true
-    (Accel.Trace.get t 2 = ev 4)
 
 let suite =
   [
@@ -338,6 +353,5 @@ let suite =
     ("replay contention", `Quick, test_replay_contention);
     ("replay posted writes", `Quick, test_replay_posted_writes);
     ("trace get/iter parity", `Quick, test_trace_access_parity);
-    ("trace snapshot stable", `Quick, test_trace_snapshot_is_stable);
   ]
   @ qsuite

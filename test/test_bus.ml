@@ -428,15 +428,16 @@ let test_topology_kind_strings () =
     (match Topology.kind_of_string "crossbar:0" with
     | Error _ -> true
     | Ok _ -> false);
+  let mentions msg sub =
+    let n = String.length sub in
+    List.exists
+      (fun i -> String.sub msg i n = sub)
+      (List.init (String.length msg - n + 1) Fun.id)
+  in
   let rejected_naming_limit s =
     match Topology.kind_of_string s with
     | Ok _ -> false
-    | Error msg ->
-        let limit = string_of_int Topology.max_count in
-        let n = String.length limit in
-        List.exists
-          (fun i -> String.sub msg i n = limit)
-          (List.init (String.length msg - n + 1) Fun.id)
+    | Error msg -> mentions msg (string_of_int Topology.max_count)
   in
   checkb "the limit itself accepted" true
     (Topology.kind_of_string "hier:4096"
@@ -445,6 +446,14 @@ let test_topology_kind_strings () =
     (fun s -> checkb (s ^ " rejected, naming the limit") true (rejected_naming_limit s))
     [ "crossbar:4097"; "crossbar:100000000"; "crossbar:1000000000000";
       "hier:4097"; "hier:4611686018427387903"; "xbar:-1" ];
+  List.iter
+    (fun s ->
+      checkb (s ^ " rejected: not decimal digits") true
+        (match Topology.kind_of_string s with
+        | Error msg -> rejected_naming_limit s && mentions msg "decimal"
+        | Ok _ -> false))
+    [ "crossbar:0x10"; "xbar:0b11"; "crossbar:+4"; "crossbar:4_0"; "hier:0o7";
+      "hier:"; "crossbar: 4" ];
   List.iter
     (fun kind ->
       match
@@ -467,8 +476,43 @@ let test_coalescing_counter_moves () =
   checkb "contended run coalesces arbitration events" true
     (Obs.Counters.get Obs.Counters.events_coalesced > 0)
 
+(* Option parsers over arbitrary strings (printable, and shaped like a
+   topology with an arbitrary count): they never raise, an accepted topology
+   round-trips through its printed form, and a count that is not plain
+   decimal digits is refused. *)
+let prop_kind_strings_total =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ string_printable;
+          map2 (fun name n -> name ^ ":" ^ n)
+            (oneofl [ "shared"; "crossbar"; "xbar"; "hier"; "hierarchical" ])
+            (oneof
+               [ string_printable;
+                 map string_of_int int;
+                 (* decimal, and the other forms OCaml's parser takes *)
+                 map3
+                   (fun pre n post -> pre ^ string_of_int n ^ post)
+                   (oneofl [ ""; "+"; "0x"; "0b"; "0o"; "0u" ])
+                   small_nat
+                   (oneofl [ ""; "_"; "_0"; " " ]) ]) ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"topology/checking parsers are total"
+    (QCheck.make ~print:Fun.id gen) (fun s ->
+      ignore (Capchecker.Shim.checking_of_string s);
+      let decimal n = n <> "" && String.for_all (fun c -> c >= '0' && c <= '9') n in
+      match Topology.kind_of_string s with
+      | Error _ -> true
+      | Ok k -> (
+          Topology.kind_of_string (Topology.kind_to_string k) = Ok k
+          &&
+          match String.index_opt s ':' with
+          | None -> true
+          | Some i -> decimal (String.sub s (i + 1) (String.length s - i - 1))))
+
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest [ prop_fifo_monotonic; prop_beats_conserved ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_fifo_monotonic; prop_beats_conserved; prop_kind_strings_total ]
 
 let suite =
   [

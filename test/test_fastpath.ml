@@ -1,39 +1,44 @@
-(* The compiled-replay and proof-driven fast paths: every shortcut must be
-   invisible.  Compiled replay is pinned cycle-identical to the interpretive
-   scheduler (including under fault injection, where the RNG draw order must
-   line up request for request), and the soc-level fast paths are pinned
-   result-identical with fast-pathing on vs off. *)
+(* The leap tables and proof-driven fast paths: every shortcut must be
+   invisible.  The replay scheduler with leap tables is pinned
+   cycle-identical to the same scheduler without them (including under
+   fault injection, where the RNG draw order must line up request for
+   request), the event core's Flow to the replay scheduler on one stream,
+   and the soc-level fast paths result-identical with fast-pathing on vs
+   off. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let bus = Bus.Params.default
 
-(* ---------------- replay: compiled == interpretive ---------------- *)
+(* ---------------- replay: leap tables are invisible ---------------- *)
 
 (* Random traces exercise burst/gap/dependence mixes the kernels never emit;
-   the compiled scheduler must match the interpretive one on all of them. *)
+   the scheduler with leap tables must match the same scheduler without
+   them on all of them. *)
 
 let arb_event =
   QCheck.Gen.(
     let* gap = oneof [ return 0; int_bound 6; int_bound 60 ] in
     let* beats = int_range 1 (bus.Bus.Params.max_burst + 2) in
     let* k = int_bound 3 in
-    let kind, dependent =
+    let op =
       match k with
-      | 0 | 1 -> (Guard.Iface.Read, false)  (* bias toward streaming reads *)
-      | 2 -> (Guard.Iface.Read, true)
-      | _ -> (Guard.Iface.Write, false)
+      | 0 | 1 -> Accel.Trace.Stream_read  (* bias toward streaming reads *)
+      | 2 -> Accel.Trace.Dep_read
+      | _ -> Accel.Trace.Write
     in
     let* latency = int_bound 3 in
-    return { Accel.Trace.gap; kind; beats; dependent; latency })
+    return (gap, op, beats, latency))
 
 let arb_trace =
   QCheck.Gen.(
     let* n = int_bound 80 in
     let* evs = list_size (return n) arb_event in
     let t = Accel.Trace.create () in
-    List.iter (Accel.Trace.add t) evs;
+    List.iter
+      (fun (gap, op, beats, latency) -> Accel.Trace.add t ~gap ~op ~beats ~latency)
+      evs;
     return t)
 
 let arb_streams =
@@ -42,7 +47,7 @@ let arb_streams =
     list_size (return n_streams)
       (let* trace = arb_trace in
        let* max_outstanding = int_range 1 4 in
-       return { Accel.Replay.instance = 0; trace; max_outstanding }))
+       return { Accel.Replay.instance = 0; trace; max_outstanding; leaps = None }))
   |> QCheck.Gen.map
        (List.mapi (fun i s -> { s with Accel.Replay.instance = i }))
 
@@ -53,61 +58,84 @@ let result_eq (a : Accel.Replay.result) (b : Accel.Replay.result) =
   && a.Accel.Replay.bus_errors = b.Accel.Replay.bus_errors
   && a.Accel.Replay.failed = b.Accel.Replay.failed
 
-let compiled_of streams =
+let fabric ?faults () =
+  match faults with
+  | None -> Bus.Fabric.create bus
+  | Some plan -> Bus.Fabric.create ~faults:(Fault.Injector.create plan) bus
+
+let with_leaps streams =
   List.map
-    (fun s ->
-      { Accel.Replay.cinstance = s.Accel.Replay.instance;
-        ctrace =
-          Accel.Trace.Compiled.compile ~bus
-            ~max_outstanding:s.Accel.Replay.max_outstanding
-            s.Accel.Replay.trace })
+    (fun (s : Accel.Replay.stream) ->
+      { s with
+        Accel.Replay.leaps =
+          Some
+            (Accel.Replay.leap_tables bus ~max_outstanding:s.max_outstanding
+               s.trace) })
     streams
 
+(* The one scheduler without leap tables, then with them. *)
 let replay_both ?faults ~start streams =
-  let fabric () =
-    match faults with
-    | None -> Bus.Fabric.create bus
-    | Some plan -> Bus.Fabric.create ~faults:(Fault.Injector.create plan) bus
-  in
-  let interp = Accel.Replay.run (fabric ()) ~start streams in
-  let compiled =
-    Accel.Replay.run_compiled (fabric ()) ~start (compiled_of streams)
-  in
-  (interp, compiled)
+  ( Accel.Replay.run (fabric ?faults ()) ~start streams,
+    Accel.Replay.run (fabric ?faults ()) ~start (with_leaps streams) )
 
 let test_compiled_matches_interpretive () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:300 ~name:"compiled replay == interpretive"
+    (QCheck.Test.make ~count:300 ~name:"replay with leaps == without"
        (QCheck.make arb_streams) (fun streams ->
-         let interp, compiled = replay_both ~start:17 streams in
-         result_eq interp compiled))
+         let plain, leapt = replay_both ~start:17 streams in
+         result_eq plain leapt))
 
 let test_compiled_matches_under_faults () =
-  (* With faults active the fabric is not quiescent: no jumps, but the two
-     schedulers must still issue identical request sequences and therefore
-     consume identical RNG draws. *)
+  (* With faults active the fabric is not quiescent: no leaps, but the
+     tables must not perturb the request sequence and therefore the RNG
+     draws. *)
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:150 ~name:"compiled replay == interpretive (faults)"
+    (QCheck.Test.make ~count:150 ~name:"replay with leaps == without (faults)"
        (QCheck.make (QCheck.Gen.pair arb_streams (QCheck.Gen.int_bound 1000)))
        (fun (streams, seed) ->
          let faults = Fault.Plan.default ~seed in
-         let interp, compiled = replay_both ~faults ~start:3 streams in
-         result_eq interp compiled))
+         let plain, leapt = replay_both ~faults ~start:3 streams in
+         result_eq plain leapt))
 
 let test_solo_stream_jumps () =
-  (* A single stream on a fresh quiescent fabric replays in one jump from
-     index 0 — and still lands on the interpretive cycle counts. *)
+  (* A single stream on a fresh quiescent fabric replays in one leap from
+     index 0 — and still lands on the leap-free cycle counts. *)
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"solo compiled replay is one jump"
+    (QCheck.Test.make ~count:200 ~name:"solo replay is one leap"
        (QCheck.make arb_trace) (fun trace ->
          let streams =
-           [ { Accel.Replay.instance = 0; trace; max_outstanding = 2 } ]
+           [ { Accel.Replay.instance = 0; trace; max_outstanding = 2; leaps = None } ]
          in
          Obs.Counters.reset ();
-         let interp, compiled = replay_both ~start:5 streams in
-         result_eq interp compiled
+         let plain, leapt = replay_both ~start:5 streams in
+         result_eq plain leapt
          && (Accel.Trace.length trace = 0
             || Obs.Counters.get Obs.Counters.segments_replayed = 1)))
+
+(* One stream through the event core's Flow on a fresh [Shared] topology and
+   through the replay scheduler on a fresh fabric: the same Issue state
+   machine behind both, so the same cycles, beats, errors and failures —
+   with and without injected faults (one stream draws in the same order on
+   either path). *)
+let test_flow_matches_scheduler () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"flow == replay scheduler (one stream)"
+       (QCheck.make
+          QCheck.Gen.(
+            triple arb_trace (int_range 1 4) (opt (int_bound 1000))))
+       (fun (trace, max_outstanding, seed) ->
+         let faults = Option.map (fun seed -> Fault.Plan.default ~seed) seed in
+         let streams =
+           [ { Accel.Replay.instance = 0; trace; max_outstanding; leaps = None } ]
+         in
+         let sched = Ccsim.Sched.create () in
+         let ic =
+           Bus.Topology.create ?faults:(Option.map Fault.Injector.create faults)
+             ~sched ~kind:Bus.Topology.Shared bus
+         in
+         result_eq
+           (Accel.Replay.run_event ~sched ~ic ~start:11 streams)
+           (Accel.Replay.run (fabric ?faults ()) ~start:11 streams)))
 
 (* ---------------- soc: fast == interpretive ---------------- *)
 
@@ -391,6 +419,8 @@ let suite =
       test_compiled_matches_under_faults;
     Alcotest.test_case "solo stream fast-forwards in one jump" `Quick
       test_solo_stream_jumps;
+    Alcotest.test_case "flow == replay scheduler (one stream)" `Quick
+      test_flow_matches_scheduler;
     Alcotest.test_case "soc: fast == interpretive (legacy, all kernels)" `Quick
       test_soc_fast_matches_legacy;
     Alcotest.test_case "soc: fast == interpretive (cpu-only)" `Quick
