@@ -149,20 +149,17 @@ let adjudicate p ~buf ~off ~size ~kind =
           phys
       | Guard.Iface.Denied denial -> raise (Denied_access denial))
 
-(* One transaction to the timing sink. *)
-let emit p ~target ~gap ~op ~beats ~latency =
+(* One transaction to the timing sink, after which [then_wait] datapath
+   cycles pass before the next transaction issues.  On the event core the
+   flow does both in one suspension of the task's process. *)
+let emit p ~target ~gap ~op ~beats ~latency ~then_wait =
   match p.p_sink with
-  | Trace_sink (trace, _) -> Trace.add trace ~gap ~op ~beats ~latency
-  | Event_sink (flow, _, _) -> Flow.issue flow ~target ~gap ~op ~beats ~latency
+  | Trace_sink (trace, obs) ->
+      Trace.add trace ~gap ~op ~beats ~latency;
+      Obs.Trace.advance obs then_wait
+  | Event_sink (flow, _, _) ->
+      Flow.issue flow ~target ~gap ~op ~beats ~latency ~then_wait
   | Record_sink _ -> ()
-
-let flush p =
-  if p.b_live then begin
-    p.b_live <- false;
-    emit p ~target:p.b_target ~gap:p.b_gap ~op:p.b_op
-      ~beats:(Bus.Params.beats_for p.p_bus p.b_bytes)
-      ~latency:p.b_latency
-  end
 
 (* [gap] datapath cycles pass before the next transaction issues. *)
 let wait p gap =
@@ -170,6 +167,16 @@ let wait p gap =
   | Trace_sink (_, obs) -> Obs.Trace.advance obs gap
   | Event_sink (_, sched, _) -> Ccsim.Sched.wait sched gap
   | Record_sink _ -> ()
+
+(* Close the pending burst, then let [then_wait] cycles pass. *)
+let flush p ~then_wait =
+  if p.b_live then begin
+    p.b_live <- false;
+    emit p ~target:p.b_target ~gap:p.b_gap ~op:p.b_op
+      ~beats:(Bus.Params.beats_for p.p_bus p.b_bytes)
+      ~latency:p.b_latency ~then_wait
+  end
+  else wait p then_wait
 
 (* The bank a transaction starting at physical address [phys] goes to. *)
 let target p phys =
@@ -204,8 +211,7 @@ let access p ~gap ~kind ~buf ~off ~size ~dependent =
           phys
         end
         else begin
-          flush p;
-          wait p gap;
+          flush p ~then_wait:gap;
           let phys = adjudicate p ~buf ~off ~size ~kind in
           p.b_live <- true;
           p.b_gap <- gap;
@@ -233,9 +239,7 @@ let copy p ~gap ~bytes ~src ~dst =
   let bus = p.p_bus in
   (match p.p_sink with
   | Record_sink r -> Script.Recorder.copy r ~gap ~bytes ~src ~dst ~ops:p.p_ops
-  | Trace_sink _ | Event_sink _ ->
-      flush p;
-      wait p gap);
+  | Trace_sink _ | Event_sink _ -> flush p ~then_wait:gap);
   let src_phys = adjudicate p ~buf:src ~off:0 ~size:bytes ~kind:Guard.Iface.Read in
   let rd_latency = p.p_latency in
   let dst_phys = adjudicate p ~buf:dst ~off:0 ~size:bytes ~kind:Guard.Iface.Write in
@@ -249,9 +253,9 @@ let copy p ~gap ~bytes ~src ~dst =
     let beats = min !beats_left bus.Bus.Params.max_burst in
     beats_left := !beats_left - beats;
     emit p ~target:(target p (src_phys + !off)) ~gap:!gap ~op:Trace.Stream_read
-      ~beats ~latency:rd_latency;
+      ~beats ~latency:rd_latency ~then_wait:0;
     emit p ~target:(target p (dst_phys + !off)) ~gap:0 ~op:Trace.Write ~beats
-      ~latency:wr_latency;
+      ~latency:wr_latency ~then_wait:0;
     gap := 0;
     off := !off + (beats * bus.Bus.Params.beat_bytes)
   done;
@@ -380,7 +384,7 @@ let run ?(obs = Obs.Trace.null) ~mem ~bus ~directives ~addressing
   let denied = feed p source ~mem ~directives ~naive_tag_writes task in
   (* A denial truncates the stream, but the burst already formed before the
      denied access still transfers. *)
-  flush p;
+  flush p ~then_wait:0;
   retire p ~obs task;
   { trace; denied; checks = p.p_checks; elided = p.p_elided;
     reads = p.p_reads; writes = p.p_writes; ops = p.p_ops }
@@ -420,7 +424,7 @@ let run_event ?(obs = Obs.Trace.null) ?error_retry_limit ~sched ~ic ~start ~mem
       let denied =
         match feed p source ~mem ~directives ~naive_tag_writes task with
         | denied ->
-            (try flush p with Flow.Failed -> ());
+            (try flush p ~then_wait:0 with Flow.Failed -> ());
             denied
         | exception Flow.Failed -> None
       in

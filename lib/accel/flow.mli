@@ -23,11 +23,20 @@ val create : sched:Ccsim.Sched.t -> ic:Bus.Topology.t -> src:int -> Issue.t -> t
     errors and failure from it. *)
 
 val issue :
-  t -> target:int -> gap:int -> op:Trace.op -> beats:int -> latency:int -> unit
+  t -> target:int -> gap:int -> op:Trace.op -> beats:int -> latency:int ->
+  then_wait:int -> unit
 (** Submit one transaction, suspending the calling process until the
-    instance may proceed under {!Issue}'s rule; injected error responses are
-    re-issued from the grant callback and raise {!Failed} once the budget is
-    spent.  [target] selects the bank on a crossbar topology.  The flow
-    keeps the transaction in its own mutable fields and reuses one
-    preallocated grant callback, so an issue allocates nothing beyond the
-    scheduler's own suspension. *)
+    instance may proceed under {!Issue}'s rule and [then_wait] further
+    cycles have passed: the datapath's own wait before its next
+    transaction, which [Sched.wait] would otherwise spend in a second
+    suspension.  That wait is scheduled from the post-grant event at the
+    instant the process would have scheduled it, so every event keeps its
+    cycle, rank and sequence number.  Injected error responses are
+    re-issued from the grant callback and raise {!Failed}, without the
+    wait, once the budget is spent.  [target] selects the bank on a
+    crossbar topology.
+
+    The flow keeps the transaction in its own mutable fields and reuses
+    one preallocated grant callback and post-grant event, so a transaction
+    costs one effect suspension and allocates only the scheduler's events
+    and the runtime's continuation. *)

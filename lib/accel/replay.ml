@@ -171,7 +171,7 @@ let run_event ?error_retry_limit ~sched ~ic ~start streams =
         Ccsim.Sched.spawn sched ~at:start (fun () ->
             try
               Trace.iter s.trace (fun ~gap ~op ~beats ~latency ->
-                  Flow.issue flow ~target ~gap ~op ~beats ~latency)
+                  Flow.issue flow ~target ~gap ~op ~beats ~latency ~then_wait:0)
             with Flow.Failed -> ());
         (s.instance, issue))
       streams

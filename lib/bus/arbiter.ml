@@ -1,21 +1,17 @@
-type req = {
-  at : int;
-  beats : int;
-  is_read : bool;
-  extra_latency : int;
-  on_grant : Fabric.grant -> unit;
-}
-
-(* Sources live in a doubly-linked ring over a dense slot array, kept in
-   first-request order, so registration, unregistration and the grant scan
-   are allocation-free and O(1) amortized (the old list rotation was O(K²)
-   to register and allocated a K-cell scan list per arbitration). *)
+(* Sources live in a dense slot array in first-request order, which is also
+   the rotation: the scan after slot [i] continues at [i + 1], wrapping.
+   Each slot queues its requests in a ring over parallel arrays, so a
+   request allocates nothing once the ring has grown to the source's
+   outstanding depth. *)
 type slot = {
-  mutable s_src : int;
-  s_q : req Queue.t;
-  mutable s_prev : int;
-  mutable s_next : int;
-  mutable s_active : bool;
+  s_src : int;
+  mutable q_at : int array;  (* capacity: a power of two *)
+  mutable q_beats : int array;
+  mutable q_extra : int array;
+  mutable q_read : bool array;
+  mutable q_grant : (Fabric.grant -> unit) array;
+  mutable q_head : int;  (* ring index of the oldest request *)
+  mutable q_len : int;
 }
 
 type t = {
@@ -23,15 +19,12 @@ type t = {
   p : Params.t;
   obs : Obs.Trace.t;
   faults : Fault.Injector.t;
+  uplink : uplink option;
+  return_latency : int;
   mutable slots : slot array;
-  mutable n_slots : int;  (* slots ever allocated (dense prefix) *)
-  mutable free_slots : int list;  (* recycled after unregister *)
+  mutable n_slots : int;
   mutable index : int array;  (* src -> slot ([no_slot] if none), grown on demand *)
-  mutable head : int;  (* first active slot in rotation order, -1 if none *)
-  mutable tail : int;
-  mutable active : int;
-  mutable last_granted : int;  (* source id, -1 before any grant *)
-  mutable last_slot : int;  (* slot hint for [last_granted], may be stale *)
+  mutable last_slot : int;  (* slot of the last winner, [no_slot] before any grant *)
   mutable free_at : int;
   mutable beats : int;
   mutable queued : int;
@@ -40,163 +33,112 @@ type t = {
      [schedule_arbitration] for the covering argument. *)
   mutable armed : int;
   mutable entry : unit -> unit;  (* preallocated arbitrate closure *)
+  grant : Fabric.grant;  (* the record every grant callback receives *)
 }
 
+and uplink = { root : t; as_src : int; hop : int }
+
 let no_slot = -1
+let ring_capacity = 4
+
+let no_source =
+  { s_src = -1; q_at = [||]; q_beats = [||]; q_extra = [||]; q_read = [||];
+    q_grant = [||]; q_head = 0; q_len = 0 }
 
 let params t = t.p
 let busy_until t = t.free_at
 let total_beats t = t.beats
 let queued t = t.queued
 
-let slot_alloc t =
-  match t.free_slots with
-  | i :: rest ->
-      t.free_slots <- rest;
-      i
-  | [] ->
-      let i = t.n_slots in
-      if i = Array.length t.slots then begin
-        let cap = max 8 (2 * i) in
-        let fresh =
-          Array.init cap (fun j ->
-              if j < i then t.slots.(j)
-              else
-                { s_src = -1; s_q = Queue.create (); s_prev = no_slot;
-                  s_next = no_slot; s_active = false })
-        in
-        t.slots <- fresh
-      end;
-      t.n_slots <- i + 1;
-      i
-
 (* Source ids (instance ids and cluster numbers) index an array directly, so
    the per-request slot lookup hashes nothing. *)
 let find_slot t src =
-  if src >= 0 && src < Array.length t.index then t.index.(src) else no_slot
+  if src < Array.length t.index then t.index.(src) else no_slot
 
 let set_slot t src i =
   let n = Array.length t.index in
   if src >= n then begin
-    let grown = Array.make (max (2 * n) (src + 1)) no_slot in
+    let grown = Array.make (Int.max (2 * n) (src + 1)) no_slot in
     Array.blit t.index 0 grown 0 n;
     t.index <- grown
   end;
   t.index.(src) <- i
 
-(* Register [src] at the rotation tail (first-request order; a re-registered
-   source re-appends, exactly as the old [rotation @ [src]] did). *)
+(* Register [src] at the rotation tail (first-request order). *)
 let slot_of t src =
   match find_slot t src with
   | -1 ->
-      let i = slot_alloc t in
-      let sl = t.slots.(i) in
-      sl.s_src <- src;
-      sl.s_prev <- t.tail;
-      sl.s_next <- no_slot;
-      sl.s_active <- true;
-      if t.tail = no_slot then t.head <- i else t.slots.(t.tail).s_next <- i;
-      t.tail <- i;
-      t.active <- t.active + 1;
+      let i = t.n_slots in
+      if i = Array.length t.slots then begin
+        let grown = Array.make (Int.max 8 (2 * i)) no_source in
+        Array.blit t.slots 0 grown 0 i;
+        t.slots <- grown
+      end;
+      t.slots.(i) <-
+        { s_src = src;
+          q_at = Array.make ring_capacity 0;
+          q_beats = Array.make ring_capacity 0;
+          q_extra = Array.make ring_capacity 0;
+          q_read = Array.make ring_capacity false;
+          q_grant = Array.make ring_capacity ignore;
+          q_head = 0; q_len = 0 };
+      t.n_slots <- i + 1;
       set_slot t src i;
       i
   | i -> i
 
-let unregister t ~src =
-  match find_slot t src with
-  | -1 -> false
-  | i ->
-      let sl = t.slots.(i) in
-      if not (Queue.is_empty sl.s_q) then false
-      else begin
-        set_slot t src no_slot;
-        if sl.s_prev = no_slot then t.head <- sl.s_next
-        else t.slots.(sl.s_prev).s_next <- sl.s_next;
-        if sl.s_next = no_slot then t.tail <- sl.s_prev
-        else t.slots.(sl.s_next).s_prev <- sl.s_prev;
-        sl.s_active <- false;
-        sl.s_src <- -1;
-        t.active <- t.active - 1;
-        t.free_slots <- i :: t.free_slots;
-        true
-      end
-
-let sources t =
-  let rec go acc i =
-    if i = no_slot then List.rev acc else go (t.slots.(i).s_src :: acc) (t.slots.(i).s_next)
+(* Double a full ring, unwrapping it so the oldest request lands at 0. *)
+let grow sl =
+  let cap = Array.length sl.q_at in
+  let unwrap a fill =
+    let b = Array.make (2 * cap) fill in
+    let first = cap - sl.q_head in
+    Array.blit a sl.q_head b 0 first;
+    Array.blit a 0 b first sl.q_head;
+    b
   in
-  go [] t.head
+  sl.q_at <- unwrap sl.q_at 0;
+  sl.q_beats <- unwrap sl.q_beats 0;
+  sl.q_extra <- unwrap sl.q_extra 0;
+  sl.q_read <- unwrap sl.q_read false;
+  sl.q_grant <- unwrap sl.q_grant ignore;
+  sl.q_head <- 0
+
+let head_arrival sl = sl.q_at.(sl.q_head)
+
+let next_slot t i = if i + 1 = t.n_slots then 0 else i + 1
 
 (* Slot the grant scan starts from: just after the last winner, wrapping;
-   the rotation head when no grant happened yet or the last winner has been
-   unregistered since. *)
-let scan_start t =
-  if t.last_granted = -1 then t.head
-  else begin
-    let i = t.last_slot in
-    let i =
-      if i >= 0 && i < t.n_slots && t.slots.(i).s_active
-         && t.slots.(i).s_src = t.last_granted
-      then i
-      else
-        match find_slot t t.last_granted with
-        | -1 -> no_slot
-        | j ->
-            t.last_slot <- j;
-            j
-    in
-    if i = no_slot then t.head
-    else
-      let n = t.slots.(i).s_next in
-      if n = no_slot then t.head else n
-  end
+   slot 0 when no grant happened yet. *)
+let scan_start t = if t.last_slot = no_slot then 0 else next_slot t t.last_slot
+
+let sources t = List.init t.n_slots (fun i -> t.slots.(i).s_src)
 
 let scan_order t =
   let start = scan_start t in
-  if start = no_slot then []
-  else begin
-    let rec go acc i remaining =
-      if remaining = 0 then List.rev acc
-      else
-        let sl = t.slots.(i) in
-        let n = if sl.s_next = no_slot then t.head else sl.s_next in
-        go (sl.s_src :: acc) n (remaining - 1)
-    in
-    go [] start t.active
-  end
+  List.init t.n_slots (fun k -> t.slots.((start + k) mod t.n_slots).s_src)
 
-(* Winning slot at [now]: first source in scan order whose head request has
-   arrived.  Allocation-free. *)
-let find_winner t ~now =
-  let start = scan_start t in
-  if start = no_slot then no_slot
-  else begin
-    let rec go i remaining =
-      if remaining = 0 then no_slot
-      else
-        let sl = t.slots.(i) in
-        if (not (Queue.is_empty sl.s_q)) && (Queue.peek sl.s_q).at <= now then i
-        else
-          let n = if sl.s_next = no_slot then t.head else sl.s_next in
-          go n (remaining - 1)
-    in
-    go start t.active
-  end
+(* The scans below are top-level loops over the rotation, so arbitration
+   allocates nothing. *)
 
-let min_head_arrival t =
-  let rec go acc i =
-    if i = no_slot then acc
-    else
-      let sl = t.slots.(i) in
-      let acc =
-        if Queue.is_empty sl.s_q then acc
-        else
-          let a = (Queue.peek sl.s_q).at in
-          match acc with None -> Some a | Some b -> Some (min a b)
-      in
-      go acc sl.s_next
-  in
-  go None t.head
+(* First slot in scan order from [i] whose head request has arrived by
+   [now]. *)
+let rec find_from t ~now i remaining =
+  if remaining = 0 then no_slot
+  else
+    let sl = t.slots.(i) in
+    if sl.q_len > 0 && head_arrival sl <= now then i
+    else find_from t ~now (next_slot t i) (remaining - 1)
+
+let find_winner t ~now = find_from t ~now (scan_start t) t.n_slots
+
+(* Earliest head arrival over every slot from [i] on, [max_int] if none. *)
+let rec min_head_arrival t best i =
+  if i = t.n_slots then best
+  else
+    let sl = t.slots.(i) in
+    let best = if sl.q_len > 0 then Int.min best (head_arrival sl) else best in
+    min_head_arrival t best (i + 1)
 
 (* ---- event scheduling with chained coalescing ----
 
@@ -229,38 +171,61 @@ let schedule_arbitration t ~cycle =
    arrival.  Walks the rotation from the post-winner scan position so the
    early exit hits the next grant's candidate first — in sustained
    contention the walk is O(1). *)
-let rearm_after t ~data_done =
-  let start = scan_start t in
-  let rec go best i remaining =
-    if remaining = 0 then best
+let rec rearm_from t ~data_done best i remaining =
+  if remaining = 0 then best
+  else
+    let sl = t.slots.(i) in
+    if sl.q_len = 0 then rearm_from t ~data_done best (next_slot t i) (remaining - 1)
     else
-      let sl = t.slots.(i) in
-      let next = if sl.s_next = no_slot then t.head else sl.s_next in
-      if Queue.is_empty sl.s_q then go best next (remaining - 1)
-      else
-        let a = (Queue.peek sl.s_q).at in
-        if a <= data_done then data_done
-        else go (min best a) next (remaining - 1)
-  in
-  if start = no_slot then data_done else go max_int start t.active
+      let a = head_arrival sl in
+      if a <= data_done then data_done
+      else rearm_from t ~data_done (Int.min best a) (next_slot t i) (remaining - 1)
 
-(* One grant: the winning burst holds the bus until [data_done]. *)
+let rearm_after t ~data_done =
+  rearm_from t ~data_done max_int (scan_start t) t.n_slots
+
+let request t ~src ~at ~beats ~is_read ~extra_latency ~on_grant =
+  if beats <= 0 then invalid_arg "Arbiter.request: beats must be positive";
+  if src < 0 then invalid_arg "Arbiter.request: negative source id";
+  let at = Int.max at (Ccsim.Sched.now t.sched) in
+  let sl = t.slots.(slot_of t src) in
+  if sl.q_len = Array.length sl.q_at then grow sl;
+  let i = (sl.q_head + sl.q_len) land (Array.length sl.q_at - 1) in
+  sl.q_at.(i) <- at;
+  sl.q_beats.(i) <- beats;
+  sl.q_extra.(i) <- extra_latency;
+  sl.q_read.(i) <- is_read;
+  sl.q_grant.(i) <- on_grant;
+  sl.q_len <- sl.q_len + 1;
+  t.queued <- t.queued + 1;
+  schedule_arbitration t ~cycle:(Int.max at t.free_at)
+
+(* One grant: the winning burst holds the bus until [data_done].  A local
+   arbiter hands the burst on to its root; otherwise the requester gets the
+   arbiter's one grant record, valid until its callback returns. *)
 let do_grant t ~now i =
   let sl = t.slots.(i) in
-  let r = Queue.pop sl.s_q in
+  let h = sl.q_head in
+  let at = sl.q_at.(h) and beats = sl.q_beats.(h) and is_read = sl.q_read.(h)
+  and extra_latency = sl.q_extra.(h) and on_grant = sl.q_grant.(h) in
+  sl.q_head <- (h + 1) land (Array.length sl.q_at - 1);
+  sl.q_len <- sl.q_len - 1;
   t.queued <- t.queued - 1;
-  t.last_granted <- sl.s_src;
   t.last_slot <- i;
-  let g =
-    Fabric.resolve t.p ~obs:t.obs ~faults:t.faults ~src:sl.s_src ~at:r.at
-      ~granted_at:now ~beats:r.beats ~is_read:r.is_read
-      ~extra_latency:r.extra_latency
-  in
+  let g = t.grant in
+  Fabric.resolve t.p ~obs:t.obs ~faults:t.faults ~src:sl.s_src ~at
+    ~granted_at:now ~beats ~is_read ~extra_latency g;
   t.free_at <- g.Fabric.data_done;
-  t.beats <- t.beats + r.beats;
+  t.beats <- t.beats + beats;
   if t.queued > 0 then
     schedule_arbitration t ~cycle:(rearm_after t ~data_done:g.Fabric.data_done);
-  r.on_grant g
+  match t.uplink with
+  | Some u ->
+      request u.root ~src:u.as_src ~at:(g.Fabric.granted_at + u.hop) ~beats
+        ~is_read ~extra_latency ~on_grant
+  | None ->
+      g.Fabric.completed <- g.Fabric.completed + t.return_latency;
+      on_grant g
 
 let arbitrate t () =
   (* Entry bookkeeping: this event is no longer live; free its arm slot. *)
@@ -268,12 +233,11 @@ let arbitrate t () =
   if t.armed = now then t.armed <- min_int;
   if t.free_at <= now then begin
     match find_winner t ~now with
-    | -1 -> (
+    | -1 ->
         (* Bus idle but every queued request arrives later: re-arm at the
            earliest arrival.  (A grant while we slept re-arms on its own.) *)
-        match min_head_arrival t with
-        | Some a when a > now -> schedule_arbitration t ~cycle:a
-        | Some _ | None -> ())
+        let a = min_head_arrival t max_int 0 in
+        if a < max_int && a > now then schedule_arbitration t ~cycle:a
     | i -> do_grant t ~now i
   end
   else begin
@@ -282,37 +246,24 @@ let arbitrate t () =
     if t.queued > 0 then schedule_arbitration t ~cycle:t.free_at
   end
 
-let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) ~sched p =
+let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) ?uplink
+    ?(return_latency = 0) ~sched p =
   let t =
     {
-      sched; p; obs; faults;
+      sched; p; obs; faults; uplink; return_latency;
       slots = [||];
       n_slots = 0;
-      free_slots = [];
       index = [||];
-      head = no_slot;
-      tail = no_slot;
-      active = 0;
-      last_granted = -1;
       last_slot = no_slot;
       free_at = 0;
       beats = 0;
       queued = 0;
       armed = min_int;
       entry = ignore;
+      grant = Fabric.grant ();
     }
   in
   (* One arbitrate closure for the arbiter's whole life: scheduling used to
      allocate a fresh partial application per event. *)
   t.entry <- arbitrate t;
   t
-
-let request t ~src ~at ~beats ~is_read ~extra_latency ~on_grant =
-  if beats <= 0 then invalid_arg "Arbiter.request: beats must be positive";
-  if src < 0 then invalid_arg "Arbiter.request: negative source id";
-  let now = Ccsim.Sched.now t.sched in
-  let at = max at now in
-  Queue.push { at; beats; is_read; extra_latency; on_grant }
-    (t.slots.(slot_of t src)).s_q;
-  t.queued <- t.queued + 1;
-  schedule_arbitration t ~cycle:(max at t.free_at)

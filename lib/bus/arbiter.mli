@@ -23,9 +23,23 @@
 
 type t
 
+type uplink = {
+  root : t;    (** the arbiter a local grant hands its burst on to *)
+  as_src : int;  (** the source id the burst competes under at [root] *)
+  hop : int;   (** cycles from the local grant to arrival at [root] *)
+}
+(** A local arbiter of a two-level interconnect: see {!create}. *)
+
 val create :
-  ?obs:Obs.Trace.t -> ?faults:Fault.Injector.t -> sched:Ccsim.Sched.t ->
-  Params.t -> t
+  ?obs:Obs.Trace.t -> ?faults:Fault.Injector.t -> ?uplink:uplink ->
+  ?return_latency:int -> sched:Ccsim.Sched.t -> Params.t -> t
+(** With [uplink], a grant is not delivered: the arbiter re-requests the
+    burst at [uplink.root] as source [uplink.as_src], [uplink.hop] cycles
+    after its local grant, with the original callback, beats, direction and
+    extra latency, so the requester hears only from the root.
+    [return_latency] (default 0) is added to [completed] of every grant
+    this arbiter delivers, after [obs] has seen the grant: the response's
+    hop back to the requester. *)
 
 val params : t -> Params.t
 
@@ -40,12 +54,18 @@ val request :
   unit
 (** Enqueue a transaction from source [src] that becomes ready at cycle
     [at] (clamped to the current cycle).  [on_grant] is invoked at the
-    grant cycle with the same {!Fabric.grant} record the legacy fabric
-    returns; the caller decides when its requester may proceed
-    ([granted_at + 1] for posted writes and streaming reads, [completed]
-    for dependent reads).  Source ids index an array sized to the largest
-    id seen, so they must be small non-negative integers (instance ids,
-    cluster numbers); a negative [src] raises [Invalid_argument]. *)
+    grant cycle with the grant {!Fabric.resolve} computes, the formula the
+    legacy fabric applies; the caller decides when its requester may
+    proceed ([granted_at + 1] for posted writes and streaming reads,
+    [completed] for dependent reads).
+
+    The record passed to [on_grant] is the arbiter's own, rewritten at each
+    of its grants: it is valid only until the callback returns, so a caller
+    that needs a field later copies it out.  Source ids index an array
+    sized to the largest id seen, so they must be small non-negative
+    integers (instance ids, cluster numbers); a negative [src] raises
+    [Invalid_argument].  Each source's requests wait in a ring that grows
+    to its deepest backlog, after which a request allocates nothing. *)
 
 val busy_until : t -> int
 (** Cycle at which the data bus frees given grants so far. *)
@@ -57,16 +77,9 @@ val queued : t -> int
 (** Requests enqueued and not yet granted (0 once the scheduler drains). *)
 
 val sources : t -> int list
-(** Registered sources in first-request order (the rotation). *)
+(** Registered sources in first-request order (the rotation).  A source
+    stays registered for the arbiter's life. *)
 
 val scan_order : t -> int list
 (** Sources in grant-scan order: round-robin starting just after the last
-    winner, or plain first-request order when no grant has happened yet or
-    the last winner has since been {!unregister}ed. *)
-
-val unregister : t -> src:int -> bool
-(** Remove an idle source (e.g. a departed serve-mode tenant's accelerator)
-    from the rotation.  Refuses (returns false) while the source still has
-    queued requests; a removed source re-registers transparently on its next
-    {!request}.  If the removed source was the last winner, the next scan
-    falls back to plain first-request order. *)
+    winner, or plain first-request order when no grant has happened yet. *)

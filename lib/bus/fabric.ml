@@ -7,11 +7,13 @@ type t = {
 }
 
 type grant = {
-  granted_at : int;
-  data_done : int;
-  completed : int;
-  errored : bool;
+  mutable granted_at : int;
+  mutable data_done : int;
+  mutable completed : int;
+  mutable errored : bool;
 }
+
+let grant () = { granted_at = 0; data_done = 0; completed = 0; errored = false }
 
 let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) p =
   { p; obs; faults; free_at = 0; beats = 0 }
@@ -23,8 +25,8 @@ let params t = t.p
    write the write-acknowledge latency.  Injected faults: a stall delays the
    response by extra cycles; an error response completes on time but carries
    no valid data, so the requester must re-issue.  The stall is drawn before
-   the error. *)
-let resolve p ~obs ~faults ~src ~at ~granted_at ~beats ~is_read ~extra_latency =
+   the error.  The result goes into [g], which the caller owns. *)
+let resolve p ~obs ~faults ~src ~at ~granted_at ~beats ~is_read ~extra_latency g =
   let data_done = granted_at + p.Params.addr_phase + beats in
   let mem_latency = if is_read then p.Params.read_latency else p.Params.write_latency in
   let stall = Fault.Injector.bus_stall faults in
@@ -36,14 +38,16 @@ let resolve p ~obs ~faults ~src ~at ~granted_at ~beats ~is_read ~extra_latency =
          { source = src; beats; read = is_read; at; granted_at; data_done; completed });
     Obs.Trace.emit_at obs ~cycle:data_done (Obs.Event.Bus_beat { source = src; beats })
   end;
-  { granted_at; data_done; completed; errored }
+  g.granted_at <- granted_at;
+  g.data_done <- data_done;
+  g.completed <- completed;
+  g.errored <- errored
 
 let request ?(src = -1) t ~at ~beats ~is_read ~extra_latency =
   assert (beats > 0 && at >= 0);
-  let g =
-    resolve t.p ~obs:t.obs ~faults:t.faults ~src ~at ~granted_at:(max at t.free_at)
-      ~beats ~is_read ~extra_latency
-  in
+  let g = grant () in
+  resolve t.p ~obs:t.obs ~faults:t.faults ~src ~at
+    ~granted_at:(Int.max at t.free_at) ~beats ~is_read ~extra_latency g;
   t.free_at <- g.data_done;
   t.beats <- t.beats + beats;
   g
@@ -56,7 +60,7 @@ let quiescent t =
 
 let fast_forward t ~busy_until ~beats =
   assert (beats >= 0);
-  t.free_at <- max t.free_at busy_until;
+  t.free_at <- Int.max t.free_at busy_until;
   t.beats <- t.beats + beats
 
 let reset t =

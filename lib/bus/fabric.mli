@@ -8,16 +8,22 @@
 type t
 
 type grant = {
-  granted_at : int;   (** cycle the address phase won arbitration *)
-  data_done : int;    (** cycle the last beat left the bus (address phase
-                          included) *)
-  completed : int;    (** cycle the requester observes completion
-                          (incl. memory latency for reads and any injected
-                          stall) *)
-  errored : bool;     (** the response was an injected bus error: it arrives
-                          at [completed] but carries no valid data, so the
-                          requester must re-issue *)
+  mutable granted_at : int;  (** cycle the address phase won arbitration *)
+  mutable data_done : int;   (** cycle the last beat left the bus (address
+                                 phase included) *)
+  mutable completed : int;   (** cycle the requester observes completion
+                                 (incl. memory latency for reads and any
+                                 injected stall) *)
+  mutable errored : bool;    (** the response was an injected bus error: it
+                                 arrives at [completed] but carries no valid
+                                 data, so the requester must re-issue *)
 }
+(** Mutable so that one record can carry every grant of an arbiter (see
+    {!resolve}); a grant {!request} returns is fresh and never written
+    again. *)
+
+val grant : unit -> grant
+(** A fresh record for {!resolve} to fill, all fields zero. *)
 
 val create : ?obs:Obs.Trace.t -> ?faults:Fault.Injector.t -> Params.t -> t
 (** [obs] (default {!Obs.Trace.null}) receives a [Bus_grant] event per
@@ -39,13 +45,14 @@ val resolve :
   beats:int ->
   is_read:bool ->
   extra_latency:int ->
-  grant
-(** The one grant formula, shared by {!request} and {!Arbiter}: the timing of
-    a transaction that became ready at [at] and won arbitration at
-    [granted_at].  Draws the injected stall, then the injected error, from
-    [faults], and emits the [Bus_grant]/[Bus_beat] events to [obs].  The
-    caller owns the bus latch: it must hold the data bus until the grant's
-    [data_done]. *)
+  grant ->
+  unit
+(** The one grant formula, shared by {!request} and {!Arbiter}: writes into
+    the given record the timing of a transaction that became ready at [at]
+    and won arbitration at [granted_at].  Draws the injected stall, then the
+    injected error, from [faults], and emits the [Bus_grant]/[Bus_beat]
+    events to [obs].  The caller owns the bus latch: it must hold the data
+    bus until the grant's [data_done]. *)
 
 val request :
   ?src:int -> t -> at:int -> beats:int -> is_read:bool -> extra_latency:int -> grant

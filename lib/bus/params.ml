@@ -12,4 +12,4 @@ let default =
   { beat_bytes = 8; max_burst = 16; addr_phase = 1; read_latency = 20;
     write_latency = 4; mmio_write = 6; mmio_read = 12 }
 
-let beats_for t bytes = max 1 ((bytes + t.beat_bytes - 1) / t.beat_bytes)
+let beats_for t bytes = Int.max 1 ((bytes + t.beat_bytes - 1) / t.beat_bytes)

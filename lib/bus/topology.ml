@@ -97,10 +97,19 @@ let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) ~sched ~kind
   | Hierarchical { clusters } ->
       (* Only the root arbiter observes and draws faults: a transaction
          traverses one local arbiter and the root, and emitting (or drawing a
-         fault) at both levels would double-count a single transfer. *)
+         fault) at both levels would double-count a single transfer.  A
+         local grant crosses the uplink to the root inside the arbiter, and
+         the root adds the hop back to every completion. *)
+      let root =
+        Arbiter.create ~obs ~faults ~return_latency:uplink_latency ~sched p
+      in
       Hier
-        { locals = Array.init clusters (fun _ -> Arbiter.create ~sched p);
-          root = Arbiter.create ~obs ~faults ~sched p;
+        { locals =
+            Array.init clusters (fun cluster ->
+                Arbiter.create
+                  ~uplink:{ Arbiter.root; as_src = cluster; hop = uplink_latency }
+                  ~sched p);
+          root;
           clusters }
 
 let kind = function
@@ -122,21 +131,13 @@ let home_target t ~src =
   match t with Sh _ | Hier _ -> 0 | Xbar { banks; _ } -> src mod banks
 
 let request t ~src ~target ~at ~beats ~is_read ~extra_latency ~on_grant =
-  match t with
-  | Sh a -> Arbiter.request a ~src ~at ~beats ~is_read ~extra_latency ~on_grant
-  | Xbar { arbs; banks } ->
-      Arbiter.request arbs.(target mod banks) ~src ~at ~beats ~is_read
-        ~extra_latency ~on_grant
-  | Hier { locals; root; clusters } ->
-      let cluster = src mod clusters in
-      Arbiter.request locals.(cluster) ~src ~at ~beats ~is_read ~extra_latency:0
-        ~on_grant:(fun (local : Fabric.grant) ->
-          Arbiter.request root ~src:cluster
-            ~at:(local.Fabric.granted_at + uplink_latency)
-            ~beats ~is_read ~extra_latency
-            ~on_grant:(fun (g : Fabric.grant) ->
-              on_grant
-                { g with Fabric.completed = g.Fabric.completed + uplink_latency }))
+  let arb =
+    match t with
+    | Sh a -> a
+    | Xbar { arbs; banks } -> arbs.(target mod banks)
+    | Hier { locals; clusters; _ } -> locals.(src mod clusters)
+  in
+  Arbiter.request arb ~src ~at ~beats ~is_read ~extra_latency ~on_grant
 
 let total_beats = function
   | Sh a -> Arbiter.total_beats a
@@ -149,11 +150,3 @@ let busy_until = function
   | Xbar { arbs; _ } ->
       Array.fold_left (fun acc a -> max acc (Arbiter.busy_until a)) 0 arbs
   | Hier { root; _ } -> Arbiter.busy_until root
-
-let queued = function
-  | Sh a -> Arbiter.queued a
-  | Xbar { arbs; _ } ->
-      Array.fold_left (fun acc a -> acc + Arbiter.queued a) 0 arbs
-  | Hier { locals; root; _ } ->
-      Arbiter.queued root
-      + Array.fold_left (fun acc a -> acc + Arbiter.queued a) 0 locals

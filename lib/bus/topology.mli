@@ -79,14 +79,14 @@ val request :
   extra_latency:int ->
   on_grant:(Fabric.grant -> unit) ->
   unit
-(** Same contract as {!Arbiter.request}; [target] selects the bank arbiter
-    on a crossbar (see {!target_for} / {!home_target}) and is ignored
-    elsewhere.  On the hierarchy the grant delivered to [on_grant] is the
-    root grant with the return uplink hop added to [completed]. *)
+(** Same contract as {!Arbiter.request}, grant record lifetime included;
+    [target] selects the bank arbiter on a crossbar (see {!target_for} /
+    {!home_target}) and is ignored elsewhere.  On the hierarchy the grant
+    delivered to [on_grant] is the root grant with the return uplink hop
+    added to [completed]. *)
 
 val total_beats : t -> int
 (** Beats transferred, summed over bank arbiters (root only for the
     hierarchy — each transaction is counted once). *)
 
 val busy_until : t -> int
-val queued : t -> int

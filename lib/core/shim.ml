@@ -89,7 +89,7 @@ let port_wait t =
   | None -> 0
   | Some now ->
       let n = now () in
-      let start = max n t.port_free_at in
+      let start = Int.max n t.port_free_at in
       t.port_free_at <- start + 1;
       start - n
 

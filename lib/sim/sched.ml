@@ -43,21 +43,21 @@ type t = {
   mutable seq : int;
   mutable clock : int;
   on_advance : int -> unit;
+  suspending : suspending;
+  suspend_eff : unit Effect.t;  (* [Suspend suspending], performed as is *)
+  mutable wake : (unit -> unit) -> unit;
+      (* [wait_until]'s register hook: schedules at [suspending.wake_at] *)
 }
 
-let create ?(on_advance = ignore) () =
-  {
-    heap = Array.make 64 nil;
-    hsize = 0;
-    heads = Array.make (wheel_size * wheel_ranks) nil;
-    tails = Array.make (wheel_size * wheel_ranks) nil;
-    counts = Array.make wheel_size 0;
-    wcount = 0;
-    cursor = 0;
-    seq = 0;
-    clock = 0;
-    on_advance;
-  }
+(* The one suspension in flight on a scheduler.  [suspend] fills it and
+   performs; the owning process's handler reads it back before anything
+   else runs, so one slot per scheduler serves every process. *)
+and suspending = {
+  mutable register : (unit -> unit) -> unit;
+  mutable wake_at : int;  (* [wait_until]'s target, read by [wake] *)
+}
+
+type _ Effect.t += Suspend : suspending -> unit Effect.t
 
 let now t = t.clock
 
@@ -138,7 +138,7 @@ let heap_pop t =
   top
 
 let at t ~cycle ?(rank = 0) fn =
-  let cycle = max cycle t.clock in
+  let cycle = Int.max cycle t.clock in
   let ev = { cycle; rank; seq = t.seq; fn; next = nil } in
   t.seq <- t.seq + 1;
   if rank < wheel_ranks && cycle - t.clock < wheel_size then begin
@@ -155,17 +155,37 @@ let at t ~cycle ?(rank = 0) fn =
   end
   else heap_push t ev
 
-(* First event of the occupied bucket at [cycle], in (rank, seq) order: the
-   chains are rank-split and appended in seq order. *)
-let wheel_peek t cycle =
-  let base = (cycle land wheel_mask) lsl 2 in
-  let rec go r =
-    if r = wheel_ranks then nil
-    else
-      let h = t.heads.(base lor r) in
-      if h != nil then h else go (r + 1)
+let create ?(on_advance = ignore) () =
+  let suspending = { register = ignore; wake_at = 0 } in
+  let t =
+    {
+      heap = Array.make 64 nil;
+      hsize = 0;
+      heads = Array.make (wheel_size * wheel_ranks) nil;
+      tails = Array.make (wheel_size * wheel_ranks) nil;
+      counts = Array.make wheel_size 0;
+      wcount = 0;
+      cursor = 0;
+      seq = 0;
+      clock = 0;
+      on_advance;
+      suspending;
+      suspend_eff = Suspend suspending;
+      wake = ignore;
+    }
   in
-  go 0
+  t.wake <- (fun resume -> at t ~cycle:suspending.wake_at resume);
+  t
+
+(* First event of the occupied bucket whose first chain index is [base], in
+   (rank, seq) order: the chains are rank-split and appended in seq order.
+   This loop and [scan] are top-level functions, so a pop allocates no
+   closure. *)
+let rec wheel_peek t base r =
+  if r = wheel_ranks then nil
+  else
+    let h = t.heads.(base lor r) in
+    if h != nil then h else wheel_peek t base (r + 1)
 
 let wheel_take t ev =
   let i = ((ev.cycle land wheel_mask) lsl 2) lor ev.rank in
@@ -175,6 +195,14 @@ let wheel_take t ev =
   t.counts.(ev.cycle land wheel_mask) <- t.counts.(ev.cycle land wheel_mask) - 1;
   t.wcount <- t.wcount - 1
 
+(* Advance the cursor to the next occupied bucket and peek its first event. *)
+let rec scan t c =
+  if t.counts.(c land wheel_mask) > 0 then begin
+    t.cursor <- c;
+    wheel_peek t ((c land wheel_mask) lsl 2) 0
+  end
+  else scan t (c + 1)
+
 (* Globally next event, or [nil]: the earlier of the wheel's next occupied
    bucket and the heap top under (cycle, rank, seq). *)
 let pop t =
@@ -182,14 +210,7 @@ let pop t =
     if t.wcount = 0 then nil
     else begin
       if t.cursor < t.clock then t.cursor <- t.clock;
-      let rec scan c =
-        if t.counts.(c land wheel_mask) > 0 then begin
-          t.cursor <- c;
-          wheel_peek t c
-        end
-        else scan (c + 1)
-      in
-      scan t.cursor
+      scan t t.cursor
     end
   in
   if t.hsize = 0 then begin
@@ -227,29 +248,51 @@ let run t = ignore (run_steps t max_int)
 
 let pending t = t.wcount + t.hsize
 
-(* ---- processes ---- *)
+(* ---- processes ----
 
-type _ Effect.t += Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
+   A suspension allocates nothing of its own.  The effect value is the
+   scheduler's preallocated [suspend_eff]; the register hook travels in the
+   scheduler's [suspending] slot; each process owns one handler result and
+   one resume thunk, built at [spawn], and parks its continuation in a
+   mutable slot between suspensions.  What remains per suspension is the
+   runtime's continuation block and the [Some] holding it. *)
 
 let spawn t ~at:cycle body =
+  let parked = ref None in
+  let resume () =
+    match !parked with
+    | Some k ->
+        parked := None;
+        Effect.Deep.continue k ()
+    | None -> invalid_arg "Sched: resume called while the process runs"
+  in
+  let handle =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        parked := Some k;
+        t.suspending.register resume)
+  in
   at t ~cycle (fun () ->
       Effect.Deep.match_with body ()
         {
           retc = Fun.id;
           exnc = raise;
           effc =
-            (fun (type a) (eff : a Effect.t) ->
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, unit) Effect.Deep.continuation -> unit) option ->
               match eff with
-              | Suspend (owner, register) when owner == t ->
-                  Some
-                    (fun (k : (a, unit) Effect.Deep.continuation) ->
-                      register (fun () -> Effect.Deep.continue k ()))
+              | Suspend s when s == t.suspending -> handle
               | _ -> None);
         })
 
-let suspend t register = Effect.perform (Suspend (t, register))
+let suspend t register =
+  t.suspending.register <- register;
+  Effect.perform t.suspend_eff
 
 let wait_until t ~cycle =
-  if cycle > t.clock then suspend t (fun resume -> at t ~cycle resume)
+  if cycle > t.clock then begin
+    t.suspending.wake_at <- cycle;
+    suspend t t.wake
+  end
 
 let wait t n = if n > 0 then wait_until t ~cycle:(t.clock + n)

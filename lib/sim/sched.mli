@@ -86,4 +86,14 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
     a resume thunk.  [register] must arrange for the thunk to be called
     exactly once — typically by storing it in a completion callback that a
     later event invokes.  Calling the thunk runs the process immediately,
-    at the cycle of the event that called it. *)
+    at the cycle of the event that called it.
+
+    The thunk is the process's own, the same closure at every suspension,
+    so a caller may keep it across suspensions; calling it while the
+    process is not suspended raises [Invalid_argument].  A suspension
+    allocates only the runtime's continuation and the option that parks
+    it: the effect value, the handler's result and the thunk are built
+    once, per scheduler or per process.  A caller that passes a
+    preallocated [register] (as [Accel.Flow] does) therefore suspends
+    without allocating a closure; {!wait} and {!wait_until} use the
+    scheduler's own. *)

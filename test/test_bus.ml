@@ -171,49 +171,36 @@ let test_arbiter_late_arrival_served_within_one_round () =
                      (got %d)" ahead)
     true (ahead <= 2)
 
-let test_arbiter_unregister_and_scan_order () =
+let test_arbiter_rotation_and_scan_order () =
   let sched = Ccsim.Sched.create () in
   let arb = Arbiter.create ~sched Params.default in
   let log = ref [] in
   saturate arb log ~src:0 ~at:0 ~n:1 ~beats:2;
   saturate arb log ~src:1 ~at:0 ~n:1 ~beats:2;
   saturate arb log ~src:2 ~at:0 ~n:1 ~beats:2;
-  (* Refuses while requests are still queued. *)
-  Alcotest.(check bool) "refused while queued" false (Arbiter.unregister arb ~src:2);
   Ccsim.Sched.run sched;
   Alcotest.(check (list int)) "rotation is first-request order" [ 0; 1; 2 ]
     (Arbiter.sources arb);
   (* Source 2 won last, so the scan restarts just after it. *)
   Alcotest.(check (list int)) "scan starts after the last winner" [ 0; 1; 2 ]
     (Arbiter.scan_order arb);
-  checkb "idle source removed" true (Arbiter.unregister arb ~src:2);
-  checkb "double unregister refused" false (Arbiter.unregister arb ~src:2);
-  Alcotest.(check (list int)) "rotation without the removed source" [ 0; 1 ]
-    (Arbiter.sources arb);
-  (* The last winner is gone: the scan must fall back to plain
-     first-request order instead of looping or skipping a source. *)
-  Alcotest.(check (list int)) "scan falls back to plain order" [ 0; 1 ]
-    (Arbiter.scan_order arb);
-  (* The fallback order is the one the next grant actually uses. *)
+  (* The scan order is the one the next grant actually uses, whatever order
+     the requests arrive in. *)
   let log2 = ref [] in
   saturate arb log2 ~src:1 ~at:100 ~n:1 ~beats:2;
   saturate arb log2 ~src:0 ~at:100 ~n:1 ~beats:2;
   Ccsim.Sched.run sched;
-  (match List.rev !log2 with
-  | (first, _) :: _ -> checki "first grant follows the fallback order" 0 first
-  | [] -> Alcotest.fail "no grants after unregister");
-  (* A removed source re-registers transparently on its next request. *)
-  saturate arb log2 ~src:2 ~at:200 ~n:1 ~beats:2;
-  Ccsim.Sched.run sched;
-  Alcotest.(check (list int)) "re-registered at the rotation tail" [ 0; 1; 2 ]
-    (Arbiter.sources arb)
+  Alcotest.(check (list int)) "grants follow the scan order" [ 0; 1 ]
+    (List.rev_map fst !log2);
+  Alcotest.(check (list int)) "scan moves past the new last winner" [ 2; 0; 1 ]
+    (Arbiter.scan_order arb)
 
 let test_arbiter_large_rotation_linear () =
   (* Regression for the slot-ring rotation: registering, granting through
      and tearing down a large source population must stay (near) linear.
      The pre-ring arbiter re-built the rotation list on every registration
      ([rotation @ [src]], O(K^2) total), allocated a K-cell scan list per
-     arbitration, and [unregister]/[queue_of] filtered full lists — at this
+     arbitration and filtered full lists per queue lookup — at this
      population that took minutes of CPU; linear is well under the bound
      even on a loaded CI machine. *)
   let n = 1 lsl 16 in
@@ -230,18 +217,14 @@ let test_arbiter_large_rotation_linear () =
   Ccsim.Sched.run sched;
   checki "every source granted" n !grants;
   checki "queues drained" 0 (Arbiter.queued arb);
-  for src = 0 to n - 1 do
-    checkb "idle source unregisters" true (Arbiter.unregister arb ~src)
-  done;
-  Alcotest.(check (list int)) "rotation empty after teardown" []
-    (Arbiter.sources arb);
-  (* Re-register a second wave into recycled slots and drain it too. *)
+  (* Register a second wave behind the first and drain it too. *)
   for src = n to (2 * n) - 1 do
     Arbiter.request arb ~src ~at:0 ~beats:1 ~is_read:false ~extra_latency:0
       ~on_grant:(fun _ -> incr grants)
   done;
   Ccsim.Sched.run sched;
   checki "second wave granted" (2 * n) !grants;
+  checki "both waves in the rotation" (2 * n) (List.length (Arbiter.sources arb));
   let dt = Sys.time () -. t0 in
   checkb
     (Printf.sprintf "%d-source churn stays linear (%.2fs CPU)" n dt)
@@ -249,9 +232,9 @@ let test_arbiter_large_rotation_linear () =
     (dt < 20.0)
 
 (* Source ids index an array that grows to the largest id seen: grant order,
-   rotation and scan order across unregister/re-register churn must be
-   exactly first-request round robin, with ids far past the array's current
-   size (forcing growth mid-run) treated like any other. *)
+   rotation and scan order across three request waves must be exactly
+   first-request round robin, with ids far past the array's current size
+   (forcing growth mid-run) treated like any other. *)
 let test_arbiter_source_ids_grow_index () =
   let sched = Ccsim.Sched.create () in
   let arb = Arbiter.create ~sched Params.default in
@@ -264,21 +247,20 @@ let test_arbiter_source_ids_grow_index () =
   let views = Alcotest.(pair (list int) (list int)) in
   List.iter (fun src -> req src ~at:0; req src ~at:0) [ 0; 4_097; 2; 100_000 ];
   Ccsim.Sched.run sched;
-  Alcotest.(check (list bool)) "unregister outcomes" [ true; true; false ]
-    (List.map (fun src -> Arbiter.unregister arb ~src) [ 4_097; 100_000; 100_000 ]);
-  Alcotest.check views "after removal" ([ 0; 2 ], [ 0; 2 ]) (view ());
+  Alcotest.check views "after the first wave"
+    ([ 0; 4_097; 2; 100_000 ], [ 0; 4_097; 2; 100_000 ]) (view ());
   List.iter (fun src -> req src ~at:100) [ 7; 4_097; 0 ];
   Ccsim.Sched.run sched;
-  Alcotest.check views "after re-register" ([ 0; 2; 7; 4_097 ], [ 0; 2; 7; 4_097 ])
-    (view ());
+  Alcotest.check views "a new source joins at the tail"
+    ([ 0; 4_097; 2; 100_000; 7 ], [ 2; 100_000; 7; 0; 4_097 ]) (view ());
   List.iter (fun src -> req src ~at:200) [ 2; 100_000; 0 ];
   Ccsim.Sched.run sched;
-  Alcotest.check views "final" ([ 0; 2; 7; 4_097; 100_000 ], [ 7; 4_097; 100_000; 0; 2 ])
-    (view ());
+  Alcotest.check views "final"
+    ([ 0; 4_097; 2; 100_000; 7 ], [ 4_097; 2; 100_000; 7; 0 ]) (view ());
   Alcotest.(check (list (pair int int))) "grant order"
     [ (0, 0); (4_097, 3); (2, 6); (100_000, 9); (0, 12); (4_097, 15); (2, 18);
-      (100_000, 21); (0, 100); (7, 103); (4_097, 106); (100_000, 200); (0, 203);
-      (2, 206) ]
+      (100_000, 21); (7, 100); (0, 103); (4_097, 106); (2, 200);
+      (100_000, 203); (0, 206) ]
     (List.rev !log);
   Alcotest.check_raises "negative source id"
     (Invalid_argument "Arbiter.request: negative source id") (fun () ->
@@ -350,17 +332,19 @@ let test_topology_hierarchical_uplink () =
       Params.default
   in
   let got = ref None in
+  (* The grant record is only valid during the callback: copy it out. *)
   Topology.request ic ~src:0 ~target:0 ~at:0 ~beats:4 ~is_read:true
-    ~extra_latency:0 ~on_grant:(fun g -> got := Some g);
+    ~extra_latency:0 ~on_grant:(fun h ->
+      got := Some (h.Fabric.granted_at, h.Fabric.completed));
   Ccsim.Sched.run sched;
   match !got with
   | None -> Alcotest.fail "no grant"
-  | Some h ->
+  | Some (granted_at, completed) ->
       checki "granted one uplink later" (g.Fabric.granted_at + Topology.uplink_latency)
-        h.Fabric.granted_at;
+        granted_at;
       checki "completion adds the return hop"
         (g.Fabric.completed + (2 * Topology.uplink_latency))
-        h.Fabric.completed
+        completed
 
 (* Same request set, sources registered in permuted order: the rotation (and
    hence individual grant cycles) may differ, but the bandwidth share must
@@ -528,8 +512,8 @@ let suite =
     ("arbiter: two-source fairness", `Quick, test_arbiter_fairness_two_sources);
     ("arbiter: late arrival served", `Quick,
      test_arbiter_late_arrival_served_within_one_round);
-    ("arbiter: unregister and scan-order fallback", `Quick,
-     test_arbiter_unregister_and_scan_order);
+    ("arbiter: rotation and scan order", `Quick,
+     test_arbiter_rotation_and_scan_order);
     ("arbiter: 65536-source churn stays linear", `Quick,
      test_arbiter_large_rotation_linear);
     ("arbiter: source ids grow the index", `Quick,

@@ -99,7 +99,34 @@ let render_matrix b =
         engines)
     [ 1; 2 ]
 
-let test_digest () =
+(* The contended fabrics at absolute cycles: every non-shared topology cell
+   under both checker placements, two and four tasks, plus one seeded fault
+   run per cell (the matrix above is shared-bus only). *)
+let topology_golden = "580d30b6764b6180b48ccc7dd76e98ad"
+
+let render_topology_matrix b =
+  List.iter
+    (fun bn ->
+      List.iter
+        (fun topology ->
+          List.iter
+            (fun checkers ->
+              let run ?faults tasks =
+                render b
+                  (Soc.Run.run ~tasks ?faults ~engine:Soc.Run.Event_driven
+                     ~topology ~checkers Soc.Config.ccpu_caccel bn)
+              in
+              run 2;
+              run 4;
+              run ~faults:(Fault.Plan.default ~seed:1) 4)
+            [ Capchecker.Shim.Central; Capchecker.Shim.Distributed ])
+        [ Bus.Topology.Crossbar { banks = 4 }; Bus.Topology.Crossbar { banks = 8 };
+          Bus.Topology.Hierarchical { clusters = 4 } ])
+    (List.map bench [ "aes"; "spmv_crs" ])
+
+(* Render [matrix] under the fast and the interpretive fast-path mode and
+   check the digest of the whole rendering against [expect]. *)
+let check_digest name expect matrix =
   let b = Buffer.create 65536 in
   Fun.protect
     ~finally:(fun () -> Soc.Fastpath.set_mode Soc.Fastpath.Fast)
@@ -108,10 +135,18 @@ let test_digest () =
         (fun mode ->
           Soc.Fastpath.clear ();
           Soc.Fastpath.set_mode mode;
-          render_matrix b)
+          matrix b)
         [ Soc.Fastpath.Fast; Soc.Fastpath.Interpretive ]);
-  Alcotest.(check string)
-    "digest of every rendered result" golden
+  Alcotest.(check string) name expect
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
-let suite = [ Alcotest.test_case "soc result digest" `Quick test_digest ]
+let test_digest () =
+  check_digest "digest of every rendered result" golden render_matrix
+
+let test_topology_digest () =
+  check_digest "digest of every contended-fabric result" topology_golden
+    render_topology_matrix
+
+let suite =
+  [ Alcotest.test_case "soc result digest" `Quick test_digest;
+    Alcotest.test_case "topology result digest" `Quick test_topology_digest ]

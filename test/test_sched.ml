@@ -411,6 +411,54 @@ let test_event_mode_faulted_invariant () =
     && r1.Soc.Run.faults = r2.Soc.Run.faults
     && List.length r1.Soc.Run.fallbacks = List.length r2.Soc.Run.fallbacks)
 
+(* ---- allocation budget of the event core's transaction path ---- *)
+
+(* 12,000 mixed transactions with non-zero gaps from [sources] processes,
+   each issuing through its own [Flow] on a fresh [kind] fabric; returns the
+   minor words the scheduler run allocated per transaction.  Everything
+   built before [Sched.run] (the fabric, the flows, the process closures)
+   is outside the measurement. *)
+let words_per_transaction kind ~sources =
+  let total = 12_000 in
+  let sched = Ccsim.Sched.create () in
+  let ic = Bus.Topology.create ~sched ~kind Bus.Params.default in
+  let targets = Bus.Topology.targets ic in
+  for src = 0 to sources - 1 do
+    let issue = Accel.Issue.create ~start:0 ~max_outstanding:4 () in
+    let flow = Accel.Flow.create ~sched ~ic ~src issue in
+    Ccsim.Sched.spawn sched ~at:0 (fun () ->
+        for i = 0 to (total / sources) - 1 do
+          let op =
+            match i mod 3 with
+            | 0 -> Accel.Trace.Write
+            | 1 -> Accel.Trace.Stream_read
+            | _ -> Accel.Trace.Dep_read
+          in
+          Accel.Flow.issue flow ~target:((src + i) mod targets)
+            ~gap:(1 + (i mod 3)) ~op ~beats:(1 + (i mod 4)) ~latency:2
+            ~then_wait:(i mod 2)
+        done)
+  done;
+  let before = Gc.minor_words () in
+  Ccsim.Sched.run sched;
+  (Gc.minor_words () -. before) /. float_of_int total
+
+let test_flow_allocation_budget () =
+  List.iter
+    (fun (kind, budget) ->
+      List.iter
+        (fun sources ->
+          let words = words_per_transaction kind ~sources in
+          checkb
+            (Printf.sprintf "%s, %d source(s): %.1f words per transaction <= %d"
+               (Bus.Topology.kind_to_string kind) sources words budget)
+            true
+            (words <= float_of_int budget))
+        [ 1; 4 ])
+    [ (Bus.Topology.Shared, 32);
+      (Bus.Topology.Crossbar { banks = 4 }, 32);
+      (Bus.Topology.Hierarchical { clusters = 4 }, 48) ]
+
 let suite =
   [
     ("event ordering", `Quick, test_ordering);
@@ -438,4 +486,6 @@ let suite =
      test_topology_requires_event_engine);
     ("faulted event mode: invariant + determinism", `Quick,
      test_event_mode_faulted_invariant);
+    ("flow: allocation budget per transaction", `Quick,
+     test_flow_allocation_budget);
   ]
