@@ -27,174 +27,235 @@ let cost_of_unop : Ir.unop -> cost = function
 
 let bool_val b = Value.VI (if b then 1 else 0)
 
-let eval_binop (op : Ir.binop) a b =
+(* Both operator tables return the operation as a closure, so a compiled
+   node picks its operation once instead of matching on every evaluation. *)
+let eval_binop : Ir.binop -> Value.t -> Value.t -> Value.t =
   let open Value in
-  match op with
-  | Add -> VI (as_int a + as_int b)
-  | Sub -> VI (as_int a - as_int b)
-  | Mul -> VI (as_int a * as_int b)
+  function
+  | Add -> fun a b -> VI (as_int a + as_int b)
+  | Sub -> fun a b -> VI (as_int a - as_int b)
+  | Mul -> fun a b -> VI (as_int a * as_int b)
   | Div ->
-      let d = as_int b in
-      if d = 0 then raise (Aborted "integer division by zero") else VI (as_int a / d)
+      fun a b ->
+        let d = as_int b in
+        if d = 0 then raise (Aborted "integer division by zero") else VI (as_int a / d)
   | Mod ->
-      let d = as_int b in
-      if d = 0 then raise (Aborted "integer modulo by zero") else VI (as_int a mod d)
-  | Band -> VI (as_int a land as_int b)
-  | Bor -> VI (as_int a lor as_int b)
-  | Bxor -> VI (as_int a lxor as_int b)
-  | Shl -> VI (as_int a lsl as_int b)
-  | Shr -> VI (as_int a asr as_int b)
-  | Lt -> bool_val (as_int a < as_int b)
-  | Le -> bool_val (as_int a <= as_int b)
-  | Gt -> bool_val (as_int a > as_int b)
-  | Ge -> bool_val (as_int a >= as_int b)
-  | Eq -> bool_val (as_int a = as_int b)
-  | Ne -> bool_val (as_int a <> as_int b)
-  | Imin -> VI (min (as_int a) (as_int b))
-  | Imax -> VI (max (as_int a) (as_int b))
-  | Fadd -> VF (as_float a +. as_float b)
-  | Fsub -> VF (as_float a -. as_float b)
-  | Fmul -> VF (as_float a *. as_float b)
-  | Fdiv -> VF (as_float a /. as_float b)
-  | Flt -> bool_val (as_float a < as_float b)
-  | Fle -> bool_val (as_float a <= as_float b)
-  | Fgt -> bool_val (as_float a > as_float b)
-  | Fge -> bool_val (as_float a >= as_float b)
-  | Fmin -> VF (Float.min (as_float a) (as_float b))
-  | Fmax -> VF (Float.max (as_float a) (as_float b))
+      fun a b ->
+        let d = as_int b in
+        if d = 0 then raise (Aborted "integer modulo by zero") else VI (as_int a mod d)
+  | Band -> fun a b -> VI (as_int a land as_int b)
+  | Bor -> fun a b -> VI (as_int a lor as_int b)
+  | Bxor -> fun a b -> VI (as_int a lxor as_int b)
+  | Shl -> fun a b -> VI (as_int a lsl as_int b)
+  | Shr -> fun a b -> VI (as_int a asr as_int b)
+  | Lt -> fun a b -> bool_val (as_int a < as_int b)
+  | Le -> fun a b -> bool_val (as_int a <= as_int b)
+  | Gt -> fun a b -> bool_val (as_int a > as_int b)
+  | Ge -> fun a b -> bool_val (as_int a >= as_int b)
+  | Eq -> fun a b -> bool_val (as_int a = as_int b)
+  | Ne -> fun a b -> bool_val (as_int a <> as_int b)
+  | Imin -> fun a b -> VI (Int.min (as_int a) (as_int b))
+  | Imax -> fun a b -> VI (Int.max (as_int a) (as_int b))
+  | Fadd -> fun a b -> VF (as_float a +. as_float b)
+  | Fsub -> fun a b -> VF (as_float a -. as_float b)
+  | Fmul -> fun a b -> VF (as_float a *. as_float b)
+  | Fdiv -> fun a b -> VF (as_float a /. as_float b)
+  | Flt -> fun a b -> bool_val (as_float a < as_float b)
+  | Fle -> fun a b -> bool_val (as_float a <= as_float b)
+  | Fgt -> fun a b -> bool_val (as_float a > as_float b)
+  | Fge -> fun a b -> bool_val (as_float a >= as_float b)
+  | Fmin -> fun a b -> VF (Float.min (as_float a) (as_float b))
+  | Fmax -> fun a b -> VF (Float.max (as_float a) (as_float b))
 
-let eval_unop (op : Ir.unop) a =
+let eval_unop : Ir.unop -> Value.t -> Value.t =
   let open Value in
-  match op with
-  | Neg -> VI (-as_int a)
-  | Bnot -> VI (lnot (as_int a))
-  | Fneg -> VF (-.as_float a)
-  | Fabs -> VF (Float.abs (as_float a))
-  | Fsqrt -> VF (sqrt (as_float a))
-  | Fexp -> VF (exp (as_float a))
-  | I2f -> VF (float_of_int (as_int a))
-  | F2i -> VI (int_of_float (as_float a))
+  function
+  | Neg -> fun a -> VI (-as_int a)
+  | Bnot -> fun a -> VI (lnot (as_int a))
+  | Fneg -> fun a -> VF (-.as_float a)
+  | Fabs -> fun a -> VF (Float.abs (as_float a))
+  | Fsqrt -> fun a -> VF (sqrt (as_float a))
+  | Fexp -> fun a -> VF (exp (as_float a))
+  | I2f -> fun a -> VF (float_of_int (as_int a))
+  | F2i -> fun a -> VI (int_of_float (as_float a))
 
 let zero_of elem : Value.t =
   if Ir.elem_is_float elem then Value.VF 0.0 else Value.VI 0
 
+(* The value of a local that has not been assigned yet: physically unique,
+   so no kernel value is ever mistaken for it. *)
+let unbound : Value.t = Value.VI (Sys.opaque_identity 0)
+
+let scratch_get name a idx =
+  if idx < 0 || idx >= Array.length a then
+    raise (Aborted (Printf.sprintf "scratch %s index %d out of bounds" name idx))
+  else Array.unsafe_get a idx
+
+let scratch_set name a idx value =
+  if idx < 0 || idx >= Array.length a then
+    raise (Aborted (Printf.sprintf "scratch %s index %d out of bounds" name idx))
+  else Array.unsafe_set a idx value
+
+(* [run] compiles the kernel to closures over one array of local slots, then
+   runs them.  Everything that depends only on the kernel — slot numbers,
+   scratch arrays, dependent flags, cost classes, constants — is decided
+   here, once; every machine callback happens at run time, in tree order. *)
 let run ?(fuel = 100_000_000) (k : Ir.t) m =
-  let locals : (string, Value.t) Hashtbl.t = Hashtbl.create 32 in
+  let slots : (string, int) Hashtbl.t = Hashtbl.create 32 in
+  let slot name =
+    match Hashtbl.find_opt slots name with
+    | Some s -> s
+    | None ->
+        let s = Hashtbl.length slots in
+        Hashtbl.add slots name s;
+        s
+  in
   let scratch : (string, Value.t array) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (b : Ir.buf_decl) ->
       Hashtbl.add scratch b.buf_name (Array.make b.len (zero_of b.elem)))
     k.scratch;
-  let scratch_get name idx =
-    let a = Hashtbl.find scratch name in
-    if idx < 0 || idx >= Array.length a then
-      raise (Aborted (Printf.sprintf "scratch %s index %d out of bounds" name idx))
-    else a.(idx)
-  in
-  let scratch_set name idx value =
-    let a = Hashtbl.find scratch name in
-    if idx < 0 || idx >= Array.length a then
-      raise (Aborted (Printf.sprintf "scratch %s index %d out of bounds" name idx))
-    else a.(idx) <- value
-  in
-  let is_scratch name = Hashtbl.mem scratch name in
+  let tick = m.tick in
   let fuel_left = ref fuel in
-  let rec eval (e : Ir.exp) : Value.t =
+  let rec exp (e : Ir.exp) : Value.t array -> Value.t =
     match e with
-    | Int n -> Value.VI n
-    | Flt x -> Value.VF x
-    | Var name -> (
-        match Hashtbl.find_opt locals name with
-        | Some value -> value
-        | None -> raise (Value.Type_error ("unbound local " ^ name)))
-    | Param name -> m.param name
-    | Load (b, idx_exp) ->
-        let dependent = Ir.contains_load idx_exp in
-        let idx = Value.as_int (eval idx_exp) in
-        if is_scratch b then begin
-          m.tick Sram 1;
-          scratch_get b idx
-        end
-        else m.load b ~idx ~dependent
+    | Int n ->
+        let value = Value.VI n in
+        fun _ -> value
+    | Flt x ->
+        let value = Value.VF x in
+        fun _ -> value
+    | Var name ->
+        let s = slot name in
+        fun env ->
+          let value = env.(s) in
+          if value == unbound then raise (Value.Type_error ("unbound local " ^ name))
+          else value
+    | Param name -> fun _ -> m.param name
+    | Load (b, idx_exp) -> (
+        let idx_of = exp idx_exp in
+        match Hashtbl.find_opt scratch b with
+        | Some a ->
+            fun env ->
+              let idx = Value.as_int (idx_of env) in
+              tick Sram 1;
+              scratch_get b a idx
+        | None ->
+            let dependent = Ir.contains_load idx_exp in
+            fun env -> m.load b ~idx:(Value.as_int (idx_of env)) ~dependent)
     | Bin (op, x, y) ->
-        let a = eval x in
-        let b = eval y in
-        m.tick (cost_of_binop op) 1;
-        eval_binop op a b
+        let f = eval_binop op and cost = cost_of_binop op in
+        let x = exp x and y = exp y in
+        fun env ->
+          let a = x env in
+          let b = y env in
+          tick cost 1;
+          f a b
     | Un (op, x) ->
-        let a = eval x in
-        m.tick (cost_of_unop op) 1;
-        eval_unop op a
+        let f = eval_unop op and cost = cost_of_unop op and x = exp x in
+        fun env ->
+          let a = x env in
+          tick cost 1;
+          f a
   in
-  let rec exec (s : Ir.stmt) =
+  let rec stmt (s : Ir.stmt) : Value.t array -> unit =
     match s with
-    | Let (name, e) -> Hashtbl.replace locals name (eval e)
-    | Store (b, idx_exp, value_exp) ->
-        let idx = Value.as_int (eval idx_exp) in
-        let value = eval value_exp in
-        if is_scratch b then begin
-          m.tick Sram 1;
-          scratch_set b idx value
-        end
-        else m.store b ~idx value
+    | Let (name, e) ->
+        let s = slot name and e = exp e in
+        fun env -> env.(s) <- e env
+    | Store (b, idx_exp, value_exp) -> (
+        let idx_of = exp idx_exp and value_of = exp value_exp in
+        match Hashtbl.find_opt scratch b with
+        | Some a ->
+            fun env ->
+              let idx = Value.as_int (idx_of env) in
+              let value = value_of env in
+              tick Sram 1;
+              scratch_set b a idx value
+        | None ->
+            fun env ->
+              let idx = Value.as_int (idx_of env) in
+              m.store b ~idx (value_of env))
     | For (var, lo_exp, hi_exp, body) ->
-        let lo = Value.as_int (eval lo_exp) in
-        let hi = Value.as_int (eval hi_exp) in
-        (* C semantics: the variable is assigned [lo] even for a zero-trip
-           loop and holds [hi] afterwards; writes to it from the body do not
-           affect the trip count. *)
-        Hashtbl.replace locals var (Value.VI lo);
-        for j = lo to hi - 1 do
-          Hashtbl.replace locals var (Value.VI j);
-          m.tick Branch 1;
-          List.iter exec body
-        done;
-        Hashtbl.replace locals var (Value.VI (max lo hi))
+        let s = slot var and lo_of = exp lo_exp and hi_of = exp hi_exp in
+        let body = block body in
+        fun env ->
+          let lo = Value.as_int (lo_of env) in
+          let hi = Value.as_int (hi_of env) in
+          (* C semantics: the variable is assigned [lo] even for a zero-trip
+             loop and holds [hi] afterwards; writes to it from the body do
+             not affect the trip count. *)
+          env.(s) <- Value.VI lo;
+          for j = lo to hi - 1 do
+            env.(s) <- Value.VI j;
+            tick Branch 1;
+            body env
+          done;
+          env.(s) <- Value.VI (Int.max lo hi)
     | While (cond, body) ->
-        let rec loop () =
-          m.tick Branch 1;
-          if Value.truthy (eval cond) then begin
+        let cond = exp cond and body = block body in
+        fun env ->
+          tick Branch 1;
+          while Value.truthy (cond env) do
             decr fuel_left;
             if !fuel_left <= 0 then raise Fuel_exhausted;
-            List.iter exec body;
-            loop ()
-          end
-        in
-        loop ()
+            body env;
+            tick Branch 1
+          done
     | If (cond, then_, else_) ->
-        m.tick Branch 1;
-        if Value.truthy (eval cond) then List.iter exec then_
-        else List.iter exec else_
-    | Memcpy { dst; src; elems } ->
-        let n = Value.as_int (eval elems) in
-        if n < 0 then raise (Aborted "memcpy with negative length");
+        let cond = exp cond and then_ = block then_ and else_ = block else_ in
+        fun env ->
+          tick Branch 1;
+          if Value.truthy (cond env) then then_ env else else_ env
+    | Memcpy { dst; src; elems } -> (
+        let elems = exp elems in
+        let length env =
+          let n = Value.as_int (elems env) in
+          if n < 0 then raise (Aborted "memcpy with negative length");
+          n
+        in
         (* Copies touching scratch lower to element transfers: one side is a
            DMA stream, the other is internal BRAM. *)
-        (match (is_scratch dst, is_scratch src) with
-        | false, false -> m.copy ~dst ~src ~elems:n
-        | true, true ->
-            m.tick Sram (2 * n);
-            for idx = 0 to n - 1 do
-              scratch_set dst idx (scratch_get src idx)
-            done
-        | true, false ->
-            m.tick Sram n;
-            for idx = 0 to n - 1 do
-              scratch_set dst idx (m.load src ~idx ~dependent:false)
-            done
-        | false, true ->
-            m.tick Sram n;
-            for idx = 0 to n - 1 do
-              m.store dst ~idx (scratch_get src idx)
-            done)
+        match (Hashtbl.find_opt scratch dst, Hashtbl.find_opt scratch src) with
+        | None, None -> fun env -> m.copy ~dst ~src ~elems:(length env)
+        | Some d, Some sa ->
+            fun env ->
+              let n = length env in
+              tick Sram (2 * n);
+              for idx = 0 to n - 1 do
+                scratch_set dst d idx (scratch_get src sa idx)
+              done
+        | Some d, None ->
+            fun env ->
+              let n = length env in
+              tick Sram n;
+              for idx = 0 to n - 1 do
+                scratch_set dst d idx (m.load src ~idx ~dependent:false)
+              done
+        | None, Some sa ->
+            fun env ->
+              let n = length env in
+              tick Sram n;
+              for idx = 0 to n - 1 do
+                m.store dst ~idx (scratch_get src sa idx)
+              done)
+  and block stmts =
+    match Array.of_list (List.map stmt stmts) with
+    | [| s |] -> s
+    | body ->
+        fun env ->
+          for j = 0 to Array.length body - 1 do
+            (Array.unsafe_get body j) env
+          done
   in
-  List.iter exec k.body
+  let body = block k.body in
+  body (Array.make (Hashtbl.length slots) unbound)
 
 let pure_machine ~bufs ?(params = []) () =
   let arr name =
-    match List.assoc_opt name bufs with
-    | Some a -> a
-    | None -> invalid_arg ("pure_machine: unknown buffer " ^ name)
+    match List.assoc name bufs with
+    | a -> a
+    | exception Not_found -> invalid_arg ("pure_machine: unknown buffer " ^ name)
   in
   {
     load = (fun b ~idx ~dependent:_ -> (arr b).(idx));

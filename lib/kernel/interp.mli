@@ -38,6 +38,23 @@ val run : ?fuel:int -> Ir.t -> machine -> unit
 (** Execute the kernel body.  [fuel] bounds total [While] iterations
     (default 100 million).
 
+    Each call first compiles the kernel to closures, then runs them.
+    Compilation resolves everything that depends only on the kernel: every
+    local becomes a slot of one array (reading one never assigned raises
+    [Value.Type_error "unbound local x"]), every scratch buffer its array,
+    every other buffer a machine call, every [Load]'s [dependent] flag and
+    every operator's cost class and operation are fixed, and constants are
+    allocated once.  Nothing is cached across calls.
+
+    The sequence of machine calls is part of the contract: every machine
+    sees its [load], [store], [copy], [tick] and [param] calls in tree
+    order (operands left to right, an index before a stored value, an
+    operator's tick after its operands, a branch's tick before its
+    condition), with the same arguments, up to and including the call that
+    raises.  A [For] evaluates [lo] then [hi] once; its variable holds [lo]
+    on a zero-trip loop and [max lo hi] afterwards, and writes to it in the
+    body do not change the trip count.
+
     Scratch memories ({!Ir.t.scratch}) are handled entirely inside the
     interpreter: they are zero-initialised arrays private to the run, their
     accesses cost [Sram] ticks, and they never reach the machine's

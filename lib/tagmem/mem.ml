@@ -1,7 +1,9 @@
 (* Data lives in fixed-size pages allocated on first write; an absent page
-   reads as zeros.  A system's DRAM is 16 MiB but a run touches a few pages of
-   it, so demand paging keeps a fresh memory at the size of its tag store
-   instead of zero-filling the whole range. *)
+   reads as zeros.  Tags are paged alongside: one tag page (a byte per
+   granule) per data page, allocated only when a tag is first set; an absent
+   tag page reads untagged.  A system's DRAM is 16 MiB but a run touches a
+   few pages of it, so a fresh memory costs two page tables and nothing
+   else. *)
 
 let page_bits = 16
 let page_size = 1 lsl page_bits
@@ -10,17 +12,21 @@ let page_mask = page_size - 1
 (* The absent-page marker: every real page is [page_size] bytes long. *)
 let absent = Bytes.empty
 
-type t = { size : int; pages : Bytes.t array; tags : Bytes.t }
+type t = { size : int; pages : Bytes.t array; tags : Bytes.t array }
 
 let granule = 16
+
+(* Granule index [g] lives at byte [g land tag_mask] of tag page
+   [g lsr tag_bits]. *)
+let tag_bits = page_bits - 4
+let tag_mask = (1 lsl tag_bits) - 1
 
 exception Out_of_range of { addr : int; size : int }
 
 let create ~size =
   let size = (size + granule - 1) / granule * granule in
-  { size;
-    pages = Array.make ((size + page_size - 1) / page_size) absent;
-    tags = Bytes.make (size / granule) '\000' }
+  let n_pages = (size + page_size - 1) / page_size in
+  { size; pages = Array.make n_pages absent; tags = Array.make n_pages absent }
 
 let size t = t.size
 
@@ -30,15 +36,17 @@ let check t ~addr ~size:sz =
 
 let page t addr = Array.unsafe_get t.pages (addr lsr page_bits)
 
-let writable_page t addr =
-  let idx = addr lsr page_bits in
-  let p = t.pages.(idx) in
+(* Page [idx] of [table], allocated zero-filled ([len] bytes) if absent. *)
+let materialize table idx len =
+  let p = table.(idx) in
   if p != absent then p
   else begin
-    let p = Bytes.make page_size '\000' in
-    t.pages.(idx) <- p;
+    let p = Bytes.make len '\000' in
+    table.(idx) <- p;
     p
   end
+
+let writable_page t addr = materialize t.pages (addr lsr page_bits) page_size
 
 (* [f page offset chunk dst_off] over the page-sized pieces of
    [addr, addr + sz). *)
@@ -66,8 +74,17 @@ let blit_in t ~addr src =
 let clear_tags t ~addr ~size:sz =
   if sz > 0 then
     for g = addr / granule to (addr + sz - 1) / granule do
-      Bytes.set t.tags g '\000'
+      let tp = t.tags.(g lsr tag_bits) in
+      if tp != absent then Bytes.set tp (g land tag_mask) '\000'
     done
+
+let tag_of t g =
+  let tp = t.tags.(g lsr tag_bits) in
+  tp != absent && Bytes.get tp (g land tag_mask) <> '\000'
+
+let set_tag t g =
+  Bytes.set (materialize t.tags (g lsr tag_bits) (1 lsl tag_bits)) (g land tag_mask)
+    '\001'
 
 let read_bytes t ~addr ~size:sz =
   check t ~addr ~size:sz;
@@ -169,21 +186,22 @@ let store_cap t ~addr cap =
   let w = Cheri.Compress.encode cap in
   set_u64 t ~addr w.Cheri.Compress.lo;
   set_u64 t ~addr:(addr + 8) w.Cheri.Compress.hi;
-  Bytes.set t.tags (addr / granule) (if cap.Cheri.Cap.tag then '\001' else '\000')
+  if cap.Cheri.Cap.tag then set_tag t (addr / granule)
+  else clear_tags t ~addr ~size:granule
 
 let load_cap t ~addr =
   check_cap_addr addr;
   check t ~addr ~size:granule;
   let lo = read_u64 t ~addr in
   let hi = read_u64 t ~addr:(addr + 8) in
-  let tag = Bytes.get t.tags (addr / granule) <> '\000' in
+  let tag = tag_of t (addr / granule) in
   Cheri.Compress.decode ~tag { Cheri.Compress.hi; lo }
 
 let tag_at t ~addr =
   check t ~addr ~size:1;
-  Bytes.get t.tags (addr / granule) <> '\000'
+  tag_of t (addr / granule)
 
 let count_tags t =
   let n = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr n) t.tags;
+  Array.iter (Bytes.iter (fun c -> if c <> '\000' then incr n)) t.tags;
   !n

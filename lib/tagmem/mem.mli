@@ -10,10 +10,13 @@
     Only {!store_cap}, reachable solely from capability-aware agents (the CPU
     model and the test bench), can set a tag.
 
-    Data is demand-paged: 64 KiB pages are allocated on first write and an
-    absent page reads as zeros, so a fresh memory costs its flat tag store
-    plus the pages a run actually writes.  Zero-filling an absent page (the
-    driver's teardown scrub) allocates nothing. *)
+    Data and tags are both demand-paged.  A 64 KiB data page is allocated on
+    first write and an absent one reads as zeros; its 4 KiB tag page is
+    allocated only when {!store_cap} first sets a tag in it, and an absent
+    tag page reads untagged.  A fresh memory therefore costs two small page
+    tables plus the pages a run actually writes.  Zero-filling an absent
+    data page (the driver's teardown scrub) and clearing tags on an absent
+    tag page allocate nothing. *)
 
 type t
 

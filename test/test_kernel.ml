@@ -299,6 +299,146 @@ let test_tick_counts () =
   checki "four back-edges" 4
     (Option.value ~default:0 (Hashtbl.find_opt ticks Interp.Branch))
 
+let test_unbound_var_message () =
+  let k = simple "unbound" [ store "out" (i 0) (v "x") ] in
+  match run_pure k [] with
+  | _ -> Alcotest.fail "expected a type error"
+  | exception Value.Type_error msg ->
+      Alcotest.(check string) "message" "unbound local x" msg
+
+let test_for_body_assigns_loop_var () =
+  let k =
+    simple "reassign"
+      [
+        let_ "trips" (i 0);
+        for_ "j" (i 0) (i 4)
+          [ store "out" (v "j") (v "j"); let_ "j" (v "j" +: i 10);
+            let_ "trips" (v "trips" +: i 1) ];
+        store "out" (i 4) (v "trips");
+        store "out" (i 5) (v "j");
+        for_ "z" (i 7) (i 3) [ let_ "trips" (i 0) ];
+        store "out" (i 6) (v "z");
+      ]
+  in
+  let out = List.assoc "out" (run_pure k []) in
+  Alcotest.(check (list int)) "each trip sees its own index, trips and final values"
+    [ 0; 1; 2; 3; 4; 4; 7 ]
+    (List.init 7 (fun j -> Value.as_int out.(j)))
+
+let test_fuel_exhaustion_ticks () =
+  let branches = ref 0 and bodies = ref 0 in
+  let k = simple "spin" [ while_ (i 1) [ store "out" (i 0) (i 0) ] ] in
+  let pure = Interp.pure_machine ~bufs:[ ("out", Array.make 8 (Value.VI 0)) ] () in
+  let m =
+    { pure with
+      Interp.tick = (fun c _ -> if c = Interp.Branch then incr branches);
+      store = (fun name ~idx x -> incr bodies; pure.store name ~idx x) }
+  in
+  (match Interp.run ~fuel:5 k m with
+  | () -> Alcotest.fail "expected fuel exhaustion"
+  | exception Interp.Fuel_exhausted -> ());
+  checki "condition ticks" 5 !branches;
+  checki "bodies run" 4 !bodies
+
+(* ---------------- call sequence ---------------- *)
+
+(* The interpreter's observable behaviour is the exact sequence of machine
+   callbacks it makes.  Every registry benchmark runs on a machine that
+   records each call (kind, buffer, index, dependent flag, value, cost class
+   and count) around [pure_machine]; the digest over all of them pins the
+   order and arguments of every load, store, copy, tick and param. *)
+let call_sequence_golden = "75a5a0e560f55e85"
+
+let cost_tag : Interp.cost -> char = function
+  | Alu -> 'a' | Imul -> 'm' | Idiv -> 'd' | Fadd -> 'F' | Fmul -> 'M'
+  | Fdiv -> 'D' | Fspec -> 's' | Branch -> 'b' | Sram -> 'r'
+
+(* A 63-bit multiply-xorshift hash folded over every recorded field: cheap
+   enough for the ~25 M callbacks of the registry, and any change in the
+   order or value of a field moves it. *)
+let recording_machine h (pure : Interp.machine) =
+  let int n =
+    let x = (!h + n) * 0x5bd1e9955bd1e995 in
+    h := x lxor (x lsr 29)
+  in
+  let str s = int (Hashtbl.hash s) in
+  let value : Value.t -> unit = function
+    | VI n -> int 1; int n
+    | VF x ->
+        let bits = Int64.bits_of_float x in
+        int 2; int (Int64.to_int bits); int (Int64.to_int (Int64.shift_right_logical bits 32))
+  in
+  {
+    Interp.load =
+      (fun name ~idx ~dependent ->
+        int (Char.code 'L'); str name; int idx; int (Bool.to_int dependent);
+        let x = pure.load name ~idx ~dependent in
+        value x;
+        x);
+    store =
+      (fun name ~idx x ->
+        int (Char.code 'S'); str name; int idx; value x;
+        pure.store name ~idx x);
+    copy =
+      (fun ~dst ~src ~elems ->
+        int (Char.code 'C'); str dst; str src; int elems;
+        pure.copy ~dst ~src ~elems);
+    tick = (fun c n -> int (Char.code 'T'); int (Char.code (cost_tag c)); int n);
+    param =
+      (fun name ->
+        int (Char.code 'P'); str name;
+        let x = pure.param name in
+        value x;
+        x);
+  }
+
+(* [pure_machine] over a registry bench's initial buffers and params. *)
+let bench_machine (bd : Machsuite.Bench_def.t) =
+  let bufs =
+    List.map
+      (fun (d : buf_decl) -> (d.buf_name, Machsuite.Bench_def.initial_array bd d))
+      bd.kernel.bufs
+  in
+  Interp.pure_machine ~bufs ~params:bd.params ()
+
+let test_call_sequence_digest () =
+  let h = ref 0 in
+  List.iter
+    (fun (bd : Machsuite.Bench_def.t) ->
+      Interp.run bd.kernel (recording_machine h (bench_machine bd)))
+    Machsuite.Registry.all;
+  checki "every registry bench" 19 (List.length Machsuite.Registry.all);
+  Alcotest.(check string) "call-sequence digest" call_sequence_golden
+    (Printf.sprintf "%016x" !h)
+
+(* Allocation budget: the interpreter resolves locals, buffers and costs
+   before it runs, so an executed op (one machine callback) allocates little
+   more than the values it computes.  Per-node name hashing costs ~3.5-4
+   minor words per op on these kernels. *)
+let test_allocation_budget () =
+  List.iter
+    (fun name ->
+      let bd = Machsuite.Registry.find name in
+      let pure = bench_machine bd in
+      let ops = ref 0 in
+      let m =
+        {
+          Interp.load =
+            (fun b ~idx ~dependent -> incr ops; pure.load b ~idx ~dependent);
+          store = (fun b ~idx x -> incr ops; pure.store b ~idx x);
+          copy = (fun ~dst ~src ~elems -> incr ops; pure.copy ~dst ~src ~elems);
+          tick = (fun _ _ -> incr ops);
+          param = (fun p -> incr ops; pure.param p);
+        }
+      in
+      let before = Gc.minor_words () in
+      Interp.run bd.kernel m;
+      let per_op = (Gc.minor_words () -. before) /. float_of_int !ops in
+      if per_op > 3.0 then
+        Alcotest.failf "%s: %.2f minor words per executed op (budget 3.0)" name
+          per_op)
+    [ "gemm_ncubed"; "kmp"; "aes"; "nw" ]
+
 let prop_interp_deterministic =
   QCheck.Test.make ~count:100 ~name:"interpretation is deterministic"
     QCheck.(small_list (int_bound 1000))
@@ -347,5 +487,10 @@ let suite =
     ("dependent flag", `Quick, test_dependent_flag_passed);
     ("cost classes", `Quick, test_cost_classes);
     ("tick counts", `Quick, test_tick_counts);
+    ("unbound var message", `Quick, test_unbound_var_message);
+    ("for body assigns loop var", `Quick, test_for_body_assigns_loop_var);
+    ("fuel exhaustion ticks", `Quick, test_fuel_exhaustion_ticks);
+    ("call-sequence digest", `Quick, test_call_sequence_digest);
+    ("allocation budget", `Quick, test_allocation_budget);
   ]
   @ qsuite

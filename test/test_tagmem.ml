@@ -92,6 +92,43 @@ let test_granule_rounding () =
   let m = Mem.create ~size:100 in
   checki "rounded up to granule" 112 (Mem.size m)
 
+(* Tags are demand-paged: one 4 KiB tag page per 64 KiB data page, present
+   only once a tag has been set in it. *)
+
+let test_untouched_page_untagged () =
+  let m = Mem.create ~size:(4 * 65536) in
+  Mem.store_cap m ~addr:0 (some_cap 0 16);
+  checkb "other page reads untagged" false (Mem.tag_at m ~addr:(2 * 65536));
+  checkb "loaded untagged" false
+    (Mem.load_cap m ~addr:(3 * 65536 + 32)).Cheri.Cap.tag;
+  Mem.write_u64 m ~addr:(2 * 65536) 7L;
+  checkb "raw write leaves it untagged" false (Mem.tag_at m ~addr:(2 * 65536))
+
+let test_fresh_page_store_then_raw_write () =
+  let m = Mem.create ~size:(4 * 65536) in
+  let addr = (3 * 65536) + 4096 in
+  Mem.store_cap m ~addr (some_cap 0x100 64);
+  checkb "tagged" true (Mem.tag_at m ~addr);
+  Mem.write_u8 m ~addr:(addr + 3) 0;
+  checkb "raw write clears it" false (Mem.tag_at m ~addr);
+  checki "no tags left" 0 (Mem.count_tags m)
+
+let test_count_tags_across_pages () =
+  let m = Mem.create ~size:(4 * 65536) in
+  List.iter
+    (fun addr -> Mem.store_cap m ~addr (some_cap 0 16))
+    [ 0; 16; 65536; (3 * 65536) + 65520 ];
+  Mem.store_cap m ~addr:(2 * 65536) (Cheri.Cap.clear_tag (some_cap 0 16));
+  checki "four tags over three pages" 4 (Mem.count_tags m)
+
+let test_fresh_memory_is_small () =
+  let before = Gc.allocated_bytes () in
+  let m = Mem.create ~size:(16 * 1024 * 1024) in
+  let allocated = Gc.allocated_bytes () -. before in
+  checki "size" (16 * 1024 * 1024) (Mem.size m);
+  if allocated >= 65536.0 then
+    Alcotest.failf "a fresh 16 MiB memory allocated %.0f bytes" allocated
+
 (* ---------------- Alloc ---------------- *)
 
 let test_alloc_basic () =
@@ -316,6 +353,10 @@ let suite =
     ("fill clears tags", `Quick, test_fill_clears_tags);
     ("naive write preserves tag", `Quick, test_unsafe_write_preserves_tag);
     ("granule rounding", `Quick, test_granule_rounding);
+    ("untouched page untagged", `Quick, test_untouched_page_untagged);
+    ("fresh page store then raw write", `Quick, test_fresh_page_store_then_raw_write);
+    ("count tags across pages", `Quick, test_count_tags_across_pages);
+    ("fresh memory is small", `Quick, test_fresh_memory_is_small);
     ("alloc basics", `Quick, test_alloc_basic);
     ("alloc alignment", `Quick, test_alloc_alignment);
     ("alloc zero size", `Quick, test_alloc_zero_size_distinct);
