@@ -283,8 +283,10 @@ let trace_cmd =
                      ui.perfetto.dev or chrome://tracing).")
   in
   let capacity_arg =
-    Arg.(value & opt int 262_144
-           & info [ "n"; "events" ]
+    Arg.(value
+         & opt (int_in ~min:1 ~max:(1 lsl 24) ~what:"an event count in 1-16777216")
+             262_144
+         & info [ "n"; "events" ]
                ~doc:"Event-ring capacity; once full, the oldest events are \
                      dropped (and counted).")
   in

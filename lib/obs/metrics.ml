@@ -31,14 +31,15 @@ let find_hist t name =
       Hashtbl.add t.hists name h;
       h
 
-let observe t name v =
+let observe_hist h v =
   let v = max 0 v in
-  let h = find_hist t name in
   h.count <- h.count + 1;
   h.sum <- h.sum + v;
   if v > h.max_sample then h.max_sample <- v;
   let b = min (buckets - 1) (bucket_of v) in
   h.counts.(b) <- h.counts.(b) + 1
+
+let observe t name v = observe_hist (find_hist t name) v
 
 type hist_summary = {
   count : int;
@@ -92,18 +93,33 @@ let merge_into ~dst src =
 
 let of_trace trace =
   let m = create () in
+  let counts = Array.make Packed.tags 0 in
+  let grant_wait = find_hist m "bus.grant_wait"
+  and grant_beats = find_hist m "bus.grant_beats"
+  and check_latency = find_hist m "checker.check_latency"
+  and phase_cycles = find_hist m "task.phase_cycles" in
   Trace.iter
     (fun (ev : Event.t) ->
-      let key = Event.category ev.data ^ "." ^ Event.name ev.data in
-      incr m key;
+      let tag = Packed.tag ev.data in
+      counts.(tag) <- counts.(tag) + 1;
       match ev.data with
       | Event.Bus_grant { at; granted_at; beats; _ } ->
-          observe m "bus.grant_wait" (granted_at - at);
-          observe m "bus.grant_beats" beats
-      | Event.Check_ok { latency; _ } -> observe m "checker.check_latency" latency
-      | Event.Task_phase { dur; _ } -> observe m "task.phase_cycles" dur
+          observe_hist grant_wait (granted_at - at);
+          observe_hist grant_beats beats
+      | Event.Check_ok { latency; _ } -> observe_hist check_latency latency
+      | Event.Task_phase { dur; _ } -> observe_hist phase_cycles dur
       | _ -> ())
     trace;
+  Array.iteri
+    (fun tag n ->
+      if n > 0 then
+        let d = Packed.sample tag in
+        add m (Event.category d ^ "." ^ Event.name d) n)
+    counts;
+  (* A histogram exists only if some event fed it. *)
+  Hashtbl.filter_map_inplace
+    (fun _ (h : hist) -> if h.count > 0 then Some h else None)
+    m.hists;
   add m "trace.dropped" (Trace.dropped trace);
   m
 

@@ -1,8 +1,7 @@
 (** A bounded ring buffer that keeps the newest [capacity] elements.
 
     Pushing into a full ring overwrites the oldest element and increments the
-    drop counter — the observability layer's universal answer to unbounded
-    growth (event sinks, denial logs).  All operations are O(1) except
+    drop counter (the checker's denial log).  All operations are O(1) except
     [to_list]/[iter], which are O(length). *)
 
 type 'a t

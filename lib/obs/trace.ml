@@ -1,9 +1,10 @@
-type t = { mutable clock : int; ring : Event.t Ring.t option }
+type t = { mutable clock : int; ring : Packed.t option }
 
 let null = { clock = 0; ring = None }
 
 let create ?(capacity = 65536) () =
-  { clock = 0; ring = Some (Ring.create ~capacity) }
+  if capacity <= 0 then invalid_arg "Obs.Trace.create: capacity must be positive";
+  { clock = 0; ring = Some (Packed.create ~capacity) }
 
 let enabled t = t.ring <> None
 
@@ -16,20 +17,23 @@ let advance t n = match t.ring with None -> () | Some _ -> if n > 0 then t.clock
 let emit_at t ~cycle data =
   match t.ring with
   | None -> ()
-  | Some r -> Ring.push r { Event.cycle; data }
+  | Some r -> Packed.push r ~cycle data
 
 let emit t data = emit_at t ~cycle:t.clock data
 
-let events t = match t.ring with None -> [] | Some r -> Ring.to_list r
+let iter f t = match t.ring with None -> () | Some r -> Packed.iter f r
 
-let iter f t = match t.ring with None -> () | Some r -> Ring.iter f r
+let events t =
+  let acc = ref [] in
+  iter (fun ev -> acc := ev :: !acc) t;
+  List.rev !acc
 
-let length t = match t.ring with None -> 0 | Some r -> Ring.length r
-let dropped t = match t.ring with None -> 0 | Some r -> Ring.dropped r
-let capacity t = match t.ring with None -> 0 | Some r -> Ring.capacity r
+let length t = match t.ring with None -> 0 | Some r -> Packed.length r
+let dropped t = match t.ring with None -> 0 | Some r -> Packed.dropped r
+let capacity t = match t.ring with None -> 0 | Some r -> Packed.capacity r
 
 let clear t =
-  (match t.ring with None -> () | Some r -> Ring.clear r);
+  (match t.ring with None -> () | Some r -> Packed.clear r);
   t.clock <- 0
 
 let merge_into ~into sources =
@@ -39,8 +43,6 @@ let merge_into ~into sources =
       List.iter
         (fun src ->
           if src == into then invalid_arg "Obs.Trace.merge_into: source = into";
-          (match src.ring with
-          | None -> ()
-          | Some sr -> Ring.iter (Ring.push r) sr);
+          iter (fun (ev : Event.t) -> Packed.push r ~cycle:ev.cycle ev.data) src;
           if src.clock > into.clock then into.clock <- src.clock)
         sources

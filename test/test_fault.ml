@@ -149,7 +149,11 @@ let test_faulted_run_deterministic () =
   in
   let r1, t1 = capture () and r2, t2 = capture () in
   checkb "identical result" true (r1 = r2);
-  Alcotest.(check string) "identical trace" t1 t2
+  Alcotest.(check string) "identical trace" t1 t2;
+  (* Pins the export of the string-bearing events (fault, fallback, phase)
+     too, so a change to how a sink stores events cannot move it. *)
+  Alcotest.(check string) "pinned trace digest" "81eeeb67e8fcd88c33fef98ccd9b0975"
+    (Digest.to_hex (Digest.string t1))
 
 let test_faulted_tracing_changes_nothing () =
   (* The observability contract holds under faults too: a recording sink

@@ -60,6 +60,142 @@ let test_trace_clock_and_drops () =
       check_int "newest kept 2" 4 b.Obs.Event.cycle
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
+let test_create_rejects_empty () =
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Obs.Trace.create: capacity must be positive")
+    (fun () -> ignore (Obs.Trace.create ~capacity:0 ()))
+
+(* ---- The packed event store: every constructor round-trips ---- *)
+
+let gen_int =
+  QCheck.Gen.(oneof [ int; small_signed_int; oneofl [ 0; -1; max_int; min_int ] ])
+
+let gen_str =
+  QCheck.Gen.(
+    oneof
+      [ return ""; string_size ~gen:char (int_bound 6);
+        oneofl [ "\xc3\xa9t\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; "\x00\xff" ] ])
+
+(* One generator per constructor of [Obs.Event.data], in declaration order. *)
+let gen_ctors : Obs.Event.data QCheck.Gen.t list =
+  let open QCheck.Gen in
+  let i = gen_int and s = gen_str in
+  [ (let+ source = i and+ beats = i and+ read = bool and+ at = i
+     and+ granted_at = i and+ data_done = i and+ completed = i in
+     Obs.Event.Bus_grant { source; beats; read; at; granted_at; data_done; completed });
+    (let+ source = i and+ beats = i in Obs.Event.Bus_beat { source; beats });
+    (let+ core = i and+ addr = i in Obs.Event.Cache_hit { core; addr });
+    (let+ core = i and+ addr = i in Obs.Event.Cache_miss { core; addr });
+    (let+ task = i and+ obj = i and+ latency = i in
+     Obs.Event.Check_ok { task; obj; latency });
+    (let+ task = i and+ obj = i in Obs.Event.Check_table_miss { task; obj });
+    (let+ task = i and+ obj = i and+ detail = s in
+     Obs.Event.Check_denial { task; obj; detail });
+    (let+ task = i and+ obj = i and+ slot = i in
+     Obs.Event.Table_insert { task; obj; slot });
+    (let+ task = i and+ obj = i and+ count = i in
+     Obs.Event.Table_evict { task; obj; count });
+    (let+ task = i and+ obj = i in Obs.Event.Cap_import { task; obj });
+    (let+ caps = i and+ entries = i in Obs.Event.Cap_revoke { caps; entries });
+    (let+ task = i and+ phase = s and+ dur = i in
+     Obs.Event.Task_phase { task; phase; dur });
+    (let+ offset = i in Obs.Event.Mmio_read { offset });
+    (let+ offset = i in Obs.Event.Mmio_write { offset });
+    (let+ layer = s and+ kind = s and+ task = i in
+     Obs.Event.Fault_injected { layer; kind; task });
+    (let+ task = i and+ attempt = i and+ backoff = i in
+     Obs.Event.Task_retry { task; attempt; backoff });
+    (let+ task = i and+ reason = s in Obs.Event.Task_fallback { task; reason });
+    (let+ task = i and+ count = i in Obs.Event.Check_elided { task; count }) ]
+
+let gen_event =
+  QCheck.Gen.(
+    let+ cycle = gen_int and+ data = oneof gen_ctors in
+    { Obs.Event.cycle; data })
+
+(* Every constructor at least once, then a random tail, shuffled. *)
+let arb_events =
+  QCheck.make
+    ~print:(fun evs ->
+      String.concat " "
+        (List.map (fun e -> Obs.Event.name e.Obs.Event.data) evs))
+    QCheck.Gen.(
+      let* every = flatten_l (List.map (fun g ->
+          let+ cycle = gen_int and+ data = g in { Obs.Event.cycle; data })
+          gen_ctors)
+      and* tail = list_size (int_bound 150) gen_event in
+      shuffle_l (every @ tail))
+
+let emit_all t evs =
+  List.iter (fun e -> Obs.Trace.emit_at t ~cycle:e.Obs.Event.cycle e.data) evs
+
+let last n xs = List.filteri (fun i _ -> i >= List.length xs - n) xs
+
+let retains_newest t evs =
+  let n = List.length evs and cap = Obs.Trace.capacity t in
+  Obs.Trace.length t = min n cap
+  && Obs.Trace.dropped t = max 0 (n - cap)
+  && Obs.Trace.events t = last cap evs
+
+let qcheck_packed_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"packed sink round-trips every constructor"
+    arb_events (fun evs ->
+      List.for_all
+        (fun capacity ->
+          let t = Obs.Trace.create ~capacity () in
+          emit_all t evs;
+          let first = retains_newest t evs in
+          Obs.Trace.clear t;
+          let cleared = Obs.Trace.length t = 0 && Obs.Trace.dropped t = 0 in
+          emit_all t evs;
+          first && cleared && retains_newest t evs)
+        [ 1; 3; 64; 100 ])
+
+let test_packed_across_chunks () =
+  (* Capacities that end on, just past and inside a storage chunk, each
+     wrapped more than twice. *)
+  let evs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:6000 gen_event
+  in
+  List.iter
+    (fun capacity ->
+      let t = Obs.Trace.create ~capacity () in
+      emit_all t evs;
+      check_bool (Printf.sprintf "capacity %d" capacity) true (retains_newest t evs);
+      Obs.Trace.clear t;
+      emit_all t (last 10 evs);
+      check_bool (Printf.sprintf "capacity %d reused" capacity) true
+        (retains_newest t (last 10 evs)))
+    [ 1024; 1025; 2500 ]
+
+let bus_grant =
+  Obs.Event.Bus_grant
+    { source = 1; beats = 16; read = true; at = 10; granted_at = 12;
+      data_done = 28; completed = 30 }
+
+let test_emit_allocates_nothing () =
+  let t = Obs.Trace.create ~capacity:1024 () in
+  for i = 0 to 2047 do Obs.Trace.emit_at t ~cycle:i bus_grant done;
+  let calls = 100_000 in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for i = 1 to calls do Obs.Trace.emit_at t ~cycle:i bus_grant done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call >= 0.1 then
+    Alcotest.failf "emit_at allocates %.2f minor words per call" per_call;
+  check_int "still full" 1024 (Obs.Trace.length t)
+
+let test_create_is_lazy () =
+  (* An empty minor heap keeps a collection, and its accounting, out of the
+     measured window. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let t = Obs.Trace.create ~capacity:(1 lsl 24) () in
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 1048576.0 then
+    Alcotest.failf "create ~capacity:2^24 allocated %.0f bytes" bytes;
+  check_int "capacity as asked" (1 lsl 24) (Obs.Trace.capacity t)
+
 (* ---- merge_into: the join step of a parallel batch ---- *)
 
 let test_merge_into_order_and_clock () =
@@ -306,6 +442,59 @@ let test_metrics_of_trace () =
   check_bool "renders" true (String.length (Obs.Metrics.to_table m) > 0);
   check_bool "summary renders" true (String.length (Obs.Export.summary obs) > 0)
 
+(* The per-event implementation of [Metrics.of_trace], kept as the oracle
+   for the tag-counting one: a counter per "category.name" and four
+   histograms, each created by the first event that feeds it. *)
+let reference_of_trace trace =
+  let m = Obs.Metrics.create () in
+  Obs.Trace.iter
+    (fun (ev : Obs.Event.t) ->
+      let key = Obs.Event.category ev.data ^ "." ^ Obs.Event.name ev.data in
+      Obs.Metrics.incr m key;
+      match ev.data with
+      | Obs.Event.Bus_grant { at; granted_at; beats; _ } ->
+          Obs.Metrics.observe m "bus.grant_wait" (granted_at - at);
+          Obs.Metrics.observe m "bus.grant_beats" beats
+      | Obs.Event.Check_ok { latency; _ } ->
+          Obs.Metrics.observe m "checker.check_latency" latency
+      | Obs.Event.Task_phase { dur; _ } ->
+          Obs.Metrics.observe m "task.phase_cycles" dur
+      | _ -> ())
+    trace;
+  Obs.Metrics.add m "trace.dropped" (Obs.Trace.dropped trace);
+  m
+
+let same_metrics a b =
+  let hists m =
+    List.map
+      (fun name ->
+        ( name,
+          Obs.Metrics.hist_summary m name,
+          List.map (Obs.Metrics.percentile m name) [ 0.5; 0.9; 0.99 ] ))
+      (Obs.Metrics.histograms m)
+  in
+  Obs.Metrics.counters a = Obs.Metrics.counters b && hists a = hists b
+
+let qcheck_metrics_oracle =
+  QCheck.Test.make ~count:200 ~name:"of_trace equals the per-event oracle"
+    QCheck.(pair arb_events (int_range 1 200))
+    (fun (evs, capacity) ->
+      let t = Obs.Trace.create ~capacity () in
+      emit_all t evs;
+      same_metrics (Obs.Metrics.of_trace t) (reference_of_trace t))
+
+let test_metrics_oracle_real_run () =
+  let full = recorded_run () in
+  check_bool "full trace" true
+    (same_metrics (Obs.Metrics.of_trace full) (reference_of_trace full));
+  let wrapped = Obs.Trace.create ~capacity:3000 () in
+  ignore
+    (Soc.Run.run ~tasks:4 ~obs:wrapped Soc.Config.ccpu_caccel
+       (Machsuite.Registry.find "gemm_blocked"));
+  check_bool "wrapped" true (Obs.Trace.dropped wrapped > 0);
+  check_bool "wrapped trace" true
+    (same_metrics (Obs.Metrics.of_trace wrapped) (reference_of_trace wrapped))
+
 (* ---- Bounded denial log (the denial-storm regression) ---- *)
 
 let denial_req i =
@@ -352,6 +541,14 @@ let suite =
     Alcotest.test_case "ring below capacity" `Quick test_ring_partial;
     Alcotest.test_case "null sink is inert" `Quick test_null_sink;
     Alcotest.test_case "trace clock and drops" `Quick test_trace_clock_and_drops;
+    Alcotest.test_case "create rejects capacity 0" `Quick
+      test_create_rejects_empty;
+    QCheck_alcotest.to_alcotest qcheck_packed_roundtrip;
+    Alcotest.test_case "packed sink across chunks" `Quick
+      test_packed_across_chunks;
+    Alcotest.test_case "emit_at allocates nothing" `Quick
+      test_emit_allocates_nothing;
+    Alcotest.test_case "create allocates lazily" `Quick test_create_is_lazy;
     Alcotest.test_case "merge_into order and clock" `Quick
       test_merge_into_order_and_clock;
     Alcotest.test_case "merge_into null/self handling" `Quick
@@ -372,6 +569,9 @@ let suite =
       test_chrome_export_parses;
     Alcotest.test_case "write_chrome roundtrip" `Slow test_write_chrome_roundtrip;
     Alcotest.test_case "metrics derived from trace" `Slow test_metrics_of_trace;
+    QCheck_alcotest.to_alcotest qcheck_metrics_oracle;
+    Alcotest.test_case "metrics oracle on a real run" `Slow
+      test_metrics_oracle_real_run;
     Alcotest.test_case "denial storm stays bounded" `Quick
       test_denial_storm_bounded;
     Alcotest.test_case "denial log default keeps small logs whole" `Quick
