@@ -9,7 +9,14 @@
    Nothing in the pipeline knows which source fed it, so a replayed task
    cannot drift from an interpreted one.  The pipeline is a mutable record
    per task and every stage is a direct call on it: nothing is allocated per
-   access beyond what the guard and the sinks themselves need. *)
+   access beyond what the guard and the sinks themselves need.
+
+   The sources differ only in how they are driven on the event core.  The
+   interpreter owns a call stack, so it runs as a scheduler process that
+   each burst and wait suspends.  A script needs no stack: it is a cursor
+   whose whole position lives in mutable fields, which stops wherever the
+   sink takes a burst or a wait and is continued from the event that would
+   have resumed a process. *)
 
 type addressing = Plain | Coarse_ids | Fine_ports
 
@@ -53,10 +60,28 @@ type ev_outcome = {
    reported in the outcome. *)
 exception Denied_access of Guard.Iface.denial
 
+(* An access escaping physical memory is the bus error a data movement
+   would raise. *)
+let bus_error ~addr ~size =
+  { Guard.Iface.code = "bus"; detail = Printf.sprintf "bus error at 0x%x+%d" addr size }
+
+(* The event core's wiring for a script cursor.  [k] is the cursor's one
+   continuation: a burst goes to the flow and a wait to the scheduler with
+   it, and the cursor returns. *)
+type wiring = {
+  flow : Flow.t;
+  sched : Ccsim.Sched.t;
+  ic : Bus.Topology.t;
+  mutable k : unit -> unit;
+}
+
 type sink =
   | Trace_sink of Trace.t * Obs.Trace.t
       (* the sink's clock advances with the compute-local issue clock *)
-  | Event_sink of Flow.t * Ccsim.Sched.t * Bus.Topology.t
+  | Process_sink of Flow.t * Ccsim.Sched.t * Bus.Topology.t
+      (* the event core under an interpreting process: handing it a burst or
+         a wait suspends the process *)
+  | Cursor_sink of wiring  (* the event core under a script cursor *)
   | Record_sink of Script.Recorder.t
 
 type pipe = {
@@ -88,6 +113,15 @@ type pipe = {
   mutable b_target : int;  (* bank of the first beat; a burst never switches banks *)
   mutable b_end : int;     (* one past the last bus byte merged so far *)
   mutable b_bytes : int;
+  (* The copy in progress: its read/write burst pairs still to go, the
+     current pair's beats and offset, and whether its write half is next. *)
+  mutable cp_left : int;
+  mutable cp_beats : int;
+  mutable cp_off : int;
+  mutable cp_gap : int;
+  mutable cp_write : bool;
+  mutable cp_rd_latency : int;
+  mutable cp_wr_latency : int;
 }
 
 (* Buffers are indexed in the kernel's declaration order, by both sources. *)
@@ -117,7 +151,9 @@ let pipe ~bus ~addressing adj sink task =
     p_checks = 0; p_elided = 0; p_fastpathed = 0; p_reads = 0; p_writes = 0;
     p_ops = 0; p_latency = 0; p_src_phys = 0; p_dst_phys = 0;
     b_live = false; b_gap = 0; b_op = Trace.Write; b_latency = 0; b_target = 0;
-    b_end = 0; b_bytes = 0 }
+    b_end = 0; b_bytes = 0;
+    cp_left = 0; cp_beats = 0; cp_off = 0; cp_gap = 0; cp_write = false;
+    cp_rd_latency = 0; cp_wr_latency = 0 }
 
 (* The adjudicator: one guard decision.  Counters move first, so a denial
    unwinds with this access already counted.  Returns the granted physical
@@ -149,24 +185,45 @@ let adjudicate p ~buf ~off ~size ~kind =
           phys
       | Guard.Iface.Denied denial -> raise (Denied_access denial))
 
+(* The stages below that hand work to the timing sink return [true] when
+   the driver must stop until its continuation runs — only a script cursor
+   on the event core does.  A trace or record sink never yields, and an
+   interpreting process is suspended inside the stage and resumed before
+   it returns. *)
+
 (* One transaction to the timing sink, after which [then_wait] datapath
    cycles pass before the next transaction issues.  On the event core the
-   flow does both in one suspension of the task's process. *)
+   flow does both, continuing the driver once. *)
 let emit p ~target ~gap ~op ~beats ~latency ~then_wait =
   match p.p_sink with
   | Trace_sink (trace, obs) ->
       Trace.add trace ~gap ~op ~beats ~latency;
-      Obs.Trace.advance obs then_wait
-  | Event_sink (flow, _, _) ->
-      Flow.issue flow ~target ~gap ~op ~beats ~latency ~then_wait
-  | Record_sink _ -> ()
+      Obs.Trace.advance obs then_wait;
+      false
+  | Process_sink (flow, _, _) ->
+      Flow.issue flow ~target ~gap ~op ~beats ~latency ~then_wait;
+      false
+  | Cursor_sink c ->
+      Flow.submit c.flow ~k:c.k ~target ~gap ~op ~beats ~latency ~then_wait;
+      true
+  | Record_sink _ -> false
 
 (* [gap] datapath cycles pass before the next transaction issues. *)
 let wait p gap =
   match p.p_sink with
-  | Trace_sink (_, obs) -> Obs.Trace.advance obs gap
-  | Event_sink (_, sched, _) -> Ccsim.Sched.wait sched gap
-  | Record_sink _ -> ()
+  | Trace_sink (_, obs) ->
+      Obs.Trace.advance obs gap;
+      false
+  | Process_sink (_, sched, _) ->
+      Ccsim.Sched.wait sched gap;
+      false
+  | Cursor_sink c ->
+      gap > 0
+      && begin
+           Ccsim.Sched.at c.sched ~cycle:(Ccsim.Sched.now c.sched + gap) c.k;
+           true
+         end
+  | Record_sink _ -> false
 
 (* Close the pending burst, then let [then_wait] cycles pass. *)
 let flush p ~then_wait =
@@ -181,91 +238,133 @@ let flush p ~then_wait =
 (* The bank a transaction starting at physical address [phys] goes to. *)
 let target p phys =
   match p.p_sink with
-  | Event_sink (_, _, ic) -> Bus.Topology.target_for ic ~addr:phys
+  | Process_sink (_, _, ic) | Cursor_sink { ic; _ } ->
+      Bus.Topology.target_for ic ~addr:phys
   | Trace_sink _ | Record_sink _ -> 0
+
+(* The burst former.  An access extends the pending burst when it follows
+   it back to back: gap 0, the same streaming op, the next bus address, and
+   room left under [max_burst]. *)
+let merges p ~gap ~op ~buf ~off ~size =
+  let bus = p.p_bus in
+  p.b_live && gap = 0 && op <> Trace.Dep_read && op = p.b_op
+  && p.p_bus_base.(buf) + off = p.b_end
+  && Bus.Params.beats_for bus (p.b_bytes + size) <= bus.Bus.Params.max_burst
+
+(* Merge an access into the pending burst.  It is adjudicated like every
+   access (check counts and checker state must not depend on burst
+   formation); returns its physical address. *)
+let extend p ~buf ~off ~size ~kind =
+  let phys = adjudicate p ~buf ~off ~size ~kind in
+  p.b_bytes <- p.b_bytes + size;
+  p.b_end <- p.p_bus_base.(buf) + off + size;
+  phys
+
+(* Adjudicate an access and open a new burst with it, once the previous
+   one is flushed; returns its physical address. *)
+let start_burst p ~gap ~op ~buf ~off ~size ~kind =
+  let phys = adjudicate p ~buf ~off ~size ~kind in
+  p.b_live <- true;
+  p.b_gap <- gap;
+  p.b_op <- op;
+  p.b_latency <- p.p_latency;
+  p.b_target <- target p phys;
+  p.b_end <- p.p_bus_base.(buf) + off + size;
+  p.b_bytes <- size;
+  phys
+
+(* An access is done: the trace sink's clock moves over its beats. *)
+let accessed p ~kind ~size =
+  (match p.p_sink with
+  | Trace_sink (_, obs) -> Obs.Trace.advance obs (Bus.Params.beats_for p.p_bus size)
+  | Process_sink _ | Cursor_sink _ | Record_sink _ -> ());
+  match kind with
+  | Guard.Iface.Read -> p.p_reads <- p.p_reads + 1
+  | Guard.Iface.Write -> p.p_writes <- p.p_writes + 1
+
+(* DMA block move of [bytes] from buffer [src] to buffer [dst], once the
+   pending burst is flushed: both ends adjudicated once, leaving the
+   physical ends in [p_src_phys]/[p_dst_phys], then max_burst-sized
+   read/write burst pairs back to back ({!copy_half}), each addressed to
+   the bank its first beat lives in. *)
+let copy_start p ~gap ~bytes ~src ~dst =
+  p.p_src_phys <- adjudicate p ~buf:src ~off:0 ~size:bytes ~kind:Guard.Iface.Read;
+  p.cp_rd_latency <- p.p_latency;
+  p.p_dst_phys <- adjudicate p ~buf:dst ~off:0 ~size:bytes ~kind:Guard.Iface.Write;
+  p.cp_wr_latency <- p.p_latency;
+  p.cp_left <- Bus.Params.beats_for p.p_bus bytes;
+  (match p.p_sink with
+  | Trace_sink (_, obs) -> Obs.Trace.advance obs (2 * p.cp_left)
+  | Process_sink _ | Cursor_sink _ | Record_sink _ -> ());
+  p.cp_off <- 0;
+  p.cp_gap <- gap;
+  p.cp_write <- false
+
+let copy_moving p = p.cp_left > 0 || p.cp_write
+
+(* Hand the copy's next half burst to the sink: a pair's streaming read,
+   then its posted write. *)
+let copy_half p =
+  let bus = p.p_bus in
+  if p.cp_write then begin
+    let beats = p.cp_beats and off = p.cp_off in
+    p.cp_write <- false;
+    p.cp_gap <- 0;
+    p.cp_off <- off + (beats * bus.Bus.Params.beat_bytes);
+    emit p ~target:(target p (p.p_dst_phys + off)) ~gap:0 ~op:Trace.Write
+      ~beats ~latency:p.cp_wr_latency ~then_wait:0
+  end
+  else begin
+    let beats = Int.min p.cp_left bus.Bus.Params.max_burst in
+    p.cp_left <- p.cp_left - beats;
+    p.cp_beats <- beats;
+    p.cp_write <- true;
+    emit p ~target:(target p (p.p_src_phys + p.cp_off)) ~gap:p.cp_gap
+      ~op:Trace.Stream_read ~beats ~latency:p.cp_rd_latency ~then_wait:0
+  end
+
+let copy_done p =
+  p.p_reads <- p.p_reads + 1;
+  p.p_writes <- p.p_writes + 1
+
+(* ---- source 1: interpret the kernel ----
+
+   The interpreter owns a call stack, so it drives the pipeline in direct
+   style: on the event core it runs as a process that each burst and wait
+   suspends, and no stage ever yields to it. *)
 
 (* One access through the pipeline: adjudicated at its issue point in the
    sink's notion of time, then merged into the pending burst or starting a
    new one.  Returns the physical address the source moves data at. *)
 let access p ~gap ~kind ~buf ~off ~size ~dependent =
-  let bus = p.p_bus in
   let phys =
     match p.p_sink with
     | Record_sink r ->
         Script.Recorder.access r ~gap ~kind ~buf ~off ~size ~dependent
           ~ops:p.p_ops;
         adjudicate p ~buf ~off ~size ~kind
-    | Trace_sink _ | Event_sink _ ->
-        let addr = p.p_bus_base.(buf) + off in
+    | Trace_sink _ | Process_sink _ | Cursor_sink _ ->
         let op = Trace.op_of kind ~dependent in
-        if
-          p.b_live && gap = 0 && op <> Trace.Dep_read && op = p.b_op
-          && addr = p.b_end
-          && Bus.Params.beats_for bus (p.b_bytes + size) <= bus.Bus.Params.max_burst
-        then begin
-          (* Adjudicated like every access (check counts and checker state
-             must not depend on burst formation). *)
-          let phys = adjudicate p ~buf ~off ~size ~kind in
-          p.b_bytes <- p.b_bytes + size;
-          p.b_end <- addr + size;
-          phys
-        end
+        if merges p ~gap ~op ~buf ~off ~size then extend p ~buf ~off ~size ~kind
         else begin
-          flush p ~then_wait:gap;
-          let phys = adjudicate p ~buf ~off ~size ~kind in
-          p.b_live <- true;
-          p.b_gap <- gap;
-          p.b_op <- op;
-          p.b_latency <- p.p_latency;
-          p.b_target <- target p phys;
-          p.b_end <- addr + size;
-          p.b_bytes <- size;
-          phys
+          ignore (flush p ~then_wait:gap : bool);
+          start_burst p ~gap ~op ~buf ~off ~size ~kind
         end
   in
-  (match p.p_sink with
-  | Trace_sink (_, obs) -> Obs.Trace.advance obs (Bus.Params.beats_for bus size)
-  | Event_sink _ | Record_sink _ -> ());
-  (match kind with
-  | Guard.Iface.Read -> p.p_reads <- p.p_reads + 1
-  | Guard.Iface.Write -> p.p_writes <- p.p_writes + 1);
+  accessed p ~kind ~size;
   phys
 
-(* DMA block move of [bytes] from buffer [src] to buffer [dst]: both ends
-   adjudicated once, then max_burst-sized read/write burst pairs back to
-   back, each addressed to the bank its first beat lives in.  The physical
-   ends are left in [p_src_phys]/[p_dst_phys]. *)
 let copy p ~gap ~bytes ~src ~dst =
-  let bus = p.p_bus in
   (match p.p_sink with
   | Record_sink r -> Script.Recorder.copy r ~gap ~bytes ~src ~dst ~ops:p.p_ops
-  | Trace_sink _ | Event_sink _ -> flush p ~then_wait:gap);
-  let src_phys = adjudicate p ~buf:src ~off:0 ~size:bytes ~kind:Guard.Iface.Read in
-  let rd_latency = p.p_latency in
-  let dst_phys = adjudicate p ~buf:dst ~off:0 ~size:bytes ~kind:Guard.Iface.Write in
-  let wr_latency = p.p_latency in
-  let total = Bus.Params.beats_for bus bytes in
-  (match p.p_sink with
-  | Trace_sink (_, obs) -> Obs.Trace.advance obs (2 * total)
-  | Event_sink _ | Record_sink _ -> ());
-  let beats_left = ref total and gap = ref gap and off = ref 0 in
-  while !beats_left > 0 do
-    let beats = min !beats_left bus.Bus.Params.max_burst in
-    beats_left := !beats_left - beats;
-    emit p ~target:(target p (src_phys + !off)) ~gap:!gap ~op:Trace.Stream_read
-      ~beats ~latency:rd_latency ~then_wait:0;
-    emit p ~target:(target p (dst_phys + !off)) ~gap:0 ~op:Trace.Write ~beats
-      ~latency:wr_latency ~then_wait:0;
-    gap := 0;
-    off := !off + (beats * bus.Bus.Params.beat_bytes)
+  | Trace_sink _ | Process_sink _ | Cursor_sink _ ->
+      ignore (flush p ~then_wait:gap : bool));
+  copy_start p ~gap ~bytes ~src ~dst;
+  while copy_moving p do
+    ignore (copy_half p : bool)
   done;
-  p.p_reads <- p.p_reads + 1;
-  p.p_writes <- p.p_writes + 1;
-  p.p_src_phys <- src_phys;
-  p.p_dst_phys <- dst_phys
+  copy_done p
 
-(* Source 1: interpret the kernel.  Every buffer access becomes a pipeline
-   transaction; granted data moves against physical memory. *)
 let interpret p ~mem ~directives ~naive_tag_writes task =
   let bufs = Array.of_list task.kernel.Kernel.Ir.bufs in
   let index = Hashtbl.create (Array.length bufs) in
@@ -334,39 +433,133 @@ let interpret p ~mem ~directives ~naive_tag_writes task =
           | None -> invalid_arg ("Accel.Engine: unknown param " ^ name));
     }
   in
-  Kernel.Interp.run task.kernel machine
-
-(* Source 2: replay a recorded script.  No data moves, but each granted
-   address meets the same physical-memory decode the interpreter's data
-   movement would, so an escaping access is the same bus error. *)
-let replay p s ~mem =
-  Obs.Counters.incr Obs.Counters.traces_memoized;
-  Script.iter s
-    ~access:(fun ~gap ~kind ~buf ~off ~size ~dependent ~ops ->
-      p.p_ops <- ops;
-      let phys = access p ~gap ~kind ~buf ~off ~size ~dependent in
-      Tagmem.Mem.check mem ~addr:phys ~size)
-    ~copy:(fun ~gap ~bytes ~src ~dst ~ops ->
-      p.p_ops <- ops;
-      copy p ~gap ~bytes ~src ~dst;
-      Tagmem.Mem.check mem ~addr:p.p_src_phys ~size:bytes;
-      Tagmem.Mem.check mem ~addr:p.p_dst_phys ~size:bytes);
-  p.p_ops <- Script.total_ops s
-
-(* Run [source] through [p]; a denial or an access escaping physical memory
-   (a bus error) truncates the stream and is reported. *)
-let feed p source ~mem ~directives ~naive_tag_writes task =
-  match
-    match source with
-    | Interpret -> interpret p ~mem ~directives ~naive_tag_writes task
-    | Replay s -> replay p s ~mem
-  with
+  match Kernel.Interp.run task.kernel machine with
   | () -> None
   | exception Denied_access denial -> Some denial
+  | exception Tagmem.Mem.Out_of_range { addr; size } -> Some (bus_error ~addr ~size)
+
+(* ---- source 2: replay a recorded script ----
+
+   A resumable cursor over the script's packed entries.  Its whole state is
+   the entry index, the phase within that entry, and the pipe's burst and
+   copy fields, so it can stop at any point where the sink takes a burst or
+   a wait and pick up from there when continued: on the event core it is
+   driven from scheduler events instead of running in a process, and
+   nothing suspends.  No data moves, but each granted address meets the
+   same physical-memory decode the interpreter's data movement would, so
+   an escaping access is the same bus error. *)
+
+type phase =
+  | Entry           (* entry [c_i] is next, or the stream's end *)
+  | Access_flushed  (* entry [c_i] is an access opening a burst; the pending
+                       one is flushed *)
+  | Copy_flushed    (* entry [c_i] is a copy; the pending burst is flushed *)
+  | Copy_moving     (* entry [c_i]'s copy is moving its burst pairs *)
+  | Ended           (* the stream is over: completed, denied or escaped *)
+  | Draining        (* the event driver's last burst is in flight *)
+
+type cursor = {
+  c_p : pipe;
+  c_script : Script.t;
+  c_n : int;  (* its length *)
+  c_mem : Tagmem.Mem.t;
+  c_e : Script.entry;  (* entry [c_i], decoded *)
+  mutable c_op : Trace.op;  (* its bus op, for an access *)
+  mutable c_i : int;
+  mutable c_phase : phase;
+  mutable c_denied : Guard.Iface.denial option;
+}
+
+let cursor p s ~mem =
+  Obs.Counters.incr Obs.Counters.traces_memoized;
+  { c_p = p; c_script = s; c_n = Script.length s; c_mem = mem;
+    c_e = Script.entry (); c_op = Trace.Write; c_i = 0; c_phase = Entry;
+    c_denied = None }
+
+(* Run the cursor until the sink takes its continuation or the stream
+   ends.  Every recursive call is a tail call. *)
+let rec step c =
+  let p = c.c_p and e = c.c_e in
+  match c.c_phase with
+  | Entry ->
+      let s = c.c_script in
+      if c.c_i = c.c_n then begin
+        p.p_ops <- Script.total_ops s;
+        c.c_phase <- Ended
+      end
+      else begin
+        Script.load s c.c_i e;
+        p.p_ops <- e.ops;
+        if e.copy then begin
+          c.c_phase <- Copy_flushed;
+          if not (flush p ~then_wait:e.gap) then step c
+        end
+        else begin
+          let op = Trace.op_of e.kind ~dependent:e.dependent in
+          if merges p ~gap:e.gap ~op ~buf:e.buf ~off:e.off ~size:e.size then begin
+            let phys = extend p ~buf:e.buf ~off:e.off ~size:e.size ~kind:e.kind in
+            accessed p ~kind:e.kind ~size:e.size;
+            Tagmem.Mem.check c.c_mem ~addr:phys ~size:e.size;
+            next c
+          end
+          else begin
+            c.c_op <- op;
+            c.c_phase <- Access_flushed;
+            if not (flush p ~then_wait:e.gap) then step c
+          end
+        end
+      end
+  | Access_flushed ->
+      let phys =
+        start_burst p ~gap:e.gap ~op:c.c_op ~buf:e.buf ~off:e.off ~size:e.size
+          ~kind:e.kind
+      in
+      accessed p ~kind:e.kind ~size:e.size;
+      Tagmem.Mem.check c.c_mem ~addr:phys ~size:e.size;
+      next c
+  | Copy_flushed ->
+      copy_start p ~gap:e.gap ~bytes:e.size ~src:e.buf ~dst:e.off;
+      c.c_phase <- Copy_moving;
+      step c
+  | Copy_moving ->
+      if copy_moving p then begin
+        if not (copy_half p) then step c
+      end
+      else begin
+        copy_done p;
+        Tagmem.Mem.check c.c_mem ~addr:p.p_src_phys ~size:e.size;
+        Tagmem.Mem.check c.c_mem ~addr:p.p_dst_phys ~size:e.size;
+        next c
+      end
+  | Ended | Draining -> ()
+
+and next c =
+  c.c_i <- c.c_i + 1;
+  c.c_phase <- Entry;
+  step c
+
+(* [step] with a denial or an access escaping physical memory (a bus
+   error) ending the stream; it is reported in [c_denied]. *)
+let advance c =
+  match step c with
+  | () -> ()
+  | exception Denied_access denial ->
+      c.c_denied <- Some denial;
+      c.c_phase <- Ended
   | exception Tagmem.Mem.Out_of_range { addr; size } ->
-      Some
-        { Guard.Iface.code = "bus";
-          detail = Printf.sprintf "bus error at 0x%x+%d" addr size }
+      c.c_denied <- Some (bus_error ~addr ~size);
+      c.c_phase <- Ended
+
+(* Run [source] through [p] on a sink that never yields; a denial or an
+   access escaping physical memory truncates the stream and is
+   reported. *)
+let feed p source ~mem ~directives ~naive_tag_writes task =
+  match source with
+  | Interpret -> interpret p ~mem ~directives ~naive_tag_writes task
+  | Replay s ->
+      let c = cursor p s ~mem in
+      advance c;
+      c.c_denied
 
 (* A task retires: emit its elision marker and tally its fast-pathed
    checks. *)
@@ -384,7 +577,7 @@ let run ?(obs = Obs.Trace.null) ~mem ~bus ~directives ~addressing
   let denied = feed p source ~mem ~directives ~naive_tag_writes task in
   (* A denial truncates the stream, but the burst already formed before the
      denied access still transfers. *)
-  flush p ~then_wait:0;
+  ignore (flush p ~then_wait:0 : bool);
   retire p ~obs task;
   { trace; denied; checks = p.p_checks; elided = p.p_elided;
     reads = p.p_reads; writes = p.p_writes; ops = p.p_ops }
@@ -412,24 +605,56 @@ let record ~mem ~directives ~addressing ~naive_tag_writes task =
       Script.Recorder.finalize r ~total_ops:p.p_ops ~complete:(denied = None)
   | exception Script.Recorder.Escaped -> None
 
+let ev_outcome p issue denied =
+  { ev_denied = denied; ev_checks = p.p_checks; ev_elided = p.p_elided;
+    ev_reads = p.p_reads; ev_writes = p.p_writes; ev_ops = p.p_ops;
+    ev_finish = Issue.finish issue; ev_failed = Issue.failed issue }
+
 let run_event ?(obs = Obs.Trace.null) ?error_retry_limit ~sched ~ic ~start ~mem
     ~bus ~directives ~addressing ~naive_tag_writes adj source task ~on_done =
-  Ccsim.Sched.spawn sched ~at:start (fun () ->
-      let issue =
-        Issue.create ?error_retry_limit ~start
-          ~max_outstanding:directives.Hls.Directives.max_outstanding ()
+  let issue =
+    Issue.create ?error_retry_limit ~start
+      ~max_outstanding:directives.Hls.Directives.max_outstanding ()
+  in
+  let flow = Flow.create ~sched ~ic ~src:task.instance issue in
+  match source with
+  | Interpret ->
+      Ccsim.Sched.spawn sched ~at:start (fun () ->
+          let p = pipe ~bus ~addressing adj (Process_sink (flow, sched, ic)) task in
+          let denied =
+            match interpret p ~mem ~directives ~naive_tag_writes task with
+            | denied ->
+                (try ignore (flush p ~then_wait:0 : bool) with Flow.Failed -> ());
+                denied
+            | exception Flow.Failed -> None
+          in
+          retire p ~obs task;
+          on_done (ev_outcome p issue denied))
+  | Replay s ->
+      let w = { flow; sched; ic; k = ignore } in
+      let p = pipe ~bus ~addressing adj (Cursor_sink w) task in
+      let c = cursor p s ~mem in
+      let complete () =
+        retire p ~obs task;
+        on_done (ev_outcome p issue c.c_denied)
       in
-      let flow = Flow.create ~sched ~ic ~src:task.instance issue in
-      let p = pipe ~bus ~addressing adj (Event_sink (flow, sched, ic)) task in
-      let denied =
-        match feed p source ~mem ~directives ~naive_tag_writes task with
-        | denied ->
-            (try flush p ~then_wait:0 with Flow.Failed -> ());
-            denied
-        | exception Flow.Failed -> None
+      (* The cursor's one continuation, run by the flow or the scheduler at
+         exactly the event that would have resumed a process: it stops at a
+         spent retry budget, and drains the last burst once the stream
+         ends. *)
+      let k () =
+        match c.c_phase with
+        | Draining -> complete ()
+        | Entry | Access_flushed | Copy_flushed | Copy_moving | Ended ->
+            if Issue.failed issue then complete ()
+            else begin
+              advance c;
+              match c.c_phase with
+              | Ended ->
+                  c.c_phase <- Draining;
+                  if not (flush p ~then_wait:0) then complete ()
+              | Entry | Access_flushed | Copy_flushed | Copy_moving | Draining -> ()
+            end
       in
-      retire p ~obs task;
-      on_done
-        { ev_denied = denied; ev_checks = p.p_checks; ev_elided = p.p_elided;
-          ev_reads = p.p_reads; ev_writes = p.p_writes; ev_ops = p.p_ops;
-          ev_finish = Issue.finish issue; ev_failed = Issue.failed issue })
+      w.k <- k;
+      Ccsim.Sched.at sched ~cycle:start k

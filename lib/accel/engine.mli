@@ -154,19 +154,23 @@ val run_event :
   task ->
   on_done:(ev_outcome -> unit) ->
   unit
-(** Feed the task's stream into the live event core: spawns a
-    {!Ccsim.Sched} process at cycle [start] that suspends at each burst to
-    contend for the interconnect [ic] (via {!Flow}) instead of accumulating a
-    trace for later replay.  Adjudication happens at the access's live issue
-    point, so a stateful checker (e.g. the cached CapChecker) sees checks
-    from concurrent instances interleaved in true bus order.  Bursts are
-    formed by the same burst former as {!run}'s — on a crossbar each burst
-    is addressed to the bank of its first beat's physical address — and with a
-    single instance on a [Shared] topology the resulting schedule is
+(** Feed the task's stream into the live event core from cycle [start]:
+    each burst contends for the interconnect [ic] (via {!Flow}) instead of
+    accumulating a trace for later replay.  A [Replay] source runs as a
+    resumable cursor over the script, continued from scheduler events and
+    never suspended; an [Interpret] source runs as a {!Ccsim.Sched} process
+    that suspends at each burst, because the interpreter owns a call stack.
+    Both issue the same scheduler calls at the same points, so the choice
+    of source moves no event.  Adjudication happens at the access's live
+    issue point, so a stateful checker (e.g. the cached CapChecker) sees
+    checks from concurrent instances interleaved in true bus order.  Bursts
+    are formed by the same burst former as {!run}'s — on a crossbar each
+    burst is addressed to the bank of its first beat's physical address —
+    and with a single instance on a [Shared] topology the resulting schedule is
     cycle-identical to {!run} followed by {!Replay.run} — the differential
     tests enforce it.
 
-    [on_done] is called from inside the process when the task retires; the
+    [on_done] is called from the scheduler event the task retires in; the
     caller collects outcomes after {!Ccsim.Sched.run} drains.  [obs] is only
     used to emit the task's {!Obs.Event.Check_elided} marker — timestamps come
     from the shared scheduler clock, which the SoC layer mirrors into the

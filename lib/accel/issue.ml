@@ -7,7 +7,6 @@ type t = {
   mutable o_head : int;
   mutable o_len : int;
   mutable ready : int;
-  mutable max_pushed : int;
   mutable finish : int;
   mutable retries : int;  (* consecutive error responses on the current transaction *)
   mutable errors : int;
@@ -23,7 +22,7 @@ let create ?(error_retry_limit = 4) ~start ~max_outstanding () =
   let limit = Int.max 1 max_outstanding in
   { limit; retry_limit = error_retry_limit;
     outstanding = Array.make limit 0; o_head = 0; o_len = 0; ready = start;
-    max_pushed = 0; finish = start; retries = 0; errors = 0; failed = false }
+    finish = start; retries = 0; errors = 0; failed = false }
 
 let window_full t (op : Trace.op) = op = Trace.Stream_read && t.o_len >= t.limit
 
@@ -69,17 +68,12 @@ let absorb t ~op (g : Bus.Fabric.grant) =
         t.finish <- Int.max t.finish g.Bus.Fabric.completed
     | Trace.Stream_read ->
         push_outstanding t g.Bus.Fabric.completed;
-        if g.Bus.Fabric.completed > t.max_pushed then
-          t.max_pushed <- g.Bus.Fabric.completed;
         t.ready <- g.Bus.Fabric.granted_at + 1;
         t.finish <- Int.max t.finish g.Bus.Fabric.completed);
     Proceed
   end
 
-let leap t ~finish = t.finish <- Int.max t.finish finish
-
 let ready t = t.ready
-let max_pushed t = t.max_pushed
 let finish t = t.finish
 let errors t = t.errors
 let failed t = t.failed

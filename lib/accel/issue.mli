@@ -12,8 +12,8 @@
     {!error_turnaround} cycles; once the retry budget is spent the instance
     has failed.
 
-    {!Replay}'s scheduler, its leap tables and the event core's {!Flow} all
-    drive this one record, so they agree transaction for transaction.  Every
+    {!Replay}'s scheduler and the event core's {!Flow} both drive this one
+    record, so they agree transaction for transaction.  Every
     operation is a direct call on mutable fields and allocates nothing. *)
 
 type t
@@ -45,17 +45,8 @@ val take_slot : t -> op:Trace.op -> unit
 val absorb : t -> op:Trace.op -> Bus.Fabric.grant -> verdict
 (** Account for the grant of the transaction just requested. *)
 
-val leap : t -> finish:int -> unit
-(** Account for the rest of the stream without issuing it: its
-    transactions settle by [finish] (see {!Replay}'s leap tables). *)
-
 val ready : t -> int
 (** Cycle the datapath may issue its next transaction (before its gap). *)
-
-val max_pushed : t -> int
-(** Largest completion cycle of any streaming read so far (0 before any): a
-    conservative witness that every read still in the window has returned
-    by a given cycle. *)
 
 val finish : t -> int
 (** Settle cycle of the latest transaction so far ([start] before any). *)

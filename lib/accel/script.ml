@@ -30,19 +30,34 @@ let total_ops s = s.s_total_ops
 let buf_bits = 16
 let buf_mask = (1 lsl buf_bits) - 1
 
-let iter s ~access ~copy =
-  let w = s.s_words in
-  let i = ref 0 in
-  while !i < Array.length w do
-    let gap = w.(!i) and ops = w.(!i + 1) and off = w.(!i + 2) and code = w.(!i + 3) in
-    let buf = (code lsr 3) land buf_mask and size = code lsr (3 + buf_bits) in
-    if code land 1 = 0 then
-      access ~gap
-        ~kind:(if code land 2 = 0 then Guard.Iface.Read else Guard.Iface.Write)
-        ~buf ~off ~size ~dependent:(code land 4 <> 0) ~ops
-    else copy ~gap ~bytes:size ~src:buf ~dst:off ~ops;
-    i := !i + 4
-  done
+let length s = Array.length s.s_words / 4
+
+type entry = {
+  mutable copy : bool;
+  mutable gap : int;
+  mutable ops : int;
+  mutable kind : Guard.Iface.kind;
+  mutable dependent : bool;
+  mutable buf : int;
+  mutable off : int;
+  mutable size : int;
+}
+
+let entry () =
+  { copy = false; gap = 0; ops = 0; kind = Guard.Iface.Read; dependent = false;
+    buf = 0; off = 0; size = 0 }
+
+let load s i e =
+  let w = s.s_words and j = 4 * i in
+  let code = w.(j + 3) in
+  e.copy <- code land 1 <> 0;
+  e.gap <- w.(j);
+  e.ops <- w.(j + 1);
+  e.kind <- (if code land 2 = 0 then Guard.Iface.Read else Guard.Iface.Write);
+  e.dependent <- code land 4 <> 0;
+  e.buf <- (code lsr 3) land buf_mask;
+  e.off <- w.(j + 2);
+  e.size <- code lsr (3 + buf_bits)
 
 module Recorder = struct
   type t = {

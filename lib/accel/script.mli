@@ -21,23 +21,27 @@ type t
 val total_ops : t -> int
 (** Datapath ops of the whole interpretation. *)
 
-val iter :
-  t ->
-  access:
-    (gap:int ->
-    kind:Guard.Iface.kind ->
-    buf:int ->
-    off:int ->
-    size:int ->
-    dependent:bool ->
-    ops:int ->
-    unit) ->
-  copy:(gap:int -> bytes:int -> src:int -> dst:int -> ops:int -> unit) ->
-  unit
-(** The transactions in issue order: an element access at byte offset [off]
-    of buffer [buf], or a block copy of [bytes] (never 0) from buffer [src]
-    to buffer [dst].  [gap] is the datapath gap taken before it issued and
-    [ops] the datapath ops executed before it. *)
+val length : t -> int
+(** Number of transactions. *)
+
+(** Transaction [i] of a script, [0 <= i < length], decoded by {!load}. *)
+type entry = {
+  mutable copy : bool;  (** a block copy, else an element access *)
+  mutable gap : int;  (** datapath gap taken before it issued *)
+  mutable ops : int;  (** datapath ops executed before it *)
+  mutable kind : Guard.Iface.kind;  (** an access's direction *)
+  mutable dependent : bool;  (** an access is a dependent (pointer-chasing) read *)
+  mutable buf : int;  (** the accessed buffer, or a copy's source buffer *)
+  mutable off : int;  (** an access's byte offset, or a copy's destination buffer *)
+  mutable size : int;  (** an access's size, or a copy's byte count (never 0) *)
+}
+
+val entry : unit -> entry
+(** A blank entry to {!load} into. *)
+
+val load : t -> int -> entry -> unit
+(** [load s i e] decodes transaction [i] into [e].  It allocates nothing,
+    so a driver can walk a script as a plain index and one reused entry. *)
 
 (** Accumulates the access sequence during a recording interpretation (the
     engine's record sink, see {!Engine.record}). *)

@@ -9,19 +9,37 @@ let op_of kind ~dependent =
 let code = function Write -> 0 | Stream_read -> 1 | Dep_read -> 2
 let of_code = function 0 -> Write | 1 -> Stream_read | _ -> Dep_read
 
-(* Four unboxed words per transaction: [gap; op code; beats; latency]. *)
-type t = { mutable words : int array; mutable len : int }
+(* Four unboxed words per transaction, [gap; op code; beats; latency], in
+   chunks of [chunk] transactions.  Past the first chunk, growing appends a
+   chunk and copies nothing, so a long trace allocates its own length
+   rounded up to one chunk, and a run that derives traces leaves no
+   half-sized arrays behind for the collector (a doubling array allocates
+   two to four times its length).  The first chunk starts small and
+   doubles up to full size, so a short trace stays short. *)
+let chunk_bits = 12
+let chunk = 1 lsl chunk_bits
+let chunk_mask = chunk - 1
 
-let create () = { words = Array.make 256 0; len = 0 }
+type t = { mutable chunks : int array array; mutable len : int }
+
+let create () = { chunks = [| Array.make 256 0 |]; len = 0 }
 
 let add t ~gap ~op ~beats ~latency =
-  let i = 4 * t.len in
-  if i = Array.length t.words then begin
-    let bigger = Array.make (2 * i) 0 in
-    Array.blit t.words 0 bigger 0 i;
-    t.words <- bigger
+  let c = t.len lsr chunk_bits and i = 4 * (t.len land chunk_mask) in
+  if c = Array.length t.chunks then begin
+    let more = Array.make (2 * c) [||] in
+    Array.blit t.chunks 0 more 0 c;
+    t.chunks <- more
   end;
-  let w = t.words in
+  if i = Array.length t.chunks.(c) then
+    t.chunks.(c) <-
+      (if c = 0 then begin
+         let w = Array.make (2 * i) 0 in
+         Array.blit t.chunks.(0) 0 w 0 i;
+         w
+       end
+       else Array.make (4 * chunk) 0);
+  let w = t.chunks.(c) in
   w.(i) <- gap;
   w.(i + 1) <- code op;
   w.(i + 2) <- beats;
@@ -32,23 +50,18 @@ let length t = t.len
 
 let word t idx k =
   if idx < 0 || idx >= t.len then invalid_arg "Accel.Trace: index out of range";
-  t.words.((4 * idx) + k)
+  Array.unsafe_get
+    (Array.unsafe_get t.chunks (idx lsr chunk_bits))
+    ((4 * (idx land chunk_mask)) + k)
 
 let gap t idx = word t idx 0
 let op t idx = of_code (word t idx 1)
 let beats t idx = word t idx 2
 let latency t idx = word t idx 3
 
-let iter t f =
-  let w = t.words in
-  for idx = 0 to t.len - 1 do
-    let i = 4 * idx in
-    f ~gap:w.(i) ~op:(of_code w.(i + 1)) ~beats:w.(i + 2) ~latency:w.(i + 3)
-  done
-
 let total_beats t =
   let total = ref 0 in
   for idx = 0 to t.len - 1 do
-    total := !total + t.words.((4 * idx) + 2)
+    total := !total + word t idx 2
   done;
   !total

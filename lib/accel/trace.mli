@@ -11,7 +11,8 @@
     2: no shared mutable state between tasks' functional semantics).
 
     Traces stay resident while a run replays them, so a transaction is four
-    unboxed words of one growable flat array: gap, op, beats, latency. *)
+    unboxed words (gap, op, beats, latency) in flat same-size chunks that
+    growing never copies. *)
 
 (** What the issuing instance waits for after the grant. *)
 type op =
@@ -41,8 +42,5 @@ val beats : t -> int -> int
 val latency : t -> int -> int
 (** Fields of the [i]th transaction, without copying.  Raise
     [Invalid_argument] outside [\[0, length t)]. *)
-
-val iter : t -> (gap:int -> op:op -> beats:int -> latency:int -> unit) -> unit
-(** Every transaction in recording order. *)
 
 val total_beats : t -> int

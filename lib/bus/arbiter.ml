@@ -46,7 +46,6 @@ let no_source =
     q_grant = [||]; q_head = 0; q_len = 0 }
 
 let params t = t.p
-let busy_until t = t.free_at
 let total_beats t = t.beats
 let queued t = t.queued
 
@@ -163,7 +162,7 @@ let schedule_arbitration t ~cycle =
     Obs.Counters.incr Obs.Counters.events_coalesced
   else begin
     t.armed <- cycle;
-    Ccsim.Sched.at t.sched ~cycle ~rank:Ccsim.Sched.rank_arbitrate t.entry
+    Ccsim.Sched.at_rank t.sched ~cycle ~rank:Ccsim.Sched.rank_arbitrate t.entry
   end
 
 (* Cycle a grant finishing at [data_done] should re-arm at: [data_done]

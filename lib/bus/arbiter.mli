@@ -67,9 +67,6 @@ val request :
     [Invalid_argument].  Each source's requests wait in a ring that grows
     to its deepest backlog, after which a request allocates nothing. *)
 
-val busy_until : t -> int
-(** Cycle at which the data bus frees given grants so far. *)
-
 val total_beats : t -> int
 (** Beats transferred so far (bandwidth accounting for the power model). *)
 

@@ -63,24 +63,6 @@ val request :
     normally continue at [granted_at].  [src] (default -1) attributes the
     transaction to an interconnect source id for the event trace only. *)
 
-val busy_until : t -> int
-(** The cycle after which the bus is idle given all requests so far. *)
-
-val quiescent : t -> bool
-(** True when every future {!request} is a pure function of its arguments and
-    the [free_at] latch: the fault injector is inert (no stalls, no errors,
-    no RNG draws) and bus tracing is disabled (no per-grant events to emit).
-    This is the license for replay's leap tables to fast-forward through a
-    whole transaction stretch with {!fast_forward} instead of issuing each
-    request. *)
-
-val fast_forward : t -> busy_until:int -> beats:int -> unit
-(** Account for a stretch of transactions without issuing them: advance the
-    grant latch to at least [busy_until] and add [beats] to the bandwidth
-    counter.  Only sound on a {!quiescent} fabric — the caller (replay's
-    leap tables) must have computed the stretch by issuing it through
-    {!request} on an equally pure fabric. *)
-
 val total_beats : t -> int
 (** Beats transferred so far (bandwidth accounting for the power model). *)
 

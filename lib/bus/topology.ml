@@ -144,9 +144,3 @@ let total_beats = function
   | Xbar { arbs; _ } ->
       Array.fold_left (fun acc a -> acc + Arbiter.total_beats a) 0 arbs
   | Hier { root; _ } -> Arbiter.total_beats root
-
-let busy_until = function
-  | Sh a -> Arbiter.busy_until a
-  | Xbar { arbs; _ } ->
-      Array.fold_left (fun acc a -> max acc (Arbiter.busy_until a)) 0 arbs
-  | Hier { root; _ } -> Arbiter.busy_until root

@@ -88,5 +88,3 @@ val request :
 val total_beats : t -> int
 (** Beats transferred, summed over bank arbiters (root only for the
     hierarchy — each transaction is counted once). *)
-
-val busy_until : t -> int

@@ -1,17 +1,18 @@
 (* Process-global fast-path visibility counters.
 
-   The replay leap and proof-driven fast paths are, by construction,
-   invisible in every simulated number — these counters are the only place
-   the skips show up.  They are plain telemetry: nothing in the simulator
-   reads them back, so bumping them can never perturb a result.  Atomics,
-   because bench sections bump them from pool worker domains. *)
+   The proof-driven fast paths are, by construction, invisible in every
+   simulated number — these counters are the only place the skips show up.
+   They are plain telemetry: nothing in the simulator reads them back, so
+   bumping them can never perturb a result.  Atomics, because bench
+   sections bump them from pool worker domains. *)
 
 type t = { name : string; cell : int Atomic.t }
 
 let make name = { name; cell = Atomic.make 0 }
 
 let segments_replayed = make "segments_replayed"
-(* trace tails fast-forwarded through the fabric in one leap *)
+(* always 0: kept registered for the benchmark's [accel.segments_replayed]
+   metric, see counters.mli *)
 
 let accesses_fast_pathed = make "accesses_fast_pathed"
 (* adjudications skipped because the task was statically proven in bounds

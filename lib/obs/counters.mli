@@ -1,16 +1,18 @@
 (** Process-global fast-path visibility counters.
 
-    The replay leap and proof-driven fast paths are, by construction,
-    invisible in every simulated number; these counters are the only place
-    the skips show up (surfaced by [capsim bench] and the differential test
-    suite).  Pure telemetry — nothing in the simulator reads them back, so
-    bumping them can never perturb a result.  Safe to bump from pool worker
-    domains. *)
+    The proof-driven fast paths are, by construction, invisible in every
+    simulated number; these counters are the only place the skips show up
+    (surfaced by [capsim bench] and the differential test suite).  Pure
+    telemetry — nothing in the simulator reads them back, so bumping them
+    can never perturb a result.  Safe to bump from pool worker domains. *)
 
 type t
 
 val segments_replayed : t
-(** Trace tails fast-forwarded through the fabric in one leap. *)
+(** Always 0: replay no longer leaps over trace tails.  Registered only
+    because the frozen [bench/perf] harness reports it as
+    [accel.segments_replayed]; it goes with that metric at the next change
+    to the benchmark. *)
 
 val accesses_fast_pathed : t
 (** Adjudications skipped because the task was statically proven in bounds

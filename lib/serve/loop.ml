@@ -470,7 +470,7 @@ let run p =
   List.iter
     (fun { Workload.at; ev } ->
       let rank = Workload.ev_rank ev in
-      Sched.at sched ~cycle:at ~rank (fun () ->
+      Sched.at_rank sched ~cycle:at ~rank (fun () ->
           match ev with
           | Workload.Tenant_arrive id ->
               let tn = registry.(id) in

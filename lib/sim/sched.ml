@@ -137,7 +137,8 @@ let heap_pop t =
   if t.hsize > 0 then sift_down t.heap t.hsize 0 last;
   top
 
-let at t ~cycle ?(rank = 0) fn =
+(* Inlined into both entry points, so neither calls the other. *)
+let[@inline] push t ~cycle ~rank fn =
   let cycle = Int.max cycle t.clock in
   let ev = { cycle; rank; seq = t.seq; fn; next = nil } in
   t.seq <- t.seq + 1;
@@ -154,6 +155,9 @@ let at t ~cycle ?(rank = 0) fn =
     if cycle < t.cursor then t.cursor <- cycle
   end
   else heap_push t ev
+
+let at t ~cycle fn = push t ~cycle ~rank:0 fn
+let at_rank t ~cycle ~rank fn = push t ~cycle ~rank fn
 
 let create ?(on_advance = ignore) () =
   let suspending = { register = ignore; wake_at = 0 } in

@@ -41,9 +41,13 @@ val now : t -> int
 val rank_arbitrate : int
 (** Rank used by arbiters: within one cycle, after every rank-0 event. *)
 
-val at : t -> cycle:int -> ?rank:int -> (unit -> unit) -> unit
-(** Schedule [fn] at [cycle] (clamped to [now] if already past).  [rank]
-    defaults to 0. *)
+val at : t -> cycle:int -> (unit -> unit) -> unit
+(** Schedule [fn] at [cycle] (clamped to [now] if already past) at rank 0. *)
+
+val at_rank : t -> cycle:int -> rank:int -> (unit -> unit) -> unit
+(** {!at} at rank [rank] (non-negative).  A separate call rather than an
+    optional argument, so a ranked schedule — every arbitration event —
+    allocates no option. *)
 
 val run : t -> unit
 (** Drain the heap: repeatedly pop the least [(cycle, rank, seq)] event and

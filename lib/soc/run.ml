@@ -229,8 +229,8 @@ let verified sys g (a : Driver.allocated) denied =
   | Some (_, correct) -> correct
   | None -> verify sys.System.mem g.g_bench a.Driver.handle.Driver.layout
 
-(* Event-driven compute phase: one engine process per task, all contending
-   for the bus through a round-robin arbiter on a shared discrete-event
+(* Event-driven compute phase: one engine driver per task (a script cursor
+   or an interpreting process), all contending for the bus through a round-robin arbiter on a shared discrete-event
    timeline.  The scheduler's clock is mirrored into the observability sink
    so guard and bus events carry their true cycles.  Whatever a task's
    source, a stateful checker sees the real interleaving of checks across
@@ -445,24 +445,15 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
               (g, o, verified sys g lead o.Accel.Engine.denied))
             groups
         in
-        (* A fast run computes leap tables once per group; the group's
-           streams share them. *)
         let replayed =
           Accel.Replay.run sys.System.fabric ~start:replay_start
             (List.concat_map
                (fun (g, (o : Accel.Engine.outcome), _) ->
                  let max_outstanding = g.g_design.Hls.Directives.d_max_outstanding in
-                 let leaps =
-                   if fast then
-                     Some
-                       (Accel.Replay.leap_tables sys.System.bus ~max_outstanding
-                          o.trace)
-                   else None
-                 in
                  List.map
                    (fun (a : Driver.allocated) ->
                      { Accel.Replay.instance = a.handle.Driver.task_id;
-                       trace = o.trace; max_outstanding; leaps })
+                       trace = o.trace; max_outstanding })
                    g.g_allocs)
                fed)
         in
@@ -637,8 +628,7 @@ let run_hetero_faulted sys ~benchmark ~area_luts ~policy ~engine
         in
         { Accel.Replay.instance = at.at_alloc.Driver.handle.Driver.task_id;
           trace = at.at_outcome.Accel.Engine.trace;
-          max_outstanding = design.Hls.Directives.d_max_outstanding;
-          leaps = None })
+          max_outstanding = design.Hls.Directives.d_max_outstanding })
       accel
   in
   let replay_start = Obs.Trace.now obs in

@@ -225,8 +225,7 @@ let replay streams =
   Accel.Replay.run (Bus.Fabric.create bus) ~start:0
     (List.mapi
        (fun idx (trace, outstanding) ->
-         { Accel.Replay.instance = idx; trace; max_outstanding = outstanding;
-           leaps = None })
+         { Accel.Replay.instance = idx; trace; max_outstanding = outstanding })
        streams)
 
 let test_replay_empty () =
@@ -298,16 +297,17 @@ let prop_replay_makespan_bounds =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_replay_makespan_bounds ]
 
-(* ---- per-index accessors and iter vs what was added ---- *)
+(* ---- per-index accessors vs what was added ---- *)
 
 let fields t i =
   { gap = Accel.Trace.gap t i; op = Accel.Trace.op t i;
     beats = Accel.Trace.beats t i; latency = Accel.Trace.latency t i }
 
 let test_trace_access_parity () =
-  (* Enough transactions to regrow the flat array several times. *)
+  (* Enough transactions to grow the first chunk to full size and fill
+     two more. *)
   let evs =
-    List.init 300 (fun i ->
+    List.init 10_000 (fun i ->
         ev ~gap:(i * 7) ~latency:(i mod 3)
           ~kind:(if i mod 4 = 1 then Guard.Iface.Write else Guard.Iface.Read)
           ~dependent:(i mod 3 = 0) (1 + (i mod 16)))
@@ -319,10 +319,6 @@ let test_trace_access_parity () =
   checki "total beats"
     (List.fold_left (fun a e -> a + e.beats) 0 evs)
     (Accel.Trace.total_beats t);
-  let collected = ref [] in
-  Accel.Trace.iter t (fun ~gap ~op ~beats ~latency ->
-      collected := { gap; op; beats; latency } :: !collected);
-  checkb "iter matches in order" true (List.rev !collected = evs);
   checkb "accessors bounds checked" true
     (try
        ignore (Accel.Trace.gap t (Accel.Trace.length t));

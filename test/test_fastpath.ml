@@ -1,9 +1,6 @@
-(* The leap tables and proof-driven fast paths: every shortcut must be
-   invisible.  The replay scheduler with leap tables is pinned
-   cycle-identical to the same scheduler without them (including under
-   fault injection, where the RNG draw order must line up request for
-   request), the event core's Flow to the replay scheduler on one stream,
-   and the soc-level fast paths result-identical with fast-pathing on vs
+(* The proof-driven fast paths: every shortcut must be invisible.  The
+   event core's Flow is pinned to the replay scheduler on one stream, and
+   the soc-level fast paths result-identical with fast-pathing on vs
    off. *)
 
 let checki = Alcotest.(check int)
@@ -11,11 +8,10 @@ let checkb = Alcotest.(check bool)
 
 let bus = Bus.Params.default
 
-(* ---------------- replay: leap tables are invisible ---------------- *)
+(* ---------------- flow: one stream, same schedule ---------------- *)
 
-(* Random traces exercise burst/gap/dependence mixes the kernels never emit;
-   the scheduler with leap tables must match the same scheduler without
-   them on all of them. *)
+(* Random traces exercise burst/gap/dependence mixes the kernels never
+   emit. *)
 
 let arb_event =
   QCheck.Gen.(
@@ -41,16 +37,6 @@ let arb_trace =
       evs;
     return t)
 
-let arb_streams =
-  QCheck.Gen.(
-    let* n_streams = int_range 1 4 in
-    list_size (return n_streams)
-      (let* trace = arb_trace in
-       let* max_outstanding = int_range 1 4 in
-       return { Accel.Replay.instance = 0; trace; max_outstanding; leaps = None }))
-  |> QCheck.Gen.map
-       (List.mapi (fun i s -> { s with Accel.Replay.instance = i }))
-
 let result_eq (a : Accel.Replay.result) (b : Accel.Replay.result) =
   a.Accel.Replay.makespan = b.Accel.Replay.makespan
   && a.Accel.Replay.per_instance = b.Accel.Replay.per_instance
@@ -62,55 +48,6 @@ let fabric ?faults () =
   match faults with
   | None -> Bus.Fabric.create bus
   | Some plan -> Bus.Fabric.create ~faults:(Fault.Injector.create plan) bus
-
-let with_leaps streams =
-  List.map
-    (fun (s : Accel.Replay.stream) ->
-      { s with
-        Accel.Replay.leaps =
-          Some
-            (Accel.Replay.leap_tables bus ~max_outstanding:s.max_outstanding
-               s.trace) })
-    streams
-
-(* The one scheduler without leap tables, then with them. *)
-let replay_both ?faults ~start streams =
-  ( Accel.Replay.run (fabric ?faults ()) ~start streams,
-    Accel.Replay.run (fabric ?faults ()) ~start (with_leaps streams) )
-
-let test_compiled_matches_interpretive () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:300 ~name:"replay with leaps == without"
-       (QCheck.make arb_streams) (fun streams ->
-         let plain, leapt = replay_both ~start:17 streams in
-         result_eq plain leapt))
-
-let test_compiled_matches_under_faults () =
-  (* With faults active the fabric is not quiescent: no leaps, but the
-     tables must not perturb the request sequence and therefore the RNG
-     draws. *)
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:150 ~name:"replay with leaps == without (faults)"
-       (QCheck.make (QCheck.Gen.pair arb_streams (QCheck.Gen.int_bound 1000)))
-       (fun (streams, seed) ->
-         let faults = Fault.Plan.default ~seed in
-         let plain, leapt = replay_both ~faults ~start:3 streams in
-         result_eq plain leapt))
-
-let test_solo_stream_jumps () =
-  (* A single stream on a fresh quiescent fabric replays in one leap from
-     index 0 — and still lands on the leap-free cycle counts. *)
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"solo replay is one leap"
-       (QCheck.make arb_trace) (fun trace ->
-         let streams =
-           [ { Accel.Replay.instance = 0; trace; max_outstanding = 2; leaps = None } ]
-         in
-         Obs.Counters.reset ();
-         let plain, leapt = replay_both ~start:5 streams in
-         result_eq plain leapt
-         && (Accel.Trace.length trace = 0
-            || Obs.Counters.get Obs.Counters.segments_replayed = 1)))
 
 (* One stream through the event core's Flow on a fresh [Shared] topology and
    through the replay scheduler on a fresh fabric: the same Issue state
@@ -126,7 +63,7 @@ let test_flow_matches_scheduler () =
        (fun (trace, max_outstanding, seed) ->
          let faults = Option.map (fun seed -> Fault.Plan.default ~seed) seed in
          let streams =
-           [ { Accel.Replay.instance = 0; trace; max_outstanding; leaps = None } ]
+           [ { Accel.Replay.instance = 0; trace; max_outstanding } ]
          in
          let sched = Ccsim.Sched.create () in
          let ic =
@@ -285,6 +222,159 @@ let test_soc_denial_mid_stream () =
          else [ Soc.Run.Event_driven ]))
     event_fabrics
 
+(* ---------------- event engine: script cursor == process ---------------- *)
+
+(* On the event engine a script-fed task is a cursor continued from
+   scheduler events, and an interpreted one a process that suspends at each
+   transaction.  Both must land on the same complete result record, on
+   every interconnect column the benchmark measures (shared and crossbar
+   with central checking, crossbar and hierarchy with per-source shims).
+   sort_merge carries DMA copies, so the cursor's copy phases are covered;
+   the fast leg must really have replayed a script. *)
+let interconnect_columns =
+  [ (Bus.Topology.Shared, Capchecker.Shim.Central);
+    (Bus.Topology.Crossbar { banks = 4 }, Capchecker.Shim.Central);
+    (Bus.Topology.Crossbar { banks = 4 }, Capchecker.Shim.Distributed);
+    (Bus.Topology.Hierarchical { clusters = 4 }, Capchecker.Shim.Distributed) ]
+
+let test_event_cursor_matches_process () =
+  Soc.Fastpath.clear ();
+  List.iter
+    (fun name ->
+      let bench = Machsuite.Registry.find name in
+      List.iter
+        (fun (topology, checkers) ->
+          List.iter
+            (fun tasks ->
+              let go mode =
+                with_mode mode (fun () ->
+                    Soc.Run.run ~tasks ~engine:Soc.Run.Event_driven ~topology
+                      ~checkers Soc.Config.ccpu_caccel bench)
+              in
+              let fast = go Soc.Fastpath.Fast in
+              checkb (name ^ ": script recorded") true
+                (Soc.Fastpath.find_script (Soc.Fastpath.bench_key bench) <> None);
+              soc_result_eq
+                (Printf.sprintf "%s %s/%s x%d" name
+                   (Bus.Topology.kind_to_string topology)
+                   (Capchecker.Shim.checking_to_string checkers) tasks)
+                fast (go Soc.Fastpath.Interpretive))
+            [ 4; 8 ])
+        interconnect_columns)
+    [ "kmp"; "aes"; "spmv_crs"; "sort_merge" ]
+
+(* The same two drivers straight through [Accel.Engine.run_event], where a
+   fault plan or a stateful guard can reach a script-fed task: the script
+   cursor and the interpreting process must agree outcome for outcome
+   and beat for beat. *)
+let engine_task ~mem ~heap (bench : Machsuite.Bench_def.t) instance =
+  let kernel = bench.kernel in
+  let layout =
+    Memops.Layout.make
+      (List.map
+         (fun (decl : Kernel.Ir.buf_decl) ->
+           let bytes = Kernel.Ir.buf_decl_bytes decl in
+           let align, padded = Cheri.Bounds_enc.malloc_shape ~length:bytes in
+           { Memops.Layout.decl;
+             base = Tagmem.Alloc.malloc heap ~align:(max align 16) padded })
+         kernel.bufs)
+  in
+  List.iter
+    (fun (b : Memops.Layout.binding) ->
+      Memops.Layout.init_buffer mem b (fun idx ->
+          bench.init b.decl.Kernel.Ir.buf_name idx))
+    (Memops.Layout.bindings layout);
+  { Accel.Engine.instance; kernel; layout; params = bench.params;
+    obj_ids =
+      List.mapi (fun obj (d : Kernel.Ir.buf_decl) -> (d.buf_name, obj)) kernel.bufs }
+
+(* [tasks] instances of [bench] on a fresh [kind] fabric, each on its own
+   freshly initialized buffers; returns every outcome and the beats moved. *)
+let event_run ?faults ~kind ~tasks ~guard (bench : Machsuite.Bench_def.t) source =
+  let mem = Tagmem.Mem.create ~size:(1 lsl 22) in
+  let heap = Tagmem.Alloc.create ~base:4096 ~size:((1 lsl 22) - 4096) in
+  let sched = Ccsim.Sched.create () in
+  let ic =
+    Bus.Topology.create ?faults:(Option.map Fault.Injector.create faults) ~sched
+      ~kind bus
+  in
+  let guard = guard () in
+  let outcomes = Array.make tasks None in
+  for i = 0 to tasks - 1 do
+    Accel.Engine.run_event ~sched ~ic ~start:0 ~mem ~bus
+      ~directives:bench.directives ~addressing:Accel.Engine.Plain
+      ~naive_tag_writes:false (Accel.Engine.Adj_live guard) source
+      (engine_task ~mem ~heap bench i)
+      ~on_done:(fun o -> outcomes.(i) <- Some o)
+  done;
+  Ccsim.Sched.run sched;
+  (Array.to_list (Array.map Option.get outcomes), Bus.Topology.total_beats ic)
+
+let record_script (bench : Machsuite.Bench_def.t) =
+  let mem = Tagmem.Mem.create ~size:(1 lsl 22) in
+  let heap = Tagmem.Alloc.create ~base:4096 ~size:((1 lsl 22) - 4096) in
+  match
+    Accel.Engine.record ~mem ~directives:bench.directives
+      ~addressing:Accel.Engine.Plain ~naive_tag_writes:false
+      (engine_task ~mem ~heap bench 0)
+  with
+  | Some script -> script
+  | None -> Alcotest.fail (bench.name ^ ": no script")
+
+let check_cursor_matches_process ?faults ~kind ~tasks ~guard bench =
+  let script = record_script bench in
+  let cursor, cursor_beats =
+    event_run ?faults ~kind ~tasks ~guard bench (Accel.Engine.Replay script)
+  and process, process_beats =
+    event_run ?faults ~kind ~tasks ~guard bench Accel.Engine.Interpret
+  in
+  checkb "outcomes: cursor == process" true (cursor = process);
+  checki "beats: cursor == process" process_beats cursor_beats;
+  cursor
+
+(* Every bus response is an error: each task spends its retry budget on its
+   first transaction ([Flow] reports the failure, [ev_failed]); a rarer
+   error rate fails some tasks mid-stream, after real traffic. *)
+let test_event_cursor_retry_budget () =
+  let bench = Machsuite.Registry.find "sort_merge" in
+  List.iter
+    (fun (kind, bus_error_prob) ->
+      let faults = { Fault.Plan.none with seed = 5; bus_error_prob } in
+      let outcomes =
+        check_cursor_matches_process ~faults ~kind ~tasks:4
+          ~guard:(fun () -> Guard.Iface.pass_through) bench
+      in
+      checkb "some task exhausted its retry budget" true
+        (List.exists (fun o -> o.Accel.Engine.ev_failed) outcomes))
+    [ (Bus.Topology.Shared, 1.0);
+      (Bus.Topology.Crossbar { banks = 4 }, 0.3);
+      (Bus.Topology.Hierarchical { clusters = 4 }, 0.3) ]
+
+(* A guard that denies its 500th check, whichever task issues it: the
+   stream stops mid-burst there, the burst already formed still drains, and
+   the cursor must stop at exactly the access the process does. *)
+let test_event_cursor_denial () =
+  let counting () =
+    let n = ref 0 in
+    { Guard.Iface.pass_through with
+      check =
+        (fun req ->
+          incr n;
+          if !n = 500 then Guard.Iface.Denied { code = "test"; detail = "500th" }
+          else Guard.Iface.pass_through.check req) }
+  in
+  List.iter
+    (fun (name, kind) ->
+      let outcomes =
+        check_cursor_matches_process ~kind ~tasks:4 ~guard:counting
+          (Machsuite.Registry.find name)
+      in
+      checki (name ^ ": one task denied") 1
+        (List.length
+           (List.filter (fun o -> o.Accel.Engine.ev_denied <> None) outcomes)))
+    [ ("kmp", Bus.Topology.Shared);
+      ("sort_merge", Bus.Topology.Crossbar { banks = 4 }) ]
+
 (* Elision interplay: fast paths under Elide_on and Elide_differential must
    not disturb verdicts or counts. *)
 let test_soc_fast_matches_elide () =
@@ -413,12 +503,6 @@ let test_proven_benches_record () =
 
 let suite =
   [
-    Alcotest.test_case "compiled == interpretive (random traces)" `Quick
-      test_compiled_matches_interpretive;
-    Alcotest.test_case "compiled == interpretive under faults" `Quick
-      test_compiled_matches_under_faults;
-    Alcotest.test_case "solo stream fast-forwards in one jump" `Quick
-      test_solo_stream_jumps;
     Alcotest.test_case "flow == replay scheduler (one stream)" `Quick
       test_flow_matches_scheduler;
     Alcotest.test_case "soc: fast == interpretive (legacy, all kernels)" `Quick
@@ -429,6 +513,12 @@ let suite =
       test_soc_fast_matches_event;
     Alcotest.test_case "soc: denial mid-stream, fast == interpretive" `Quick
       test_soc_denial_mid_stream;
+    Alcotest.test_case "event: script cursor == process (interconnect columns)"
+      `Quick test_event_cursor_matches_process;
+    Alcotest.test_case "event: script cursor == process (retry budget spent)"
+      `Quick test_event_cursor_retry_budget;
+    Alcotest.test_case "event: script cursor == process (denial mid-stream)"
+      `Quick test_event_cursor_denial;
     Alcotest.test_case "soc: fast == interpretive (elision modes)" `Quick
       test_soc_fast_matches_elide;
     Alcotest.test_case "soc: faulted runs never fast-pathed" `Quick

@@ -32,7 +32,7 @@ let test_stable_ties () =
 let test_rank_orders_within_cycle () =
   let s = Ccsim.Sched.create () in
   let log = ref [] in
-  Ccsim.Sched.at s ~cycle:4 ~rank:Ccsim.Sched.rank_arbitrate (fun () ->
+  Ccsim.Sched.at_rank s ~cycle:4 ~rank:Ccsim.Sched.rank_arbitrate (fun () ->
       log := "arbitrate" :: !log);
   Ccsim.Sched.at s ~cycle:4 (fun () -> log := "request" :: !log);
   Ccsim.Sched.run s;
@@ -127,7 +127,7 @@ let reset_workload s =
     incr seq;
     let delta = [| 0; 1; 2; 7; 4095; 4096; 9000 |].(draw 7) in
     let rank = [| 0; 0; 1; 5 |].(draw 4) in
-    Ccsim.Sched.at s ~cycle:(Ccsim.Sched.now s + delta) ~rank (fun () ->
+    Ccsim.Sched.at_rank s ~cycle:(Ccsim.Sched.now s + delta) ~rank (fun () ->
         log := (Ccsim.Sched.now s, id) :: !log;
         if depth < 4 then begin
           schedule (depth + 1);
@@ -139,7 +139,7 @@ let reset_workload s =
   for c = 1 to 15 do
     let id = !seq in
     incr seq;
-    Ccsim.Sched.at s ~cycle:c ~rank:3 (fun () ->
+    Ccsim.Sched.at_rank s ~cycle:c ~rank:3 (fun () ->
         log := (Ccsim.Sched.now s, id) :: !log)
   done;
   for _ = 1 to 4 do
@@ -165,11 +165,11 @@ let abandon s stale =
   Ccsim.Sched.at s ~cycle:4096 (fun () ->
       for c = 1 to 15 do
         for rank = 0 to 3 do
-          Ccsim.Sched.at s ~cycle:(4096 + c) ~rank mark
+          Ccsim.Sched.at_rank s ~cycle:(4096 + c) ~rank mark
         done
       done;
       Ccsim.Sched.at s ~cycle:200_000 mark;
-      Ccsim.Sched.at s ~cycle:4098 ~rank:7 mark);
+      Ccsim.Sched.at_rank s ~cycle:4098 ~rank:7 mark);
   checki "abandoned run stops early" 3 (Ccsim.Sched.run_steps s 3);
   checkb "events left pending" true (Ccsim.Sched.pending s > 0);
   stale := false
@@ -459,6 +459,92 @@ let test_flow_allocation_budget () =
       (Bus.Topology.Crossbar { banks = 4 }, 32);
       (Bus.Topology.Hierarchical { clusters = 4 }, 48) ]
 
+(* The same budget for a script-fed task through [Accel.Engine.run_event]:
+   a proven task behind a constant-latency guard ([Adj_fastpath]) replays a
+   hand-recorded script of 12,000 transactions (element accesses with
+   gaps, and DMA copies every 50th entry) from [sources] instances.  The
+   script cursor is continued from scheduler events and from the flow, so
+   the only thing it may allocate is the scheduler's six-word events: at
+   most 6 words per event plus 2 words of slack per transaction.  It is
+   never spawned as a process, so a stray [Sched.suspend] on this path
+   would raise [Effect.Unhandled] instead of passing unnoticed.  Returns
+   (words, events) per transaction. *)
+let cursor_words_per_transaction kind ~sources =
+  let total = 12_000 in
+  let open Kernel.Ir in
+  let kernel =
+    { name = "budget"; bufs = [ buf "a" I64 4096; buf "b" I64 4096 ]; scratch = [];
+      body = [] }
+  in
+  let mem = Tagmem.Mem.create ~size:(1 lsl 20) in
+  let heap = Tagmem.Alloc.create ~base:4096 ~size:((1 lsl 20) - 4096) in
+  let layout =
+    Memops.Layout.make
+      (List.map
+         (fun decl ->
+           { Memops.Layout.decl;
+             base = Tagmem.Alloc.malloc heap ~align:64 (buf_decl_bytes decl) })
+         kernel.bufs)
+  in
+  let r = Accel.Script.Recorder.create ~extents:[| 32768; 32768 |] in
+  let transactions = ref 0 and i = ref 0 in
+  while !transactions < total / sources do
+    let gap = 1 + (!i mod 3) in
+    if !i mod 50 = 49 then begin
+      (* 128 bytes = 16 beats: one read/write burst pair *)
+      Accel.Script.Recorder.copy r ~gap ~bytes:128 ~src:0 ~dst:1 ~ops:!i;
+      transactions := !transactions + 2
+    end
+    else begin
+      Accel.Script.Recorder.access r ~gap
+        ~kind:(if !i mod 3 = 1 then Guard.Iface.Write else Guard.Iface.Read)
+        ~buf:(!i mod 2) ~off:(8 * (!i mod 4096)) ~size:8
+        ~dependent:(!i mod 3 = 2) ~ops:!i;
+      incr transactions
+    end;
+    incr i
+  done;
+  let script =
+    Option.get (Accel.Script.Recorder.finalize r ~total_ops:!i ~complete:true)
+  in
+  let sched = Ccsim.Sched.create () in
+  let ic = Bus.Topology.create ~sched ~kind Bus.Params.default in
+  let retired = ref 0 in
+  for src = 0 to sources - 1 do
+    Accel.Engine.run_event ~sched ~ic ~start:0 ~mem ~bus:Bus.Params.default
+      ~directives:Hls.Directives.default ~addressing:Accel.Engine.Plain
+      ~naive_tag_writes:false (Accel.Engine.Adj_fastpath 2)
+      (Accel.Engine.Replay script)
+      { Accel.Engine.instance = src; kernel; layout; params = [];
+        obj_ids = [ ("a", 0); ("b", 1) ] }
+      ~on_done:(fun o ->
+        if o.Accel.Engine.ev_denied = None && not o.Accel.Engine.ev_failed then
+          incr retired)
+  done;
+  let before = Gc.minor_words () in
+  let events = Ccsim.Sched.run_steps sched max_int in
+  let words = Gc.minor_words () -. before in
+  checki "every task retired" sources !retired;
+  let n = float_of_int (sources * !transactions) in
+  (words /. n, float_of_int events /. n)
+
+let test_cursor_allocation_budget () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun sources ->
+          let words, events = cursor_words_per_transaction kind ~sources in
+          checkb
+            (Printf.sprintf
+               "%s, %d source(s): %.1f words per transaction <= 6 x %.2f events + 2"
+               (Bus.Topology.kind_to_string kind) sources words events)
+            true
+            (words <= (6.0 *. events) +. 2.0))
+        [ 1; 4 ])
+    [ Bus.Topology.Shared;
+      Bus.Topology.Crossbar { banks = 4 };
+      Bus.Topology.Hierarchical { clusters = 4 } ]
+
 let suite =
   [
     ("event ordering", `Quick, test_ordering);
@@ -488,4 +574,6 @@ let suite =
      test_event_mode_faulted_invariant);
     ("flow: allocation budget per transaction", `Quick,
      test_flow_allocation_budget);
+    ("cursor: allocation budget per transaction", `Quick,
+     test_cursor_allocation_budget);
   ]
