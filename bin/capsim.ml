@@ -872,19 +872,19 @@ let serve_cmd =
                ~doc:"Per-tenant bound on concurrently admitted requests.")
   in
   let watermark_arg =
-    Arg.(value & opt int 90
+    Arg.(value & opt (percent ~min:1) 90
            & info [ "watermark" ]
                ~doc:"Admission watermark: admit only below this percentage \
                      of table occupancy (100 disables).")
   in
   let spill_arg =
-    Arg.(value & opt int (-1)
+    Arg.(value & opt (some non_negative_int) None
            & info [ "spill" ]
                ~doc:"Wait-queue depth beyond which admitted requests run on \
                      the CPU (default: twice the instance count).")
   in
   let gap_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative_int 0
            & info [ "gap" ]
                ~doc:"Mean request inter-arrival gap in cycles (0 derives it \
                      from the profiled service time and $(b,--util)).")
@@ -901,7 +901,7 @@ let serve_cmd =
                ~doc:"Percentage of tenants that depart mid-run.")
   in
   let top_arg =
-    Arg.(value & opt int 10
+    Arg.(value & opt non_negative_int 10
            & info [ "top" ] ~doc:"Tenants shown in the p99 table.")
   in
   let bench_opt =
@@ -918,7 +918,7 @@ let serve_cmd =
   let run config tenants requests seed instances entries topology checkers
       fastpath inflight watermark spill gap util churn top bench jobs json =
     Soc.Fastpath.set_mode fastpath;
-    let spill = if spill < 0 then 2 * instances else spill in
+    let spill = Option.value spill ~default:(2 * instances) in
     let mix =
       match bench with
       | Some (b : Machsuite.Bench_def.t) -> [ (b.name, 1) ]

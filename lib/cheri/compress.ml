@@ -17,9 +17,11 @@ let extract w shift width =
 let encode (c : Cap.t) =
   let e, b_low, len_m = Bounds_enc.encode_bounds ~base:c.base ~top:c.top in
   let hi =
-    List.fold_left Int64.logor 0L
-      [ field len_m len_shift; field b_low b_low_shift; field e e_shift;
-        field c.otype otype_shift; field (Perms.to_mask c.perms) perms_shift ]
+    Int64.logor (field len_m len_shift)
+      (Int64.logor (field b_low b_low_shift)
+         (Int64.logor (field e e_shift)
+            (Int64.logor (field c.otype otype_shift)
+               (field (Perms.to_mask c.perms) perms_shift))))
   in
   { hi; lo = Int64.of_int c.addr }
 

@@ -200,16 +200,18 @@ let evict t ~task ~obj =
       t.live <- t.live - 1;
       true
 
+(* A plain loop, no closure: this runs on every driver teardown. *)
 let evict_task t ~task =
   let n = ref 0 in
-  Array.iteri
-    (fun idx (e : entry) ->
-      if e.live && e.task = task then begin
-        Index.remove t.index (key ~task ~obj:e.obj);
-        release_slot t idx;
-        incr n
-      end)
-    t.slots;
+  let slots = t.slots in
+  for idx = 0 to Array.length slots - 1 do
+    let e = slots.(idx) in
+    if e.live && e.task = task then begin
+      Index.remove t.index (key ~task ~obj:e.obj);
+      release_slot t idx;
+      incr n
+    end
+  done;
   t.evictions <- t.evictions + !n;
   t.live <- t.live - !n;
   !n

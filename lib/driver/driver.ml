@@ -13,6 +13,8 @@ type t = {
   mmio : Capchecker.Mmio.t option;
       (* register window of the CapChecker, when one is present: the driver
          programs the hardware through it, never through internal calls *)
+  mutable validated : Kernel.Ir.t list;
+      (* kernels that passed [Kernel.Ir.validate], by physical identity *)
 }
 
 let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) ~mem ~heap
@@ -25,7 +27,7 @@ let create ?(obs = Obs.Trace.null) ?(faults = Fault.Injector.none) ~mem ~heap
     | Backend.Snpu _ | Backend.Capchecker_cached _ -> None
   in
   { mem; heap; backend; bus; n_instances; busy = Array.make n_instances false;
-    obs; faults; mmio }
+    obs; faults; mmio; validated = [] }
 
 let backend t = t.backend
 let mem t = t.mem
@@ -221,15 +223,21 @@ let rollback_backend t ~task_id =
   | Backend.Capchecker_cached checker ->
       ignore (Capchecker.Cached.evict_task checker ~task:task_id)
 
+(* A malformed kernel is a driver-API misuse, not a run-time condition the
+   caller should retry: surface it before any buffer is placed.  A kernel
+   value is immutable, so one that passed once passes again: it is checked
+   on its first allocation only.  A failing kernel is never recorded. *)
+let check_kernel t (kernel : Kernel.Ir.t) =
+  if not (List.memq kernel t.validated) then
+    match Kernel.Ir.validate kernel with
+    | Ok () -> t.validated <- kernel :: t.validated
+    | Error msg ->
+        invalid_arg
+          (Printf.sprintf "Driver.allocate: ill-formed kernel %s: %s"
+             kernel.Kernel.Ir.name msg)
+
 let allocate t (kernel : Kernel.Ir.t) =
-  (* A malformed kernel is a driver-API misuse, not a run-time condition the
-     caller should retry: surface it before any buffer is placed. *)
-  (match Kernel.Ir.validate kernel with
-  | Ok () -> ()
-  | Error msg ->
-      invalid_arg
-        (Printf.sprintf "Driver.allocate: ill-formed kernel %s: %s"
-           kernel.Kernel.Ir.name msg));
+  check_kernel t kernel;
   if Fault.Injector.alloc_fail t.faults then
     Error "transient allocation fault (injected)"
   else
@@ -357,27 +365,22 @@ let deallocate t handle ~denied =
   (* Clear pointer/control registers, free memory, release the instance. *)
   let bindings = Memops.Layout.bindings handle.layout in
   cycles := !cycles + ((List.length bindings + 2) * p.Bus.Params.mmio_write);
-  let freed = Hashtbl.create 8 in
-  List.iter
-    (fun (b : Memops.Layout.binding) ->
-      (* Under the arena policy all bindings share one allocation. *)
-      let addr =
-        match t.backend with Backend.Iopmp _ -> -1 | _ -> b.Memops.Layout.base
-      in
-      if addr >= 0 && not (Hashtbl.mem freed addr) then begin
-        Hashtbl.add freed addr ();
-        Tagmem.Alloc.free t.heap addr;
-        cycles := !cycles + free_cycles
-      end)
-    bindings;
   (match t.backend with
   | Backend.Iopmp _ ->
+      (* Under the arena policy all bindings share one allocation. *)
       let arena =
         List.fold_left (fun acc b -> min acc b.Memops.Layout.base) max_int bindings
       in
       Tagmem.Alloc.free t.heap arena;
       cycles := !cycles + free_cycles
-  | _ -> ());
+  | Backend.No_protection _ | Backend.Iommu _ | Backend.Snpu _
+  | Backend.Capchecker _ | Backend.Capchecker_cached _ ->
+      (* One allocation per binding, each at its own base. *)
+      List.iter
+        (fun (b : Memops.Layout.binding) ->
+          Tagmem.Alloc.free t.heap b.Memops.Layout.base;
+          cycles := !cycles + free_cycles)
+        bindings);
   t.busy.(handle.task_id) <- false;
   Obs.Trace.emit t.obs
     (Obs.Event.Task_phase

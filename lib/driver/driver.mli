@@ -65,7 +65,12 @@ val allocate : t -> Kernel.Ir.t -> (allocated, string) result
     always safe.
 
     @raise Invalid_argument if the kernel fails {!Kernel.Ir.validate} — an
-    ill-formed kernel is an API misuse, not a retryable condition. *)
+    ill-formed kernel is an API misuse, not a retryable condition.  Each
+    driver validates a kernel value once, on its first allocation, and
+    recognises it by physical identity afterwards ([Kernel.Ir.t] is
+    immutable), so a request's driver cost depends on its buffers, not on
+    the size of the kernel's body.  An ill-formed kernel is never recorded
+    as validated: it raises on every call. *)
 
 (** {1 Retry with exponential backoff}
 

@@ -17,7 +17,7 @@ let find t name =
 
 let bindings t =
   Hashtbl.fold (fun _ b acc -> b :: acc) t []
-  |> List.sort (fun a b -> compare a.base b.base)
+  |> List.sort (fun a b -> Int.compare a.base b.base)
 
 let elem_addr b idx = b.base + (idx * Kernel.Ir.elem_bytes b.decl.Kernel.Ir.elem)
 

@@ -92,6 +92,19 @@ let mean_service_cycles profiles (wl : Workload.params) =
   in
   max 1 (num / wsum wl.mix)
 
+(* Same-cycle lanes on the loop's scheduler (all below the wheel's rank
+   count): arrivals, then the loop's own runtime events (CPU pump, service
+   completion, teardown release), then requests, then departures.  Every
+   report depends on this order.  It holds because workload and runtime
+   events never share a lane, workload events enter their lanes in schedule
+   order, and runtime events keep their scheduling (seq) order. *)
+let lane_runtime = 1
+
+let lane_of = function
+  | Workload.Tenant_arrive _ -> 0
+  | Workload.Request _ -> 2
+  | Workload.Tenant_depart _ -> 3
+
 (* One in-flight request. *)
 type rq = {
   rq_tenant : int;
@@ -127,6 +140,14 @@ let run p =
     invalid_arg "Loop.run: util_pct outside [1, 100]";
   if p.sv_policy.Admission.max_inflight < 1 then
     invalid_arg "Loop.run: max_inflight must be >= 1";
+  if
+    p.sv_policy.Admission.watermark_pct < 1
+    || p.sv_policy.Admission.watermark_pct > 100
+  then invalid_arg "Loop.run: watermark_pct outside [1, 100]";
+  if p.sv_policy.Admission.spill_depth < 0 then
+    invalid_arg "Loop.run: spill_depth must be >= 0";
+  if wl0.Workload.mean_gap < 0 then
+    invalid_arg "Loop.run: mean_gap must be >= 0";
   (match p.sv_config with
   | Soc.Config.Hetero
       { protection = Soc.Config.Prot_cc_fine | Soc.Config.Prot_cc_coarse; _ }
@@ -263,7 +284,8 @@ let run p =
         cpu_current := Some rq;
         let prof = List.assoc rq.rq_bench profiles in
         let busy = prof.Soc.Run.sv_cpu_wall * rq.rq_scale in
-        Sched.at sched ~cycle:(Sched.now sched + busy) (fun () ->
+        Sched.at_rank sched ~cycle:(Sched.now sched + busy) ~rank:lane_runtime
+          (fun () ->
             cpu_current := None;
             if not rq.rq_cancelled then finish rq;
             pump_cpu ())
@@ -321,8 +343,8 @@ let run p =
         pending_mmio := 0;
         Obs.Metrics.add metrics "serve.checks"
           (prof.Soc.Run.sv_checks * rq.rq_scale);
-        Sched.at sched ~cycle:(Sched.now sched + service) (fun () ->
-            complete rq)
+        Sched.at_rank sched ~cycle:(Sched.now sched + service)
+          ~rank:lane_runtime (fun () -> complete rq)
   and complete (rq : rq) =
     (* Cancelled in-service requests were rolled back at departure time;
        their stale completion event is a no-op. *)
@@ -336,8 +358,9 @@ let run p =
       (* The slot stays gated while the CPU runs the teardown sequence; the
          driver itself already freed the instance, which is fine — our gate
          is the stricter one. *)
-      Sched.at sched
+      Sched.at_rank sched
         ~cycle:(Sched.now sched + report.Driver.cycles)
+        ~rank:lane_runtime
         (fun () ->
           decr busy_slots;
           finish rq;
@@ -466,22 +489,37 @@ let run p =
           route_cpu rq
         else Queue.push rq wait_q
   in
-  (* -- wire the workload onto the timeline and run ---------------------- *)
-  List.iter
-    (fun { Workload.at; ev } ->
-      let rank = Workload.ev_rank ev in
-      Sched.at_rank sched ~cycle:at ~rank (fun () ->
-          match ev with
-          | Workload.Tenant_arrive id ->
-              let tn = registry.(id) in
-              if tn.Tenant.state = Tenant.Pending then begin
-                tn.Tenant.state <- Tenant.Active;
-                totals.c_arrived <- totals.c_arrived + 1
-              end
-          | Workload.Tenant_depart id -> depart registry.(id)
-          | Workload.Request { rq = _; tenant; bench; scale } ->
-              handle_request ~tenant ~bench ~scale))
-    events;
+  (* -- feed the workload through one cursor and run ------------------------ *)
+  (* Only the next workload event is ever pending: firing event i schedules
+     event i+1 (never earlier, as [generate] sorts by (at, rank)) before
+     running i's action, so the scheduler holds the in-flight runtime events
+     plus one workload event instead of the whole schedule. *)
+  let fire_event = function
+    | Workload.Tenant_arrive id ->
+        let tn = registry.(id) in
+        if tn.Tenant.state = Tenant.Pending then begin
+          tn.Tenant.state <- Tenant.Active;
+          totals.c_arrived <- totals.c_arrived + 1
+        end
+    | Workload.Tenant_depart id -> depart registry.(id)
+    | Workload.Request { rq = _; tenant; bench; scale } ->
+        handle_request ~tenant ~bench ~scale
+  in
+  let rest = ref events in
+  let rec fire () =
+    match !rest with
+    | { Workload.ev; _ } :: tl ->
+        rest := tl;
+        schedule_next ();
+        fire_event ev
+    | [] -> ()
+  and schedule_next () =
+    match !rest with
+    | { Workload.at; ev } :: _ ->
+        Sched.at_rank sched ~cycle:at ~rank:(lane_of ev) fire
+    | [] -> ()
+  in
+  schedule_next ();
   Sched.run sched;
   let makespan = Sched.now sched in
   if p.sv_check_invariants then begin
@@ -498,6 +536,7 @@ let run p =
       (fun acc (tn : Tenant.t) -> List.rev_append tn.Tenant.latencies acc)
       [] registry
   in
+  let p50, p99, max_lat = Report.latency_summary all_lats in
   (* Final teardown: revoke every still-active compartment so the run ends
      with an empty table (departed tenants already hold nothing). *)
   Array.iter
@@ -534,9 +573,9 @@ let run p =
         t_departed = totals.c_departed;
       };
     rp_table = Checker.table_stats checker;
-    rp_p50 = Report.pct_or_zero 0.5 all_lats;
-    rp_p99 = Report.pct_or_zero 0.99 all_lats;
-    rp_max = List.fold_left max 0 all_lats;
+    rp_p50 = p50;
+    rp_p99 = p99;
+    rp_max = max_lat;
     rp_rows = rows;
     rp_metrics = Obs.Metrics.counters metrics;
   }

@@ -2,7 +2,10 @@
     engine.
 
     One {!Ccsim.Sched} timeline carries the whole run: workload events
-    (tenant arrivals/departures, requests) fire at their scheduled cycles;
+    (tenant arrivals/departures, requests) fire at their scheduled cycles,
+    fed one at a time by a cursor over the generated schedule, in rank
+    lanes that keep the same-cycle order of arrivals, runtime events,
+    requests and departures;
     admitted requests occupy a real accelerator instance through the real
     {!Driver} (capability installs, MMIO programming and teardown all hit
     the live checker {!Capchecker.Table}), while the kernel's init/compute
@@ -54,5 +57,6 @@ val default_params : ?seed:int -> tenants:int -> requests:int -> unit -> params
 
 val run : params -> Report.t
 (** @raise Invalid_argument if the config has no CapChecker or a parameter
-    is out of range; raises [Not_found] if the mix names an unknown
-    benchmark. *)
+    is out of range (among them a watermark outside [\[1, 100\]], a
+    negative spill depth or a negative mean gap); raises [Not_found] if the
+    mix names an unknown benchmark. *)

@@ -47,11 +47,17 @@ type t = {
   rp_metrics : (string * int) list;
 }
 
-let pct_or_zero p xs =
-  match Ccsim.Stats.percentile_int_opt p xs with Some v -> v | None -> 0
+let latency_summary = function
+  | [] -> (0, 0, 0)
+  | xs ->
+      let sorted = Array.of_list xs in
+      Array.sort Int.compare sorted;
+      let n = Array.length sorted in
+      let at p = sorted.(Ccsim.Stats.nearest_rank_index p n) in
+      (at 0.5, at 0.99, sorted.(n - 1))
 
 let row_of_tenant (tn : Tenant.t) =
-  let lats = tn.Tenant.latencies in
+  let p50, p99, max_lat = latency_summary tn.Tenant.latencies in
   {
     tr_id = tn.Tenant.id;
     tr_admitted = tn.Tenant.admitted;
@@ -61,9 +67,9 @@ let row_of_tenant (tn : Tenant.t) =
     tr_cpu = tn.Tenant.cpu_fallbacks;
     tr_departed = tn.Tenant.state = Tenant.Departed;
     tr_epoch = tn.Tenant.epoch;
-    tr_p50 = pct_or_zero 0.5 lats;
-    tr_p99 = pct_or_zero 0.99 lats;
-    tr_max = List.fold_left max 0 lats;
+    tr_p50 = p50;
+    tr_p99 = p99;
+    tr_max = max_lat;
   }
 
 let thrash t =

@@ -55,12 +55,14 @@ type t = {
   rp_metrics : (string * int) list;  (** metric counters, name order *)
 }
 
-val pct_or_zero : float -> int list -> int
-(** {!Ccsim.Stats.percentile_int_opt} with the documented zero default. *)
+val latency_summary : int list -> int * int * int
+(** [(p50, p99, max)] of the samples from one integer sort, nearest-rank as
+    in {!Ccsim.Stats.percentile_int}; [(0, 0, 0)] on the empty list (the
+    documented zero row). *)
 
 val row_of_tenant : Tenant.t -> tenant_row
-(** Percentiles via {!Ccsim.Stats.percentile_int_opt}: a tenant that
-    completed nothing gets an all-zero latency row, never an exception. *)
+(** Percentiles via {!latency_summary}: a tenant that completed nothing gets
+    an all-zero latency row, never an exception. *)
 
 val thrash : t -> int
 (** Eviction thrash: table conflicts + compartment-root evictions — the

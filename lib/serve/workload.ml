@@ -54,6 +54,19 @@ let pick_weighted r items =
    while the cold tail churns the table. *)
 let heavy_tenants p = max 1 (p.tenants / 8)
 
+(* Stable merge of two lists sorted by (at, rank), left first on ties. *)
+let merge l1 l2 =
+  let before a b =
+    a.at < b.at || (a.at = b.at && ev_rank a.ev <= ev_rank b.ev)
+  in
+  let rec go acc l1 l2 =
+    match (l1, l2) with
+    | [], l | l, [] -> List.rev_append acc l
+    | a :: t1, b :: t2 ->
+        if before a b then go (a :: acc) t1 l2 else go (b :: acc) l1 t2
+  in
+  go [] l1 l2
+
 let generate p =
   validate p;
   let rng = Ccsim.Rng.create p.seed in
@@ -97,9 +110,11 @@ let generate p =
   let arrivals_l =
     List.init p.tenants (fun i -> { at = arrivals.(i); ev = Tenant_arrive i })
   in
-  List.stable_sort
-    (fun a b ->
-      match compare a.at b.at with
-      | 0 -> compare (ev_rank a.ev) (ev_rank b.ev)
-      | c -> c)
-    (arrivals_l @ requests @ departures)
+  (* The requests are already in time order, and each kind has its own
+     rank, so sorting the two short lists by time and merging the three
+     gives the stable sort of their concatenation without sorting the
+     long one. *)
+  let by_at a b = Int.compare a.at b.at in
+  merge
+    (merge (List.stable_sort by_at arrivals_l) requests)
+    (List.stable_sort by_at departures)

@@ -38,13 +38,15 @@ let mean = function
 (* One nearest-rank implementation shared by the float and int front-ends:
    sort once into an array and index directly, instead of the old
    sort-a-list-then-List.nth pair of copies (O(n) per query after the sort). *)
+let nearest_rank_index p n =
+  let rank = int_of_float (ceil (p *. float_of_int n)) in
+  max 0 (min (n - 1) (rank - 1))
+
 let nearest_rank ~what p xs =
   if xs = [] then invalid_arg (Printf.sprintf "Stats.%s: empty sample list" what);
   let sorted = Array.of_list xs in
   Array.sort compare sorted;
-  let n = Array.length sorted in
-  let rank = int_of_float (ceil (p *. float_of_int n)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
+  sorted.(nearest_rank_index p (Array.length sorted))
 
 let percentile p xs = nearest_rank ~what:"percentile" p xs
 

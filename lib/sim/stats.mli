@@ -32,6 +32,12 @@ val percentile : float -> float list -> float
     @raise Invalid_argument on the empty list (a phase that recorded no
     samples must be handled by the caller, not reported as a bogus 0). *)
 
+val nearest_rank_index : float -> int -> int
+(** [nearest_rank_index p n] is the index of the [p]-th percentile in an
+    ascending array of [n > 0] samples, by the nearest-rank convention of
+    {!percentile} — for a caller reading several percentiles from one
+    sort. *)
+
 val percentile_int : float -> int list -> int
 (** Same nearest-rank convention on integer samples (cycle latencies), without
     a lossy round-trip through [float].

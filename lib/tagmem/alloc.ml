@@ -40,21 +40,24 @@ let malloc t ?(align = Mem.granule) size =
   in
   fit [] t.free_list
 
-let coalesce list =
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) list in
-  let rec go = function
-    | (a, sa) :: (b, sb) :: rest when a + sa = b -> go ((a, sa + sb) :: rest)
-    | x :: rest -> x :: go rest
-    | [] -> []
-  in
-  go sorted
+(* The free list is kept sorted by address with no two blocks adjacent, so
+   a freed block goes in at its place in one pass, merging with the block
+   that ends where it starts and the one that starts where it ends. *)
+let rec insert_free addr size = function
+  | (a, sa) :: rest when a + sa = addr -> (
+      match rest with
+      | (b, sb) :: rest' when addr + size = b -> (a, sa + size + sb) :: rest'
+      | _ -> (a, sa + size) :: rest)
+  | ((a, _) as blk) :: rest when a < addr -> blk :: insert_free addr size rest
+  | (b, sb) :: rest when addr + size = b -> (addr, size + sb) :: rest
+  | l -> (addr, size) :: l
 
 let free t addr =
   match Hashtbl.find_opt t.live addr with
   | None -> invalid_arg (Printf.sprintf "Alloc.free: 0x%x is not a live allocation" addr)
   | Some size ->
       Hashtbl.remove t.live addr;
-      t.free_list <- coalesce ((addr, size) :: t.free_list)
+      t.free_list <- insert_free addr size t.free_list
 
 let size_of t addr =
   match Hashtbl.find_opt t.live addr with

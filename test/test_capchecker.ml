@@ -142,7 +142,10 @@ let test_table_slot_reuse_lowest_first () =
   checki "full again" 4 (Table.live_count t)
 
 (* The hash-indexed table against a naive association model: lookups,
-   live counts and full/evict outcomes must agree after any op sequence. *)
+   live counts and full/evict outcomes must agree after any op sequence,
+   and so must slots: the model keeps each live key's slot, so a fresh key
+   must land in the lowest slot the model holds free (after any mix of
+   [evict] and [evict_task]) and a replaced key must keep its slot. *)
 (* [task_of]/[obj_of] spread the four drawn ids over the key space, so the
    packed index is exercised at its edges as well as near zero. *)
 let table_matches_reference ~name ~task_of ~obj_of =
@@ -152,15 +155,25 @@ let table_matches_reference ~name ~task_of ~obj_of =
       let ops = List.map (fun (op, tk, ob) -> (op, task_of tk, obj_of ob)) ops in
       let entries = 4 in
       let t = Table.create ~entries in
-      let model : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+      let model : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+      let lowest_free () =
+        let used = Hashtbl.fold (fun _ slot acc -> slot :: acc) model [] in
+        let rec go s = if List.mem s used then go (s + 1) else s in
+        go 0
+      in
       List.for_all
         (fun (op, task, obj) ->
           match op with
           | 0 | 1 -> (
+              let expected =
+                match Hashtbl.find_opt model (task, obj) with
+                | Some slot -> slot
+                | None -> lowest_free ()
+              in
               match Table.install t ~task ~obj (cap 0x1000 64) with
-              | Table.Installed _ ->
-                  Hashtbl.replace model (task, obj) ();
-                  true
+              | Table.Installed slot ->
+                  Hashtbl.replace model (task, obj) slot;
+                  slot = expected
               | Table.Table_full ->
                   Hashtbl.length model = entries
                   && not (Hashtbl.mem model (task, obj))
@@ -172,7 +185,7 @@ let table_matches_reference ~name ~task_of ~obj_of =
           | _ ->
               let mine =
                 Hashtbl.fold
-                  (fun (tk, ob) () acc -> if tk = task then (tk, ob) :: acc else acc)
+                  (fun (tk, ob) _ acc -> if tk = task then (tk, ob) :: acc else acc)
                   model []
               in
               List.iter (Hashtbl.remove model) mine;

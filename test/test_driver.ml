@@ -202,8 +202,24 @@ let test_allocate_rejects_ill_formed_kernel () =
   | Ok _ | Error _ -> Alcotest.fail "ill-formed kernel was accepted");
   (* Nothing was placed: the instance and the heap are untouched. *)
   checki "no instance consumed" 2 (Driver.free_instances driver);
-  checkb "well-formed kernel still allocates" true
-    (Result.is_ok (Driver.allocate driver kernel2))
+  (* Validation is remembered only for kernels that pass it: the same
+     ill-formed value is refused again on every later call. *)
+  checkb "refused again on a second call" true
+    (match Driver.allocate driver bad with
+    | exception Invalid_argument _ -> true
+    | Ok _ | Error _ -> false);
+  let a = alloc_exn driver kernel2 in
+  checkb "well-formed kernel still allocates" true (a.Driver.cycles > 0);
+  (* A validated kernel allocates again after its teardown, at the same
+     cost, and an ill-formed one is still refused after that. *)
+  let _ = Driver.deallocate driver a.Driver.handle ~denied:None in
+  let b = alloc_exn driver kernel2 in
+  checki "allocates again after deallocate, same cost" a.Driver.cycles
+    b.Driver.cycles;
+  checkb "still refused after a valid allocation" true
+    (match Driver.allocate driver bad with
+    | exception Invalid_argument _ -> true
+    | Ok _ | Error _ -> false)
 
 let suite =
   [

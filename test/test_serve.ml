@@ -64,6 +64,24 @@ let test_workload_structure () =
       (List.tl evs)
   in
   checkb "sorted by (cycle, rank)" true sorted;
+  (* Same-cycle, same-rank events keep draw order: tenant id order for
+     arrivals and departures, request number order for requests. *)
+  let id = function
+    | Serve.Workload.Tenant_arrive i | Serve.Workload.Tenant_depart i -> i
+    | Serve.Workload.Request { rq; _ } -> rq
+  in
+  let rec ties_in_draw_order = function
+    | (a : Serve.Workload.timed) :: (b :: _ as rest) ->
+        (a.at <> b.at
+        || Serve.Workload.ev_rank a.ev <> Serve.Workload.ev_rank b.ev
+        || id a.ev < id b.ev)
+        && ties_in_draw_order rest
+    | [ _ ] | [] -> true
+  in
+  checkb "ties in draw order" true (ties_in_draw_order evs);
+  checkb "ties in draw order (every arrival at cycle 0)" true
+    (ties_in_draw_order
+       (Serve.Workload.generate { p with Serve.Workload.ramp = 0; churn_pct = 100 }));
   let count f = List.length (List.filter f evs) in
   checki "one arrival per tenant" p.Serve.Workload.tenants
     (count (fun e ->
@@ -206,6 +224,41 @@ let test_jobs_parity () =
         true (String.equal serial par))
     [ 2; 4 ]
 
+(* Out-of-range policy and gap values are refused up front, not run as a
+   silently different service (a watermark of 0 or below would reject every
+   request; a negative spill depth would spill every one). *)
+let test_params_refused () =
+  let refused what p =
+    checkb what true
+      (match Serve.Loop.run p with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let with_policy f =
+    let p = params () in
+    { p with Serve.Loop.sv_policy = f p.Serve.Loop.sv_policy }
+  in
+  refused "watermark 0"
+    (with_policy (fun a -> { a with Serve.Admission.watermark_pct = 0 }));
+  refused "watermark -5"
+    (with_policy (fun a -> { a with Serve.Admission.watermark_pct = -5 }));
+  refused "watermark 101"
+    (with_policy (fun a -> { a with Serve.Admission.watermark_pct = 101 }));
+  refused "spill -7"
+    (with_policy (fun a -> { a with Serve.Admission.spill_depth = -7 }));
+  let p = params () in
+  refused "gap -3"
+    { p with
+      Serve.Loop.sv_workload =
+        { p.Serve.Loop.sv_workload with Serve.Workload.mean_gap = -3 } };
+  (* The edges of the ranges still run. *)
+  let edge =
+    with_policy (fun a ->
+        { a with Serve.Admission.watermark_pct = 1; spill_depth = 0 })
+  in
+  checkb "watermark 1, spill 0 run" true
+    ((Serve.Loop.run edge).Serve.Report.rp_totals.Serve.Report.t_requests > 0)
+
 (* -- root reclaim order ----------------------------------------------- *)
 
 (* The LRU victim order among resident compartment roots, pinned by report
@@ -318,6 +371,20 @@ let test_percentile_int () =
        false
      with Invalid_argument _ -> true)
 
+(* The report's one-sort summary reads the same ranks as the shared
+   nearest-rank percentile, on every sample size from 1 to 300. *)
+let test_latency_summary () =
+  checkb "empty is the zero row" true
+    (Serve.Report.latency_summary [] = (0, 0, 0));
+  let rng = Ccsim.Rng.create 5 in
+  for n = 1 to 300 do
+    let xs = List.init n (fun _ -> Ccsim.Rng.int rng 1000) in
+    let p50, p99, max = Serve.Report.latency_summary xs in
+    checki "p50" (Ccsim.Stats.percentile_int 0.5 xs) p50;
+    checki "p99" (Ccsim.Stats.percentile_int 0.99 xs) p99;
+    checki "max" (List.fold_left Int.max 0 xs) max
+  done
+
 let test_table_stats_counters () =
   let t = Capchecker.Table.create ~entries:2 in
   let cap = Cheri.Cap.root in
@@ -380,6 +447,8 @@ let suite =
     Alcotest.test_case "determinism: repeat seed" `Quick
       test_repeat_seed_byte_identical;
     Alcotest.test_case "determinism: jobs parity" `Quick test_jobs_parity;
+    Alcotest.test_case "params: out-of-range refused" `Quick
+      test_params_refused;
     Alcotest.test_case "reclaim: victim order pinned" `Quick
       test_victim_order_pinned;
     Alcotest.test_case "reclaim: indexed heap = full scan" `Quick
@@ -387,6 +456,8 @@ let suite =
     Alcotest.test_case "scale: 100k tenants, live back to zero" `Slow
       test_100k_tenants;
     Alcotest.test_case "stats: integer percentiles" `Quick test_percentile_int;
+    Alcotest.test_case "report: one-sort latency summary" `Quick
+      test_latency_summary;
     Alcotest.test_case "table: pressure counters" `Quick
       test_table_stats_counters;
     Alcotest.test_case "checker: observe_table" `Quick

@@ -213,6 +213,101 @@ let prop_free_restores_bytes =
       List.iter (Alloc.free a) ps;
       Alloc.bytes_free a = total)
 
+(* The allocator against an oracle: the first-fit allocator as it was when
+   [free] re-sorted and re-coalesced the whole free list on every call.
+   [Alloc.free] now inserts and merges in one pass; over random malloc
+   (alignments 8-4096, small enough a heap that some requests run out) and
+   free sequences, both must hand out the same addresses, fail the same
+   requests and agree on [bytes_free] and [live_blocks] after every step. *)
+module Oracle_alloc = struct
+  type t = {
+    mutable free_list : (int * int) list;
+    live : (int, int) Hashtbl.t;
+  }
+
+  let create ~base ~size =
+    { free_list = [ (base, size) ]; live = Hashtbl.create 64 }
+
+  let align_up v a = (v + a - 1) / a * a
+
+  let malloc t ~align size =
+    let size = align_up (max size 1) align in
+    let rec fit acc = function
+      | [] -> None
+      | (addr, blk_size) :: rest ->
+          let start = align_up addr align in
+          let waste = start - addr in
+          if blk_size >= waste + size then begin
+            let tail_addr = start + size in
+            let tail_size = blk_size - waste - size in
+            let replacement =
+              (if waste > 0 then [ (addr, waste) ] else [])
+              @ if tail_size > 0 then [ (tail_addr, tail_size) ] else []
+            in
+            t.free_list <- List.rev_append acc (replacement @ rest);
+            Hashtbl.replace t.live start size;
+            Some start
+          end
+          else fit ((addr, blk_size) :: acc) rest
+    in
+    fit [] t.free_list
+
+  let coalesce list =
+    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) list in
+    let rec go = function
+      | (a, sa) :: (b, sb) :: rest when a + sa = b -> go ((a, sa + sb) :: rest)
+      | x :: rest -> x :: go rest
+      | [] -> []
+    in
+    go sorted
+
+  let free t addr =
+    let size = Hashtbl.find t.live addr in
+    Hashtbl.remove t.live addr;
+    t.free_list <- coalesce ((addr, size) :: t.free_list)
+
+  let bytes_free t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free_list
+
+  let live_blocks t =
+    Hashtbl.fold (fun a s acc -> (a, s) :: acc) t.live []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+end
+
+let prop_alloc_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"malloc/free match the sort-and-coalesce oracle"
+    QCheck.(
+      list_of_size Gen.(int_range 1 120)
+        (triple (int_bound 3) (int_range 3 12) (int_bound 3000)))
+    (fun ops ->
+      let base = 4096 and size = 1 lsl 15 in
+      let a = Alloc.create ~base ~size in
+      let o = Oracle_alloc.create ~base ~size in
+      let live = ref [] in
+      List.for_all
+        (fun (op, log_align, n) ->
+          let same_state () =
+            Alloc.bytes_free a = Oracle_alloc.bytes_free o
+            && Alloc.live_blocks a = Oracle_alloc.live_blocks o
+          in
+          match (op, !live) with
+          | 0, (_ :: _ as l) ->
+              (* Free the [n]-th live block (mod their count). *)
+              let addr = List.nth l (n mod List.length l) in
+              live := List.filter (( <> ) addr) l;
+              Alloc.free a addr;
+              Oracle_alloc.free o addr;
+              same_state ()
+          | _ ->
+              let align = 1 lsl log_align in
+              let got =
+                match Alloc.malloc a ~align n with
+                | addr -> Some addr
+                | exception Alloc.Out_of_memory _ -> None
+              in
+              Option.iter (fun addr -> live := addr :: !live) got;
+              got = Oracle_alloc.malloc o ~align n && same_state ())
+        ops)
+
 (* Demand-paged data against a flat reference model.  Random raw writes,
    fills, capability stores and naive writes — with addresses biased onto the
    64 KiB page boundaries so scalars, byte runs and fills straddle them —
@@ -340,7 +435,8 @@ let prop_paged_matches_flat =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_allocations_disjoint; prop_free_restores_bytes; prop_paged_matches_flat ]
+    [ prop_allocations_disjoint; prop_free_restores_bytes;
+      prop_alloc_matches_oracle; prop_paged_matches_flat ]
 
 let suite =
   [
