@@ -847,6 +847,16 @@ let matrix_cmd =
 (* ---- serve ---- *)
 
 let serve_cmd =
+  let config_arg =
+    Arg.(value
+         & opt
+             (enum
+                [ ("ccpu+caccel", Soc.Config.ccpu_caccel);
+                  ("coarse", Soc.Config.ccpu_caccel_coarse) ])
+             Soc.Config.ccpu_caccel
+         & info [ "c"; "config" ]
+             ~doc:"CapChecker configuration the service runs under.")
+  in
   let tenants_arg =
     Arg.(value & opt positive_int 100
            & info [ "tenants" ] ~doc:"Tenant compartments sharing the SoC.")

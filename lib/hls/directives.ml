@@ -36,9 +36,8 @@ type design = {
 (* The schedule walk: count the datapath operations each statement
    elaborates to (one per expression node, matching the interpreter's tick
    accounting) and the deepest loop nest, without executing anything.  This
-   is the pure, launch-parameter-independent part of "running Vitis HLS" —
-   exactly the work a sweep repeats for every (tasks, config) point unless
-   it is cached. *)
+   is the pure, launch-parameter-independent part of "running Vitis HLS";
+   it costs microseconds, so it is not cached. *)
 let rec exp_ops (e : Kernel.Ir.exp) =
   match e with
   | Kernel.Ir.Int _ | Kernel.Ir.Flt _ | Kernel.Ir.Var _ | Kernel.Ir.Param _ -> 1
@@ -67,7 +66,7 @@ let rec stmt_depth (s : Kernel.Ir.stmt) =
 
 and body_depth body = List.fold_left (fun acc s -> max acc (stmt_depth s)) 0 body
 
-let synthesize_uncached ~(kernel : Kernel.Ir.t) directives =
+let synthesize ~(kernel : Kernel.Ir.t) directives =
   {
     d_kernel = kernel.Kernel.Ir.name;
     d_directives = directives;
@@ -85,42 +84,7 @@ let synthesize_uncached ~(kernel : Kernel.Ir.t) directives =
     d_area_luts = directives.area_luts;
   }
 
-(* The memo table is shared across every domain of a parallel batch
-   ({!Ccsim.Pool}), so it is the one piece of cross-job mutable state in the
-   runner — guarded by a mutex, and safe because a design is immutable once
-   synthesized and independent of which job asked first. *)
-let cache : (string * t, design) Hashtbl.t = Hashtbl.create 64
-let cache_lock = Mutex.create ()
-let hits = ref 0
-let misses = ref 0
-
-let synthesize ~kernel directives =
-  let key = (kernel.Kernel.Ir.name, directives) in
-  Mutex.lock cache_lock;
-  match Hashtbl.find_opt cache key with
-  | Some design ->
-      incr hits;
-      Mutex.unlock cache_lock;
-      design
-  | None ->
-      (* Synthesis itself runs outside the lock only at the cost of
-         duplicated work on a race; holding it keeps the stats exact and the
-         walk is far too cheap to contend. *)
-      let design = synthesize_uncached ~kernel directives in
-      Hashtbl.replace cache key design;
-      incr misses;
-      Mutex.unlock cache_lock;
-      design
-
-let cache_stats () =
-  Mutex.lock cache_lock;
-  let s = (!hits, !misses) in
-  Mutex.unlock cache_lock;
-  s
-
-let cache_clear () =
-  Mutex.lock cache_lock;
-  Hashtbl.reset cache;
-  hits := 0;
-  misses := 0;
-  Mutex.unlock cache_lock
+(* Stand-ins kept only for the frozen bench/perf harness; deleted at the next
+   benchmark revision. *)
+let synthesize_uncached = synthesize
+let cache_stats () = (0, 0)

@@ -38,14 +38,11 @@ val make :
     directive set): it elaborates the kernel IR into a [design] — the port
     map, static datapath schedule statistics and the performance/area
     figures the system model consumes.  A design depends only on the kernel
-    and the directives, never on launch parameters or system state, so it is
-    memoized per [(kernel name, directives)]: a parallelism sweep that runs
-    the same benchmark at 1/2/4/8/16 tasks synthesizes once and hits the
-    cache thereafter.  The cache is domain-safe (mutex-guarded) — parallel
-    {!Ccsim.Pool} jobs may share it freely. *)
+    and the directives, never on launch parameters or system state.  The
+    walk takes microseconds, so every call synthesizes afresh. *)
 
 type design = {
-  d_kernel : string;         (** kernel name (the cache key's first half) *)
+  d_kernel : string;         (** kernel name *)
   d_directives : t;          (** the directive set synthesized under *)
   d_ports : int;             (** DMA-visible memory ports (= heap buffers) *)
   d_scratch_mems : int;      (** accelerator-internal BRAMs *)
@@ -59,13 +56,11 @@ type design = {
 }
 
 val synthesize : kernel:Kernel.Ir.t -> t -> design
-(** Memoized; a cache hit returns a design structurally identical to fresh
-    synthesis (pinned by a unit test). *)
 
 val synthesize_uncached : kernel:Kernel.Ir.t -> t -> design
-(** Always re-elaborates; the oracle the cache is tested against. *)
+(** Alias of {!synthesize}, kept for the frozen [bench/perf] harness and
+    deleted at the next benchmark revision. *)
 
 val cache_stats : unit -> int * int
-(** [(hits, misses)] since start-up (or {!cache_clear}). *)
-
-val cache_clear : unit -> unit
+(** Always [(0, 0)]: there is no design cache.  Kept for the frozen
+    [bench/perf] harness and deleted at the next benchmark revision. *)

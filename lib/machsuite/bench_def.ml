@@ -51,9 +51,6 @@ let narrow (elem : Kernel.Ir.elem) (value : Kernel.Value.t) : Kernel.Value.t =
 let initial_array t (decl : Kernel.Ir.buf_decl) =
   Array.init decl.len (fun idx -> narrow decl.elem (t.init decl.buf_name idx))
 
-let golden_cache : (string, (string * Kernel.Value.t array) list) Hashtbl.t =
-  Hashtbl.create 32
-
 let compute_golden t =
   let arrays =
     List.map
@@ -77,15 +74,12 @@ let compute_golden t =
   Kernel.Interp.run t.kernel machine;
   arrays
 
-(* Goldens are pure functions of the benchmark definition; memoize per name
-   (copied on return so callers cannot corrupt the cache). *)
+(* Goldens are pure functions of the kernel (named uniquely by the registry)
+   and its parameters; memoized per (name, params) and copied on return so
+   callers cannot corrupt the memo. *)
+let golden_memo = Ccsim.Memo.create 32
+
 let golden t =
-  let arrays =
-    match Hashtbl.find_opt golden_cache t.name with
-    | Some arrays -> arrays
-    | None ->
-        let arrays = compute_golden t in
-        Hashtbl.add golden_cache t.name arrays;
-        arrays
-  in
-  List.map (fun (name, a) -> (name, Array.copy a)) arrays
+  Ccsim.Memo.find_or_add golden_memo (t.name, t.params) (fun () ->
+      compute_golden t)
+  |> List.map (fun (name, a) -> (name, Array.copy a))

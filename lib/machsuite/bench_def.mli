@@ -32,7 +32,8 @@ val make :
 
 val golden : t -> (string * Kernel.Value.t array) list
 (** Reference execution on plain arrays: the expected final contents of every
-    heap buffer. *)
+    heap buffer.  Memoized per (name, params) in a domain-safe
+    {!Ccsim.Memo}; each call returns fresh copies of the arrays. *)
 
 val initial_array : t -> Kernel.Ir.buf_decl -> Kernel.Value.t array
 

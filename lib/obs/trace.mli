@@ -3,7 +3,8 @@
     A sink is either {!null} — the shared always-off sink, to which every
     operation is a no-op, so instrumentation on hot paths costs one pattern
     match — or a recording sink created with {!create}, which keeps the newest
-    [capacity] events in a bounded ring ({!Ring}) and counts what it dropped.
+    [capacity] events in a bounded ring of packed int rows ({!Packed}) and
+    counts what it dropped.
 
     Tracing is {e behaviour-neutral by construction}: a sink only ever reads
     simulation state and is never consulted by it, so a run with a recording

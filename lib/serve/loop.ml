@@ -39,33 +39,15 @@ let default_params ?(seed = 1) ~tenants ~requests () =
     sv_check_invariants = false;
   }
 
-(* Kernel profiles are pure functions of (config, topology, checker
-   placement, benchmark): memoized process-wide so a sweep or a test suite
-   profiles each kernel once.  The cache is filled on the calling domain
-   after the pool barrier, so pool jobs never touch it. *)
-let profile_cache : (string * string, Soc.Run.service_profile) Hashtbl.t =
-  Hashtbl.create 16
-
+(* Kernel profiles come from memo-eligible runs, so the whole-run memo
+   already profiles each kernel once per process. *)
 let profiles_for ~jobs ~topology ~checkers config names =
-  let label =
-    Printf.sprintf "%s/%s/%s"
-      (Soc.Config.label config)
-      (Bus.Topology.kind_to_string topology)
-      (Capchecker.Shim.checking_to_string checkers)
-  in
-  let missing =
-    List.filter (fun n -> not (Hashtbl.mem profile_cache (label, n))) names
-  in
-  let fresh =
-    Ccsim.Pool.map ~jobs
-      (fun n ->
-        ( n,
-          Soc.Run.service_profile ~topology ~checkers config
-            (Machsuite.Registry.find n) ))
-      missing
-  in
-  List.iter (fun (n, p) -> Hashtbl.replace profile_cache (label, n) p) fresh;
-  List.map (fun n -> (n, Hashtbl.find profile_cache (label, n))) names
+  Ccsim.Pool.map ~jobs
+    (fun n ->
+      ( n,
+        Soc.Run.service_profile ~topology ~checkers config
+          (Machsuite.Registry.find n) ))
+    names
 
 (* Mean uncontended service time of the mix (integer arithmetic only), used
    to derive the open-loop gap hitting [util_pct] accelerator utilization. *)
@@ -91,6 +73,17 @@ let mean_service_cycles profiles (wl : Workload.params) =
       0 wl.mix
   in
   max 1 (num / wsum wl.mix)
+
+(* Metric names of the three rejection reasons, built once. *)
+let reject_metric =
+  let name r = "serve.reject." ^ Admission.reason_label r in
+  let gone = name Admission.Gone
+  and inflight = name Admission.Inflight
+  and table = name Admission.Table in
+  function
+  | Admission.Gone -> gone
+  | Admission.Inflight -> inflight
+  | Admission.Table -> table
 
 (* Same-cycle lanes on the loop's scheduler (all below the wheel's rank
    count): arrivals, then the loop's own runtime events (CPU pump, service
@@ -156,7 +149,7 @@ let run p =
   | _ ->
       invalid_arg
         "Loop.run: service mode needs a CapChecker configuration \
-         (ccpu+caccel or ccpu+caccel-coarse)");
+         (ccpu+caccel or ccpu+caccel(coarse))");
   let bench_names = List.sort_uniq compare (List.map fst wl0.Workload.mix) in
   let benches =
     List.map (fun n -> (n, Machsuite.Registry.find n)) bench_names
@@ -454,8 +447,7 @@ let run p =
     with
     | Error reason ->
         tn.Tenant.rejected <- tn.Tenant.rejected + 1;
-        Obs.Metrics.incr metrics
-          ("serve.reject." ^ Admission.reason_label reason);
+        Obs.Metrics.incr metrics (reject_metric reason);
         (match reason with
         | Admission.Gone ->
             totals.c_rejected_gone <- totals.c_rejected_gone + 1

@@ -4,9 +4,8 @@
    Everything here is a pure simulator optimization: each cache keys on the
    complete set of inputs its value is a deterministic function of, so a hit
    reproduces exactly what recomputation would have produced (the
-   differential test suite and the [Differential] mode pin this).  Tables are
-   mutex-guarded so pool worker domains can share them; values are immutable
-   once stored, so a returned hit needs no further synchronization. *)
+   differential test suite and the [Differential] mode pin this).  Every
+   cache is a {!Ccsim.Memo}, so pool worker domains share it. *)
 
 type mode = Fast | Interpretive | Differential
 
@@ -27,10 +26,6 @@ let mode_of_string = function
   | "diff" | "differential" -> Some Differential
   | _ -> None
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* Identity of a benchmark as the access-sequence layers see it: the kernel
    is named uniquely by the registry, and params/directives are the only
    other inputs the interpretation's access sequence (and its CPU cycle
@@ -48,57 +43,34 @@ let bench_key (b : Machsuite.Bench_def.t) =
 
 (* ---- static-proof verdicts ---- *)
 
-let proven_tbl : (bench_key, bool) Hashtbl.t = Hashtbl.create 32
-let proven_mutex = Mutex.create ()
+let proven_memo : (bench_key, bool) Ccsim.Memo.t = Ccsim.Memo.create 32
 
 let proven (bench : Machsuite.Bench_def.t) =
-  let key = bench_key bench in
-  match with_lock proven_mutex (fun () -> Hashtbl.find_opt proven_tbl key) with
-  | Some v -> v
-  | None ->
-      let v =
-        Analysis.proven
-          (Analysis.analyze
-             ~params:(Analysis.param_intervals bench.Machsuite.Bench_def.params)
-             bench.Machsuite.Bench_def.kernel)
-      in
-      with_lock proven_mutex (fun () ->
-          if not (Hashtbl.mem proven_tbl key) then Hashtbl.add proven_tbl key v);
-      v
+  Ccsim.Memo.find_or_add proven_memo (bench_key bench) (fun () ->
+      Analysis.proven
+        (Analysis.analyze
+           ~params:(Analysis.param_intervals bench.Machsuite.Bench_def.params)
+           bench.Machsuite.Bench_def.kernel))
 
 (* ---- recorded access scripts ---- *)
 
-type script_entry = { sc_script : Accel.Script.t; sc_correct : bool }
+let script_memo : (bench_key, Accel.Script.t * bool) Ccsim.Memo.t =
+  Ccsim.Memo.create 32
 
-let script_tbl : (bench_key, script_entry) Hashtbl.t = Hashtbl.create 32
-let script_mutex = Mutex.create ()
-
-let find_script key =
-  match with_lock script_mutex (fun () -> Hashtbl.find_opt script_tbl key) with
-  | Some e -> Some (e.sc_script, e.sc_correct)
-  | None -> None
+let find_script key = Ccsim.Memo.find script_memo key
 
 let store_script key script ~correct =
-  with_lock script_mutex (fun () ->
-      if not (Hashtbl.mem script_tbl key) then
-        Hashtbl.add script_tbl key { sc_script = script; sc_correct = correct })
+  ignore (Ccsim.Memo.add script_memo key (script, correct))
 
 (* ---- CPU model results ---- *)
 
 (* One Cpu.Model.run covers every task count (the CPU path multiplies the
    single-task cycle count), so the key is just (isa, bench). *)
-let cpu_tbl : (Cpu.Model.isa * bench_key, int * bool) Hashtbl.t =
-  Hashtbl.create 32
+let cpu_memo : (Cpu.Model.isa * bench_key, int * bool) Ccsim.Memo.t =
+  Ccsim.Memo.create 32
 
-let cpu_mutex = Mutex.create ()
-
-let find_cpu ~isa key =
-  with_lock cpu_mutex (fun () -> Hashtbl.find_opt cpu_tbl (isa, key))
-
-let store_cpu ~isa key value =
-  with_lock cpu_mutex (fun () ->
-      if not (Hashtbl.mem cpu_tbl (isa, key)) then
-        Hashtbl.add cpu_tbl (isa, key) value)
+let cpu_result ~isa key compute =
+  Ccsim.Memo.find_or_add cpu_memo (isa, key) compute
 
 (* ---- cache lifecycle ---- *)
 
@@ -112,14 +84,14 @@ let rec register_clear f =
     register_clear f
 
 let clear () =
-  with_lock proven_mutex (fun () -> Hashtbl.reset proven_tbl);
-  with_lock script_mutex (fun () -> Hashtbl.reset script_tbl);
-  with_lock cpu_mutex (fun () -> Hashtbl.reset cpu_tbl);
+  Ccsim.Memo.clear proven_memo;
+  Ccsim.Memo.clear script_memo;
+  Ccsim.Memo.clear cpu_memo;
   List.iter (fun f -> f ()) (Atomic.get clear_hooks)
 
 let stats () =
   [
-    ("proven_verdicts", with_lock proven_mutex (fun () -> Hashtbl.length proven_tbl));
-    ("scripts", with_lock script_mutex (fun () -> Hashtbl.length script_tbl));
-    ("cpu_results", with_lock cpu_mutex (fun () -> Hashtbl.length cpu_tbl));
+    ("proven_verdicts", Ccsim.Memo.length proven_memo);
+    ("scripts", Ccsim.Memo.length script_memo);
+    ("cpu_results", Ccsim.Memo.length cpu_memo);
   ]

@@ -1,21 +1,21 @@
 (** Fast-path policy and cross-sweep caches for replay acceleration.
 
     The simulator's outputs are deterministic functions of their inputs, so
-    three layers of reuse are sound by construction and pinned by the
-    differential test suite:
+    reuse is sound by construction and pinned by the differential test
+    suite.  Three caches live here:
 
-    - {b proof verdicts} — {!Analysis.analyze} per (kernel, params) bench;
+    - {b proof verdicts} — {!Analysis.analyze} per bench;
     - {b access scripts} — the config-independent skeleton of one
       interpretation ({!Accel.Script}), recorded once per bench and
       re-derived per protection config;
-    - {b CPU model results} — one {!Cpu.Model.run} per (isa, bench);
-    - {b whole runs} — {!Soc.Run} additionally memoizes complete results
-      across sweep points (its cache lives next to its result type and
-      registers itself via {!register_clear}).
+    - {b CPU model results} — one {!Cpu.Model.run} per (isa, bench).
 
-    The process-global {!mode} selects how {!Soc.Run} uses these caches; the
-    tables themselves are mutex-guarded so pool worker domains share them,
-    which is what makes [--jobs] sweeps deterministic {e and} warm. *)
+    {!Soc.Run} keeps a fourth, the whole-run memo, next to its result type
+    and empties it through {!register_clear}.  Each is a {!Ccsim.Memo}, so
+    pool worker domains share them, which makes [--jobs] sweeps
+    deterministic {e and} warm.  The process-global {!mode} selects how
+    {!Soc.Run} uses them.  Golden outputs are memoized separately by
+    {!Machsuite.Bench_def.golden}, and {!clear} leaves them alone. *)
 
 type mode =
   | Fast  (** derive from caches wherever sound (the default) *)
@@ -57,17 +57,17 @@ val store_script : bench_key -> Accel.Script.t -> correct:bool -> unit
 (** First store wins; concurrent recorders of the same bench produce
     identical scripts, so dropping duplicates is sound. *)
 
-val find_cpu : isa:Cpu.Model.isa -> bench_key -> (int * bool) option
-(** Cached (cycles, verified) of the single-task CPU model run. *)
-
-val store_cpu : isa:Cpu.Model.isa -> bench_key -> int * bool -> unit
+val cpu_result :
+  isa:Cpu.Model.isa -> bench_key -> (unit -> int * bool) -> int * bool
+(** Memoized (cycles, verified) of the single-task CPU model run: the
+    stored result, or the computed one on a miss. *)
 
 val register_clear : (unit -> unit) -> unit
 (** Register a reset hook for a cache owned elsewhere; called by {!clear}. *)
 
 val clear : unit -> unit
-(** Empty every cache (including registered ones).  For tests and for
-    benchmarks that want cold-start timings. *)
+(** Empty the proof, script and CPU caches and every registered one.  For
+    tests and for benchmarks that want cold-start timings. *)
 
 val stats : unit -> (string * int) list
 (** Entry counts per cache, for observability output. *)

@@ -134,17 +134,12 @@ type run_memo_key = {
   mk_checkers : Capchecker.Shim.checking;
 }
 
-let run_memo : (run_memo_key, result) Hashtbl.t = Hashtbl.create 64
-let run_memo_mutex = Mutex.create ()
+let run_memo : (run_memo_key, result) Ccsim.Memo.t = Ccsim.Memo.create 64
 
-let () =
-  Fastpath.register_clear (fun () ->
-      Mutex.protect run_memo_mutex (fun () -> Hashtbl.reset run_memo))
+let () = Fastpath.register_clear (fun () -> Ccsim.Memo.clear run_memo)
 
 let memo_run key compute =
-  match
-    Mutex.protect run_memo_mutex (fun () -> Hashtbl.find_opt run_memo key)
-  with
+  match Ccsim.Memo.find run_memo key with
   | Some r ->
       Obs.Counters.incr Obs.Counters.runs_memoized;
       r
@@ -154,14 +149,9 @@ let memo_run key compute =
          disk entry satisfies the same no-sink / no-faults contract as the
          in-memory table. *)
       match (Runcache.load key : result option) with
-      | Some r ->
-          Mutex.protect run_memo_mutex (fun () ->
-              if not (Hashtbl.mem run_memo key) then Hashtbl.add run_memo key r);
-          r
+      | Some r -> Ccsim.Memo.add run_memo key r
       | None ->
-          let r = compute () in
-          Mutex.protect run_memo_mutex (fun () ->
-              if not (Hashtbl.mem run_memo key) then Hashtbl.add run_memo key r);
+          let r = Ccsim.Memo.add run_memo key (compute ()) in
           Runcache.store key r;
           r)
 
@@ -320,17 +310,14 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
   let bytes = buffer_bytes kernel in
   let alloc_cycles = tasks * n_bufs * Driver.malloc_cycles in
   let init_cycles = tasks * Cpu.Model.init_store_cycles cfg ~bytes in
-  let bkey = Fastpath.bench_key bench in
   emit_phase obs ~at:t0 ~task:0 "alloc" alloc_cycles;
   emit_phase obs ~at:(t0 + alloc_cycles) ~task:0 "init" init_cycles;
   Obs.Trace.set_now obs (t0 + alloc_cycles + init_cycles);
   let cycles, correct =
-    match if fast then Fastpath.find_cpu ~isa bkey else None with
-    | Some cached -> cached
-    | None ->
-        let r = cpu_execute sys bench in
-        if fast then Fastpath.store_cpu ~isa bkey r;
-        r
+    if fast then
+      Fastpath.cpu_result ~isa (Fastpath.bench_key bench) (fun () ->
+          cpu_execute sys bench)
+    else cpu_execute sys bench
   in
   let per_task_compute = cycles + Cpu.Model.cap_setup_cycles cfg ~n_bufs in
   let phases =

@@ -1,88 +1,40 @@
-(* lib/hls synthesis memoization: a cache hit must be structurally identical
-   to fresh synthesis, distinct (kernel, directives) keys must miss
-   independently, and the cache must be safe to hammer from several domains
-   at once (it is shared across Ccsim.Pool jobs). *)
+(* lib/hls synthesis: a design is a function of the kernel IR it is given
+   and the directives, nothing else. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let bench name = Machsuite.Registry.find name
 
-let test_hit_equals_fresh () =
-  Hls.Directives.cache_clear ();
-  List.iter
-    (fun (b : Machsuite.Bench_def.t) ->
-      let fresh = Hls.Directives.synthesize_uncached ~kernel:b.kernel b.directives in
-      let first = Hls.Directives.synthesize ~kernel:b.kernel b.directives in
-      let hit = Hls.Directives.synthesize ~kernel:b.kernel b.directives in
-      checkb (b.name ^ ": first call = fresh") true (first = fresh);
-      checkb (b.name ^ ": cache hit = fresh") true (hit = fresh))
-    Machsuite.Registry.all
-
-let test_stats_account_hits_and_misses () =
-  Hls.Directives.cache_clear ();
-  let b = bench "aes" in
-  checki "cleared" 0 (fst (Hls.Directives.cache_stats ()) + snd (Hls.Directives.cache_stats ()));
-  ignore (Hls.Directives.synthesize ~kernel:b.kernel b.directives);
-  let h1, m1 = Hls.Directives.cache_stats () in
-  checki "first call misses" 1 m1;
-  checki "no hit yet" 0 h1;
-  ignore (Hls.Directives.synthesize ~kernel:b.kernel b.directives);
-  ignore (Hls.Directives.synthesize ~kernel:b.kernel b.directives);
-  let h2, m2 = Hls.Directives.cache_stats () in
-  checki "still one miss" 1 m2;
-  checki "two hits" 2 h2
-
-let test_distinct_directives_distinct_entries () =
-  Hls.Directives.cache_clear ();
-  let b = bench "aes" in
-  let deeper =
-    { b.directives with Hls.Directives.max_outstanding = b.directives.Hls.Directives.max_outstanding + 1 }
-  in
-  let d1 = Hls.Directives.synthesize ~kernel:b.kernel b.directives in
-  let d2 = Hls.Directives.synthesize ~kernel:b.kernel deeper in
-  let _, misses = Hls.Directives.cache_stats () in
-  checki "two distinct keys, two misses" 2 misses;
-  checkb "designs differ" true (d1 <> d2);
-  checki "outstanding carried through" (b.directives.Hls.Directives.max_outstanding + 1)
-    d2.Hls.Directives.d_max_outstanding
-
 let test_design_reflects_kernel () =
   let b = bench "aes" in
-  let d = Hls.Directives.synthesize_uncached ~kernel:b.kernel b.directives in
+  let deeper =
+    { b.directives with
+      Hls.Directives.max_outstanding = b.directives.Hls.Directives.max_outstanding + 1 }
+  in
+  let d = Hls.Directives.synthesize ~kernel:b.kernel deeper in
   checki "one port per heap buffer" (List.length b.kernel.Kernel.Ir.bufs) d.Hls.Directives.d_ports;
   checki "scratch mems counted" (List.length b.kernel.Kernel.Ir.scratch) d.Hls.Directives.d_scratch_mems;
   checkb "datapath has ops" true (d.Hls.Directives.d_static_ops > 0);
   checkb "kernels have loops" true (d.Hls.Directives.d_loop_depth >= 1);
   checkb "buffers have bytes" true (d.Hls.Directives.d_buffer_bytes > 0);
-  checki "area passes through" b.directives.Hls.Directives.area_luts d.Hls.Directives.d_area_luts
+  checki "area passes through" b.directives.Hls.Directives.area_luts d.Hls.Directives.d_area_luts;
+  checki "outstanding passes through" (b.directives.Hls.Directives.max_outstanding + 1)
+    d.Hls.Directives.d_max_outstanding
 
-let test_cache_domain_safety () =
-  (* Hammer the shared cache from four domains over all benchmarks; every
-     returned design must equal the uncached oracle. *)
-  Hls.Directives.cache_clear ();
-  let benches = Array.of_list Machsuite.Registry.all in
-  let n = Array.length benches in
-  let results =
-    Ccsim.Pool.run ~jobs:4 (4 * n) (fun i ->
-        let b = benches.(i mod n) in
-        Hls.Directives.synthesize ~kernel:b.kernel b.directives)
-  in
-  Array.iteri
-    (fun i d ->
-      let b = benches.(i mod n) in
-      checkb (b.name ^ ": concurrent hit = fresh") true
-        (d = Hls.Directives.synthesize_uncached ~kernel:b.kernel b.directives))
-    results;
-  let hits, misses = Hls.Directives.cache_stats () in
-  checki "every lookup accounted" (4 * n) (hits + misses);
-  checki "exactly one miss per key (lookup+insert is atomic)" n misses
+let test_same_name_own_design () =
+  (* A design must come from the kernel it is given, not from an earlier
+     kernel that happened to share its name. *)
+  let b = bench "gemm_ncubed" in
+  let k = b.kernel in
+  let fewer = { k with Kernel.Ir.bufs = [ List.hd k.Kernel.Ir.bufs ] } in
+  let d_all = Hls.Directives.synthesize ~kernel:k b.directives in
+  let d_fewer = Hls.Directives.synthesize ~kernel:fewer b.directives in
+  checki "all buffers" 3 d_all.Hls.Directives.d_ports;
+  checki "one buffer" 1 d_fewer.Hls.Directives.d_ports
 
 let suite =
   [
-    ("cache hit equals fresh synthesis", `Quick, test_hit_equals_fresh);
-    ("hit/miss accounting", `Quick, test_stats_account_hits_and_misses);
-    ("distinct directives, distinct entries", `Quick, test_distinct_directives_distinct_entries);
     ("design reflects kernel IR", `Quick, test_design_reflects_kernel);
-    ("cache is domain-safe", `Quick, test_cache_domain_safety);
+    ("same kernel name, own design", `Quick, test_same_name_own_design);
   ]

@@ -224,9 +224,10 @@ let test_jobs_parity () =
         true (String.equal serial par))
     [ 2; 4 ]
 
-(* Out-of-range policy and gap values are refused up front, not run as a
-   silently different service (a watermark of 0 or below would reject every
-   request; a negative spill depth would spill every one). *)
+(* Out-of-range policy and gap values, and configs without a fine or coarse
+   CapChecker, are refused up front, not run as a silently different service
+   (a watermark of 0 or below would reject every request; a negative spill
+   depth would spill every one). *)
 let test_params_refused () =
   let refused what p =
     checkb what true
@@ -251,6 +252,8 @@ let test_params_refused () =
     { p with
       Serve.Loop.sv_workload =
         { p.Serve.Loop.sv_workload with Serve.Workload.mean_gap = -3 } };
+  refused "cached CapChecker"
+    { p with Serve.Loop.sv_config = Soc.Config.ccpu_caccel_cached };
   (* The edges of the ranges still run. *)
   let edge =
     with_policy (fun a ->

@@ -1,5 +1,5 @@
-(* Simulator utilities: deterministic RNG, statistics, the clock, and the
-   table/figure text renderer. *)
+(* Simulator utilities: deterministic RNG, statistics, the clock, the
+   table/figure text renderer and the domain-safe memo. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -133,6 +133,37 @@ let test_pct_and_fixed () =
   checks "negative pct" "-2.00%" (Report.pct (-0.02));
   checks "fixed" "3.14" (Report.fixed 2 3.14159)
 
+(* ---------------- Memo ---------------- *)
+
+let test_memo_computes_once () =
+  let m = Memo.create 4 in
+  let calls = ref 0 in
+  let compute () = incr calls; !calls in
+  checki "miss computes" 1 (Memo.find_or_add m "a" compute);
+  checki "hit returns the stored value" 1 (Memo.find_or_add m "a" compute);
+  checki "computed once" 1 !calls;
+  checki "add keeps the first value" 1 (Memo.add m "a" 99);
+  checkb "find sees it" true (Memo.find m "a" = Some 1);
+  Memo.clear m;
+  checki "clear empties" 0 (Memo.length m);
+  checkb "find after clear" true (Memo.find m "a" = None)
+
+let test_memo_domains () =
+  (* Four domains race to fill the same keys, each computing a value that
+     names its own job: every caller must see the first stored value. *)
+  let m = Memo.create 8 in
+  let keys = 16 in
+  let results =
+    Pool.run ~jobs:4 (8 * keys) (fun i ->
+        (i mod keys, Memo.find_or_add m (i mod keys) (fun () -> i)))
+  in
+  Array.iter
+    (fun (k, v) ->
+      checkb "first stored value" true (Memo.find m k = Some v);
+      checki "value computed for its key" k (v mod keys))
+    results;
+  checki "one entry per distinct key" keys (Memo.length m)
+
 let prop_rng_int_uniformish =
   QCheck.Test.make ~count:20 ~name:"rng int covers its range"
     QCheck.(int_range 2 20)
@@ -164,5 +195,7 @@ let suite =
     ("report bar", `Quick, test_bar);
     ("report log bar", `Quick, test_log_bar);
     ("report pct/fixed", `Quick, test_pct_and_fixed);
+    ("memo find_or_add computes once", `Quick, test_memo_computes_once);
+    ("memo is domain-safe", `Quick, test_memo_domains);
   ]
   @ qsuite

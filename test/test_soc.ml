@@ -174,6 +174,28 @@ let test_singleton_mixed_is_run () =
             combos)
         Machsuite.Registry.all)
 
+let test_golden_follows_params () =
+  (* A run is checked against the golden of its own parameters, whichever
+     run of the same bench came first. *)
+  let iters32 =
+    { small with Machsuite.Bench_def.params = [ ("iters", Kernel.Value.VI 32) ] }
+  in
+  Fun.protect
+    ~finally:(fun () -> Soc.Fastpath.set_mode Soc.Fastpath.Fast)
+    (fun () ->
+      List.iter
+        (fun mode ->
+          Soc.Fastpath.set_mode mode;
+          List.iter
+            (fun (what, bench) ->
+              let r = Soc.Run.run ~tasks:1 Soc.Config.ccpu_caccel bench in
+              checkb
+                (Printf.sprintf "%s, fast path %s" what
+                   (Soc.Fastpath.mode_to_string mode))
+                true r.Soc.Run.correct)
+            [ ("default iters", small); ("iters = 32", iters32) ])
+        [ Soc.Fastpath.Fast; Soc.Fastpath.Interpretive ])
+
 let test_power_model_monotonic () =
   checkb "more luts more power" true
     (Soc.Power.power_mw ~luts:100_000 ~utilization:0.0
@@ -291,6 +313,7 @@ let suite =
     ("mixed system", `Slow, test_run_mixed);
     ("mixed area exact sum", `Slow, test_mixed_area_exact_sum);
     ("singleton mixed system is a run", `Slow, test_singleton_mixed_is_run);
+    ("golden follows params", `Quick, test_golden_follows_params);
     ("power model", `Quick, test_power_model_monotonic);
     ("system shapes", `Quick, test_system_create_shapes);
     ("naive flag", `Quick, test_naive_flag_only_on_naive);
