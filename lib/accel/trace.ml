@@ -15,8 +15,12 @@ let of_code = function 0 -> Write | 1 -> Stream_read | _ -> Dep_read
    rounded up to one chunk, and a run that derives traces leaves no
    half-sized arrays behind for the collector (a doubling array allocates
    two to four times its length).  The first chunk starts small and
-   doubles up to full size, so a short trace stays short. *)
-let chunk_bits = 12
+   doubles up to full size, so a short trace stays short.  A chunk holds
+   1024 transactions: a run derives a trace per task and drops it, so the
+   rounding up to a chunk and the first chunk's doubling are garbage that
+   paces the collector; at 4096 they were 1.2 M of the 7.2 M trace words
+   the [paper] benchmark allocates. *)
+let chunk_bits = 10
 let chunk = 1 lsl chunk_bits
 let chunk_mask = chunk - 1
 

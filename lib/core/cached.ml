@@ -59,7 +59,8 @@ let install t ~task ~obj cap =
     t.live <- t.live + Bool.to_int now_tagged - Bool.to_int was_tagged;
     let line = t.lines.(set_of t key) in
     if line.key = key then line.key <- -1;
-    Obs.Trace.emit t.obs (Obs.Event.Table_insert { task; obj; slot = set_of t key });
+    if Obs.Trace.enabled t.obs then
+      Obs.Trace.emit t.obs (Obs.Event.Table_insert { task; obj; slot = set_of t key });
     Ok ()
   end
 
@@ -76,7 +77,7 @@ let evict_task t ~task =
       if line.key = key then line.key <- -1
     done;
     t.live <- t.live - !cleared;
-    if !cleared > 0 then
+    if !cleared > 0 && Obs.Trace.enabled t.obs then
       Obs.Trace.emit t.obs (Obs.Event.Table_evict { task; obj = -1; count = !cleared });
     !cleared
   end
@@ -97,7 +98,8 @@ let fetch t ~task ~obj =
   end
   else begin
     t.miss_count <- t.miss_count + 1;
-    Obs.Trace.emit t.obs (Obs.Event.Check_table_miss { task; obj });
+    if Obs.Trace.enabled t.obs then
+      Obs.Trace.emit t.obs (Obs.Event.Check_table_miss { task; obj });
     let cap = Tagmem.Mem.load_cap t.mem ~addr:(entry_addr t key) in
     line.key <- key;
     line.cap <- cap;
@@ -114,7 +116,8 @@ let check t (req : Guard.Iface.req) =
   in
   let deny detail =
     t.flag <- true;
-    Obs.Trace.emit t.obs (Obs.Event.Check_denial { task; obj; detail });
+    if Obs.Trace.enabled t.obs then
+      Obs.Trace.emit t.obs (Obs.Event.Check_denial { task; obj; detail });
     Guard.Iface.Denied { code = "capchecker-cached"; detail }
   in
   if not (in_range t ~task ~obj) then deny "no capability slot for this access"
@@ -127,7 +130,8 @@ let check t (req : Guard.Iface.req) =
     in
     match Cheri.Cap.access_ok cap ~addr:phys ~size:req.size kind with
     | Ok () ->
-        Obs.Trace.emit t.obs (Obs.Event.Check_ok { task; obj; latency });
+        if Obs.Trace.enabled t.obs then
+          Obs.Trace.emit t.obs (Obs.Event.Check_ok { task; obj; latency });
         Guard.Iface.Granted { phys; latency }
     | Error e -> deny (Cheri.Cap.error_to_string e)
 

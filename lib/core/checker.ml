@@ -8,6 +8,17 @@ type update =
   | Up_evict of { task : int; obj : int }
   | Up_evict_task of { task : int }
 
+(* Why an access was denied.  Kept structured so the hot path records a
+   denial without formatting it: {!render} builds the detail text only when
+   someone reads it (the [Denied] outcome of {!check}, the exception log, a
+   recording sink). *)
+type reason =
+  | No_provenance
+  | No_capability
+  | Violation of Cheri.Cap.error * Guard.Iface.req
+
+type denial = { task : int; obj : int; reason : reason }
+
 type t = {
   mode : mode;
   table : Table.t;
@@ -15,13 +26,17 @@ type t = {
   faults : Fault.Injector.t;
   mutable flag : bool;
   mutable listeners : (update -> unit) list;
-  log : (int * Guard.Iface.denial) Obs.Ring.t;
+  log : denial Obs.Ring.t;
       (* bounded denial log, oldest first via Ring.to_list; hardware keeps
          only the flag and per-entry bits — and a denial storm must not grow
          simulator memory either (the full stream lives in the trace) *)
+  mutable latency : int;  (* latency of the last granted verdict *)
+  mutable last : denial;  (* the last denial recorded *)
 }
 
 let default_log_capacity = 256
+
+let no_denial = { task = -1; obj = -1; reason = No_capability }
 
 let create ?(entries = 256) ?(obs = Obs.Trace.null) ?(log_capacity = default_log_capacity)
     ?(faults = Fault.Injector.none) mode =
@@ -33,6 +48,8 @@ let create ?(entries = 256) ?(obs = Obs.Trace.null) ?(log_capacity = default_log
     flag = false;
     listeners = [];
     log = Obs.Ring.create ~capacity:log_capacity;
+    latency = 0;
+    last = no_denial;
   }
 
 let on_update t f = t.listeners <- t.listeners @ [ f ]
@@ -78,13 +95,27 @@ let split_coarse addr =
   ( (addr lsr coarse_shift) land ((1 lsl obj_id_bits) - 1),
     addr land (coarse_window - 1) )
 
-let deny t ~task ~obj detail =
-  let denial = { Guard.Iface.code = "capchecker"; detail } in
+let render_detail { task; obj; reason } =
+  match reason with
+  | No_provenance -> "fine-mode request without object provenance"
+  | No_capability -> Printf.sprintf "no capability for task %d object %d" task obj
+  | Violation (e, req) ->
+      Printf.sprintf "task %d object %d: %s (%s)" task obj
+        (Cheri.Cap.error_to_string e)
+        (Guard.Iface.req_to_string req)
+
+let render d = { Guard.Iface.code = "capchecker"; detail = render_detail d }
+
+let record_denial t ~task ~obj reason =
+  let d = { task; obj; reason } in
   t.flag <- true;
   Table.mark_exception t.table ~task ~obj;
-  Obs.Ring.push t.log (task, denial);
-  Obs.Trace.emit t.obs (Obs.Event.Check_denial { task; obj; detail });
-  Guard.Iface.Denied denial
+  Obs.Ring.push t.log d;
+  t.last <- d;
+  if Obs.Trace.enabled t.obs then
+    Obs.Trace.emit t.obs
+      (Obs.Event.Check_denial { task; obj; detail = render_detail d });
+  -1
 
 let resolve t (req : Guard.Iface.req) =
   match t.mode with
@@ -93,13 +124,6 @@ let resolve t (req : Guard.Iface.req) =
       | Some port -> (port, req.addr)
       | None -> (-1, req.addr))
   | Coarse -> split_coarse req.addr
-
-let record_denial t ~task ~obj detail = deny t ~task ~obj detail
-
-let missing_provenance = "fine-mode request without object provenance"
-
-let missing_capability ~task ~obj =
-  Printf.sprintf "no capability for task %d object %d" task obj
 
 (* The shared tail of adjudication: evaluate the fetched entry against the
    request.  [latency] varies with where the entry was found (central table,
@@ -117,22 +141,27 @@ let adjudicate_entry t (req : Guard.Iface.req) ~task ~obj ~phys ~latency
       (* Guarded so a null sink costs no event record per granted check. *)
       if Obs.Trace.enabled t.obs then
         Obs.Trace.emit t.obs (Obs.Event.Check_ok { task; obj; latency });
-      Guard.Iface.Granted { phys; latency }
-  | Error e ->
-      deny t ~task ~obj
-        (Printf.sprintf "task %d object %d: %s (%s)" task obj
-           (Cheri.Cap.error_to_string e)
-           (Guard.Iface.req_to_string req))
+      t.latency <- latency;
+      phys
+  | Error e -> record_denial t ~task ~obj (Violation (e, req))
 
-let check t (req : Guard.Iface.req) =
+let verdict t (req : Guard.Iface.req) =
   let task = req.source in
   let obj, phys = resolve t req in
-  if obj < 0 then deny t ~task ~obj:0 missing_provenance
+  if obj < 0 then record_denial t ~task ~obj:0 No_provenance
   else
     match Table.lookup t.table ~task ~obj with
-    | None -> deny t ~task ~obj (missing_capability ~task ~obj)
+    | None -> record_denial t ~task ~obj No_capability
     | Some entry ->
         adjudicate_entry t req ~task ~obj ~phys ~latency:check_latency entry
+
+let last_latency t = t.latency
+let last_denial t = t.last
+
+let check t req =
+  let phys = verdict t req in
+  if phys >= 0 then Guard.Iface.Granted { phys; latency = t.latency }
+  else Guard.Iface.Denied (render t.last)
 
 let install t ~task ~obj cap =
   (* An injected table-full models transient table pressure: the install is
@@ -143,7 +172,8 @@ let install t ~task ~obj cap =
   let result = Table.install t.table ~task ~obj cap in
   (match result with
   | Table.Installed slot ->
-      Obs.Trace.emit t.obs (Obs.Event.Table_insert { task; obj; slot });
+      if Obs.Trace.enabled t.obs then
+        Obs.Trace.emit t.obs (Obs.Event.Table_insert { task; obj; slot });
       notify t (Up_install { task; obj })
   | Table.Table_full | Table.Rejected_untagged -> ());
   result
@@ -151,7 +181,8 @@ let install t ~task ~obj cap =
 let evict t ~task ~obj =
   let evicted = Table.evict t.table ~task ~obj in
   if evicted then begin
-    Obs.Trace.emit t.obs (Obs.Event.Table_evict { task; obj; count = 1 });
+    if Obs.Trace.enabled t.obs then
+      Obs.Trace.emit t.obs (Obs.Event.Table_evict { task; obj; count = 1 });
     notify t (Up_evict { task; obj })
   end;
   evicted
@@ -159,7 +190,8 @@ let evict t ~task ~obj =
 let evict_task t ~task =
   let count = Table.evict_task t.table ~task in
   if count > 0 then begin
-    Obs.Trace.emit t.obs (Obs.Event.Table_evict { task; obj = -1; count });
+    if Obs.Trace.enabled t.obs then
+      Obs.Trace.emit t.obs (Obs.Event.Table_evict { task; obj = -1; count });
     notify t (Up_evict_task { task })
   end;
   count
@@ -183,11 +215,11 @@ let observe_table t ~into =
 let exception_flag t = t.flag
 let clear_exception_flag t = t.flag <- false
 
-let exception_log t = List.map snd (Obs.Ring.to_list t.log)
+let exception_log t = List.map render (Obs.Ring.to_list t.log)
 
 let exception_log_for t ~task =
   List.filter_map
-    (fun (owner, d) -> if owner = task then Some d else None)
+    (fun d -> if d.task = task then Some (render d) else None)
     (Obs.Ring.to_list t.log)
 
 let dropped_denials t = Obs.Ring.dropped t.log

@@ -70,15 +70,44 @@ val split_coarse : int -> int * int
 (** [(obj, phys)] from a bus address; inverse of {!compose_coarse} on its
     accepted domain. *)
 
-(** {1 The DMA-path check} *)
+(** {1 The DMA-path check}
+
+    One adjudicator: {!verdict} decides and records; {!check} is {!verdict}
+    plus rendering the result as a {!Guard.Iface.outcome}.  A denial is
+    recorded as a structured {!denial}, and its text is built only when
+    something reads it. *)
+
+type reason =
+  | No_provenance  (** a Fine-mode request without a port *)
+  | No_capability  (** no table entry for (task, object) *)
+  | Violation of Cheri.Cap.error * Guard.Iface.req
+      (** the entry's capability refuses the request *)
+
+type denial = { task : int; obj : int; reason : reason }
+(** What the denial log retains.  [obj] is 0 for [No_provenance]. *)
+
+val verdict : t -> Guard.Iface.req -> int
+(** The physical address ([>= 0]) if granted, [-1] if denied.  A grant
+    records its latency ({!last_latency}); a denial records a {!denial}
+    ({!last_denial}) and does all of {!record_denial}'s bookkeeping. *)
+
+val last_latency : t -> int
+(** Latency of the last granted verdict. *)
+
+val last_denial : t -> denial
+(** The last denial recorded, by any path (a shim's included). *)
 
 val check : t -> Guard.Iface.req -> Guard.Iface.outcome
+(** {!verdict}, with a denial rendered by {!render}. *)
+
+val render : denial -> Guard.Iface.denial
+(** Code ["capchecker"] and the detail text software sees. *)
 
 val as_guard : t -> Guard.Iface.t
 
 (** {1 Distributed-checking hooks (see {!Shim})}
 
-    The pieces of {!check} a per-source shim needs to adjudicate locally
+    The pieces of {!verdict} a per-source shim needs to adjudicate locally
     while staying verdict-identical to the central unit: provenance
     resolution, the entry-evaluation tail, and the denial bookkeeping (flag,
     per-entry exception bit, bounded log, [Check_denial] event). *)
@@ -86,23 +115,22 @@ val as_guard : t -> Guard.Iface.t
 val resolve : t -> Guard.Iface.req -> int * int
 (** [(obj, phys)] per the checker's addressing mode; [obj < 0] means the
     request carried no object provenance (a Fine-mode request without a
-    port) and must be denied with {!missing_provenance}. *)
+    port) and must be denied with [No_provenance] against object 0. *)
 
 val adjudicate_entry :
   t -> Guard.Iface.req -> task:int -> obj:int -> phys:int -> latency:int ->
-  Table.entry -> Guard.Iface.outcome
-(** Evaluate a fetched entry against the request: emits [Check_ok] (with the
-    caller's [latency] — central fetch, shim hit and shim refill differ) or
-    records the denial.  The verdict is independent of [latency]. *)
+  Table.entry -> int
+(** Evaluate a fetched entry against the request, as {!verdict} does: on a
+    grant, emits [Check_ok] and records the caller's [latency] (central
+    fetch, shim hit and shim refill differ) and returns [phys]; otherwise
+    records the denial and returns [-1].  The verdict is independent of
+    [latency]. *)
 
-val record_denial : t -> task:int -> obj:int -> string -> Guard.Iface.outcome
+val record_denial : t -> task:int -> obj:int -> reason -> int
 (** The central denial path: raises the global flag, marks the entry's
-    exception bit, pushes the bounded log and emits [Check_denial] — shims
+    exception bit, pushes the bounded log and, when the sink is enabled,
+    emits [Check_denial] with the rendered detail.  Returns [-1].  Shims
     route every denial through here so software observes one stream. *)
-
-val missing_provenance : string
-val missing_capability : task:int -> obj:int -> string
-(** Canonical denial details, shared so shim denials are byte-identical. *)
 
 type update =
   | Up_install of { task : int; obj : int }
@@ -136,10 +164,10 @@ val exception_flag : t -> bool
 val clear_exception_flag : t -> unit
 
 val exception_log : t -> Guard.Iface.denial list
-(** Retained denials, oldest first (simulator observability; hardware keeps
-    only the flag and per-entry bits).  Bounded: at most [log_capacity]
-    entries are kept, newest win — the full denial stream is available
-    through the event trace. *)
+(** Retained denials, oldest first, rendered on each call (simulator
+    observability; hardware keeps only the flag and per-entry bits).
+    Bounded: at most [log_capacity] entries are kept, newest win — the full
+    denial stream is available through the event trace. *)
 
 val exception_log_for : t -> task:int -> Guard.Iface.denial list
 (** Retained denials attributable to one task (what the driver reports to

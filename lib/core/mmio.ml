@@ -68,7 +68,9 @@ let check_offset offset =
 
 let write t ~offset value =
   check_offset offset;
-  Obs.Trace.emit (Checker.obs t.checker) (Obs.Event.Mmio_write { offset });
+  let obs = Checker.obs t.checker in
+  if Obs.Trace.enabled obs then
+    Obs.Trace.emit obs (Obs.Event.Mmio_write { offset });
   if offset = reg_cap_lo then begin
     (* Raw word writes can never set the tag (see stage_raw). *)
     t.staged_lo <- value;
@@ -88,7 +90,9 @@ let write t ~offset value =
 
 let read t ~offset =
   check_offset offset;
-  Obs.Trace.emit (Checker.obs t.checker) (Obs.Event.Mmio_read { offset });
+  let obs = Checker.obs t.checker in
+  if Obs.Trace.enabled obs then
+    Obs.Trace.emit obs (Obs.Event.Mmio_read { offset });
   if offset = reg_status then begin
     let flag = if Checker.exception_flag t.checker then 1L else 0L in
     let rej = if t.rejected then 2L else 0L in
@@ -98,8 +102,6 @@ let read t ~offset =
     Int64.logor live (Int64.logor flag rej)
   end
   else if offset = reg_exc_key then begin
-    let log = Checker.exception_log t.checker in
-    ignore log;
     (* Drain per-entry exception keys oldest-first. *)
     let keys = Table.entries_with_exceptions (Checker.table t.checker) in
     match List.nth_opt keys t.reported with

@@ -45,6 +45,7 @@ type t = {
   mutable shims : shim list;  (* every shim, newest first *)
   mutable clock : (unit -> int) option;
   mutable port_free_at : int;
+  mutable latency : int;  (* latency of the last granted verdict *)
   mutable invalidations : int;
       (* shim-table entries dropped through the central invalidate channel —
          the epoch-bump/refill race counter the verification layer pins *)
@@ -69,7 +70,8 @@ let create ?(shim_entries = default_shim_entries)
   let t =
     { central; checking; shim_entries; refill_latency; sources;
       by_source = Array.make (max 0 sources) None;
-      shims = []; clock = None; port_free_at = 0; invalidations = 0 }
+      shims = []; clock = None; port_free_at = 0; latency = 0;
+      invalidations = 0 }
   in
   if checking = Distributed then Checker.on_update central (invalidate t);
   t
@@ -125,24 +127,26 @@ let rec refill t sh ~task ~obj cap =
           ignore (Table.evict sh.sh_table ~task:vt ~obj:vo);
           refill t sh ~task ~obj cap)
 
-let check t (req : Guard.Iface.req) =
+(* Every path ends in a central {!Checker} verdict function, so a denial
+   is recorded (and later rendered) exactly as the central unit would. *)
+let verdict t (req : Guard.Iface.req) =
   match t.checking with
-  | Central -> (
+  | Central ->
       let wait = port_wait t in
-      match Checker.check t.central req with
-      | Guard.Iface.Granted { phys; latency } when wait > 0 ->
-          Guard.Iface.Granted { phys; latency = latency + wait }
-      | verdict -> verdict)
+      let phys = Checker.verdict t.central req in
+      if phys >= 0 then t.latency <- Checker.last_latency t.central + wait;
+      phys
   | Distributed -> (
       let task = req.Guard.Iface.source in
       let obj, phys = Checker.resolve t.central req in
       if obj < 0 then
-        Checker.record_denial t.central ~task ~obj:0 Checker.missing_provenance
+        Checker.record_denial t.central ~task ~obj:0 Checker.No_provenance
       else
         let sh = shim_for t task in
         match Table.lookup sh.sh_table ~task ~obj with
         | Some entry ->
             sh.sh_hits <- sh.sh_hits + 1;
+            t.latency <- Checker.check_latency;
             Checker.adjudicate_entry t.central req ~task ~obj ~phys
               ~latency:Checker.check_latency entry
         | None -> (
@@ -153,15 +157,22 @@ let check t (req : Guard.Iface.req) =
             let wait = port_wait t in
             match Table.lookup (Checker.table t.central) ~task ~obj with
             | None ->
-                Checker.record_denial t.central ~task ~obj
-                  (Checker.missing_capability ~task ~obj)
+                Checker.record_denial t.central ~task ~obj Checker.No_capability
             | Some entry ->
                 refill t sh ~task ~obj entry.Table.cap;
                 let latency =
                   Checker.check_latency + wait + t.refill_latency
                 in
+                t.latency <- latency;
                 Checker.adjudicate_entry t.central req ~task ~obj ~phys
                   ~latency entry))
+
+let last_latency t = t.latency
+
+let check t req =
+  let phys = verdict t req in
+  if phys >= 0 then Guard.Iface.Granted { phys; latency = t.latency }
+  else Guard.Iface.Denied (Checker.render (Checker.last_denial t.central))
 
 let hits t = List.fold_left (fun acc sh -> acc + sh.sh_hits) 0 t.shims
 let misses t = List.fold_left (fun acc sh -> acc + sh.sh_misses) 0 t.shims

@@ -51,7 +51,16 @@ val connect_clock : t -> (unit -> int) -> unit
 val disconnect_clock : t -> unit
 (** Detach the clock and reset the port latch (end of a timed phase). *)
 
+val verdict : t -> Guard.Iface.req -> int
+(** The fleet path's verdict, as {!Checker.verdict}: the physical address
+    if granted (latency in {!last_latency}), [-1] if denied (the structured
+    denial in {!Checker.last_denial} of {!central}). *)
+
+val last_latency : t -> int
+(** Latency of the last granted {!verdict}, port wait included. *)
+
 val check : t -> Guard.Iface.req -> Guard.Iface.outcome
+(** {!verdict}, rendered. *)
 
 val guard : t -> Guard.Iface.t
 (** The central checker's guard with [check] replaced by the fleet path,

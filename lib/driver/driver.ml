@@ -178,7 +178,8 @@ let program_backend t ~task_id ~bindings =
             cycles := !cycles + 3 + Capchecker.Checker.install_cycles t.bus;
             match Capchecker.Mmio.install mmio ~task:task_id ~obj cap with
             | Ok () ->
-                Obs.Trace.emit t.obs (Obs.Event.Cap_import { task = task_id; obj });
+                if Obs.Trace.enabled t.obs then
+                  Obs.Trace.emit t.obs (Obs.Event.Cap_import { task = task_id; obj });
                 install_all ((b.decl.Kernel.Ir.buf_name, cap) :: acc) rest
             | Error _ when Capchecker.Mmio.last_rejected mmio ->
                 Error "CapChecker capability table full (driver would stall)"
@@ -202,7 +203,8 @@ let program_backend t ~task_id ~bindings =
             cycles := !cycles + 3 + 4 + p.Bus.Params.mmio_write;
             match Capchecker.Cached.install checker ~task:task_id ~obj cap with
             | Ok () ->
-                Obs.Trace.emit t.obs (Obs.Event.Cap_import { task = task_id; obj });
+                if Obs.Trace.enabled t.obs then
+                  Obs.Trace.emit t.obs (Obs.Event.Cap_import { task = task_id; obj });
                 install_all ((b.decl.Kernel.Ir.buf_name, cap) :: acc) rest
             | Error msg -> Error msg)
       in
@@ -265,9 +267,10 @@ let allocate t (kernel : Kernel.Ir.t) =
               let ctrl_cycles = (List.length bindings + 2) * t.bus.Bus.Params.mmio_write in
               t.busy.(task_id) <- true;
               let cycles = (n_mallocs * malloc_cycles) + backend_cycles + ctrl_cycles in
-              Obs.Trace.emit t.obs
-                (Obs.Event.Task_phase
-                   { task = task_id; phase = "driver-alloc"; dur = cycles });
+              if Obs.Trace.enabled t.obs then
+                Obs.Trace.emit t.obs
+                  (Obs.Event.Task_phase
+                     { task = task_id; phase = "driver-alloc"; dur = cycles });
               Ok
                 {
                   handle =
@@ -297,7 +300,8 @@ let allocate_with_retry ?(policy = default_retry_policy) t kernel =
     | Error _ ->
         let backoff = backoff_cycles policy ~attempt in
         Fault.Injector.note_retry t.faults ~backoff;
-        Obs.Trace.emit t.obs (Obs.Event.Task_retry { task = -1; attempt; backoff });
+        if Obs.Trace.enabled t.obs then
+          Obs.Trace.emit t.obs (Obs.Event.Task_retry { task = -1; attempt; backoff });
         go (attempt + 1) ~penalty:(penalty + retry_probe_cycles + backoff)
   in
   go 1 ~penalty:0
@@ -382,9 +386,10 @@ let deallocate t handle ~denied =
           cycles := !cycles + free_cycles)
         bindings);
   t.busy.(handle.task_id) <- false;
-  Obs.Trace.emit t.obs
-    (Obs.Event.Task_phase
-       { task = handle.task_id; phase = "driver-teardown"; dur = !cycles });
+  if Obs.Trace.enabled t.obs then
+    Obs.Trace.emit t.obs
+      (Obs.Event.Task_phase
+         { task = handle.task_id; phase = "driver-teardown"; dur = !cycles });
   {
     cycles = !cycles;
     exception_seen = !exception_seen;

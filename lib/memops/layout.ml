@@ -1,23 +1,30 @@
 type binding = { decl : Kernel.Ir.buf_decl; base : int }
 
-type t = (string, binding) Hashtbl.t
+(* A task holds a handful of buffers, so the bindings are kept once, sorted
+   by base, and {!find} scans them: cheaper per allocation than a hash
+   table, and {!bindings} needs no re-sort on each teardown. *)
+type t = binding list
 
 let make bindings =
-  let t = Hashtbl.create (List.length bindings) in
-  List.iter
-    (fun b ->
-      let name = b.decl.Kernel.Ir.buf_name in
-      if Hashtbl.mem t name then invalid_arg ("Layout.make: duplicate buffer " ^ name);
-      Hashtbl.add t name b)
-    bindings;
-  t
+  let rec dup = function
+    | [] -> ()
+    | b :: rest ->
+        let name = b.decl.Kernel.Ir.buf_name in
+        if List.exists (fun b' -> String.equal b'.decl.Kernel.Ir.buf_name name) rest
+        then invalid_arg ("Layout.make: duplicate buffer " ^ name);
+        dup rest
+  in
+  dup bindings;
+  List.stable_sort (fun a b -> Int.compare a.base b.base) bindings
 
-let find t name =
-  match Hashtbl.find_opt t name with Some b -> b | None -> raise Not_found
+let rec find_in name = function
+  | [] -> raise Not_found
+  | b :: rest ->
+      if String.equal b.decl.Kernel.Ir.buf_name name then b else find_in name rest
 
-let bindings t =
-  Hashtbl.fold (fun _ b acc -> b :: acc) t []
-  |> List.sort (fun a b -> Int.compare a.base b.base)
+let find t name = find_in name t
+
+let bindings t = t
 
 let elem_addr b idx = b.base + (idx * Kernel.Ir.elem_bytes b.decl.Kernel.Ir.elem)
 

@@ -1,13 +1,16 @@
 (** A bounded ring buffer that keeps the newest [capacity] elements.
 
     Pushing into a full ring overwrites the oldest element and increments the
-    drop counter (the checker's denial log).  All operations are O(1) except
-    [to_list]/[iter], which are O(length). *)
+    drop counter (the checker's denial log).  Storage grows on demand up to
+    [capacity], so an idle ring costs a few words whatever its capacity.
+    [push] is amortized O(1), [to_list]/[iter] are O(length), the rest
+    O(1). *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
-(** [capacity] must be positive. *)
+(** [capacity] must be positive.  Allocates no slots until the first
+    push. *)
 
 val capacity : 'a t -> int
 
@@ -29,4 +32,4 @@ val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest first. *)
 
 val clear : 'a t -> unit
-(** Empties the ring and resets the drop counter. *)
+(** Empties the ring, releases its slots and resets the drop counter. *)

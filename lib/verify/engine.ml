@@ -67,6 +67,7 @@ let run o =
   let schedules = ref 0 and pruned = ref 0 and ops = ref 0 in
   let invalidations = ref 0 in
   let cx = ref None in
+  let sched = Ccsim.Sched.create () in
   (match sweep.Space.sw_failure with
   | Some _ -> () (* a phase-1 failure already fails the run; skip phase 2 *)
   | None ->
@@ -74,7 +75,7 @@ let run o =
         (fun sc ->
           if !cx = None then begin
             incr scenarios;
-            let out = Explore.explore sc in
+            let out = Explore.explore ~sched sc in
             schedules := !schedules + out.Explore.o_stats.Explore.x_schedules;
             pruned := !pruned + out.Explore.o_stats.Explore.x_pruned;
             ops := !ops + out.Explore.o_stats.Explore.x_ops;

@@ -5,7 +5,8 @@
    "which source issues next", executing each complete schedule through a
    fresh {!Harness} driven by a schedule-controlled {!Ccsim.Sched} — the same
    event engine as the simulator, granting one source per cycle like the
-   arbiter does.
+   arbiter does.  The scheduler is the caller's, reset between schedules, so
+   a whole verify run allocates one.
 
    Pruning (the DPOR idea, in its simplest sound form): two adjacent ops from
    different sources that are {e independent} — they commute on every shared
@@ -88,28 +89,27 @@ let run_schedule ?sched sc schedule =
   in
   let h = Harness.boot sc in
   let n = Model.sources sc in
-  let waiting = Array.make n None in
-  (* each source is a real scheduler process: it suspends before every op
-     and performs the op inline when the dispatcher resumes it *)
-  for src = 0 to n - 1 do
-    Ccsim.Sched.spawn t ~at:0 (fun () ->
-        List.iter
-          (fun op ->
-            Ccsim.Sched.suspend t (fun resume -> waiting.(src) <- Some resume);
-            Harness.exec h ~cycle:(Ccsim.Sched.now t) ~src op)
-          sc.Model.sc_programs.(src))
-  done;
-  (* the dispatcher is the arbiter: one grant per cycle, in schedule order *)
-  Ccsim.Sched.spawn t ~at:0 (fun () ->
-      List.iter
-        (fun src ->
-          (match waiting.(src) with
-          | Some resume ->
-              waiting.(src) <- None;
-              resume ()
-          | None -> invalid_arg "verify: schedule granted an idle source");
-          Ccsim.Sched.wait t 1)
-        schedule);
+  (* The arbiter as one resumable cursor (no process per source): the event
+     at cycle k runs op k of the source the schedule grants, then schedules
+     itself at k+1.  [remaining.(src)] is what [src] has yet to issue. *)
+  let remaining = Array.copy sc.Model.sc_programs in
+  let cursor = ref schedule in
+  let rec grant () =
+    match !cursor with
+    | [] -> ()
+    | src :: rest -> (
+        cursor := rest;
+        match remaining.(src) with
+        | [] -> invalid_arg "verify: schedule granted an idle source"
+        | op :: ops ->
+            remaining.(src) <- ops;
+            let cycle = Ccsim.Sched.now t in
+            Harness.exec h ~cycle ~src op;
+            match rest with
+            | [] -> ()
+            | _ :: _ -> Ccsim.Sched.at t ~cycle:(cycle + 1) grant)
+  in
+  Ccsim.Sched.at t ~cycle:0 grant;
   let budget = (List.length schedule * 4) + (n * 4) + 16 in
   ignore (Ccsim.Sched.run_steps t budget);
   if Ccsim.Sched.pending t > 0 then
@@ -118,8 +118,7 @@ let run_schedule ?sched sc schedule =
 
 (* ---- enumeration ---- *)
 
-let explore sc =
-  let timeline = Ccsim.Sched.create () in
+let explore ~sched:timeline sc =
   let progs = Array.map Array.of_list sc.Model.sc_programs in
   let n = Model.sources sc in
   let total = Array.fold_left (fun a p -> a + Array.length p) 0 progs in

@@ -3,8 +3,9 @@
     Enumerates every interleaving of the scenario's per-source programs
     (DFS over "which source issues next"), executing each complete schedule
     through a fresh {!Harness} driven by a schedule-controlled
-    {!Ccsim.Sched} — one source granted per cycle, like the arbiter.  Each
-    exploration creates one scheduler and resets it between schedules.
+    {!Ccsim.Sched} — one source granted per cycle, like the arbiter.  The
+    caller supplies the scheduler, which is reset between schedules, so one
+    scheduler serves a whole run.
 
     Pruning is DPOR in its simplest sound form: an extension that would put
     two adjacent {e independent} ops from sources [j > s] in non-sorted
@@ -38,12 +39,15 @@ val run_schedule :
   ?sched:Ccsim.Sched.t -> Model.scenario -> int list -> Harness.t
 (** Execute one schedule (replay path) on [sched], which is
     {!Ccsim.Sched.reset} first, or on a fresh scheduler.  The result does
-    not depend on which.  The schedule must be feasible for the scenario's
-    programs ({!Model.of_token} validates this).
+    not depend on which.  One scheduler event per schedule position, with
+    no process per source: op [k] of the schedule runs at cycle [k].  The
+    schedule must be feasible for the scenario's programs
+    ({!Model.of_token} validates this).
     @raise Invalid_argument on an infeasible schedule. *)
 
-val explore : Model.scenario -> outcome
-(** Run every (unpruned) interleaving, stopping at the first violation. *)
+val explore : sched:Ccsim.Sched.t -> Model.scenario -> outcome
+(** Run every (unpruned) interleaving on [sched], stopping at the first
+    violation.  The outcome does not depend on what [sched] ran before. *)
 
 val minimize : Model.scenario -> int list -> Model.scenario * int list
 (** Greedy delta-debugging: truncate after the violating step, then drop

@@ -46,26 +46,64 @@ let p_ghost = "ghost-exn"
 let p_elide = "elide-unsound"
 let p_install = "install-result"
 
+(* What an op did, kept as a value: the trace renders it only when someone
+   reads it (a counterexample, [--replay]), not once per explored step. *)
+type note =
+  | Elided
+  | Granted of int
+  | Denied of Capchecker.Checker.denial
+  | Driver of string
+  | Revoked of int
+
+let denial_detail d = (Capchecker.Checker.render d).Guard.Iface.detail
+
+let render_note = function
+  | Elided -> "elided"
+  | Granted phys -> Printf.sprintf "granted phys=0x%x" phys
+  | Denied d -> "denied: " ^ denial_detail d
+  | Driver what -> what
+  | Revoked n -> Printf.sprintf "revoked %d entries" n
+
+type executed = {
+  e_index : int;
+  e_cycle : int;
+  e_src : int;
+  e_op : Model.op;
+  e_note : note;
+}
+
+(* The spec tables are indexed by the packed key [task * objs + obj]; every
+   key an op or a table entry can name is in range ({!Model.of_token}
+   validates tokens). *)
 type t = {
   sc : Model.scenario;
   central : Capchecker.Checker.t;   (* implementation authority *)
   fleet : Capchecker.Shim.t;        (* implementation check path *)
   mirror : Capchecker.Checker.t;    (* central-only parity reference *)
-  granted : (int * int, Model.perm) Hashtbl.t;  (* spec: live grants *)
-  denied_since : (int * int, unit) Hashtbl.t;
+  granted : Model.perm option array;  (* spec: live grants *)
+  denied_since : bool array;
       (* spec: keys denied since their last install — the set a live
          exception bit must be justified by *)
-  dirty : (int * int, unit) Hashtbl.t;
+  dirty : bool array;
       (* M_ghost_exn: keys evicted while their exception bit was set *)
   elided : bool array;              (* per source, fixed at boot *)
   mutable install_ordinal : int;    (* driver installs executed so far *)
-  mutable steps : step list;        (* reverse order *)
+  mutable steps : executed list;    (* reverse order *)
   mutable n_steps : int;
   mutable violation : violation option;
 }
 
+let key t ~task ~obj = (task * t.sc.Model.sc_objs) + obj
+
 let violation t = t.violation
-let trace t = List.rev t.steps
+
+let trace t =
+  List.rev_map
+    (fun e ->
+      { s_index = e.e_index; s_cycle = e.e_cycle; s_src = e.e_src;
+        s_op = e.e_op; s_note = render_note e.e_note })
+    t.steps
+
 let steps_executed t = t.n_steps
 let shim_invalidations t = Capchecker.Shim.invalidations t.fleet
 let shim_misses t = Capchecker.Shim.misses t.fleet
@@ -103,7 +141,7 @@ type verdict = S_grant of int | S_deny of string
 
 let spec_access t ~src ~obj ~off ~len ~write =
   let sc = t.sc in
-  match Hashtbl.find_opt t.granted (src, obj) with
+  match t.granted.(key t ~task:src ~obj) with
   | None -> S_deny "no live capability"
   | Some perm ->
       if write && perm = Model.Ro then S_deny "read-only grant"
@@ -119,7 +157,7 @@ let spec_access t ~src ~obj ~off ~len ~write =
 let check_exn_hygiene t ~cycle =
   List.iter
     (fun (task, obj) ->
-      if not (Hashtbl.mem t.denied_since (task, obj)) then
+      if not t.denied_since.(key t ~task ~obj) then
         violate t ~cycle p_ghost
           (Printf.sprintf
              "entry (task %d, obj %d) reports an exception but no denial hit \
@@ -134,15 +172,14 @@ let install_everywhere t ~task ~obj ~perm =
   let cap = make_cap t.sc ~obj ~perm in
   let r = Capchecker.Checker.install t.central ~task ~obj cap in
   let r' = Capchecker.Checker.install t.mirror ~task ~obj cap in
-  Hashtbl.replace t.granted (task, obj) perm;
-  Hashtbl.remove t.denied_since (task, obj);
-  (if t.sc.Model.sc_mutation = Model.M_ghost_exn
-   && Hashtbl.mem t.dirty (task, obj)
-   then begin
+  let k = key t ~task ~obj in
+  t.granted.(k) <- Some perm;
+  t.denied_since.(k) <- false;
+  (if t.sc.Model.sc_mutation = Model.M_ghost_exn && t.dirty.(k) then begin
      (* the reused slot inherits the stale exception bit *)
      Capchecker.Table.mark_exception
        (Capchecker.Checker.table t.central) ~task ~obj;
-     Hashtbl.remove t.dirty (task, obj)
+     t.dirty.(k) <- false
    end);
   match (r, r') with
   | Capchecker.Table.Installed _, Capchecker.Table.Installed _ -> Ok ()
@@ -151,7 +188,8 @@ let install_everywhere t ~task ~obj ~perm =
 let boot sc =
   (* room for every (task, obj) pair at once: installs only fail if the
      implementation loses entries it should still hold *)
-  let entries = (sc.Model.sc_accels * sc.Model.sc_objs) + 4 in
+  let keys = sc.Model.sc_accels * sc.Model.sc_objs in
+  let entries = keys + 4 in
   let central = Capchecker.Checker.create ~entries sc.Model.sc_mode in
   let fleet =
     Capchecker.Shim.create ~central ~sources:sc.Model.sc_accels
@@ -160,8 +198,8 @@ let boot sc =
   let mirror = Capchecker.Checker.create ~entries sc.Model.sc_mode in
   let t =
     { sc; central; fleet; mirror;
-      granted = Hashtbl.create 16; denied_since = Hashtbl.create 16;
-      dirty = Hashtbl.create 16;
+      granted = Array.make keys None; denied_since = Array.make keys false;
+      dirty = Array.make keys false;
       elided = Array.init (Model.sources sc) (fun s -> Model.elided sc s);
       install_ordinal = 0; steps = []; n_steps = 0; violation = None }
   in
@@ -187,9 +225,9 @@ let req_for t ~src ~obj ~off ~len ~write =
   { Guard.Iface.source = src; port; addr; size = len;
     kind = (if write then Guard.Iface.Write else Guard.Iface.Read) }
 
-let outcome_note = function
-  | Guard.Iface.Granted { phys; _ } -> Printf.sprintf "granted phys=0x%x" phys
-  | Guard.Iface.Denied d -> "denied: " ^ d.Guard.Iface.detail
+let verdict_note checker phys =
+  if phys >= 0 then Granted phys
+  else Denied (Capchecker.Checker.last_denial checker)
 
 let exec_access t ~cycle ~src ~obj ~off ~len ~write =
   let spec = spec_access t ~src ~obj ~off ~len ~write in
@@ -203,45 +241,46 @@ let exec_access t ~cycle ~src ~obj ~off ~len ~write =
              "task %d ran with checks elided but its access (obj %d, [%d,%d)%s) \
               is not statically safe: %s"
              src obj off (off + len) (if write then ", write" else "") why));
-    "elided"
+    Elided
   end
   else begin
     let req = req_for t ~src ~obj ~off ~len ~write in
-    let impl = Capchecker.Shim.check t.fleet req in
-    let mirror = Capchecker.Checker.check t.mirror req in
+    let impl = Capchecker.Shim.verdict t.fleet req in
+    let mirror = Capchecker.Checker.verdict t.mirror req in
     (* the no-out-of-bounds invariant, differentially against the oracle *)
-    (match (impl, spec) with
-    | Guard.Iface.Granted { phys; _ }, S_grant p when phys <> p ->
-        violate t ~cycle p_phys
-          (Printf.sprintf "granted phys 0x%x, oracle says 0x%x" phys p)
-    | Guard.Iface.Granted _, S_grant _ -> ()
-    | Guard.Iface.Granted { phys; _ }, S_deny why ->
+    (match spec with
+    | S_grant p when impl >= 0 ->
+        if impl <> p then
+          violate t ~cycle p_phys
+            (Printf.sprintf "granted phys 0x%x, oracle says 0x%x" impl p)
+    | S_grant _ ->
+        violate t ~cycle p_benign_denial
+          (Printf.sprintf "oracle grants this access; checker denied it (%s)"
+             (denial_detail (Capchecker.Checker.last_denial t.central)))
+    | S_deny why when impl >= 0 ->
         violate t ~cycle p_oob_grant
           (Printf.sprintf
              "task %d %s obj %d [%d,%d) reached memory at 0x%x but the oracle \
               denies it (%s)"
-             src (if write then "write" else "read") obj off (off + len) phys
+             src (if write then "write" else "read") obj off (off + len) impl
              why)
-    | Guard.Iface.Denied d, S_grant _ ->
-        violate t ~cycle p_benign_denial
-          (Printf.sprintf "oracle grants this access; checker denied it (%s)"
-             d.Guard.Iface.detail)
-    | Guard.Iface.Denied _, S_deny _ ->
-        Hashtbl.replace t.denied_since (src, obj) ());
-    (* placement parity: the shim fleet must agree with pure-central *)
-    (match (impl, mirror) with
-    | Guard.Iface.Granted { phys = p1; _ }, Guard.Iface.Granted { phys = p2; _ }
-      when p1 = p2 ->
-        ()
-    | Guard.Iface.Denied d1, Guard.Iface.Denied d2
-      when d1.Guard.Iface.code = d2.Guard.Iface.code
-           && d1.Guard.Iface.detail = d2.Guard.Iface.detail ->
-        ()
-    | _ ->
-        violate t ~cycle p_parity
-          (Printf.sprintf "shim path says %S, central says %S"
-             (outcome_note impl) (outcome_note mirror)));
-    outcome_note impl
+    | S_deny _ -> t.denied_since.(key t ~task:src ~obj) <- true);
+    (* placement parity: the shim fleet must agree with pure-central, by
+       verdict and, for a denial, by structured reason (equal reasons
+       render equal text) *)
+    let agree =
+      if impl >= 0 then mirror = impl
+      else
+        mirror < 0
+        && Capchecker.Checker.last_denial t.central
+           = Capchecker.Checker.last_denial t.mirror
+    in
+    if not agree then
+      violate t ~cycle p_parity
+        (Printf.sprintf "shim path says %S, central says %S"
+           (render_note (verdict_note t.central impl))
+           (render_note (verdict_note t.mirror mirror)));
+    verdict_note t.central impl
   end
 
 let capture_dirty t ~task ~obj =
@@ -249,8 +288,7 @@ let capture_dirty t ~task ~obj =
     match
       Capchecker.Table.lookup (Capchecker.Checker.table t.central) ~task ~obj
     with
-    | Some e when e.Capchecker.Table.exn_bit ->
-        Hashtbl.replace t.dirty (task, obj) ()
+    | Some e when e.Capchecker.Table.exn_bit -> t.dirty.(key t ~task ~obj) <- true
     | _ -> ()
 
 let exec_driver t ~cycle op =
@@ -261,46 +299,45 @@ let exec_driver t ~cycle op =
       if t.sc.Model.sc_fault_install = Some ordinal then
         (* PR 2's transient table-pressure fault, pinned to one install: the
            driver observes Table_full and backs off — no table state moves *)
-        "install refused (injected table-full)"
+        Driver "install refused (injected table-full)"
       else begin
         (match install_everywhere t ~task ~obj ~perm with
         | Ok () -> ()
         | Error msg -> violate t ~cycle p_install msg);
-        "installed"
+        Driver "installed"
       end
   | Model.Evict { task; obj } ->
       capture_dirty t ~task ~obj;
       let was = Capchecker.Checker.evict t.central ~task ~obj in
       ignore (Capchecker.Checker.evict t.mirror ~task ~obj);
-      Hashtbl.remove t.granted (task, obj);
-      Hashtbl.remove t.denied_since (task, obj);
-      if was then "evicted" else "evicted (no entry)"
+      let k = key t ~task ~obj in
+      t.granted.(k) <- None;
+      t.denied_since.(k) <- false;
+      Driver (if was then "evicted" else "evicted (no entry)")
   | Model.Revoke { task } ->
       (* spec: the epoch bump kills every grant of the task, always *)
-      Hashtbl.iter
-        (fun (tk, o) _ -> if tk = task then capture_dirty t ~task ~obj:o)
-        t.granted;
-      let keys =
-        Hashtbl.fold
-          (fun (tk, o) _ acc -> if tk = task then (tk, o) :: acc else acc)
-          t.granted []
-      in
-      List.iter
-        (fun key ->
-          Hashtbl.remove t.granted key;
-          Hashtbl.remove t.denied_since key)
-        keys;
+      for obj = 0 to t.sc.Model.sc_objs - 1 do
+        let k = key t ~task ~obj in
+        match t.granted.(k) with
+        | None -> ()
+        | Some _ ->
+            capture_dirty t ~task ~obj;
+            t.granted.(k) <- None;
+            t.denied_since.(k) <- false
+      done;
       if t.sc.Model.sc_mutation = Model.M_skip_revoke then
-        "revoked (lost by the checker)"
+        Driver "revoked (lost by the checker)"
       else begin
         let n = Capchecker.Checker.evict_task t.central ~task in
         ignore (Capchecker.Checker.evict_task t.mirror ~task);
-        Printf.sprintf "revoked %d entries" n
+        Revoked n
       end
   | Model.Access _ -> assert false
 
 let exec t ~cycle ~src op =
-  if t.violation = None then begin
+  match t.violation with
+  | Some _ -> ()
+  | None ->
     let note =
       match op with
       | Model.Access { obj; off; len; write } ->
@@ -310,8 +347,7 @@ let exec t ~cycle ~src op =
     in
     check_exn_hygiene t ~cycle;
     t.steps <-
-      { s_index = t.n_steps; s_cycle = cycle; s_src = src; s_op = op;
-        s_note = note }
+      { e_index = t.n_steps; e_cycle = cycle; e_src = src; e_op = op;
+        e_note = note }
       :: t.steps;
     t.n_steps <- t.n_steps + 1
-  end

@@ -46,16 +46,17 @@ let encoding_sweep ~space_bits =
   let w = 1 lsl space_bits in
   let caps = ref 0 and checks = ref 0 in
   let failure = ref None in
+  (* [name] builds the message, only for the first failure *)
+  let fail name =
+    match !failure with None -> failure := Some (name ()) | Some _ -> ()
+  in
   let check name cond =
     incr checks;
-    if (not cond) && !failure = None then failure := Some name
+    if not cond then fail (fun () -> name)
   in
-  let checkf cond fmt =
-    Printf.ksprintf
-      (fun name ->
-        incr checks;
-        if (not cond) && !failure = None then failure := Some name)
-      fmt
+  let checkf cond name =
+    incr checks;
+    if not cond then fail name
   in
   let probe c ~base ~top =
     let addrs = [ base - 1; base; top - 1; top ] in
@@ -67,9 +68,11 @@ let encoding_sweep ~space_bits =
               let impl = Cheri.Cap.access_ok c ~addr ~size:1 kind = Ok () in
               checkf
                 (impl = sem_ok c ~addr ~size:1 kind)
-                "access_ok disagrees with the architectural semantics at \
-                 0x%x (cap 0x%x..0x%x)"
-                addr c.Cheri.Cap.base c.Cheri.Cap.top)
+                (fun () ->
+                  Printf.sprintf
+                    "access_ok disagrees with the architectural semantics at \
+                     0x%x (cap 0x%x..0x%x)"
+                    addr c.Cheri.Cap.base c.Cheri.Cap.top))
             [ Cheri.Cap.Read; Cheri.Cap.Write; Cheri.Cap.Exec ])
       addrs;
     (* whole-region and just-past-the-end accesses *)
@@ -77,19 +80,24 @@ let encoding_sweep ~space_bits =
     checkf
       (Cheri.Cap.access_ok c ~addr:base ~size:len Cheri.Cap.Read = Ok ()
       = sem_ok c ~addr:base ~size:len Cheri.Cap.Read)
-      "whole-region access disagrees (cap 0x%x..0x%x)" base top;
+      (fun () ->
+        Printf.sprintf "whole-region access disagrees (cap 0x%x..0x%x)" base
+          top);
     checkf
       (Cheri.Cap.access_ok c ~addr:base ~size:(len + 1) Cheri.Cap.Read = Ok ()
       = sem_ok c ~addr:base ~size:(len + 1) Cheri.Cap.Read)
-      "past-the-end access disagrees (cap 0x%x..0x%x)" base top
+      (fun () ->
+        Printf.sprintf "past-the-end access disagrees (cap 0x%x..0x%x)" base
+          top)
   in
   let roundtrip c =
     let words = Cheri.Compress.encode c in
     let c' = Cheri.Compress.decode ~tag:c.Cheri.Cap.tag words in
-    checkf (Cheri.Cap.equal c c') "128-bit encode/decode round trip broke \
-                                   cap 0x%x..0x%x perms=%s"
-      c.Cheri.Cap.base c.Cheri.Cap.top
-      (Cheri.Perms.to_string c.Cheri.Cap.perms)
+    checkf (Cheri.Cap.equal c c') (fun () ->
+        Printf.sprintf
+          "128-bit encode/decode round trip broke cap 0x%x..0x%x perms=%s"
+          c.Cheri.Cap.base c.Cheri.Cap.top
+          (Cheri.Perms.to_string c.Cheri.Cap.perms))
   in
   (* exact regime: every region inside the window is representable as-is *)
   for base = 0 to w - 1 do
@@ -103,8 +111,10 @@ let encoding_sweep ~space_bits =
           incr caps;
           checkf
             (c.Cheri.Cap.base = base && c.Cheri.Cap.top = top)
-            "exact bounds moved: asked 0x%x..0x%x got 0x%x..0x%x" base top
-            c.Cheri.Cap.base c.Cheri.Cap.top;
+            (fun () ->
+              Printf.sprintf
+                "exact bounds moved: asked 0x%x..0x%x got 0x%x..0x%x" base top
+                c.Cheri.Cap.base c.Cheri.Cap.top);
           check "set_bounds_exact refused an exact region"
             (Result.is_ok
                (Cheri.Cap.set_bounds_exact Cheri.Cap.root ~base ~length:len));
@@ -134,8 +144,10 @@ let encoding_sweep ~space_bits =
           incr caps;
           checkf
             (c.Cheri.Cap.base = rb && c.Cheri.Cap.top = rt)
-            "set_bounds rounds differently from Bounds_enc.round at \
-             0x%x..0x%x" base top;
+            (fun () ->
+              Printf.sprintf
+                "set_bounds rounds differently from Bounds_enc.round at \
+                 0x%x..0x%x" base top);
           probe c ~base ~top:rt;
           roundtrip c
     done
@@ -155,7 +167,9 @@ let encoding_sweep ~space_bits =
                 checkf
                   (Cheri.Cap.access_ok c ~addr:0 ~size:1 kind = Ok ()
                   = Cheri.Perms.mem (sem_perm kind) perms)
-                  "permission gating disagrees on mask 0x%03x" mask)
+                  (fun () ->
+                    Printf.sprintf "permission gating disagrees on mask 0x%03x"
+                      mask))
               [ Cheri.Cap.Read; Cheri.Cap.Write; Cheri.Cap.Exec ];
             roundtrip c
       done);
@@ -171,8 +185,10 @@ let encoding_sweep ~space_bits =
           let obj', phys' = Capchecker.Checker.split_coarse composed in
           checkf
             (obj' = obj && phys' = phys)
-            "coarse compose/split did not round trip (obj %d, phys 0x%x)" obj
-            phys)
+            (fun () ->
+              Printf.sprintf
+                "coarse compose/split did not round trip (obj %d, phys 0x%x)"
+                obj phys))
         physes)
     objs;
   List.iter

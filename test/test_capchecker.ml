@@ -347,6 +347,157 @@ let test_granted_after_denial () =
   checkb "still grants" true
     (granted (Checker.check c (read_req ~port:0 ~source:1 ~addr:0x1000 ~size:8 ())))
 
+(* Every denial reason, rendered.  The detail text is what software reads
+   from the exception log and what counterexample notes print, and the
+   checker now renders it only on demand, so each reason is pinned
+   literally, in both modes, through every check path.  Task 1 holds a rw
+   object 0 at 0x1000, a read-only object 1 at 0x2000 and a sealed object 2
+   at 0x3000. *)
+let denial_cases mode =
+  let addr ~obj phys =
+    match mode with
+    | Checker.Fine -> phys
+    | Checker.Coarse -> Checker.compose_coarse ~obj phys
+  in
+  let port obj = match mode with Checker.Fine -> Some obj | Checker.Coarse -> None in
+  let req ?(write = false) ~source ~obj phys =
+    { Guard.Iface.source; port = port obj; addr = addr ~obj phys; size = 8;
+      kind = (if write then Guard.Iface.Write else Guard.Iface.Read) }
+  in
+  match mode with
+  | Checker.Fine ->
+      [ (req ~source:2 ~obj:0 0x1000, "no capability for task 2 object 0");
+          ( req ~write:true ~source:1 ~obj:1 0x2000,
+            "task 1 object 1: permission violation (needs W) (W src=1 port=1 \
+             addr=0x2000 size=8)" );
+          ( req ~source:1 ~obj:0 0x1040,
+            "task 1 object 0: bounds violation at 0x1040+8 (R src=1 port=0 \
+             addr=0x1040 size=8)" );
+          ( req ~source:1 ~obj:2 0x3000,
+            "task 1 object 2: seal violation (R src=1 port=2 addr=0x3000 \
+             size=8)" );
+          ( { (req ~source:1 ~obj:0 0x1000) with Guard.Iface.port = None },
+            "fine-mode request without object provenance" ) ]
+    | Checker.Coarse ->
+        [ (req ~source:2 ~obj:0 0x1000, "no capability for task 2 object 0");
+          ( req ~write:true ~source:1 ~obj:1 0x2000,
+            "task 1 object 1: permission violation (needs W) (W src=1 port=- \
+             addr=0x40000000002000 size=8)" );
+          ( req ~source:1 ~obj:0 0x1040,
+            "task 1 object 0: bounds violation at 0x1040+8 (R src=1 port=- \
+             addr=0x1040 size=8)" );
+          ( req ~source:1 ~obj:2 0x3000,
+            "task 1 object 2: seal violation (R src=1 port=- \
+             addr=0x80000000003000 size=8)" ) ]
+
+let sealed_cap () =
+  let sealer =
+    Cheri.Cap.set_address
+      (match Cheri.Cap.set_bounds Cheri.Cap.root ~base:0x40 ~length:16 with
+      | Ok c -> c
+      | Error _ -> Alcotest.fail "sealer")
+      0x42
+  in
+  match Cheri.Cap.seal_with (cap 0x3000 64) ~sealer with
+  | Ok c -> c
+  | Error _ -> Alcotest.fail "seal"
+
+let denial_paths mode =
+  let fresh () =
+    let c = Checker.create ~entries:8 mode in
+    ignore (install_exn c ~task:1 ~obj:0 (cap 0x1000 64));
+    ignore (install_exn c ~task:1 ~obj:1 (cap ~perms:Cheri.Perms.data_ro 0x2000 64));
+    ignore (install_exn c ~task:1 ~obj:2 (sealed_cap ()));
+    c
+  in
+  let via_shim placement () =
+    let c = fresh () in
+    let fleet = Shim.create ~central:c ~sources:4 placement in
+    (c, Shim.check fleet)
+  in
+  [ ("check", fun () -> let c = fresh () in (c, Checker.check c));
+    ("central shim", via_shim Shim.Central);
+    ("distributed shim", via_shim Shim.Distributed) ]
+
+let test_denial_details mode () =
+  let cases = denial_cases mode in
+  List.iter
+    (fun (path, make) ->
+      let c, check = make () in
+      List.iter
+        (fun (req, expected) ->
+          match check req with
+          | Guard.Iface.Granted _ -> Alcotest.failf "%s: granted %s" path expected
+          | Guard.Iface.Denied d ->
+              Alcotest.(check string) (path ^ ": code") "capchecker" d.Guard.Iface.code;
+              Alcotest.(check string) (path ^ ": detail") expected d.Guard.Iface.detail)
+        cases;
+      Alcotest.(check (list string))
+        (path ^ ": log renders the same details")
+        (List.map snd cases)
+        (List.map (fun d -> d.Guard.Iface.detail) (Checker.exception_log c)))
+    (denial_paths mode)
+
+(* A tag violation cannot come out of a check (the table refuses untagged
+   capabilities), so its rendering is pinned on the value itself. *)
+let test_denial_tag_rendering () =
+  let req = read_req ~port:0 ~source:1 ~addr:0x1000 ~size:8 () in
+  let d =
+    Checker.render
+      { Checker.task = 1; obj = 0; reason = Checker.Violation (Cheri.Cap.Tag_violation, req) }
+  in
+  Alcotest.(check string) "tag violation"
+    "task 1 object 0: tag violation (R src=1 port=0 addr=0x1000 size=8)"
+    d.Guard.Iface.detail;
+  let c = Checker.create ~entries:4 Checker.Fine in
+  checkb "untagged install refused" true
+    (Checker.install c ~task:1 ~obj:0 (Cheri.Cap.clear_tag (cap 0x1000 64))
+    = Table.Rejected_untagged)
+
+(* Overflowing a small log keeps the newest denials, oldest first, counts
+   the rest, and filters by task after the overflow. *)
+let test_exception_log_overflow () =
+  let c = Checker.create ~entries:8 ~log_capacity:3 Checker.Fine in
+  let deny ~source addr =
+    ignore (Checker.check c (read_req ~port:0 ~source ~addr ~size:8 ()))
+  in
+  deny ~source:1 0x10;
+  deny ~source:2 0x20;
+  deny ~source:1 0x30;
+  deny ~source:2 0x40;
+  deny ~source:1 0x50;
+  checki "capacity" 3 (Checker.log_capacity c);
+  checki "dropped" 2 (Checker.dropped_denials c);
+  let details l = List.map (fun d -> d.Guard.Iface.detail) l in
+  Alcotest.(check (list string)) "newest three, oldest first"
+    [ "no capability for task 1 object 0";
+      "no capability for task 2 object 0";
+      "no capability for task 1 object 0" ]
+    (details (Checker.exception_log c));
+  checki "task 1 retained" 2 (List.length (Checker.exception_log_for c ~task:1));
+  checki "task 2 retained" 1 (List.length (Checker.exception_log_for c ~task:2));
+  checki "task 3 none" 0 (List.length (Checker.exception_log_for c ~task:3));
+  (* the log holds structured denials: the last one is readable as a value *)
+  let last = Checker.last_denial c in
+  checki "last denial task" 1 last.Checker.task;
+  checkb "last denial reason" true (last.Checker.reason = Checker.No_capability)
+
+(* [verdict] is [check] without the rendering: same grants, same latency,
+   [-1] exactly where [check] denies. *)
+let test_verdict_matches_check () =
+  let c = Checker.create ~entries:8 Checker.Fine in
+  ignore (install_exn c ~task:1 ~obj:0 (cap 0x1000 64));
+  List.iter
+    (fun addr ->
+      let req = read_req ~port:0 ~source:1 ~addr ~size:8 () in
+      let v = Checker.verdict c req in
+      match Checker.check c req with
+      | Guard.Iface.Granted { phys; latency } ->
+          checki "phys" phys v;
+          checki "latency" latency (Checker.last_latency c)
+      | Guard.Iface.Denied _ -> checki "denied" (-1) v)
+    [ 0x1000; 0x1038; 0x1039; 0x2000 ]
+
 (* ---------------- distributed shims ---------------- *)
 
 let same_verdict a b =
@@ -586,6 +737,11 @@ let suite =
     ("coarse unknown object", `Quick, test_coarse_unknown_object);
     ("exception flag and log", `Quick, test_exception_flag_and_log);
     ("grants after denial", `Quick, test_granted_after_denial);
+    ("denial details pinned: fine", `Quick, test_denial_details Checker.Fine);
+    ("denial details pinned: coarse", `Quick, test_denial_details Checker.Coarse);
+    ("denial detail: tag violation", `Quick, test_denial_tag_rendering);
+    ("exception log overflow", `Quick, test_exception_log_overflow);
+    ("verdict matches check", `Quick, test_verdict_matches_check);
     ("mmio costs", `Quick, test_mmio_costs_positive);
     ("area calibration", `Quick, test_area_calibration);
     ("guard view", `Quick, test_guard_view);

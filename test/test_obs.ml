@@ -33,6 +33,47 @@ let test_ring_partial () =
   check_int "no drops below capacity" 0 (Obs.Ring.dropped r);
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (Obs.Ring.to_list r)
 
+(* The ring grows its storage on demand; against a list model (keep the
+   newest [capacity], count the rest) every observable must agree after
+   every operation, across growth, wrap-around and [clear]. *)
+type ring_op = Push of int | Clear
+
+let qcheck_ring_model =
+  let gen_op =
+    QCheck.Gen.(frequency [ (12, map (fun x -> Push x) small_nat); (1, return Clear) ])
+  in
+  let print_op = function Push x -> Printf.sprintf "push %d" x | Clear -> "clear" in
+  QCheck.Test.make ~count:300 ~name:"growing ring matches a list model"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_op))
+       QCheck.Gen.(pair (int_range 1 40) (list_size (int_bound 120) gen_op)))
+    (fun (capacity, ops) ->
+      let r = Obs.Ring.create ~capacity in
+      let model = ref [] and dropped = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push x ->
+              Obs.Ring.push r x;
+              model := !model @ [ x ];
+              if List.length !model > capacity then begin
+                model := List.tl !model;
+                incr dropped
+              end
+          | Clear ->
+              Obs.Ring.clear r;
+              model := [];
+              dropped := 0);
+          let iterated = ref [] in
+          Obs.Ring.iter (fun x -> iterated := x :: !iterated) r;
+          Obs.Ring.to_list r = !model
+          && List.rev !iterated = !model
+          && Obs.Ring.length r = List.length !model
+          && Obs.Ring.dropped r = !dropped
+          && Obs.Ring.pushed r = List.length !model + !dropped
+          && Obs.Ring.capacity r = capacity)
+        ops)
+
 (* ---- Trace sink ---- *)
 
 let test_null_sink () =
@@ -539,6 +580,7 @@ let suite =
   [
     Alcotest.test_case "ring wrap and drop accounting" `Quick test_ring_wrap;
     Alcotest.test_case "ring below capacity" `Quick test_ring_partial;
+    QCheck_alcotest.to_alcotest qcheck_ring_model;
     Alcotest.test_case "null sink is inert" `Quick test_null_sink;
     Alcotest.test_case "trace clock and drops" `Quick test_trace_clock_and_drops;
     Alcotest.test_case "create rejects capacity 0" `Quick

@@ -200,10 +200,11 @@ let explore_no_prune sc =
   !viol
 
 let dpor_agrees dims ~stride =
+  let sched = Ccsim.Sched.create () in
   Seq.iteri
     (fun i sc ->
       if i mod stride = 0 then begin
-        let reduced = (X.explore sc).X.o_violation in
+        let reduced = (X.explore ~sched sc).X.o_violation in
         let brute = explore_no_prune sc in
         checkb
           (Printf.sprintf "scenario %d: pruned and brute-force agree" i)
@@ -217,6 +218,63 @@ let test_dpor_sound_clean () = dpor_agrees small_dims ~stride:23
 let test_dpor_sound_mutated () =
   dpor_agrees { small_dims with S.d_mutation = M.M_wide_bounds } ~stride:31;
   dpor_agrees { small_dims with S.d_mutation = M.M_ghost_exn } ~stride:31
+
+(* ---------------- schedule execution ---------------- *)
+
+(* The dispatcher is one scheduler event per schedule position: op k runs
+   at cycle k, whichever scheduler runs it, and a grant to a source whose
+   program is exhausted is refused rather than skipped. *)
+let test_schedule_cycles_and_idle_grant () =
+  let sched = Ccsim.Sched.create () in
+  let n = ref 0 in
+  Seq.iteri
+    (fun i sc ->
+      if i mod 37 = 0 then begin
+        incr n;
+        let schedule = seq_schedule sc in
+        List.iter
+          (fun h ->
+            List.iteri
+              (fun k (s : H.step) ->
+                checki "step index" k s.H.s_index;
+                checki "op k runs at cycle k" k s.H.s_cycle;
+                checki "granted source" (List.nth schedule k) s.H.s_src)
+              (H.trace h))
+          [ X.run_schedule sc schedule; X.run_schedule ~sched sc schedule ];
+        Alcotest.check_raises "grant to an exhausted source"
+          (Invalid_argument "verify: schedule granted an idle source")
+          (fun () -> ignore (X.run_schedule ~sched sc (schedule @ [ 0 ])))
+      end)
+    (S.scenarios small_dims);
+  checkb "sampled enough scenarios" true (!n > 10);
+  (* the scheduler is reusable after a refused schedule *)
+  let sc =
+    match S.scenarios small_dims () with
+    | Seq.Cons (sc, _) -> sc
+    | Seq.Nil -> assert false
+  in
+  checki "clean run after a refusal"
+    (List.length (seq_schedule sc))
+    (H.steps_executed (X.run_schedule ~sched sc (seq_schedule sc)))
+
+(* One scheduler shared by every scenario of a box must explore exactly as
+   a fresh scheduler per scenario: same statistics, same violations, same
+   traces. *)
+let test_shared_scheduler_matches_fresh () =
+  List.iter
+    (fun dims ->
+      let shared = Ccsim.Sched.create () in
+      Seq.iter
+        (fun sc ->
+          let a = X.explore ~sched:shared sc in
+          let b = X.explore ~sched:(Ccsim.Sched.create ()) sc in
+          checkb "stats equal" true (a.X.o_stats = b.X.o_stats);
+          checkb "violation and trace equal" true
+            (a.X.o_violation = b.X.o_violation))
+        (S.scenarios dims))
+    [ { small_dims with S.d_depth = 1 };
+      { small_dims with S.d_depth = 1; d_mutation = M.M_ghost_exn };
+      { small_dims with S.d_accels = 1; d_objs = 2; d_mutation = M.M_wide_bounds } ]
 
 (* ---------------- the random fallback ---------------- *)
 
@@ -261,6 +319,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_tampered_tokens;
       ("DPOR agrees with brute force (clean)", `Quick, test_dpor_sound_clean);
       ("DPOR agrees with brute force (mutated)", `Quick, test_dpor_sound_mutated);
+      ("schedule: op k at cycle k, idle grant refused", `Quick,
+       test_schedule_cycles_and_idle_grant);
+      ("one scheduler per run equals one per scenario", `Quick,
+       test_shared_scheduler_matches_fresh);
       ("random suite deterministic", `Quick, test_random_suite_deterministic);
       ("report rendering deterministic", `Quick, test_report_deterministic);
       QCheck_alcotest.to_alcotest prop_random_clean;
