@@ -1,4 +1,4 @@
-(* One access pipeline, two sources.
+(* One access pipeline, two sources, one driver.
 
    A task's DMA stream comes either from interpreting its kernel or from
    replaying the bench's recorded script.  Both sources resolve each
@@ -9,14 +9,8 @@
    Nothing in the pipeline knows which source fed it, so a replayed task
    cannot drift from an interpreted one.  The pipeline is a mutable record
    per task and every stage is a direct call on it: nothing is allocated per
-   access beyond what the guard and the sinks themselves need.
-
-   The sources differ only in how they are driven on the event core.  The
-   interpreter owns a call stack, so it runs as a scheduler process that
-   each burst and wait suspends.  A script needs no stack: it is a cursor
-   whose whole position lives in mutable fields, which stops wherever the
-   sink takes a burst or a wait and is continued from the event that would
-   have resumed a process. *)
+   access beyond what the guard and the sinks themselves need.  Both
+   sources are driven by one resumable cursor (below). *)
 
 type addressing = Plain | Coarse_ids | Fine_ports
 
@@ -78,10 +72,7 @@ type wiring = {
 type sink =
   | Trace_sink of Trace.t * Obs.Trace.t
       (* the sink's clock advances with the compute-local issue clock *)
-  | Process_sink of Flow.t * Ccsim.Sched.t * Bus.Topology.t
-      (* the event core under an interpreting process: handing it a burst or
-         a wait suspends the process *)
-  | Cursor_sink of wiring  (* the event core under a script cursor *)
+  | Cursor_sink of wiring  (* the event core *)
   | Record_sink of Script.Recorder.t
 
 type pipe = {
@@ -186,10 +177,8 @@ let adjudicate p ~buf ~off ~size ~kind =
       | Guard.Iface.Denied denial -> raise (Denied_access denial))
 
 (* The stages below that hand work to the timing sink return [true] when
-   the driver must stop until its continuation runs — only a script cursor
-   on the event core does.  A trace or record sink never yields, and an
-   interpreting process is suspended inside the stage and resumed before
-   it returns. *)
+   the cursor must stop until its continuation runs — only the event core
+   makes it.  A trace or record sink never yields. *)
 
 (* One transaction to the timing sink, after which [then_wait] datapath
    cycles pass before the next transaction issues.  On the event core the
@@ -199,9 +188,6 @@ let emit p ~target ~gap ~op ~beats ~latency ~then_wait =
   | Trace_sink (trace, obs) ->
       Trace.add trace ~gap ~op ~beats ~latency;
       Obs.Trace.advance obs then_wait;
-      false
-  | Process_sink (flow, _, _) ->
-      Flow.issue flow ~target ~gap ~op ~beats ~latency ~then_wait;
       false
   | Cursor_sink c ->
       Flow.submit c.flow ~k:c.k ~target ~gap ~op ~beats ~latency ~then_wait;
@@ -213,9 +199,6 @@ let wait p gap =
   match p.p_sink with
   | Trace_sink (_, obs) ->
       Obs.Trace.advance obs gap;
-      false
-  | Process_sink (_, sched, _) ->
-      Ccsim.Sched.wait sched gap;
       false
   | Cursor_sink c ->
       gap > 0
@@ -238,8 +221,7 @@ let flush p ~then_wait =
 (* The bank a transaction starting at physical address [phys] goes to. *)
 let target p phys =
   match p.p_sink with
-  | Process_sink (_, _, ic) | Cursor_sink { ic; _ } ->
-      Bus.Topology.target_for ic ~addr:phys
+  | Cursor_sink { ic; _ } -> Bus.Topology.target_for ic ~addr:phys
   | Trace_sink _ | Record_sink _ -> 0
 
 (* The burst former.  An access extends the pending burst when it follows
@@ -277,7 +259,7 @@ let start_burst p ~gap ~op ~buf ~off ~size ~kind =
 let accessed p ~kind ~size =
   (match p.p_sink with
   | Trace_sink (_, obs) -> Obs.Trace.advance obs (Bus.Params.beats_for p.p_bus size)
-  | Process_sink _ | Cursor_sink _ | Record_sink _ -> ());
+  | Cursor_sink _ | Record_sink _ -> ());
   match kind with
   | Guard.Iface.Read -> p.p_reads <- p.p_reads + 1
   | Guard.Iface.Write -> p.p_writes <- p.p_writes + 1
@@ -295,7 +277,7 @@ let copy_start p ~gap ~bytes ~src ~dst =
   p.cp_left <- Bus.Params.beats_for p.p_bus bytes;
   (match p.p_sink with
   | Trace_sink (_, obs) -> Obs.Trace.advance obs (2 * p.cp_left)
-  | Process_sink _ | Cursor_sink _ | Record_sink _ -> ());
+  | Cursor_sink _ | Record_sink _ -> ());
   p.cp_off <- 0;
   p.cp_gap <- gap;
   p.cp_write <- false
@@ -327,127 +309,109 @@ let copy_done p =
   p.p_reads <- p.p_reads + 1;
   p.p_writes <- p.p_writes + 1
 
-(* ---- source 1: interpret the kernel ----
+(* ---- the cursor ----
 
-   The interpreter owns a call stack, so it drives the pipeline in direct
-   style: on the event core it runs as a process that each burst and wait
-   suspends, and no stage ever yields to it. *)
+   One driver for both sources: a resumable cursor over the task's
+   entries, decoded one at a time into [c_e].  Its whole state is the entry
+   index, the phase within that entry, the feed's own position and the
+   pipe's burst and copy fields, so it can stop at any point where the sink
+   takes a burst or a wait and pick up from there when continued: on the
+   event core it is driven from scheduler events, and nothing suspends.
 
-(* One access through the pipeline: adjudicated at its issue point in the
-   sink's notion of time, then merged into the pending burst or starting a
-   new one.  Returns the physical address the source moves data at. *)
-let access p ~gap ~kind ~buf ~off ~size ~dependent =
-  let phys =
-    match p.p_sink with
-    | Record_sink r ->
-        Script.Recorder.access r ~gap ~kind ~buf ~off ~size ~dependent
-          ~ops:p.p_ops;
-        adjudicate p ~buf ~off ~size ~kind
-    | Trace_sink _ | Process_sink _ | Cursor_sink _ ->
-        let op = Trace.op_of kind ~dependent in
-        if merges p ~gap ~op ~buf ~off ~size then extend p ~buf ~off ~size ~kind
+   A script feed decodes its next entry.  A kernel feed resumes the
+   interpreter, whose machine answers "pending" at every DMA access and
+   leaves the transaction in [c_e]; ticks since the last access become its
+   gap.  Once the pipeline has taken an entry, an interpreted task moves
+   its data and the interpreter's retried call gets the answer, while a
+   script meets the same physical-memory decode the data movement would,
+   so an escaping access is the same bus error. *)
+
+type interp = {
+  i_elem : Kernel.Ir.elem array;  (* element type per buffer *)
+  i_ipc : float;  (* synthesized ops per cycle *)
+  i_naive : bool;  (* naive_tag_writes *)
+  mutable i_ops : int;  (* ops since the last access *)
+  i_debt : float ref;  (* fractional datapath cycles carried over *)
+  mutable i_value : Kernel.Value.t;  (* a store's value, a done load's answer *)
+  mutable i_done : bool;  (* the pending call is through: answer its retry *)
+}
+
+type feed = Script_feed of Script.t | Kernel_feed of interp * Kernel.Interp.t
+
+(* The machine's pending transaction, written into [e], with its datapath
+   gap ({!Script.gap}).  A recording times nothing: the recorder keeps the
+   ops and derives every gap from them when it finalizes. *)
+let pend it p (e : Script.entry) ~copy ~kind ~buf ~off ~size ~dependent =
+  e.copy <- copy;
+  e.ops <- p.p_ops;
+  e.kind <- kind;
+  e.dependent <- dependent;
+  e.buf <- buf;
+  e.off <- off;
+  e.size <- size;
+  match p.p_sink with
+  | Record_sink r ->
+      if copy then Script.Recorder.copy r ~bytes:size ~src:buf ~dst:off ~ops:p.p_ops
+      else Script.Recorder.access r ~kind ~buf ~off ~size ~dependent ~ops:p.p_ops
+  | Trace_sink _ | Cursor_sink _ ->
+      e.gap <- Script.gap ~debt:it.i_debt ~ipc:it.i_ipc it.i_ops;
+      it.i_ops <- 0
+
+(* A retried call finds its access through. *)
+let answered it =
+  it.i_done
+  && begin
+       it.i_done <- false;
+       true
+     end
+
+(* Buffers are named by their declaration index, resolved once. *)
+let machine it p e task =
+  let names = List.map (fun d -> d.Kernel.Ir.buf_name) task.kernel.Kernel.Ir.bufs in
+  let access kind buf idx dependent =
+    let size = Kernel.Ir.elem_bytes it.i_elem.(buf) in
+    pend it p e ~copy:false ~kind ~buf ~off:(idx * size) ~size ~dependent
+  in
+  {
+    Kernel.Interp.buffer =
+      (fun name ->
+        match List.find_index (String.equal name) names with
+        | Some buf -> buf
+        | None -> invalid_arg ("Accel.Engine: unknown buffer " ^ name));
+    load =
+      (fun buf ~idx ~dependent ->
+        if answered it then it.i_value
         else begin
-          ignore (flush p ~then_wait:gap : bool);
-          start_burst p ~gap ~op ~buf ~off ~size ~kind
-        end
-  in
-  accessed p ~kind ~size;
-  phys
-
-let copy p ~gap ~bytes ~src ~dst =
-  (match p.p_sink with
-  | Record_sink r -> Script.Recorder.copy r ~gap ~bytes ~src ~dst ~ops:p.p_ops
-  | Trace_sink _ | Process_sink _ | Cursor_sink _ ->
-      ignore (flush p ~then_wait:gap : bool));
-  copy_start p ~gap ~bytes ~src ~dst;
-  while copy_moving p do
-    ignore (copy_half p : bool)
-  done;
-  copy_done p
-
-let interpret p ~mem ~directives ~naive_tag_writes task =
-  let bufs = Array.of_list task.kernel.Kernel.Ir.bufs in
-  let index = Hashtbl.create (Array.length bufs) in
-  Array.iteri (fun i d -> Hashtbl.replace index d.Kernel.Ir.buf_name i) bufs;
-  let elem =
-    Array.map
-      (fun d -> (Memops.Layout.find task.layout d.Kernel.Ir.buf_name).decl.Kernel.Ir.elem)
-      bufs
-  in
-  (* Datapath time between transactions: ops since the last access divided by
-     the synthesized ops-per-cycle.  Fractional cycles carry over so that a
-     wide datapath really does issue back-to-back (gap-0) accesses that merge
-     into AXI bursts, instead of every access rounding up to a 1-cycle gap. *)
-  let pending_ops = ref 0 and gap_debt = ref 0.0 in
-  let take_gap () =
-    gap_debt :=
-      !gap_debt +. (float_of_int !pending_ops /. directives.Hls.Directives.compute_ipc);
-    pending_ops := 0;
-    let gap = int_of_float !gap_debt in
-    gap_debt := !gap_debt -. float_of_int gap;
-    gap
-  in
-  let machine =
-    {
-      Kernel.Interp.load =
-        (fun name ~idx ~dependent ->
-          let buf = Hashtbl.find index name in
-          let width = Kernel.Ir.elem_bytes elem.(buf) in
-          let gap = take_gap () in
-          let phys =
-            access p ~gap ~kind:Guard.Iface.Read ~buf ~off:(idx * width)
-              ~size:width ~dependent
-          in
-          Memops.Layout.read_elem mem elem.(buf) ~addr:phys);
-      store =
-        (fun name ~idx value ->
-          let buf = Hashtbl.find index name in
-          let width = Kernel.Ir.elem_bytes elem.(buf) in
-          let gap = take_gap () in
-          let phys =
-            access p ~gap ~kind:Guard.Iface.Write ~buf ~off:(idx * width)
-              ~size:width ~dependent:false
-          in
-          if naive_tag_writes then
-            Memops.Layout.write_elem_preserving_tags mem elem.(buf) ~addr:phys value
-          else Memops.Layout.write_elem mem elem.(buf) ~addr:phys value);
-      copy =
-        (fun ~dst ~src ~elems ->
-          let src = Hashtbl.find index src and dst = Hashtbl.find index dst in
-          let bytes = elems * Kernel.Ir.elem_bytes elem.(src) in
-          if bytes > 0 then begin
-            copy p ~gap:(take_gap ()) ~bytes ~src ~dst;
-            let data = Tagmem.Mem.read_bytes mem ~addr:p.p_src_phys ~size:bytes in
-            if naive_tag_writes then
-              Tagmem.Mem.unsafe_write_preserving_tags mem ~addr:p.p_dst_phys data
-            else Tagmem.Mem.write_bytes mem ~addr:p.p_dst_phys data
-          end);
-      tick =
-        (fun _cost n ->
-          pending_ops := !pending_ops + n;
-          p.p_ops <- p.p_ops + n);
-      param =
-        (fun name ->
-          match List.assoc_opt name task.params with
-          | Some value -> value
-          | None -> invalid_arg ("Accel.Engine: unknown param " ^ name));
-    }
-  in
-  match Kernel.Interp.run task.kernel machine with
-  | () -> None
-  | exception Denied_access denial -> Some denial
-  | exception Tagmem.Mem.Out_of_range { addr; size } -> Some (bus_error ~addr ~size)
-
-(* ---- source 2: replay a recorded script ----
-
-   A resumable cursor over the script's packed entries.  Its whole state is
-   the entry index, the phase within that entry, and the pipe's burst and
-   copy fields, so it can stop at any point where the sink takes a burst or
-   a wait and pick up from there when continued: on the event core it is
-   driven from scheduler events instead of running in a process, and
-   nothing suspends.  No data moves, but each granted address meets the
-   same physical-memory decode the interpreter's data movement would, so
-   an escaping access is the same bus error. *)
+          access Guard.Iface.Read buf idx dependent;
+          Kernel.Interp.pending
+        end);
+    store =
+      (fun buf ~idx value ->
+        answered it
+        || begin
+             it.i_value <- value;
+             access Guard.Iface.Write buf idx false;
+             false
+           end);
+    copy =
+      (fun ~dst ~src ~elems ->
+        let bytes = elems * Kernel.Ir.elem_bytes it.i_elem.(src) in
+        answered it || bytes = 0
+        || begin
+             pend it p e ~copy:true ~kind:Guard.Iface.Read ~buf:src ~off:dst
+               ~size:bytes ~dependent:false;
+             false
+           end);
+    tick =
+      (fun _cost n ->
+        it.i_ops <- it.i_ops + n;
+        p.p_ops <- p.p_ops + n);
+    param =
+      (fun name ->
+        match List.assoc_opt name task.params with
+        | Some value -> value
+        | None -> invalid_arg ("Accel.Engine: unknown param " ^ name));
+  }
 
 type phase =
   | Entry           (* entry [c_i] is next, or the stream's end *)
@@ -460,8 +424,7 @@ type phase =
 
 type cursor = {
   c_p : pipe;
-  c_script : Script.t;
-  c_n : int;  (* its length *)
+  c_feed : feed;
   c_mem : Tagmem.Mem.t;
   c_e : Script.entry;  (* entry [c_i], decoded *)
   mutable c_op : Trace.op;  (* its bus op, for an access *)
@@ -470,11 +433,62 @@ type cursor = {
   mutable c_denied : Guard.Iface.denial option;
 }
 
-let cursor p s ~mem =
-  Obs.Counters.incr Obs.Counters.traces_memoized;
-  { c_p = p; c_script = s; c_n = Script.length s; c_mem = mem;
-    c_e = Script.entry (); c_op = Trace.Write; c_i = 0; c_phase = Entry;
-    c_denied = None }
+let cursor p source ~mem ~directives ~naive_tag_writes task =
+  let e = Script.entry () in
+  let feed =
+    match source with
+    | Replay s ->
+        Obs.Counters.incr Obs.Counters.traces_memoized;
+        Script_feed s
+    | Interpret ->
+        let elem d = (Memops.Layout.find task.layout d.Kernel.Ir.buf_name).decl.Kernel.Ir.elem in
+        let it =
+          { i_elem = Array.of_list (List.map elem task.kernel.Kernel.Ir.bufs);
+            i_ipc = directives.Hls.Directives.compute_ipc; i_naive = naive_tag_writes;
+            i_ops = 0; i_debt = ref 0.0; i_value = Kernel.Interp.pending; i_done = false }
+        in
+        Kernel_feed (it, Kernel.Interp.start task.kernel (machine it p e task))
+  in
+  { c_p = p; c_feed = feed; c_mem = mem; c_e = e; c_op = Trace.Write; c_i = 0;
+    c_phase = Entry; c_denied = None }
+
+(* Decode the next entry into [c_e]; [false] at the stream's end. *)
+let[@inline] fetch c =
+  let p = c.c_p and e = c.c_e in
+  match c.c_feed with
+  | Script_feed s when c.c_i < Script.length s ->
+      Script.load s c.c_i e;
+      p.p_ops <- e.ops;
+      true
+  | Script_feed s ->
+      p.p_ops <- Script.total_ops s;
+      false
+  | Kernel_feed (_, k) -> not (Kernel.Interp.resume k)
+
+(* The current entry is through the pipeline, an access granted at [phys]
+   or a copy between [p_src_phys] and [p_dst_phys]: an interpreted task
+   moves its data, a script meets the decode moving it would. *)
+let[@inline] through c phys =
+  let p = c.c_p and e = c.c_e and mem = c.c_mem in
+  match c.c_feed with
+  | Script_feed _ when e.copy ->
+      Tagmem.Mem.check mem ~addr:p.p_src_phys ~size:e.size;
+      Tagmem.Mem.check mem ~addr:p.p_dst_phys ~size:e.size
+  | Script_feed _ -> Tagmem.Mem.check mem ~addr:phys ~size:e.size
+  | Kernel_feed (it, _) ->
+      (if e.copy then begin
+         let data = Tagmem.Mem.read_bytes mem ~addr:p.p_src_phys ~size:e.size in
+         if it.i_naive then Tagmem.Mem.unsafe_write_preserving_tags mem ~addr:p.p_dst_phys data
+         else Tagmem.Mem.write_bytes mem ~addr:p.p_dst_phys data
+       end
+       else
+         let elem = it.i_elem.(e.buf) in
+         match e.kind with
+         | Guard.Iface.Read -> it.i_value <- Memops.Layout.read_elem mem elem ~addr:phys
+         | Guard.Iface.Write when it.i_naive ->
+             Memops.Layout.write_elem_preserving_tags mem elem ~addr:phys it.i_value
+         | Guard.Iface.Write -> Memops.Layout.write_elem mem elem ~addr:phys it.i_value);
+      it.i_done <- true
 
 (* Run the cursor until the sink takes its continuation or the stream
    ends.  Every recursive call is a tail call. *)
@@ -482,14 +496,8 @@ let rec step c =
   let p = c.c_p and e = c.c_e in
   match c.c_phase with
   | Entry ->
-      let s = c.c_script in
-      if c.c_i = c.c_n then begin
-        p.p_ops <- Script.total_ops s;
-        c.c_phase <- Ended
-      end
+      if not (fetch c) then c.c_phase <- Ended
       else begin
-        Script.load s c.c_i e;
-        p.p_ops <- e.ops;
         if e.copy then begin
           c.c_phase <- Copy_flushed;
           if not (flush p ~then_wait:e.gap) then step c
@@ -499,7 +507,7 @@ let rec step c =
           if merges p ~gap:e.gap ~op ~buf:e.buf ~off:e.off ~size:e.size then begin
             let phys = extend p ~buf:e.buf ~off:e.off ~size:e.size ~kind:e.kind in
             accessed p ~kind:e.kind ~size:e.size;
-            Tagmem.Mem.check c.c_mem ~addr:phys ~size:e.size;
+            through c phys;
             next c
           end
           else begin
@@ -515,7 +523,7 @@ let rec step c =
           ~kind:e.kind
       in
       accessed p ~kind:e.kind ~size:e.size;
-      Tagmem.Mem.check c.c_mem ~addr:phys ~size:e.size;
+      through c phys;
       next c
   | Copy_flushed ->
       copy_start p ~gap:e.gap ~bytes:e.size ~src:e.buf ~dst:e.off;
@@ -527,8 +535,7 @@ let rec step c =
       end
       else begin
         copy_done p;
-        Tagmem.Mem.check c.c_mem ~addr:p.p_src_phys ~size:e.size;
-        Tagmem.Mem.check c.c_mem ~addr:p.p_dst_phys ~size:e.size;
+        through c 0;
         next c
       end
   | Ended | Draining -> ()
@@ -554,12 +561,9 @@ let advance c =
    access escaping physical memory truncates the stream and is
    reported. *)
 let feed p source ~mem ~directives ~naive_tag_writes task =
-  match source with
-  | Interpret -> interpret p ~mem ~directives ~naive_tag_writes task
-  | Replay s ->
-      let c = cursor p s ~mem in
-      advance c;
-      c.c_denied
+  let c = cursor p source ~mem ~directives ~naive_tag_writes task in
+  advance c;
+  c.c_denied
 
 (* A task retires: emit its elision marker and tally its fast-pathed
    checks. *)
@@ -602,7 +606,8 @@ let record ~mem ~directives ~addressing ~naive_tag_writes task =
   let p = pipe ~bus:Bus.Params.default ~addressing Adj_elide (Record_sink r) task in
   match feed p Interpret ~mem ~directives ~naive_tag_writes task with
   | denied ->
-      Script.Recorder.finalize r ~total_ops:p.p_ops ~complete:(denied = None)
+      Script.Recorder.finalize r ~ipc:directives.Hls.Directives.compute_ipc
+        ~total_ops:p.p_ops ~complete:(denied = None)
   | exception Script.Recorder.Escaped -> None
 
 let ev_outcome p issue denied =
@@ -617,44 +622,29 @@ let run_event ?(obs = Obs.Trace.null) ?error_retry_limit ~sched ~ic ~start ~mem
       ~max_outstanding:directives.Hls.Directives.max_outstanding ()
   in
   let flow = Flow.create ~sched ~ic ~src:task.instance issue in
-  match source with
-  | Interpret ->
-      Ccsim.Sched.spawn sched ~at:start (fun () ->
-          let p = pipe ~bus ~addressing adj (Process_sink (flow, sched, ic)) task in
-          let denied =
-            match interpret p ~mem ~directives ~naive_tag_writes task with
-            | denied ->
-                (try ignore (flush p ~then_wait:0 : bool) with Flow.Failed -> ());
-                denied
-            | exception Flow.Failed -> None
-          in
-          retire p ~obs task;
-          on_done (ev_outcome p issue denied))
-  | Replay s ->
-      let w = { flow; sched; ic; k = ignore } in
-      let p = pipe ~bus ~addressing adj (Cursor_sink w) task in
-      let c = cursor p s ~mem in
-      let complete () =
-        retire p ~obs task;
-        on_done (ev_outcome p issue c.c_denied)
-      in
-      (* The cursor's one continuation, run by the flow or the scheduler at
-         exactly the event that would have resumed a process: it stops at a
-         spent retry budget, and drains the last burst once the stream
-         ends. *)
-      let k () =
-        match c.c_phase with
-        | Draining -> complete ()
-        | Entry | Access_flushed | Copy_flushed | Copy_moving | Ended ->
-            if Issue.failed issue then complete ()
-            else begin
-              advance c;
-              match c.c_phase with
-              | Ended ->
-                  c.c_phase <- Draining;
-                  if not (flush p ~then_wait:0) then complete ()
-              | Entry | Access_flushed | Copy_flushed | Copy_moving | Draining -> ()
-            end
-      in
-      w.k <- k;
-      Ccsim.Sched.at sched ~cycle:start k
+  let w = { flow; sched; ic; k = ignore } in
+  let p = pipe ~bus ~addressing adj (Cursor_sink w) task in
+  let c = cursor p source ~mem ~directives ~naive_tag_writes task in
+  let complete () =
+    retire p ~obs task;
+    on_done (ev_outcome p issue c.c_denied)
+  in
+  (* The cursor's one continuation, run by the flow or the scheduler at
+     exactly the event that takes the task on: it stops at a spent retry
+     budget, and drains the last burst once the stream ends. *)
+  let k () =
+    match c.c_phase with
+    | Draining -> complete ()
+    | Entry | Access_flushed | Copy_flushed | Copy_moving | Ended ->
+        if Issue.failed issue then complete ()
+        else begin
+          advance c;
+          match c.c_phase with
+          | Ended ->
+              c.c_phase <- Draining;
+              if not (flush p ~then_wait:0) then complete ()
+          | Entry | Access_flushed | Copy_flushed | Copy_moving | Draining -> ()
+        end
+  in
+  w.k <- k;
+  Ccsim.Sched.at sched ~cycle:start k

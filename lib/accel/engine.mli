@@ -136,7 +136,9 @@ val record :
     in {!run}.  [None] when an access left its buffer's declared extent (the
     pass stops before moving that access's data) or escaped physical memory:
     only a guard could decide what such a task does next, so it must be
-    interpreted live. *)
+    interpreted live.  The pass keeps each transaction's ops and leaves its
+    datapath gap to {!Script.Recorder.finalize}, which derives it by the
+    rule the live engine applies. *)
 
 val run_event :
   ?obs:Obs.Trace.t ->
@@ -156,14 +158,14 @@ val run_event :
   unit
 (** Feed the task's stream into the live event core from cycle [start]:
     each burst contends for the interconnect [ic] (via {!Flow}) instead of
-    accumulating a trace for later replay.  A [Replay] source runs as a
-    resumable cursor over the script, continued from scheduler events and
-    never suspended; an [Interpret] source runs as a {!Ccsim.Sched} process
-    that suspends at each burst, because the interpreter owns a call stack.
-    Both issue the same scheduler calls at the same points, so the choice
-    of source moves no event.  Adjudication happens at the access's live
-    issue point, so a stateful checker (e.g. the cached CapChecker) sees
-    checks from concurrent instances interleaved in true bus order.  Bursts
+    accumulating a trace for later replay.  Either source runs as one
+    resumable cursor, continued from scheduler events and never suspended:
+    over the script's entries, or over the interpreter stopped at each DMA
+    access ({!Kernel.Interp.resume}).  Both issue the same scheduler calls
+    at the same points, so the choice of source moves no event.
+    Adjudication happens at the access's live issue point, so a stateful
+    checker (e.g. the cached CapChecker) sees checks from concurrent
+    instances interleaved in true bus order.  Bursts
     are formed by the same burst former as {!run}'s — on a crossbar each
     burst is addressed to the bank of its first beat's physical address —
     and with a single instance on a [Shared] topology the resulting schedule is

@@ -12,14 +12,11 @@ type t = {
   mutable latency : int;
   mutable then_wait : int;  (* datapath cycles between [ready] and [k] *)
   mutable k : unit -> unit;
-  (* Preallocated once per flow: {!issue}'s suspension hook, the arbiter's
-     grant callback and the post-grant event. *)
-  mutable register : (unit -> unit) -> unit;
+  (* Preallocated once per flow: the arbiter's grant callback and the
+     post-grant event. *)
   mutable on_grant : Bus.Fabric.grant -> unit;
   mutable wake : unit -> unit;
 }
-
-exception Failed
 
 let attempt t =
   let at = Issue.candidate t.issue ~gap:t.gap ~op:t.op in
@@ -50,25 +47,12 @@ let create ~sched ~ic ~src issue =
     {
       sched; ic; src; issue;
       target = 0; gap = 0; op = Trace.Write; beats = 0; latency = 0;
-      then_wait = 0; k = ignore; register = ignore; on_grant = ignore;
-      wake = ignore;
+      then_wait = 0; k = ignore; on_grant = ignore; wake = ignore;
     }
   in
-  t.register <-
-    (fun resume ->
-      t.k <- resume;
-      attempt t);
   t.on_grant <- on_grant t;
   t.wake <- wake t;
   t
-
-let set t ~target ~gap ~op ~beats ~latency ~then_wait =
-  t.target <- target;
-  t.gap <- gap;
-  t.op <- op;
-  t.beats <- beats;
-  t.latency <- latency;
-  t.then_wait <- then_wait
 
 (* Retries and the datapath's following wait included, a transaction runs
    [k] once: the grant callback does the absorption (and any synchronous
@@ -76,11 +60,11 @@ let set t ~target ~gap ~op ~beats ~latency ~then_wait =
    directly at the cycle its next transaction may be formed.  That is
    always strictly in the future: [ready] is at least [granted_at + 1]. *)
 let submit t ~k ~target ~gap ~op ~beats ~latency ~then_wait =
-  set t ~target ~gap ~op ~beats ~latency ~then_wait;
+  t.target <- target;
+  t.gap <- gap;
+  t.op <- op;
+  t.beats <- beats;
+  t.latency <- latency;
+  t.then_wait <- then_wait;
   t.k <- k;
   attempt t
-
-let issue t ~target ~gap ~op ~beats ~latency ~then_wait =
-  set t ~target ~gap ~op ~beats ~latency ~then_wait;
-  Ccsim.Sched.suspend t.sched t.register;
-  if Issue.failed t.issue then raise Failed

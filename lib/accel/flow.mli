@@ -6,22 +6,14 @@
     ready order.  The live engine ({!Engine.run_event}) and the trace-fed
     replay ({!Replay.run_event}) both issue through it.
 
-    A flow's driver is whatever produces its transactions, and it comes in
-    two shapes.  A resumable cursor (a recorded script or trace) hands each
-    transaction to {!submit} together with its one preallocated
-    continuation, returns, and is continued by the flow: nothing suspends.
-    An interpreted kernel owns a call stack, so it runs as a
-    {!Ccsim.Sched} process and issues through {!issue}, which suspends it
-    around the same {!submit}.  Either way the driver is continued from
-    the same event, so every event keeps its cycle, rank and sequence
-    number. *)
+    A flow's driver is whatever produces its transactions: a resumable
+    cursor over a recorded script or trace, or over an interpreted kernel
+    stopped at its pending access.  The driver hands each transaction to
+    {!submit} together with its one preallocated continuation and returns;
+    the flow continues it, so nothing suspends and every event keeps its
+    cycle, rank and sequence number. *)
 
 type t
-
-exception Failed
-(** Raised by {!issue} when [error_retry_limit] consecutive injected bus
-    errors exhausted the retry budget: the instance's run is lost and the
-    driver decides what to do with the task. *)
 
 val create : sched:Ccsim.Sched.t -> ic:Bus.Topology.t -> src:int -> Issue.t -> t
 (** A flow for interconnect source [src] that issues under the given issue
@@ -45,12 +37,3 @@ val submit :
     one preallocated grant callback and post-grant event, so with a
     preallocated [k] a transaction allocates only the scheduler's
     events. *)
-
-val issue :
-  t -> target:int -> gap:int -> op:Trace.op -> beats:int -> latency:int ->
-  then_wait:int -> unit
-(** {!submit} from inside a {!Ccsim.Sched} process, with the process's own
-    resume thunk as the continuation: the process suspends until [k] would
-    run, and raises {!Failed} if the retry budget was spent.  One effect
-    suspension per transaction; only an interpreted kernel's process uses
-    it. *)

@@ -92,8 +92,7 @@ let run ?error_retry_limit fabric ~start streams =
     (List.map (fun st -> (st.id, st.issue)) (Array.to_list states))
 
 (* Each stream is a cursor over its trace: the flow continues it after each
-   transaction, and it submits the next from there, so no stream runs as a
-   process. *)
+   transaction, and it submits the next from there. *)
 let run_event ?error_retry_limit ~sched ~ic ~start streams =
   let instances =
     List.map

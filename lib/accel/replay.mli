@@ -49,8 +49,8 @@ val run_event :
     instance feeds its recorded trace to the interconnect topology, and the
     scheduler is drained before the result is assembled ([sched] and [ic]
     must be fresh and private to this call).  A stream is a cursor over its
-    trace that the flow continues after each transaction, so nothing runs
-    as a process or suspends.  The per-transaction rule
+    trace that the flow continues after each transaction, so nothing
+    suspends.  The per-transaction rule
     is the same {!Issue} state machine {!run} applies, so a single stream on
     a [Shared] topology replays cycle-identically; what changes with several
     streams is the arbitration policy — grants rotate round-robin among

@@ -59,30 +59,42 @@ let load s i e =
   e.off <- w.(j + 2);
   e.size <- code lsr (3 + buf_bits)
 
+let gap ~debt ~ipc ops =
+  debt := !debt +. (float_of_int ops /. ipc);
+  let gap = int_of_float !debt in
+  debt := !debt -. float_of_int gap;
+  gap
+
 module Recorder = struct
+  (* Fixed-size chunks, joined once by [finalize]: a doubling array would
+     leave one to three times the script's length behind for the collector. *)
   type t = {
-    mutable r_words : int array;
-    mutable r_len : int;  (* words used *)
+    mutable r_full : int array list;  (* filled chunks, newest first *)
+    mutable r_words : int array;  (* the chunk being filled *)
+    mutable r_len : int;  (* words used in it *)
     r_extents : int array;
   }
 
+  let chunk_words = 1024
+
   exception Escaped
 
-  let create ~extents = { r_words = Array.make 256 0; r_len = 0; r_extents = extents }
+  let create ~extents =
+    { r_full = []; r_words = Array.make chunk_words 0; r_len = 0; r_extents = extents }
 
   (* [off, off + size) must lie inside buffer [buf]; written so that no sum
      can wrap past [max_int]. *)
   let check r ~buf ~off ~size =
     if off < 0 || size < 0 || size > r.r_extents.(buf) - off then raise Escaped
 
-  let push r ~gap ~ops ~off ~code =
-    if r.r_len = Array.length r.r_words then begin
-      let bigger = Array.make (2 * r.r_len) 0 in
-      Array.blit r.r_words 0 bigger 0 r.r_len;
-      r.r_words <- bigger
+  (* The gap word is filled in by [finalize]. *)
+  let push r ~ops ~off ~code =
+    if r.r_len = chunk_words then begin
+      r.r_full <- r.r_words :: r.r_full;
+      r.r_words <- Array.make chunk_words 0;
+      r.r_len <- 0
     end;
     let w = r.r_words and i = r.r_len in
-    w.(i) <- gap;
     w.(i + 1) <- ops;
     w.(i + 2) <- off;
     w.(i + 3) <- code;
@@ -93,19 +105,28 @@ module Recorder = struct
     Bool.to_int copy lor (Bool.to_int write lsl 1) lor (Bool.to_int dependent lsl 2)
     lor (buf lsl 3) lor (size lsl (3 + buf_bits))
 
-  let access r ~gap ~kind ~buf ~off ~size ~dependent ~ops =
+  let access r ~kind ~buf ~off ~size ~dependent ~ops =
     check r ~buf ~off ~size;
-    push r ~gap ~ops ~off
+    push r ~ops ~off
       ~code:
         (code ~copy:false ~write:(kind = Guard.Iface.Write) ~dependent ~buf ~size)
 
-  let copy r ~gap ~bytes ~src ~dst ~ops =
+  let copy r ~bytes ~src ~dst ~ops =
     check r ~buf:src ~off:0 ~size:bytes;
     check r ~buf:dst ~off:0 ~size:bytes;
-    push r ~gap ~ops ~off:dst
+    push r ~ops ~off:dst
       ~code:(code ~copy:true ~write:false ~dependent:false ~buf:src ~size:bytes)
 
-  let finalize r ~total_ops ~complete =
+  let finalize r ~ipc ~total_ops ~complete =
     if not complete then None
-    else Some { s_words = Array.sub r.r_words 0 r.r_len; s_total_ops = total_ops }
+    else begin
+      let words = Array.concat (List.rev (Array.sub r.r_words 0 r.r_len :: r.r_full)) in
+      let debt = ref 0.0 and prev = ref 0 in
+      for j = 0 to (Array.length words / 4) - 1 do
+        let ops = words.((4 * j) + 1) in
+        words.(4 * j) <- gap ~debt ~ipc (ops - !prev);
+        prev := ops
+      done;
+      Some { s_words = words; s_total_ops = total_ops }
+    end
 end

@@ -36,6 +36,13 @@ type entry = {
   mutable size : int;  (** an access's size, or a copy's byte count (never 0) *)
 }
 
+val gap : debt:float ref -> ipc:float -> int -> int
+(** [gap ~debt ~ipc ops]: the datapath cycles before a transaction issued
+    [ops] ops after the previous one, at [ipc] ops per cycle.  Fractional
+    cycles carry over in [debt], so a wide datapath really does issue
+    back-to-back (gap-0) transactions that merge into AXI bursts, instead
+    of every one rounding up to a 1-cycle gap. *)
+
 val entry : unit -> entry
 (** A blank entry to {!load} into. *)
 
@@ -61,7 +68,6 @@ module Recorder : sig
 
   val access :
     t ->
-    gap:int ->
     kind:Guard.Iface.kind ->
     buf:int ->
     off:int ->
@@ -70,9 +76,13 @@ module Recorder : sig
     ops:int ->
     unit
 
-  val copy : t -> gap:int -> bytes:int -> src:int -> dst:int -> ops:int -> unit
+  val copy : t -> bytes:int -> src:int -> dst:int -> ops:int -> unit
+  (** [ops] is the datapath ops executed before the transaction. *)
 
-  val finalize : t -> total_ops:int -> complete:bool -> script option
+  val finalize : t -> ipc:float -> total_ops:int -> complete:bool -> script option
   (** [None] unless [complete]: a recording truncated by a denial or an
-      exhausted retry budget is not a faithful skeleton of the kernel. *)
+      exhausted retry budget is not a faithful skeleton of the kernel.
+      Each transaction's gap is {!gap} of its ops since the previous one at
+      [ipc], the rule a live stream follows, so a recording times
+      nothing. *)
 end

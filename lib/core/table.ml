@@ -101,6 +101,7 @@ type t = {
   mutable rejected : int;
   mutable live : int;
   mutable peak : int;
+  mutable exceptions : int;  (* live entries with the exception bit set *)
 }
 
 let create ~entries =
@@ -116,7 +117,7 @@ let create ~entries =
     index = Index.create (2 * entries);
     free;
     installs = 0; conflicts = 0; evictions = 0; rejected = 0; live = 0;
-    peak = 0 }
+    peak = 0; exceptions = 0 }
 
 let capacity t = Array.length t.slots
 
@@ -128,6 +129,13 @@ let stats t =
     st_peak = t.peak }
 
 type install_result = Installed of int | Table_full | Rejected_untagged
+
+(* Every exception bit changes here, so the count of set ones stays exact. *)
+let set_exn t e bit =
+  if e.exn_bit <> bit then begin
+    e.exn_bit <- bit;
+    t.exceptions <- (t.exceptions + if bit then 1 else -1)
+  end
 
 let install t ~task ~obj cap =
   if not (packable ~task ~obj) then
@@ -154,7 +162,7 @@ let install t ~task ~obj cap =
         e.task <- task;
         e.obj <- obj;
         e.live <- true;
-        e.exn_bit <- false;
+        set_exn t e false;
         t.installs <- t.installs + 1;
         if not replacing then begin
           Index.replace t.index (key ~task ~obj) idx;
@@ -178,7 +186,7 @@ let lookup t ~task ~obj =
 
 let mark_exception t ~task ~obj =
   match lookup t ~task ~obj with
-  | Some e -> e.exn_bit <- true
+  | Some e -> set_exn t e true
   | None -> ()
 
 let release_slot t idx =
@@ -187,7 +195,7 @@ let release_slot t idx =
   e.cap <- Cheri.Cap.null;
   (* A dead slot must not keep reporting an exception: the key may belong to a
      departed tenant, and the slot will be recycled for an unrelated one. *)
-  e.exn_bit <- false;
+  set_exn t e false;
   Free_heap.push t.free idx
 
 let evict t ~task ~obj =
@@ -215,6 +223,8 @@ let evict_task t ~task =
   t.evictions <- t.evictions + !n;
   t.live <- t.live - !n;
   !n
+
+let exception_count t = t.exceptions
 
 let entries_with_exceptions t =
   Array.fold_left

@@ -69,6 +69,10 @@ val evict : t -> task:int -> obj:int -> bool
 val evict_task : t -> task:int -> int
 (** Evict every entry of a task (deallocation, Fig. 6 ②); returns the count. *)
 
+val exception_count : t -> int
+(** Live entries whose exception bit is set, maintained incrementally
+    (O(1)): the length of {!entries_with_exceptions}, without building it. *)
+
 val entries_with_exceptions : t -> (int * int) list
 (** Live (task, obj) keys whose exception bit is set.  Eviction clears the
     bit, so a departed tenant's slot never reports a stale exception. *)

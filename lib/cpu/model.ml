@@ -49,28 +49,24 @@ let cost_of cfg (c : Kernel.Interp.cost) =
 let copy_bytes_per_cycle cfg =
   match cfg.isa with Rv64 -> 8 | Cheri_rv64 -> 16
 
-let derive_caps layout =
-  let caps = Hashtbl.create 16 in
-  List.iter
+(* One capability per binding of [bufs]. *)
+let derive_caps bufs =
+  Array.map
     (fun (b : Memops.Layout.binding) ->
       let decl = b.Memops.Layout.decl in
       let perms =
         if decl.Kernel.Ir.writable then Cheri.Perms.data_rw else Cheri.Perms.data_ro
       in
-      let cap =
-        match
-          Cheri.Cap.set_bounds Cheri.Cap.root ~base:b.Memops.Layout.base
-            ~length:(Kernel.Ir.buf_decl_bytes decl)
-        with
-        | Ok c -> (
-            match Cheri.Cap.with_perms c perms with
-            | Ok c -> c
-            | Error e -> failwith (Cheri.Cap.error_to_string e))
-        | Error e -> failwith (Cheri.Cap.error_to_string e)
-      in
-      Hashtbl.add caps decl.Kernel.Ir.buf_name cap)
-    (Memops.Layout.bindings layout);
-  caps
+      match
+        Cheri.Cap.set_bounds Cheri.Cap.root ~base:b.Memops.Layout.base
+          ~length:(Kernel.Ir.buf_decl_bytes decl)
+      with
+      | Ok c -> (
+          match Cheri.Cap.with_perms c perms with
+          | Ok c -> c
+          | Error e -> failwith (Cheri.Cap.error_to_string e))
+      | Error e -> failwith (Cheri.Cap.error_to_string e))
+    bufs
 
 let run ?(obs = Obs.Trace.null) cfg mem kernel layout ?(params = []) () =
   let cache = Cache.create ~obs cfg.cache in
@@ -81,7 +77,9 @@ let run ?(obs = Obs.Trace.null) cfg mem kernel layout ?(params = []) () =
   let sync () = Obs.Trace.set_now obs (t0 + !cycles) in
   let loads = ref 0 and stores = ref 0 in
   let mem_accesses = ref 0 in
-  let caps = match cfg.isa with Cheri_rv64 -> Some (derive_caps layout) | Rv64 -> None in
+  (* A buffer's handle is its index among the layout's bindings. *)
+  let bufs = Array.of_list (Memops.Layout.bindings layout) in
+  let caps = match cfg.isa with Cheri_rv64 -> Some (derive_caps bufs) | Rv64 -> None in
   let charge_cheri_traffic () =
     match cfg.isa with
     | Cheri_rv64 ->
@@ -89,47 +87,49 @@ let run ?(obs = Obs.Trace.null) cfg mem kernel layout ?(params = []) () =
         if !mem_accesses mod cfg.cheri_reg_traffic_period = 0 then incr cycles
     | Rv64 -> incr mem_accesses
   in
-  let cheri_check name ~addr ~size kind =
+  let cheri_check h ~addr ~size kind =
     match caps with
     | None -> ()
     | Some caps -> (
-        let cap = Hashtbl.find caps name in
-        match Cheri.Cap.access_ok cap ~addr ~size kind with
+        match Cheri.Cap.access_ok caps.(h) ~addr ~size kind with
         | Ok () -> ()
         | Error e ->
             raise
               (Kernel.Interp.Aborted
-                 (Printf.sprintf "CHERI CPU trap on %s: %s" name
+                 (Printf.sprintf "CHERI CPU trap on %s: %s"
+                    bufs.(h).decl.Kernel.Ir.buf_name
                     (Cheri.Cap.error_to_string e))))
+  in
+  (* One element access: checked, counted and charged; its address. *)
+  let access h idx kind count =
+    let b = bufs.(h) in
+    let addr = Memops.Layout.elem_addr b idx in
+    cheri_check h ~addr ~size:(Kernel.Ir.elem_bytes b.decl.Kernel.Ir.elem) kind;
+    incr count;
+    charge_cheri_traffic ();
+    sync ();
+    cycles := !cycles + Cache.access cache ~addr;
+    addr
   in
   let machine =
     {
-      Kernel.Interp.load =
-        (fun name ~idx ~dependent:_ ->
+      Kernel.Interp.buffer =
+        (fun name ->
           let b = Memops.Layout.find layout name in
-          let addr = Memops.Layout.elem_addr b idx in
-          let size = Kernel.Ir.elem_bytes b.decl.Kernel.Ir.elem in
-          cheri_check name ~addr ~size Cheri.Cap.Read;
-          incr loads;
-          charge_cheri_traffic ();
-          sync ();
-          cycles := !cycles + Cache.access cache ~addr;
-          Memops.Layout.read_elem mem b.decl.Kernel.Ir.elem ~addr);
+          Option.get (Array.find_index (fun b' -> b' == b) bufs));
+      load =
+        (fun h ~idx ~dependent:_ ->
+          let addr = access h idx Cheri.Cap.Read loads in
+          Memops.Layout.read_elem mem bufs.(h).decl.Kernel.Ir.elem ~addr);
       store =
-        (fun name ~idx value ->
-          let b = Memops.Layout.find layout name in
-          let addr = Memops.Layout.elem_addr b idx in
-          let size = Kernel.Ir.elem_bytes b.decl.Kernel.Ir.elem in
-          cheri_check name ~addr ~size Cheri.Cap.Write;
-          incr stores;
-          charge_cheri_traffic ();
-          sync ();
-          cycles := !cycles + Cache.access cache ~addr;
-          Memops.Layout.write_elem mem b.decl.Kernel.Ir.elem ~addr value);
+        (fun h ~idx value ->
+          let addr = access h idx Cheri.Cap.Write stores in
+          Memops.Layout.write_elem mem bufs.(h).decl.Kernel.Ir.elem ~addr value;
+          true);
       copy =
         (fun ~dst ~src ~elems ->
-          let db = Memops.Layout.find layout dst in
-          let sb = Memops.Layout.find layout src in
+          let db = bufs.(dst) in
+          let sb = bufs.(src) in
           let width = Kernel.Ir.elem_bytes sb.decl.Kernel.Ir.elem in
           let bytes = elems * width in
           cheri_check src ~addr:sb.base ~size:bytes Cheri.Cap.Read;
@@ -140,7 +140,8 @@ let run ?(obs = Obs.Trace.null) cfg mem kernel layout ?(params = []) () =
           cycles := !cycles + ((bytes + w - 1) / w);
           sync ();
           cycles := !cycles + Cache.touch_range cache ~addr:sb.base ~size:bytes;
-          cycles := !cycles + Cache.touch_range cache ~addr:db.base ~size:bytes);
+          cycles := !cycles + Cache.touch_range cache ~addr:db.base ~size:bytes;
+          true);
       tick = (fun c n -> cycles := !cycles + (n * cost_of cfg c));
       param =
         (fun name ->

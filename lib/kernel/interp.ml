@@ -4,12 +4,17 @@ exception Aborted of string
 exception Fuel_exhausted
 
 type machine = {
-  load : string -> idx:int -> dependent:bool -> Value.t;
-  store : string -> idx:int -> Value.t -> unit;
-  copy : dst:string -> src:string -> elems:int -> unit;
+  buffer : string -> int;
+  load : int -> idx:int -> dependent:bool -> Value.t;
+  store : int -> idx:int -> Value.t -> bool;
+  copy : dst:int -> src:int -> elems:int -> bool;
   tick : cost -> int -> unit;
   param : string -> Value.t;
 }
+
+(* Physically unique, like [unbound] below: no kernel value is ever
+   mistaken for it. *)
+let pending : Value.t = Value.VI (Sys.opaque_identity 0)
 
 let cost_of_binop : Ir.binop -> cost = function
   | Add | Sub | Band | Bor | Bxor | Shl | Shr
@@ -79,9 +84,6 @@ let eval_unop : Ir.unop -> Value.t -> Value.t =
   | I2f -> fun a -> VF (float_of_int (as_int a))
   | F2i -> fun a -> VI (int_of_float (as_float a))
 
-let zero_of elem : Value.t =
-  if Ir.elem_is_float elem then Value.VF 0.0 else Value.VI 0
-
 (* The value of a local that has not been assigned yet: physically unique,
    so no kernel value is ever mistaken for it. *)
 let unbound : Value.t = Value.VI (Sys.opaque_identity 0)
@@ -96,11 +98,27 @@ let scratch_set name a idx value =
     raise (Aborted (Printf.sprintf "scratch %s index %d out of bounds" name idx))
   else Array.unsafe_set a idx value
 
-(* [run] compiles the kernel to closures over one array of local slots, then
-   runs them.  Everything that depends only on the kernel — slot numbers,
-   scratch arrays, dependent flags, cost classes, constants — is decided
-   here, once; every machine callback happens at run time, in tree order. *)
-let run ?(fuel = 100_000_000) (k : Ir.t) m =
+(* A compiled kernel: a flat array of steps over one frame of locals.  A
+   step runs straight-line code and returns the index of the next step,
+   [finished], or [stopped pc] when the machine call of step [pc] answered
+   pending; resuming runs step [pc] again. *)
+type t = {
+  steps : (Value.t array -> int) array;
+  frame : Value.t array;
+  last : int;  (* the step that answers [finished] *)
+  mutable pc : int;
+}
+
+let finished = -1
+let stopped pc = -2 - pc
+
+(* What a site's steps hand each other: a machine call's operands and
+   answer, a loop's counter and bound. *)
+type cell = { mutable value : Value.t; mutable n : int; mutable hi : int }
+
+(* Everything that depends only on the kernel is decided here, once; every
+   machine callback happens at run time, in tree order. *)
+let start ?(fuel = 100_000_000) (k : Ir.t) m =
   let slots : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let slot name =
     match Hashtbl.find_opt slots name with
@@ -113,10 +131,46 @@ let run ?(fuel = 100_000_000) (k : Ir.t) m =
   let scratch : (string, Value.t array) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (b : Ir.buf_decl) ->
-      Hashtbl.add scratch b.buf_name (Array.make b.len (zero_of b.elem)))
+      let zero = if Ir.elem_is_float b.elem then Value.VF 0.0 else Value.VI 0 in
+      Hashtbl.add scratch b.buf_name (Array.make b.len zero))
     k.scratch;
-  let tick = m.tick in
-  let fuel_left = ref fuel in
+  let tick = m.tick and fuel_left = ref fuel in
+  let code = ref [||] and here = ref 0 in
+  let emit step =
+    if !here = Array.length !code then begin
+      let grown = Array.make (2 * Int.max 32 !here) step in
+      Array.blit !code 0 grown 0 !here;
+      code := grown
+    end;
+    !code.(!here) <- step;
+    incr here
+  in
+  (* A jump target is placed once the step it names is emitted. *)
+  let label () = ref (-1) in
+  let place l = l := !here in
+  let cell () = { value = unbound; n = 0; hi = 0 } in
+  let step act =
+    let pc = !here in
+    emit (fun env ->
+        act env;
+        pc + 1)
+  in
+  (* A machine call: a step that evaluates its operands into the site's
+     cell, then the call's own step, which a stop repeats. *)
+  let call operands attempt =
+    step operands;
+    let pc = !here in
+    emit (fun _ -> if attempt () then pc + 1 else stopped pc)
+  in
+  let dma b = not (Hashtbl.mem scratch b) in
+  let rec calls : Ir.exp -> bool = function
+    | Int _ | Flt _ | Var _ | Param _ -> false
+    | Load (b, idx) -> dma b || calls idx
+    | Bin (_, x, y) -> calls x || calls y
+    | Un (_, x) -> calls x
+  in
+  (* [exp e] emits the steps of [e]'s machine calls and returns a reader of
+     the rest, evaluated after them. *)
   let rec exp (e : Ir.exp) : Value.t array -> Value.t =
     match e with
     | Int n ->
@@ -141,11 +195,16 @@ let run ?(fuel = 100_000_000) (k : Ir.t) m =
               tick Sram 1;
               scratch_get b a idx
         | None ->
-            let dependent = Ir.contains_load idx_exp in
-            fun env -> m.load b ~idx:(Value.as_int (idx_of env)) ~dependent)
+            let h = m.buffer b and dependent = Ir.contains_load idx_exp and c = cell () in
+            call
+              (fun env -> c.n <- Value.as_int (idx_of env))
+              (fun () ->
+                c.value <- m.load h ~idx:c.n ~dependent;
+                c.value != pending);
+            fun _ -> c.value)
     | Bin (op, x, y) ->
         let f = eval_binop op and cost = cost_of_binop op in
-        let x = exp x and y = exp y in
+        let x, y = pair x y in
         fun env ->
           let a = x env in
           let b = y env in
@@ -157,112 +216,185 @@ let run ?(fuel = 100_000_000) (k : Ir.t) m =
           let a = x env in
           tick cost 1;
           f a
+  (* Readers of [x] then [y].  When [y] calls the machine, [x] is held in a
+     step of its own before [y]'s steps, unless it is a constant or a
+     call's answer, which no later step changes. *)
+  and pair x_exp y_exp =
+    let x = exp x_exp in
+    let stable = match x_exp with Int _ | Flt _ -> true | Load (b, _) -> dma b | _ -> false in
+    if stable || not (calls y_exp) then (x, exp y_exp)
+    else begin
+      let c = cell () in
+      step (fun env -> c.value <- x env);
+      (fun _ -> c.value), exp y_exp
+    end
   in
-  let rec stmt (s : Ir.stmt) : Value.t array -> unit =
+  (* A branch's tick, then its condition: true goes on to the next step,
+     false to [no].  Returns the step a loop's back edge re-enters at. *)
+  let branch ~fueled cond no =
+    let ticked = calls cond and top = !here in
+    if ticked then step (fun _ -> tick Branch 1);
+    let cond = exp cond in
+    let pc = !here in
+    emit (fun env ->
+        if not ticked then tick Branch 1;
+        if Value.truthy (cond env) then begin
+          if fueled then begin
+            decr fuel_left;
+            if !fuel_left <= 0 then raise Fuel_exhausted
+          end;
+          pc + 1
+        end
+        else !no);
+    top
+  in
+  let rec stmt (s : Ir.stmt) =
     match s with
     | Let (name, e) ->
-        let s = slot name and e = exp e in
-        fun env -> env.(s) <- e env
+        let e = exp e in
+        let s = slot name and pc = !here in
+        emit (fun env ->
+            env.(s) <- e env;
+            pc + 1)
     | Store (b, idx_exp, value_exp) -> (
-        let idx_of = exp idx_exp and value_of = exp value_exp in
+        let idx_of, value_of = pair idx_exp value_exp in
         match Hashtbl.find_opt scratch b with
         | Some a ->
-            fun env ->
-              let idx = Value.as_int (idx_of env) in
-              let value = value_of env in
-              tick Sram 1;
-              scratch_set b a idx value
+            step (fun env ->
+                let idx = Value.as_int (idx_of env) in
+                let value = value_of env in
+                tick Sram 1;
+                scratch_set b a idx value)
         | None ->
-            fun env ->
-              let idx = Value.as_int (idx_of env) in
-              m.store b ~idx (value_of env))
+            let h = m.buffer b and c = cell () in
+            call
+              (fun env ->
+                c.n <- Value.as_int (idx_of env);
+                c.value <- value_of env)
+              (fun () -> m.store h ~idx:c.n c.value))
     | For (var, lo_exp, hi_exp, body) ->
-        let s = slot var and lo_of = exp lo_exp and hi_of = exp hi_exp in
-        let body = block body in
-        fun env ->
-          let lo = Value.as_int (lo_of env) in
-          let hi = Value.as_int (hi_of env) in
-          (* C semantics: the variable is assigned [lo] even for a zero-trip
-             loop and holds [hi] afterwards; writes to it from the body do
-             not affect the trip count. *)
-          env.(s) <- Value.VI lo;
-          for j = lo to hi - 1 do
-            env.(s) <- Value.VI j;
+        (* C semantics: the variable is assigned [lo] even for a zero-trip
+           loop and holds [max lo hi] afterwards; writes to it from the body
+           do not affect the trip count, which the loop's cell keeps. *)
+        let lo_of, hi_of = pair lo_exp hi_exp in
+        let s = slot var and c = cell () and exit = label () and head = !here in
+        let enter env j =
+          env.(s) <- Value.VI j;
+          if j < c.hi then begin
+            c.n <- j;
             tick Branch 1;
-            body env
-          done;
-          env.(s) <- Value.VI (Int.max lo hi)
+            head + 1
+          end
+          else !exit
+        in
+        emit (fun env ->
+            let lo = Value.as_int (lo_of env) in
+            c.hi <- Value.as_int (hi_of env);
+            enter env lo);
+        block body;
+        emit (fun env -> enter env (c.n + 1));
+        place exit
     | While (cond, body) ->
-        let cond = exp cond and body = block body in
-        fun env ->
-          tick Branch 1;
-          while Value.truthy (cond env) do
-            decr fuel_left;
-            if !fuel_left <= 0 then raise Fuel_exhausted;
-            body env;
-            tick Branch 1
-          done
+        let exit = label () in
+        let top = branch ~fueled:true cond exit in
+        block body;
+        emit (fun _ -> top);
+        place exit
     | If (cond, then_, else_) ->
-        let cond = exp cond and then_ = block then_ and else_ = block else_ in
-        fun env ->
-          tick Branch 1;
-          if Value.truthy (cond env) then then_ env else else_ env
+        let else_l = label () in
+        ignore (branch ~fueled:false cond else_l : int);
+        block then_;
+        if else_ = [] then place else_l
+        else begin
+          let end_l = label () in
+          emit (fun _ -> !end_l);
+          place else_l;
+          block else_;
+          place end_l
+        end
     | Memcpy { dst; src; elems } -> (
-        let elems = exp elems in
+        let elems = exp elems and c = cell () in
         let length env =
           let n = Value.as_int (elems env) in
           if n < 0 then raise (Aborted "memcpy with negative length");
           n
         in
         (* Copies touching scratch lower to element transfers: one side is a
-           DMA stream, the other is internal BRAM. *)
+           DMA stream, the other is internal BRAM.  Each element is one run
+           of the loop's step, so a stop repeats only its call. *)
+        let elements ticks move =
+          step (fun env ->
+              c.hi <- length env;
+              c.n <- 0;
+              tick Sram (ticks * c.hi));
+          let pc = !here in
+          emit (fun _ ->
+              if c.n = c.hi then pc + 1
+              else if move c.n then begin
+                c.n <- c.n + 1;
+                pc
+              end
+              else stopped pc)
+        in
         match (Hashtbl.find_opt scratch dst, Hashtbl.find_opt scratch src) with
-        | None, None -> fun env -> m.copy ~dst ~src ~elems:(length env)
+        | None, None ->
+            let dst = m.buffer dst and src = m.buffer src in
+            call (fun env -> c.n <- length env) (fun () -> m.copy ~dst ~src ~elems:c.n)
         | Some d, Some sa ->
-            fun env ->
-              let n = length env in
-              tick Sram (2 * n);
-              for idx = 0 to n - 1 do
-                scratch_set dst d idx (scratch_get src sa idx)
-              done
+            elements 2 (fun idx ->
+                scratch_set dst d idx (scratch_get src sa idx);
+                true)
         | Some d, None ->
-            fun env ->
-              let n = length env in
-              tick Sram n;
-              for idx = 0 to n - 1 do
-                scratch_set dst d idx (m.load src ~idx ~dependent:false)
-              done
+            let h = m.buffer src in
+            elements 1 (fun idx ->
+                let value = m.load h ~idx ~dependent:false in
+                value != pending
+                && begin
+                     scratch_set dst d idx value;
+                     true
+                   end)
         | None, Some sa ->
-            fun env ->
-              let n = length env in
-              tick Sram n;
-              for idx = 0 to n - 1 do
-                m.store dst ~idx (scratch_get src sa idx)
-              done)
-  and block stmts =
-    match Array.of_list (List.map stmt stmts) with
-    | [| s |] -> s
-    | body ->
-        fun env ->
-          for j = 0 to Array.length body - 1 do
-            (Array.unsafe_get body j) env
-          done
-  in
-  let body = block k.body in
-  body (Array.make (Hashtbl.length slots) unbound)
+            let h = m.buffer dst in
+            elements 1 (fun idx -> m.store h ~idx (scratch_get src sa idx)))
+  and block stmts = List.iter stmt stmts in
+  block k.body;
+  let last = !here in
+  emit (fun _ -> finished);
+  { steps = !code;
+    frame = Array.make (Hashtbl.length slots) unbound;
+    last;
+    pc = 0 }
+
+let resume t =
+  let steps = t.steps and frame = t.frame in
+  let pc = ref t.pc in
+  while !pc >= 0 do
+    pc := (Array.unsafe_get steps !pc) frame
+  done;
+  t.pc <- (if !pc = finished then t.last else -2 - !pc);
+  !pc = finished
+
+let run ?fuel k m =
+  if not (resume (start ?fuel k m)) then
+    invalid_arg "Kernel.Interp.run: a machine call answered pending"
 
 let pure_machine ~bufs ?(params = []) () =
-  let arr name =
-    match List.assoc name bufs with
-    | a -> a
-    | exception Not_found -> invalid_arg ("pure_machine: unknown buffer " ^ name)
-  in
+  let arrays = Array.of_list (List.map snd bufs) in
   {
-    load = (fun b ~idx ~dependent:_ -> (arr b).(idx));
-    store = (fun b ~idx value -> (arr b).(idx) <- value);
+    buffer =
+      (fun name ->
+        match List.find_index (fun (b, _) -> b = name) bufs with
+        | Some h -> h
+        | None -> invalid_arg ("pure_machine: unknown buffer " ^ name));
+    load = (fun b ~idx ~dependent:_ -> arrays.(b).(idx));
+    store =
+      (fun b ~idx value ->
+        arrays.(b).(idx) <- value;
+        true);
     copy =
       (fun ~dst ~src ~elems ->
-        Array.blit (arr src) 0 (arr dst) 0 elems);
+        Array.blit arrays.(src) 0 arrays.(dst) 0 elems;
+        true);
     tick = (fun _ _ -> ());
     param =
       (fun name ->

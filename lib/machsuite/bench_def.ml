@@ -57,18 +57,16 @@ let compute_golden t =
       (fun (decl : Kernel.Ir.buf_decl) -> (decl.buf_name, initial_array t decl))
       t.kernel.Kernel.Ir.bufs
   in
-  let elem_of =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (d : Kernel.Ir.buf_decl) -> Hashtbl.add tbl d.buf_name d.elem)
-      t.kernel.Kernel.Ir.bufs;
-    fun name -> Hashtbl.find tbl name
+  (* [arrays] follows the declarations, so a buffer's handle is its
+     declaration index. *)
+  let elems =
+    Array.of_list (List.map (fun (d : Kernel.Ir.buf_decl) -> d.elem) t.kernel.Kernel.Ir.bufs)
   in
   let pure = Kernel.Interp.pure_machine ~bufs:arrays ~params:t.params () in
   let machine =
     { pure with
       Kernel.Interp.store =
-        (fun name ~idx value -> pure.Kernel.Interp.store name ~idx (narrow (elem_of name) value))
+        (fun b ~idx value -> pure.Kernel.Interp.store b ~idx (narrow elems.(b) value))
     }
   in
   Kernel.Interp.run t.kernel machine;

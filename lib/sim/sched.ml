@@ -43,21 +43,7 @@ type t = {
   mutable seq : int;
   mutable clock : int;
   on_advance : int -> unit;
-  suspending : suspending;
-  suspend_eff : unit Effect.t;  (* [Suspend suspending], performed as is *)
-  mutable wake : (unit -> unit) -> unit;
-      (* [wait_until]'s register hook: schedules at [suspending.wake_at] *)
 }
-
-(* The one suspension in flight on a scheduler.  [suspend] fills it and
-   performs; the owning process's handler reads it back before anything
-   else runs, so one slot per scheduler serves every process. *)
-and suspending = {
-  mutable register : (unit -> unit) -> unit;
-  mutable wake_at : int;  (* [wait_until]'s target, read by [wake] *)
-}
-
-type _ Effect.t += Suspend : suspending -> unit Effect.t
 
 let now t = t.clock
 
@@ -160,26 +146,18 @@ let at t ~cycle fn = push t ~cycle ~rank:0 fn
 let at_rank t ~cycle ~rank fn = push t ~cycle ~rank fn
 
 let create ?(on_advance = ignore) () =
-  let suspending = { register = ignore; wake_at = 0 } in
-  let t =
-    {
-      heap = Array.make 64 nil;
-      hsize = 0;
-      heads = Array.make (wheel_size * wheel_ranks) nil;
-      tails = Array.make (wheel_size * wheel_ranks) nil;
-      counts = Array.make wheel_size 0;
-      wcount = 0;
-      cursor = 0;
-      seq = 0;
-      clock = 0;
-      on_advance;
-      suspending;
-      suspend_eff = Suspend suspending;
-      wake = ignore;
-    }
-  in
-  t.wake <- (fun resume -> at t ~cycle:suspending.wake_at resume);
-  t
+  {
+    heap = Array.make 64 nil;
+    hsize = 0;
+    heads = Array.make (wheel_size * wheel_ranks) nil;
+    tails = Array.make (wheel_size * wheel_ranks) nil;
+    counts = Array.make wheel_size 0;
+    wcount = 0;
+    cursor = 0;
+    seq = 0;
+    clock = 0;
+    on_advance;
+  }
 
 (* First event of the occupied bucket whose first chain index is [base], in
    (rank, seq) order: the chains are rank-split and appended in seq order.
@@ -251,52 +229,3 @@ let run_steps t n =
 let run t = ignore (run_steps t max_int)
 
 let pending t = t.wcount + t.hsize
-
-(* ---- processes ----
-
-   A suspension allocates nothing of its own.  The effect value is the
-   scheduler's preallocated [suspend_eff]; the register hook travels in the
-   scheduler's [suspending] slot; each process owns one handler result and
-   one resume thunk, built at [spawn], and parks its continuation in a
-   mutable slot between suspensions.  What remains per suspension is the
-   runtime's continuation block and the [Some] holding it. *)
-
-let spawn t ~at:cycle body =
-  let parked = ref None in
-  let resume () =
-    match !parked with
-    | Some k ->
-        parked := None;
-        Effect.Deep.continue k ()
-    | None -> invalid_arg "Sched: resume called while the process runs"
-  in
-  let handle =
-    Some
-      (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        parked := Some k;
-        t.suspending.register resume)
-  in
-  at t ~cycle (fun () ->
-      Effect.Deep.match_with body ()
-        {
-          retc = Fun.id;
-          exnc = raise;
-          effc =
-            (fun (type a) (eff : a Effect.t) :
-                 ((a, unit) Effect.Deep.continuation -> unit) option ->
-              match eff with
-              | Suspend s when s == t.suspending -> handle
-              | _ -> None);
-        })
-
-let suspend t register =
-  t.suspending.register <- register;
-  Effect.perform t.suspend_eff
-
-let wait_until t ~cycle =
-  if cycle > t.clock then begin
-    t.suspending.wake_at <- cycle;
-    suspend t t.wake
-  end
-
-let wait t n = if n > 0 then wait_until t ~cycle:(t.clock + n)

@@ -219,9 +219,9 @@ let verified sys g (a : Driver.allocated) denied =
   | Some (_, correct) -> correct
   | None -> verify sys.System.mem g.g_bench a.Driver.handle.Driver.layout
 
-(* Event-driven compute phase: one engine driver per task (a script cursor
-   or an interpreting process), all contending for the bus through a round-robin arbiter on a shared discrete-event
-   timeline.  The scheduler's clock is mirrored into the observability sink
+(* Event-driven compute phase: one engine cursor per task (fed by its
+   script or by the interpreter), all contending for the bus through a
+   round-robin arbiter on a shared discrete-event timeline.  The scheduler's clock is mirrored into the observability sink
    so guard and bus events carry their true cycles.  Whatever a task's
    source, a stateful checker sees the real interleaving of checks across
    instances. *)

@@ -155,16 +155,17 @@ let spec_access t ~src ~obj ~off ~len ~write =
    exactly the unjustified kind (a bit inherited across evict/install). *)
 
 let check_exn_hygiene t ~cycle =
-  List.iter
-    (fun (task, obj) ->
-      if not t.denied_since.(key t ~task ~obj) then
-        violate t ~cycle p_ghost
-          (Printf.sprintf
-             "entry (task %d, obj %d) reports an exception but no denial hit \
-              it since its install"
-             task obj))
-    (Capchecker.Table.entries_with_exceptions
-       (Capchecker.Checker.table t.central))
+  let table = Capchecker.Checker.table t.central in
+  if Capchecker.Table.exception_count table > 0 then
+    List.iter
+      (fun (task, obj) ->
+        if not t.denied_since.(key t ~task ~obj) then
+          violate t ~cycle p_ghost
+            (Printf.sprintf
+               "entry (task %d, obj %d) reports an exception but no denial hit \
+                it since its install"
+               task obj))
+      (Capchecker.Table.entries_with_exceptions table)
 
 (* ---- boot ---- *)
 

@@ -49,12 +49,14 @@ let bursts accesses =
   let mem, heap = make_env () in
   let layout = layout_for heap k in
   let r = Accel.Script.Recorder.create ~extents:[| 4096 |] in
+  (* At one op per cycle, each access's gap is the ops since the last. *)
+  let ops = ref 0 in
   List.iter
     (fun (gap, kind, dependent, off, size) ->
-      Accel.Script.Recorder.access r ~gap ~kind ~buf:0 ~off ~size ~dependent
-        ~ops:0)
+      ops := !ops + gap;
+      Accel.Script.Recorder.access r ~kind ~buf:0 ~off ~size ~dependent ~ops:!ops)
     accesses;
-  match Accel.Script.Recorder.finalize r ~total_ops:0 ~complete:true with
+  match Accel.Script.Recorder.finalize r ~ipc:1.0 ~total_ops:!ops ~complete:true with
   | None -> Alcotest.fail "script did not record"
   | Some script ->
       (Accel.Engine.run ~mem ~bus ~directives:Hls.Directives.default

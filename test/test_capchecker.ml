@@ -85,6 +85,14 @@ let slot_exn t ~task ~obj capability =
   | Table.Table_full -> Alcotest.fail "table full"
   | Table.Rejected_untagged -> Alcotest.fail "rejected"
 
+(* Live entries flagged with an exception; the table's incremental count
+   must agree with the list it summarizes. *)
+let flagged c =
+  let t = Checker.table c in
+  let n = List.length (Table.entries_with_exceptions t) in
+  checki "exception count = flagged entries" n (Table.exception_count t);
+  n
+
 let test_table_eviction_clears_exception_bit () =
   (* Regression: eviction used to leave [exn_bit] set on the dead slot, so a
      task that reused the slot inherited the previous occupant's exception
@@ -93,14 +101,19 @@ let test_table_eviction_clears_exception_bit () =
   ignore (install_exn c ~task:1 ~obj:0 (cap 0x1000 64));
   ignore (Checker.check c (read_req ~port:0 ~source:1 ~addr:0x9999 ~size:8 ()));
   checki "bit set by the denial" 1
-    (List.length (Table.entries_with_exceptions (Checker.table c)));
+    (flagged c);
   checkb "evicted" true (Checker.evict c ~task:1 ~obj:0);
   checki "no ghost exception on a dead slot" 0
-    (List.length (Table.entries_with_exceptions (Checker.table c)));
+    (flagged c);
   (* The reused slot starts clean for its new occupant. *)
   ignore (install_exn c ~task:2 ~obj:0 (cap 0x2000 64));
   checki "reused slot starts clean" 0
-    (List.length (Table.entries_with_exceptions (Checker.table c)))
+    (flagged c);
+  (* A replacing install of the same key starts clean too. *)
+  ignore (Checker.check c (read_req ~port:0 ~source:2 ~addr:0x9999 ~size:8 ()));
+  checki "bit set again" 1 (flagged c);
+  ignore (install_exn c ~task:2 ~obj:0 (cap 0x2000 64));
+  checki "replaced entry starts clean" 0 (flagged c)
 
 let test_table_churn_no_ghost_exceptions () =
   (* Sustained install/deny/evict churn — including [evict_task] — must
@@ -114,14 +127,14 @@ let test_table_churn_no_ghost_exceptions () =
     checki
       (Printf.sprintf "round %d: only the live denied entry flagged" round)
       1
-      (List.length (Table.entries_with_exceptions (Checker.table c)));
+      (flagged c);
     if round mod 2 = 0 then checki "both entries revoked" 2 (Checker.evict_task c ~task)
     else begin
       checkb "evicted obj 0" true (Checker.evict c ~task ~obj:0);
       checkb "evicted obj 1" true (Checker.evict c ~task ~obj:1)
     end;
     checki (Printf.sprintf "round %d: clean after revocation" round) 0
-      (List.length (Table.entries_with_exceptions (Checker.table c)));
+      (flagged c);
     checki "empty between rounds" 0 (Table.live_count (Checker.table c))
   done
 
@@ -334,7 +347,7 @@ let test_exception_flag_and_log () =
   checki "task 1 logged" 1 (List.length (Checker.exception_log_for c ~task:1));
   checki "task 2 clean" 0 (List.length (Checker.exception_log_for c ~task:2));
   checki "entry bit set" 1
-    (List.length (Table.entries_with_exceptions (Checker.table c)));
+    (flagged c);
   Checker.clear_exception_flag c;
   checkb "flag cleared" false (Checker.exception_flag c);
   checki "log survives the flag" 1 (List.length (Checker.exception_log c))

@@ -222,11 +222,13 @@ let test_soc_denial_mid_stream () =
          else [ Soc.Run.Event_driven ]))
     event_fabrics
 
-(* ---------------- event engine: script cursor == process ---------------- *)
+(* ------------ event engine: script cursor == interpreting cursor ------------ *)
 
-(* On the event engine a script-fed task is a cursor continued from
-   scheduler events, and an interpreted one a process that suspends at each
-   transaction.  Both must land on the same complete result record, on
+(* On the event engine every task is a cursor continued from scheduler
+   events; a script-fed one reads its entries from the script, an
+   interpreted one from the kernel interpreter stopped at each access (the
+   cases keep the names they had when that driver was a process).  Both
+   must land on the same complete result record, on
    every interconnect column the benchmark measures (shared and crossbar
    with central checking, crossbar and hierarchy with per-source shims).
    sort_merge carries DMA copies, so the cursor's copy phases are covered;
@@ -237,7 +239,7 @@ let interconnect_columns =
     (Bus.Topology.Crossbar { banks = 4 }, Capchecker.Shim.Distributed);
     (Bus.Topology.Hierarchical { clusters = 4 }, Capchecker.Shim.Distributed) ]
 
-let test_event_cursor_matches_process () =
+let test_event_script_matches_interpreter () =
   Soc.Fastpath.clear ();
   List.iter
     (fun name ->
@@ -263,10 +265,10 @@ let test_event_cursor_matches_process () =
         interconnect_columns)
     [ "kmp"; "aes"; "spmv_crs"; "sort_merge" ]
 
-(* The same two drivers straight through [Accel.Engine.run_event], where a
+(* The same two feeds straight through [Accel.Engine.run_event], where a
    fault plan or a stateful guard can reach a script-fed task: the script
-   cursor and the interpreting process must agree outcome for outcome
-   and beat for beat. *)
+   cursor and the interpreting cursor must agree outcome for outcome and
+   beat for beat. *)
 let engine_task ~mem ~heap (bench : Machsuite.Bench_def.t) instance =
   let kernel = bench.kernel in
   let layout =
@@ -321,15 +323,15 @@ let record_script (bench : Machsuite.Bench_def.t) =
   | Some script -> script
   | None -> Alcotest.fail (bench.name ^ ": no script")
 
-let check_cursor_matches_process ?faults ~kind ~tasks ~guard bench =
+let check_script_matches_interpreter ?faults ~kind ~tasks ~guard bench =
   let script = record_script bench in
   let cursor, cursor_beats =
     event_run ?faults ~kind ~tasks ~guard bench (Accel.Engine.Replay script)
-  and process, process_beats =
+  and interpreted, interpreted_beats =
     event_run ?faults ~kind ~tasks ~guard bench Accel.Engine.Interpret
   in
-  checkb "outcomes: cursor == process" true (cursor = process);
-  checki "beats: cursor == process" process_beats cursor_beats;
+  checkb "outcomes: script == interpreter" true (cursor = interpreted);
+  checki "beats: script == interpreter" interpreted_beats cursor_beats;
   cursor
 
 (* Every bus response is an error: each task spends its retry budget on its
@@ -341,7 +343,7 @@ let test_event_cursor_retry_budget () =
     (fun (kind, bus_error_prob) ->
       let faults = { Fault.Plan.none with seed = 5; bus_error_prob } in
       let outcomes =
-        check_cursor_matches_process ~faults ~kind ~tasks:4
+        check_script_matches_interpreter ~faults ~kind ~tasks:4
           ~guard:(fun () -> Guard.Iface.pass_through) bench
       in
       checkb "some task exhausted its retry budget" true
@@ -352,7 +354,7 @@ let test_event_cursor_retry_budget () =
 
 (* A guard that denies its 500th check, whichever task issues it: the
    stream stops mid-burst there, the burst already formed still drains, and
-   the cursor must stop at exactly the access the process does. *)
+   the script must stop at exactly the access the interpreter does. *)
 let test_event_cursor_denial () =
   let counting () =
     let n = ref 0 in
@@ -366,7 +368,7 @@ let test_event_cursor_denial () =
   List.iter
     (fun (name, kind) ->
       let outcomes =
-        check_cursor_matches_process ~kind ~tasks:4 ~guard:counting
+        check_script_matches_interpreter ~kind ~tasks:4 ~guard:counting
           (Machsuite.Registry.find name)
       in
       checki (name ^ ": one task denied") 1
@@ -514,7 +516,7 @@ let suite =
     Alcotest.test_case "soc: denial mid-stream, fast == interpretive" `Quick
       test_soc_denial_mid_stream;
     Alcotest.test_case "event: script cursor == process (interconnect columns)"
-      `Quick test_event_cursor_matches_process;
+      `Quick test_event_script_matches_interpreter;
     Alcotest.test_case "event: script cursor == process (retry budget spent)"
       `Quick test_event_cursor_retry_budget;
     Alcotest.test_case "event: script cursor == process (denial mid-stream)"

@@ -269,7 +269,7 @@ let prop_past_end_recorder =
         fun ~addr ~size ->
           let r = Accel.Script.Recorder.create ~extents:[| len |] in
           match
-            Accel.Script.Recorder.access r ~gap:0 ~kind:Iface.Read ~buf:0
+            Accel.Script.Recorder.access r ~kind:Iface.Read ~buf:0
               ~off:addr ~size ~dependent:false ~ops:0
           with
           | () -> true

@@ -362,6 +362,9 @@ let recording_machine h (pure : Interp.machine) =
     h := x lxor (x lsr 29)
   in
   let str s = int (Hashtbl.hash s) in
+  (* Calls name buffers by handle; the digest hashes their names. *)
+  let names = Hashtbl.create 8 in
+  let buf b = str (Hashtbl.find names b) in
   let value : Value.t -> unit = function
     | VI n -> int 1; int n
     | VF x ->
@@ -369,19 +372,24 @@ let recording_machine h (pure : Interp.machine) =
         int 2; int (Int64.to_int bits); int (Int64.to_int (Int64.shift_right_logical bits 32))
   in
   {
-    Interp.load =
-      (fun name ~idx ~dependent ->
-        int (Char.code 'L'); str name; int idx; int (Bool.to_int dependent);
-        let x = pure.load name ~idx ~dependent in
+    Interp.buffer =
+      (fun name ->
+        let b = pure.buffer name in
+        Hashtbl.replace names b name;
+        b);
+    load =
+      (fun b ~idx ~dependent ->
+        int (Char.code 'L'); buf b; int idx; int (Bool.to_int dependent);
+        let x = pure.load b ~idx ~dependent in
         value x;
         x);
     store =
-      (fun name ~idx x ->
-        int (Char.code 'S'); str name; int idx; value x;
-        pure.store name ~idx x);
+      (fun b ~idx x ->
+        int (Char.code 'S'); buf b; int idx; value x;
+        pure.store b ~idx x);
     copy =
       (fun ~dst ~src ~elems ->
-        int (Char.code 'C'); str dst; str src; int elems;
+        int (Char.code 'C'); buf dst; buf src; int elems;
         pure.copy ~dst ~src ~elems);
     tick = (fun c n -> int (Char.code 'T'); int (Char.code (cost_tag c)); int n);
     param =
@@ -392,14 +400,44 @@ let recording_machine h (pure : Interp.machine) =
         x);
   }
 
+let bench_bufs (bd : Machsuite.Bench_def.t) =
+  List.map
+    (fun (d : buf_decl) -> (d.buf_name, Machsuite.Bench_def.initial_array bd d))
+    bd.kernel.bufs
+
 (* [pure_machine] over a registry bench's initial buffers and params. *)
 let bench_machine (bd : Machsuite.Bench_def.t) =
-  let bufs =
-    List.map
-      (fun (d : buf_decl) -> (d.buf_name, Machsuite.Bench_def.initial_array bd d))
-      bd.kernel.bufs
+  Interp.pure_machine ~bufs:(bench_bufs bd) ~params:bd.params ()
+
+(* The accelerator model's shape: every load, store and copy answers
+   pending on its first try and reaches [m] on its retry, which must be the
+   same call.  [stops] counts the pending answers. *)
+let pending_machine stops (m : Interp.machine) =
+  let first = ref None in
+  let call key ~retry =
+    match !first with
+    | None ->
+        first := Some key;
+        incr stops;
+        false
+    | Some k ->
+        if k <> key then Alcotest.fail "a retry is not the call that answered pending";
+        first := None;
+        retry ()
   in
-  Interp.pure_machine ~bufs ~params:bd.params ()
+  { m with
+    Interp.load =
+      (fun b ~idx ~dependent ->
+        let value = ref Interp.pending in
+        ignore
+          (call ('L', b, idx, Bool.to_int dependent) ~retry:(fun () ->
+               value := m.load b ~idx ~dependent;
+               true));
+        !value);
+    store = (fun b ~idx x -> call ('S', b, idx, 0) ~retry:(fun () -> m.store b ~idx x));
+    copy =
+      (fun ~dst ~src ~elems ->
+        call ('C', dst, src, elems) ~retry:(fun () -> m.copy ~dst ~src ~elems)) }
 
 let test_call_sequence_digest () =
   let h = ref 0 in
@@ -410,6 +448,96 @@ let test_call_sequence_digest () =
   checki "every registry bench" 19 (List.length Machsuite.Registry.all);
   Alcotest.(check string) "call-sequence digest" call_sequence_golden
     (Printf.sprintf "%016x" !h)
+
+(* Every registry bench on [pending_machine], resumed from a queue until it
+   finishes: the same callbacks in the same order (the pinned digest), and
+   the same final buffers as a run on [pure_machine] that never stops. *)
+let test_pending_at_every_access () =
+  let h = ref 0 and stops = ref 0 and accesses = ref 0 in
+  let queue = Queue.create () in
+  List.iter
+    (fun (bd : Machsuite.Bench_def.t) ->
+      let bufs = bench_bufs bd in
+      let m = Interp.pure_machine ~bufs ~params:bd.params () in
+      Queue.add (Interp.start bd.kernel (pending_machine stops (recording_machine h m))) queue;
+      while not (Queue.is_empty queue) do
+        let k = Queue.pop queue in
+        if not (Interp.resume k) then Queue.add k queue
+      done;
+      let reference = bench_bufs bd in
+      let pure = Interp.pure_machine ~bufs:reference ~params:bd.params () in
+      Interp.run bd.kernel
+        { pure with
+          Interp.load = (fun b ~idx ~dependent -> incr accesses; pure.load b ~idx ~dependent);
+          store = (fun b ~idx x -> incr accesses; pure.store b ~idx x);
+          copy = (fun ~dst ~src ~elems -> incr accesses; pure.copy ~dst ~src ~elems) };
+      List.iter2
+        (fun (name, got) (_, want) ->
+          checkb (bd.name ^ ": " ^ name ^ " as on pure_machine") true
+            (Array.for_all2 Value.equal got want))
+        bufs reference)
+    Machsuite.Registry.all;
+  checki "every access stopped once" !accesses !stops;
+  Alcotest.(check string) "call-sequence digest" call_sequence_golden
+    (Printf.sprintf "%016x" !h)
+
+(* A loop whose condition loads a DMA buffer: a scan to a zero sentinel.
+   Every trip must run the condition's branch tick and its load at the
+   current index, on a machine that never stops and on one that stops at
+   every access. *)
+let test_while_condition_loads () =
+  let k =
+    simple "scan" ~bufs:[ buf ~writable:false "a" I64 6; buf "out" I64 2 ]
+      [
+        let_ "j" (i 0);
+        let_ "sum" (i 0);
+        while_ (ld "a" (v "j") <>: i 0)
+          [ let_ "sum" (v "sum" +: ld "a" (v "j")); let_ "j" (v "j" +: i 1) ];
+        store "out" (i 0) (v "j");
+        store "out" (i 1) (v "sum");
+      ]
+  in
+  let trip j = [ "Tb"; Printf.sprintf "La%d" j; "Ta" ] in
+  let expected =
+    List.concat_map (fun j -> trip j @ [ Printf.sprintf "La%d" j; "Ta"; "Ta" ]) [ 0; 1; 2 ]
+    @ trip 3 @ [ "Sout0=3"; "Sout1=15" ]
+  in
+  let run stopping =
+    let log = ref [] in
+    let say s = log := s :: !log in
+    let arrays =
+      [ ("a", Array.map (fun x -> Value.VI x) [| 5; 3; 7; 0; 9; 1 |]);
+        ("out", Array.make 2 (Value.VI 0)) ]
+    in
+    let pure = Interp.pure_machine ~bufs:arrays () in
+    let name b = fst (List.nth arrays b) in
+    let logged =
+      { pure with
+        Interp.load =
+          (fun b ~idx ~dependent ->
+            say (Printf.sprintf "L%s%d" (name b) idx);
+            pure.load b ~idx ~dependent);
+        store =
+          (fun b ~idx x ->
+            say (Printf.sprintf "S%s%d=%d" (name b) idx (Value.as_int x));
+            pure.store b ~idx x);
+        tick = (fun c _ -> say (Printf.sprintf "T%c" (cost_tag c))) }
+    in
+    let stops = ref 0 in
+    (if stopping then begin
+       let t = Interp.start k (pending_machine stops logged) in
+       while not (Interp.resume t) do () done
+     end
+     else Interp.run k logged);
+    Alcotest.(check (list string))
+      (Printf.sprintf "callbacks (stopping %b)" stopping) expected (List.rev !log);
+    Alcotest.(check (list int))
+      (Printf.sprintf "final j and sum (stopping %b)" stopping) [ 3; 15 ]
+      (Array.to_list (Array.map Value.as_int (List.assoc "out" arrays)));
+    checki "one stop per access" (if stopping then 9 else 0) !stops
+  in
+  run false;
+  run true
 
 (* Allocation budget: the interpreter resolves locals, buffers and costs
    before it runs, so an executed op (one machine callback) allocates little
@@ -423,8 +551,8 @@ let test_allocation_budget () =
       let ops = ref 0 in
       let m =
         {
-          Interp.load =
-            (fun b ~idx ~dependent -> incr ops; pure.load b ~idx ~dependent);
+          Interp.buffer = pure.buffer;
+          load = (fun b ~idx ~dependent -> incr ops; pure.load b ~idx ~dependent);
           store = (fun b ~idx x -> incr ops; pure.store b ~idx x);
           copy = (fun ~dst ~src ~elems -> incr ops; pure.copy ~dst ~src ~elems);
           tick = (fun _ _ -> incr ops);
@@ -491,6 +619,8 @@ let suite =
     ("for body assigns loop var", `Quick, test_for_body_assigns_loop_var);
     ("fuel exhaustion ticks", `Quick, test_fuel_exhaustion_ticks);
     ("call-sequence digest", `Quick, test_call_sequence_digest);
+    ("pending at every access", `Quick, test_pending_at_every_access);
+    ("while condition loads dma", `Quick, test_while_condition_loads);
     ("allocation budget", `Quick, test_allocation_budget);
   ]
   @ qsuite

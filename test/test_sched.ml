@@ -59,50 +59,67 @@ let test_on_advance_monotone () =
   Alcotest.(check (list int))
     "one callback per distinct cycle, increasing" [ 2; 7 ] (List.rev !cycles)
 
-let test_process_wait () =
+(* A model that waits keeps its position in its own state and schedules its
+   continuation: [n] cycles on for a wait, at once for a zero wait, and at
+   a past cycle (clamped to now) for an instant already reached. *)
+let test_cursor_wait () =
   let s = Ccsim.Sched.create () in
   let log = ref [] in
-  Ccsim.Sched.spawn s ~at:1 (fun () ->
-      log := ("a", Ccsim.Sched.now s) :: !log;
-      Ccsim.Sched.wait s 4;
-      log := ("b", Ccsim.Sched.now s) :: !log;
-      Ccsim.Sched.wait s 0;
-      log := ("c", Ccsim.Sched.now s) :: !log;
-      Ccsim.Sched.wait_until s ~cycle:3;
-      log := ("d", Ccsim.Sched.now s) :: !log);
+  let phase = ref 0 in
+  let rec k () =
+    let now = Ccsim.Sched.now s in
+    incr phase;
+    match !phase with
+    | 1 ->
+        log := ("a", now) :: !log;
+        Ccsim.Sched.at s ~cycle:(now + 4) k
+    | 2 ->
+        log := ("b", now) :: !log;
+        k ()
+    | 3 ->
+        log := ("c", now) :: !log;
+        Ccsim.Sched.at s ~cycle:3 k
+    | _ -> log := ("d", now) :: !log
+  in
+  Ccsim.Sched.at s ~cycle:1 k;
   Ccsim.Sched.run s;
   Alcotest.(check (list (pair string int)))
-    "waits advance the process, no-ops don't"
+    "waits advance the cursor, no-ops don't"
     [ ("a", 1); ("b", 5); ("c", 5); ("d", 5) ]
     (List.rev !log)
 
-let test_process_suspend_resume () =
+(* A cursor hands its continuation to another model (as a flow's driver
+   does) and is continued from that model's later event. *)
+let test_cursor_handoff () =
   let s = Ccsim.Sched.create () in
-  let resume_slot = ref None in
+  let handed = ref ignore in
   let finished_at = ref (-1) in
-  Ccsim.Sched.spawn s ~at:0 (fun () ->
-      Ccsim.Sched.suspend s (fun resume -> resume_slot := Some resume);
-      finished_at := Ccsim.Sched.now s);
-  Ccsim.Sched.at s ~cycle:9 (fun () -> (Option.get !resume_slot) ());
+  Ccsim.Sched.at s ~cycle:0 (fun () ->
+      handed := fun () -> finished_at := Ccsim.Sched.now s);
+  Ccsim.Sched.at s ~cycle:9 (fun () -> !handed ());
   Ccsim.Sched.run s;
-  checki "resumed at the resuming event's cycle" 9 !finished_at
+  checki "continued at the continuing event's cycle" 9 !finished_at
 
 let test_interleaving () =
   let s = Ccsim.Sched.create () in
   let log = ref [] in
-  let proc name period =
-    Ccsim.Sched.spawn s ~at:0 (fun () ->
-        for _ = 1 to 3 do
-          Ccsim.Sched.wait s period;
-          log := (name, Ccsim.Sched.now s) :: !log
-        done)
+  let cursor name period =
+    let trips = ref 0 in
+    let rec k () =
+      if !trips > 0 then log := (name, Ccsim.Sched.now s) :: !log;
+      if !trips < 3 then begin
+        incr trips;
+        Ccsim.Sched.at s ~cycle:(Ccsim.Sched.now s + period) k
+      end
+    in
+    Ccsim.Sched.at s ~cycle:0 k
   in
-  proc "fast" 2;
-  proc "slow" 3;
+  cursor "fast" 2;
+  cursor "slow" 3;
   Ccsim.Sched.run s;
   Alcotest.(check (list (pair string int)))
-    "two processes interleave deterministically"
-    (* Both hit cycle 6; "slow" scheduled its resumption first (at cycle 3,
+    "two cursors interleave deterministically"
+    (* Both hit cycle 6; "slow" scheduled its continuation first (at cycle 3,
        vs. cycle 4), so the stable tie-break runs it first. *)
     [ ("fast", 2); ("slow", 3); ("fast", 4); ("slow", 6); ("fast", 6);
       ("slow", 9) ]
@@ -112,7 +129,7 @@ let test_interleaving () =
 
 (* A branching workload over both event stores: near rank-0/1/3 events land
    in the calendar wheel, far (>= 4096 cycles ahead) and rank-5 events in the
-   heap, and a process waits across wheel laps.  Each event logs the cycle
+   heap, and a cursor waits across wheel laps.  Each event logs the cycle
    it ran at and the order it was scheduled in (its sequence number). *)
 let reset_workload s =
   let log = ref [] in
@@ -145,11 +162,15 @@ let reset_workload s =
   for _ = 1 to 4 do
     schedule 0
   done;
-  Ccsim.Sched.spawn s ~at:3 (fun () ->
-      for i = 1 to 3 do
-        Ccsim.Sched.wait s (i * 2000);
-        log := (Ccsim.Sched.now s, -i) :: !log
-      done);
+  let waits = ref 0 in
+  let rec wait () =
+    if !waits > 0 then log := (Ccsim.Sched.now s, - !waits) :: !log;
+    if !waits < 3 then begin
+      incr waits;
+      Ccsim.Sched.at s ~cycle:(Ccsim.Sched.now s + (!waits * 2000)) wait
+    end
+  in
+  Ccsim.Sched.at s ~cycle:3 wait;
   Ccsim.Sched.run s;
   List.rev !log
 
@@ -413,11 +434,11 @@ let test_event_mode_faulted_invariant () =
 
 (* ---- allocation budget of the event core's transaction path ---- *)
 
-(* 12,000 mixed transactions with non-zero gaps from [sources] processes,
-   each issuing through its own [Flow] on a fresh [kind] fabric; returns the
-   minor words the scheduler run allocated per transaction.  Everything
-   built before [Sched.run] (the fabric, the flows, the process closures)
-   is outside the measurement. *)
+(* 12,000 mixed transactions with non-zero gaps from [sources] cursors,
+   each submitting through its own [Flow] on a fresh [kind] fabric; returns
+   the minor words the scheduler run allocated per transaction.  Everything
+   built before [Sched.run] (the fabric, the flows, the cursor closures) is
+   outside the measurement. *)
 let words_per_transaction kind ~sources =
   let total = 12_000 in
   let sched = Ccsim.Sched.create () in
@@ -426,18 +447,23 @@ let words_per_transaction kind ~sources =
   for src = 0 to sources - 1 do
     let issue = Accel.Issue.create ~start:0 ~max_outstanding:4 () in
     let flow = Accel.Flow.create ~sched ~ic ~src issue in
-    Ccsim.Sched.spawn sched ~at:0 (fun () ->
-        for i = 0 to (total / sources) - 1 do
-          let op =
-            match i mod 3 with
-            | 0 -> Accel.Trace.Write
-            | 1 -> Accel.Trace.Stream_read
-            | _ -> Accel.Trace.Dep_read
-          in
-          Accel.Flow.issue flow ~target:((src + i) mod targets)
-            ~gap:(1 + (i mod 3)) ~op ~beats:(1 + (i mod 4)) ~latency:2
-            ~then_wait:(i mod 2)
-        done)
+    let next = ref 0 in
+    let rec k () =
+      let i = !next in
+      if i < total / sources then begin
+        next := i + 1;
+        let op =
+          match i mod 3 with
+          | 0 -> Accel.Trace.Write
+          | 1 -> Accel.Trace.Stream_read
+          | _ -> Accel.Trace.Dep_read
+        in
+        Accel.Flow.submit flow ~k ~target:((src + i) mod targets)
+          ~gap:(1 + (i mod 3)) ~op ~beats:(1 + (i mod 4)) ~latency:2
+          ~then_wait:(i mod 2)
+      end
+    in
+    Ccsim.Sched.at sched ~cycle:0 k
   done;
   let before = Gc.minor_words () in
   Ccsim.Sched.run sched;
@@ -465,9 +491,7 @@ let test_flow_allocation_budget () =
    gaps, and DMA copies every 50th entry) from [sources] instances.  The
    script cursor is continued from scheduler events and from the flow, so
    the only thing it may allocate is the scheduler's six-word events: at
-   most 6 words per event plus 2 words of slack per transaction.  It is
-   never spawned as a process, so a stray [Sched.suspend] on this path
-   would raise [Effect.Unhandled] instead of passing unnoticed.  Returns
+   most 6 words per event plus 2 words of slack per transaction.  Returns
    (words, events) per transaction. *)
 let cursor_words_per_transaction kind ~sources =
   let total = 12_000 in
@@ -487,25 +511,27 @@ let cursor_words_per_transaction kind ~sources =
          kernel.bufs)
   in
   let r = Accel.Script.Recorder.create ~extents:[| 32768; 32768 |] in
-  let transactions = ref 0 and i = ref 0 in
+  (* At one op per cycle, each transaction's gap is the ops since the
+     previous one. *)
+  let transactions = ref 0 and i = ref 0 and ops = ref 0 in
   while !transactions < total / sources do
-    let gap = 1 + (!i mod 3) in
+    ops := !ops + 1 + (!i mod 3);
     if !i mod 50 = 49 then begin
       (* 128 bytes = 16 beats: one read/write burst pair *)
-      Accel.Script.Recorder.copy r ~gap ~bytes:128 ~src:0 ~dst:1 ~ops:!i;
+      Accel.Script.Recorder.copy r ~bytes:128 ~src:0 ~dst:1 ~ops:!ops;
       transactions := !transactions + 2
     end
     else begin
-      Accel.Script.Recorder.access r ~gap
+      Accel.Script.Recorder.access r
         ~kind:(if !i mod 3 = 1 then Guard.Iface.Write else Guard.Iface.Read)
         ~buf:(!i mod 2) ~off:(8 * (!i mod 4096)) ~size:8
-        ~dependent:(!i mod 3 = 2) ~ops:!i;
+        ~dependent:(!i mod 3 = 2) ~ops:!ops;
       incr transactions
     end;
     incr i
   done;
   let script =
-    Option.get (Accel.Script.Recorder.finalize r ~total_ops:!i ~complete:true)
+    Option.get (Accel.Script.Recorder.finalize r ~ipc:1.0 ~total_ops:!ops ~complete:true)
   in
   let sched = Ccsim.Sched.create () in
   let ic = Bus.Topology.create ~sched ~kind Bus.Params.default in
@@ -552,9 +578,9 @@ let suite =
     ("rank within cycle", `Quick, test_rank_orders_within_cycle);
     ("past cycle clamped", `Quick, test_past_cycle_clamped);
     ("on_advance monotone", `Quick, test_on_advance_monotone);
-    ("process wait", `Quick, test_process_wait);
-    ("process suspend/resume", `Quick, test_process_suspend_resume);
-    ("process interleaving", `Quick, test_interleaving);
+    ("cursor wait", `Quick, test_cursor_wait);
+    ("cursor handoff", `Quick, test_cursor_handoff);
+    ("cursor interleaving", `Quick, test_interleaving);
     ("reset: same trace as fresh", `Quick, test_reset_matches_fresh);
     ("reset: keeps on_advance", `Quick, test_reset_keeps_on_advance);
     ("differential: all benches single-instance", `Slow,
