@@ -26,6 +26,10 @@ val round : base:int -> top:int -> int * int
 val is_exact : base:int -> top:int -> bool
 (** True when [round ~base ~top = (base, top)]. *)
 
+val exact_exponent : base:int -> top:int -> int
+(** The exponent {!encode_bounds} would use when [is_exact ~base ~top], and
+    -1 otherwise; allocates nothing. *)
+
 val encode_bounds : base:int -> top:int -> int * int * int
 (** [(e, b_low, len_m)] for representable bounds; raises [Invalid_argument]
     when the bounds are not exactly representable. *)
@@ -33,6 +37,10 @@ val encode_bounds : base:int -> top:int -> int * int * int
 val decode_bounds : addr:int -> e:int -> b_low:int -> len_m:int -> int * int
 (** Reconstruct [(base, top)].  Exact when the original address satisfied
     [base <= addr <= top]. *)
+
+val decode_base : addr:int -> e:int -> b_low:int -> int
+(** The [base] of {!decode_bounds}, without the pair; its [top] is
+    [base + (len_m lsl e)]. *)
 
 val malloc_shape : length:int -> int * int
 (** [(align, padded_length)] such that any [align]-aligned base gives exactly

@@ -73,6 +73,15 @@ let with_perms c p =
   let* () = check_derivable c in
   Ok { c with perms = Perms.inter p c.perms }
 
+let restrict c ~base ~length ~perms =
+  let top = base + length in
+  if
+    length < 0 || base < 0 || length > max_address - base || not c.tag
+    || is_sealed c || base < c.base || top > c.top
+    || Bounds_enc.exact_exponent ~base ~top < 0
+  then invalid_arg "Cap.restrict: region not exactly derivable"
+  else { c with base; top; addr = base; perms = Perms.inter perms c.perms }
+
 let seal_with c ~sealer =
   let* () = check_derivable c in
   let* () = check_derivable sealer in

@@ -76,6 +76,13 @@ val with_perms : t -> Perms.t -> (t, error) result
 (** [with_perms c p] intersects permissions (CAndPerm): the result carries
     [inter p c.perms].  Fails on untagged or sealed input. *)
 
+val restrict : t -> base:int -> length:int -> perms:Perms.t -> t
+(** [restrict c ~base ~length ~perms] is [set_bounds_exact] then
+    [with_perms perms], for a caller that shaped the region to be exactly
+    representable inside [c] (the driver, which pads every buffer with
+    {!Bounds_enc.malloc_shape}): it allocates only the result.
+    @raise Invalid_argument where either step would return an error. *)
+
 val seal_with : t -> sealer:t -> (t, error) result
 (** Seal [c] with the sealing capability [sealer]: the result's otype is
     [sealer.addr], which must be a valid nonzero otype within [sealer]'s
@@ -105,6 +112,6 @@ val to_string : t -> string
 val unsafe_make :
   tag:bool -> perms:Perms.t -> otype:int -> base:int -> top:int -> addr:int -> t
 (** Forge an arbitrary capability, bypassing every check.  Exists for two
-    legitimate users only: {!Compress.decode} and attack construction in the
+    legitimate users only: {!Compress.decode}/{!Compress.load} and attack construction in the
     security test-bench (a forged capability must be expressible in order to
     show it is rejected).  Never used by the driver or CapChecker. *)

@@ -23,6 +23,16 @@ val decode : tag:bool -> words -> Cap.t
     [c.base, c.top] and [tag = c.tag] — the round-trip property tested in the
     suite. *)
 
+val store : Cap.t -> Bytes.t -> int -> unit
+(** [store c buf off] writes [encode c] as 16 little-endian bytes: the low
+    word at [off], the high word at [off + 8] — the order of a capability in
+    memory and in the CapChecker's staging registers.  Allocates nothing;
+    raises [Invalid_argument] where {!encode} does. *)
+
+val load : tag:bool -> Bytes.t -> int -> Cap.t
+(** [load ~tag buf off] is {!decode} of the 16 bytes {!store} writes at
+    [off]; it allocates only the capability. *)
+
 val zero : words
 (** All-zero bits (what a scrubbed capability slot holds). *)
 

@@ -54,6 +54,8 @@ let create ?(entries = 256) ?(obs = Obs.Trace.null) ?(log_capacity = default_log
 
 let on_update t f = t.listeners <- t.listeners @ [ f ]
 
+(* Callers test [listeners] first, so a checker nobody replicates builds no
+   update record per table change. *)
 let notify t u = List.iter (fun f -> f u) t.listeners
 
 let mode t = t.mode
@@ -174,7 +176,7 @@ let install t ~task ~obj cap =
   | Table.Installed slot ->
       if Obs.Trace.enabled t.obs then
         Obs.Trace.emit t.obs (Obs.Event.Table_insert { task; obj; slot });
-      notify t (Up_install { task; obj })
+      if t.listeners <> [] then notify t (Up_install { task; obj })
   | Table.Table_full | Table.Rejected_untagged -> ());
   result
 
@@ -183,7 +185,7 @@ let evict t ~task ~obj =
   if evicted then begin
     if Obs.Trace.enabled t.obs then
       Obs.Trace.emit t.obs (Obs.Event.Table_evict { task; obj; count = 1 });
-    notify t (Up_evict { task; obj })
+    if t.listeners <> [] then notify t (Up_evict { task; obj })
   end;
   evicted
 
@@ -192,7 +194,7 @@ let evict_task t ~task =
   if count > 0 then begin
     if Obs.Trace.enabled t.obs then
       Obs.Trace.emit t.obs (Obs.Event.Table_evict { task; obj = -1; count });
-    notify t (Up_evict_task { task })
+    if t.listeners <> [] then notify t (Up_evict_task { task })
   end;
   count
 

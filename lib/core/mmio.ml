@@ -1,18 +1,12 @@
 type t = {
   checker : Checker.t;
-  mutable staged_lo : int64;
-  mutable staged_hi : int64;
+  regs : Bytes.t;
+      (* CAP_LO, CAP_HI and KEY, little-endian at their own offsets: the
+         staged capability is the 16-byte image at CAP_LO, and no register
+         word is ever boxed *)
   mutable staged_tag : bool;
-  mutable key : int64;
   mutable rejected : bool;
-  mutable reported : int;  (* exceptions already drained via EXC_KEY *)
 }
-
-let create checker =
-  { checker; staged_lo = 0L; staged_hi = 0L; staged_tag = false; key = 0L;
-    rejected = false; reported = 0 }
-
-let checker t = t.checker
 
 let window_bytes = 4096
 
@@ -23,6 +17,12 @@ let reg_key = 0x18
 let reg_command = 0x20
 let reg_status = 0x28
 let reg_exc_key = 0x30
+
+let create checker =
+  { checker; regs = Bytes.make (reg_key + 8) '\000'; staged_tag = false;
+    rejected = false }
+
+let checker t = t.checker
 
 let cmd_install = 1L
 let cmd_evict = 2L
@@ -38,18 +38,24 @@ let split_key key =
   ( Int64.to_int (Int64.shift_right_logical key 32) land 0xffff_ffff,
     Int64.to_int (Int64.logand key 0xffff_ffffL) )
 
-let staged_capability t =
-  Cheri.Compress.decode ~tag:t.staged_tag
-    { Cheri.Compress.hi = t.staged_hi; lo = t.staged_lo }
+(* The KEY register's halves, as [split_key] reads them. *)
+let key_task t = Int32.to_int (Bytes.get_int32_le t.regs (reg_key + 4)) land 0xffff_ffff
+let key_obj t = Int32.to_int (Bytes.get_int32_le t.regs reg_key) land 0xffff_ffff
+
+(* KEY := [key_of ~task ~obj], one 32-bit half at a time. *)
+let set_key t ~task ~obj =
+  Bytes.set_int32_le t.regs reg_key (Int32.of_int obj);
+  Bytes.set_int32_le t.regs (reg_key + 4) (Int32.of_int task)
 
 let execute t command =
-  let task, obj = split_key t.key in
+  let task = key_task t and obj = key_obj t in
   if Int64.equal command cmd_install then
     (* The key register is 32+32 bits wide, wider than the table's key
        range: a key the table cannot hold is refused like a full table. *)
     if not (Table.packable ~task ~obj) then t.rejected <- true
     else
-      match Checker.install t.checker ~task ~obj (staged_capability t) with
+      let staged = Cheri.Compress.load ~tag:t.staged_tag t.regs reg_cap_lo in
+      match Checker.install t.checker ~task ~obj staged with
       | Table.Installed _ -> t.rejected <- false
       | Table.Table_full | Table.Rejected_untagged -> t.rejected <- true
   else if Int64.equal command cmd_evict then
@@ -66,18 +72,22 @@ let check_offset offset =
   if offset < 0 || offset >= window_bytes || offset mod 8 <> 0 then
     invalid_arg (Printf.sprintf "Capchecker.Mmio: bad register offset 0x%x" offset)
 
-let write t ~offset value =
-  check_offset offset;
+let trace_write t offset =
   let obs = Checker.obs t.checker in
   if Obs.Trace.enabled obs then
-    Obs.Trace.emit obs (Obs.Event.Mmio_write { offset });
-  if offset = reg_cap_lo then begin
+    Obs.Trace.emit obs (Obs.Event.Mmio_write { offset })
+
+let trace_read t offset =
+  let obs = Checker.obs t.checker in
+  if Obs.Trace.enabled obs then
+    Obs.Trace.emit obs (Obs.Event.Mmio_read { offset })
+
+let write t ~offset value =
+  check_offset offset;
+  trace_write t offset;
+  if offset = reg_cap_lo || offset = reg_cap_hi then begin
     (* Raw word writes can never set the tag (see stage_raw). *)
-    t.staged_lo <- value;
-    t.staged_tag <- false
-  end
-  else if offset = reg_cap_hi then begin
-    t.staged_hi <- value;
+    Bytes.set_int64_le t.regs offset value;
     t.staged_tag <- false
   end
   else if offset = reg_cap_tag then
@@ -85,14 +95,12 @@ let write t ~offset value =
        interconnect's tag wire asserted; plain writes request tag=0.  A
        nonzero write is therefore ignored unless staged via stage_cap. *)
     (if Int64.equal (Int64.logand value 1L) 0L then t.staged_tag <- false)
-  else if offset = reg_key then t.key <- value
+  else if offset = reg_key then Bytes.set_int64_le t.regs reg_key value
   else if offset = reg_command then execute t value
 
 let read t ~offset =
   check_offset offset;
-  let obs = Checker.obs t.checker in
-  if Obs.Trace.enabled obs then
-    Obs.Trace.emit obs (Obs.Event.Mmio_read { offset });
+  trace_read t offset;
   if offset = reg_status then begin
     let flag = if Checker.exception_flag t.checker then 1L else 0L in
     let rej = if t.rejected then 2L else 0L in
@@ -101,34 +109,42 @@ let read t ~offset =
     in
     Int64.logor live (Int64.logor flag rej)
   end
-  else if offset = reg_exc_key then begin
-    (* Drain per-entry exception keys oldest-first. *)
-    let keys = Table.entries_with_exceptions (Checker.table t.checker) in
-    match List.nth_opt keys t.reported with
-    | Some (task, obj) ->
-        t.reported <- t.reported + 1;
-        key_of ~task ~obj
+  else if offset = reg_exc_key then
+    match Table.report_exception (Checker.table t.checker) with
+    | Some (task, obj) -> key_of ~task ~obj
     | None -> -1L
-  end
   else 0L
 
 let stage_cap t cap =
-  let words = Cheri.Compress.encode cap in
-  t.staged_lo <- words.Cheri.Compress.lo;
-  t.staged_hi <- words.Cheri.Compress.hi;
+  Cheri.Compress.store cap t.regs reg_cap_lo;
   t.staged_tag <- cap.Cheri.Cap.tag
 
 let stage_raw t ~lo ~hi =
-  t.staged_lo <- lo;
-  t.staged_hi <- hi;
+  Bytes.set_int64_le t.regs reg_cap_lo lo;
+  Bytes.set_int64_le t.regs reg_cap_hi hi;
   t.staged_tag <- false
 
 let last_rejected t = t.rejected
 
+(* The driver's sequences write the same registers, and trace the same
+   accesses, as [write]/[read] would, with the key kept in ints. *)
+
 let install t ~task ~obj cap =
   stage_cap t cap;
-  write t ~offset:reg_key (key_of ~task ~obj);
-  write t ~offset:reg_command cmd_install;
+  trace_write t reg_key;
+  set_key t ~task ~obj;
+  trace_write t reg_command;
+  execute t cmd_install;
   if t.rejected then
     Error "CapChecker MMIO: install rejected (table full or untagged)"
   else Ok ()
+
+let evict_task t ~task =
+  trace_write t reg_key;
+  set_key t ~task ~obj:0;
+  trace_write t reg_command;
+  execute t cmd_evict_task
+
+let exception_pending t =
+  trace_read t reg_status;
+  Checker.exception_flag t.checker

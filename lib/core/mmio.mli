@@ -5,7 +5,10 @@
     This module is that register file: a word-addressed window decoded into
     the operations of {!Checker}.  {!Driver} programs the hardware through
     these registers; the cycle costs it charges are exactly one bus write per
-    register touched.
+    register touched.  The registers are stored as bytes, so the driver's
+    sequences ({!install}, {!evict_task}, {!exception_pending}) box no
+    register word: a warm install allocates only the capability it decodes
+    from the staging registers and what the table keeps for it.
 
     Register map (64-bit registers, byte offsets from the window base):
 
@@ -21,8 +24,10 @@
     0x28  STATUS      read:  bit 0 = global exception flag
                              bit 1 = last command rejected (full/untagged)
                              [63:32] = live entry count
-    0x30  EXC_KEY     read:  oldest unreported exception's task/object key
-                             (format of KEY; all-ones when none)
+    0x30  EXC_KEY     read:  key (format of KEY) of the lowest-numbered
+                             table slot whose exception bit is set and
+                             not yet read here; all-ones when none.
+                             Each setting of a bit is read once.
     v}
 
     A malicious or buggy agent writing garbage through this window cannot
@@ -84,5 +89,11 @@ val split_key : int64 -> int * int
 val install : t -> task:int -> obj:int -> Cheri.Cap.t -> (unit, string) result
 (** The full register sequence (stage + key + command + status check);
     costs 5 register accesses on the bus. *)
+
+val evict_task : t -> task:int -> unit
+(** KEY := (task, 0), COMMAND := evict-task: the teardown sequence. *)
+
+val exception_pending : t -> bool
+(** A STATUS read, returning its bit 0 (the global exception flag). *)
 
 val last_rejected : t -> bool

@@ -1,9 +1,11 @@
+type exn_state = No_exception | Unreported | Reported
+
 type entry = {
   mutable cap : Cheri.Cap.t;
   mutable task : int;
   mutable obj : int;
   mutable live : bool;
-  mutable exn_bit : bool;
+  mutable exn : exn_state;
 }
 
 (* Pressure counters are maintained inline so that long-horizon workloads
@@ -43,8 +45,9 @@ module Free_heap = struct
       i := (!i - 1) / 2
     done
 
+  (* The least free slot, or -1. *)
   let pop h =
-    if h.len = 0 then None
+    if h.len = 0 then -1
     else begin
       let top = h.data.(0) in
       h.len <- h.len - 1;
@@ -64,7 +67,7 @@ module Free_heap = struct
           else sifting := false
         done
       end;
-      Some top
+      top
     end
 end
 
@@ -102,12 +105,13 @@ type t = {
   mutable live : int;
   mutable peak : int;
   mutable exceptions : int;  (* live entries with the exception bit set *)
+  mutable max_obj : int;  (* highest object id ever installed *)
 }
 
 let create ~entries =
   assert (entries > 0);
   let fresh () =
-    { cap = Cheri.Cap.null; task = -1; obj = -1; live = false; exn_bit = false }
+    { cap = Cheri.Cap.null; task = -1; obj = -1; live = false; exn = No_exception }
   in
   let free = Free_heap.create entries in
   for idx = 0 to entries - 1 do
@@ -117,7 +121,7 @@ let create ~entries =
     index = Index.create (2 * entries);
     free;
     installs = 0; conflicts = 0; evictions = 0; rejected = 0; live = 0;
-    peak = 0; exceptions = 0 }
+    peak = 0; exceptions = 0; max_obj = -1 }
 
 let capacity t = Array.length t.slots
 
@@ -130,12 +134,37 @@ let stats t =
 
 type install_result = Installed of int | Table_full | Rejected_untagged
 
-(* Every exception bit changes here, so the count of set ones stays exact. *)
-let set_exn t e bit =
-  if e.exn_bit <> bit then begin
-    e.exn_bit <- bit;
-    t.exceptions <- (t.exceptions + if bit then 1 else -1)
+(* Every exception bit changes here, so the count of set ones stays exact.
+   Setting an already set bit is the same setting: it stays reported if it
+   was. *)
+let raise_exn t e =
+  if e.exn = No_exception then begin
+    e.exn <- Unreported;
+    t.exceptions <- t.exceptions + 1
   end
+
+let clear_exn t e =
+  if e.exn <> No_exception then begin
+    e.exn <- No_exception;
+    t.exceptions <- t.exceptions - 1
+  end
+
+(* Slot of a live key, or -1.  An unpackable key can never have been
+   installed. *)
+let find_slot t ~task ~obj =
+  if not (packable ~task ~obj) then -1
+  else match Index.find t.index (key ~task ~obj) with
+    | idx -> idx
+    | exception Not_found -> -1
+
+(* [find_slot] for installs and [evict_task]'s probes, where a miss is the
+   common case: a membership test costs less than a raised [Not_found].
+   Lookups keep [find_slot], since a granted check hits. *)
+let live_slot t ~task ~obj =
+  if not (packable ~task ~obj) then -1
+  else
+    let k = key ~task ~obj in
+    if Index.mem t.index k then Index.find t.index k else -1
 
 let install t ~task ~obj cap =
   if not (packable ~task ~obj) then
@@ -147,37 +176,28 @@ let install t ~task ~obj cap =
     Rejected_untagged
   end
   else
-    let replacing, slot =
-      match Index.find_opt t.index (key ~task ~obj) with
-      | Some idx -> (true, Some idx)
-      | None -> (false, Free_heap.pop t.free)
-    in
-    match slot with
-    | None ->
-        t.conflicts <- t.conflicts + 1;
-        Table_full
-    | Some idx ->
-        let e = t.slots.(idx) in
-        e.cap <- cap;
-        e.task <- task;
-        e.obj <- obj;
-        e.live <- true;
-        set_exn t e false;
-        t.installs <- t.installs + 1;
-        if not replacing then begin
-          Index.replace t.index (key ~task ~obj) idx;
-          t.live <- t.live + 1;
-          if t.live > t.peak then t.peak <- t.live
-        end;
-        Installed idx
-
-(* Slot of a live key, or -1.  An unpackable key can never have been
-   installed. *)
-let find_slot t ~task ~obj =
-  if not (packable ~task ~obj) then -1
-  else match Index.find t.index (key ~task ~obj) with
-    | idx -> idx
-    | exception Not_found -> -1
+    let live_idx = live_slot t ~task ~obj in
+    let idx = if live_idx >= 0 then live_idx else Free_heap.pop t.free in
+    if idx < 0 then begin
+      t.conflicts <- t.conflicts + 1;
+      Table_full
+    end
+    else begin
+      let e = t.slots.(idx) in
+      e.cap <- cap;
+      e.task <- task;
+      e.obj <- obj;
+      e.live <- true;
+      clear_exn t e;
+      t.installs <- t.installs + 1;
+      if live_idx < 0 then begin
+        Index.replace t.index (key ~task ~obj) idx;
+        t.live <- t.live + 1;
+        if t.live > t.peak then t.peak <- t.live;
+        if obj > t.max_obj then t.max_obj <- obj
+      end;
+      Installed idx
+    end
 
 let lookup t ~task ~obj =
   match find_slot t ~task ~obj with
@@ -186,7 +206,7 @@ let lookup t ~task ~obj =
 
 let mark_exception t ~task ~obj =
   match lookup t ~task ~obj with
-  | Some e -> set_exn t e true
+  | Some e -> raise_exn t e
   | None -> ()
 
 let release_slot t idx =
@@ -195,7 +215,7 @@ let release_slot t idx =
   e.cap <- Cheri.Cap.null;
   (* A dead slot must not keep reporting an exception: the key may belong to a
      departed tenant, and the slot will be recycled for an unrelated one. *)
-  set_exn t e false;
+  clear_exn t e;
   Free_heap.push t.free idx
 
 let evict t ~task ~obj =
@@ -208,18 +228,32 @@ let evict t ~task ~obj =
       t.live <- t.live - 1;
       true
 
-(* A plain loop, no closure: this runs on every driver teardown. *)
+(* This runs on every driver teardown.  Object ids are small and dense in
+   practice (a task's buffers number from 0), so when every id ever
+   installed is well below the capacity, probing the index for each is
+   cheaper than scanning every slot; either way the same entries go. *)
 let evict_task t ~task =
   let n = ref 0 in
-  let slots = t.slots in
-  for idx = 0 to Array.length slots - 1 do
-    let e = slots.(idx) in
-    if e.live && e.task = task then begin
-      Index.remove t.index (key ~task ~obj:e.obj);
-      release_slot t idx;
-      incr n
-    end
-  done;
+  if 4 * (t.max_obj + 1) <= Array.length t.slots then
+    for obj = 0 to t.max_obj do
+      let idx = live_slot t ~task ~obj in
+      if idx >= 0 then begin
+        Index.remove t.index (key ~task ~obj);
+        release_slot t idx;
+        incr n
+      end
+    done
+  else begin
+    let slots = t.slots in
+    for idx = 0 to Array.length slots - 1 do
+      let e = slots.(idx) in
+      if e.live && e.task = task then begin
+        Index.remove t.index (key ~task ~obj:e.obj);
+        release_slot t idx;
+        incr n
+      end
+    done
+  end;
   t.evictions <- t.evictions + !n;
   t.live <- t.live - !n;
   !n
@@ -229,8 +263,24 @@ let exception_count t = t.exceptions
 let entries_with_exceptions t =
   Array.fold_left
     (fun acc (e : entry) ->
-      if e.live && e.exn_bit then (e.task, e.obj) :: acc else acc)
+      if e.live && e.exn <> No_exception then (e.task, e.obj) :: acc else acc)
     [] t.slots
   |> List.rev
+
+let report_exception t =
+  if t.exceptions = 0 then None
+  else
+    let slots = t.slots in
+    let rec from idx =
+      if idx = Array.length slots then None
+      else
+        let e = slots.(idx) in
+        if e.live && e.exn = Unreported then begin
+          e.exn <- Reported;
+          Some (e.task, e.obj)
+        end
+        else from (idx + 1)
+    in
+    from 0
 
 let iter_live t f = Array.iter (fun (e : entry) -> if e.live then f e) t.slots

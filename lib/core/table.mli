@@ -12,12 +12,16 @@
 
 type t
 
+(** An entry's exception bit, with whether {!report_exception} has returned
+    it since it was set. *)
+type exn_state = No_exception | Unreported | Reported
+
 type entry = private {
   mutable cap : Cheri.Cap.t;
   mutable task : int;
   mutable obj : int;
   mutable live : bool;
-  mutable exn_bit : bool;
+  mutable exn : exn_state;
 }
 
 val create : entries:int -> t
@@ -67,7 +71,10 @@ val evict : t -> task:int -> obj:int -> bool
 (** Evict one entry; false if absent. *)
 
 val evict_task : t -> task:int -> int
-(** Evict every entry of a task (deallocation, Fig. 6 ②); returns the count. *)
+(** Evict every entry of a task (deallocation, Fig. 6 ②); returns the count.
+    While the object ids ever installed stay below a quarter of
+    {!capacity}, it probes the index for each instead of scanning every
+    slot. *)
 
 val exception_count : t -> int
 (** Live entries whose exception bit is set, maintained incrementally
@@ -76,5 +83,12 @@ val exception_count : t -> int
 val entries_with_exceptions : t -> (int * int) list
 (** Live (task, obj) keys whose exception bit is set.  Eviction clears the
     bit, so a departed tenant's slot never reports a stale exception. *)
+
+val report_exception : t -> (int * int) option
+(** The (task, obj) key of the lowest-numbered live entry whose exception bit
+    is set and not yet reported, now marked reported: each setting of a bit
+    is returned exactly once.  Another denial on a set bit is the same
+    setting; eviction or reinstall clears the bit, so the next denial is a
+    new one.  [None] when every set bit has been reported. *)
 
 val iter_live : t -> (entry -> unit) -> unit

@@ -16,7 +16,14 @@
     - {b IOPMP}: allocate the task's buffers inside one contiguous arena and
       program a single region rule per task (the region file is tiny).
     - {b sNPU}: program one bounds-register pair per buffer inside the NPU.
-    - {b none}: nothing to program. *)
+    - {b none}: nothing to program.
+
+    The driver is on the path of every task, so with tracing off it costs
+    what the protection hardware does: the kernel's buffer shapes and object
+    numbering are planned once per kernel value, the heap and the
+    CapChecker's register window allocate nothing, and a warm
+    {!allocate}/{!deallocate} pair on the CapChecker allocates only the
+    bindings, the delegated capabilities and what the table keeps. *)
 
 module Backend = Backend
 (** Re-exported so users address everything through [Driver]. *)
@@ -61,8 +68,8 @@ val allocate : t -> Kernel.Ir.t -> (allocated, string) result
     buffers, program the backend and the pointer/control registers.  Fails
     when every instance is busy (the caller decides whether to stall) or the
     backend runs out of entries.  A failed allocation releases everything it
-    placed (buffers and partially installed protection state), so retrying is
-    always safe.
+    placed (buffers, including those placed before the heap ran out, and
+    partially installed protection state), so retrying is always safe.
 
     @raise Invalid_argument if the kernel fails {!Kernel.Ir.validate} — an
     ill-formed kernel is an API misuse, not a retryable condition.  Each

@@ -2,20 +2,30 @@ type binding = { decl : Kernel.Ir.buf_decl; base : int }
 
 (* A task holds a handful of buffers, so the bindings are kept once, sorted
    by base, and {!find} scans them: cheaper per allocation than a hash
-   table, and {!bindings} needs no re-sort on each teardown. *)
+   table, and {!bindings} needs no re-sort on each teardown.  [make] checks
+   and sorts without allocating when the list is already in base order,
+   which a first-fit heap gives every task placed into one free block. *)
 type t = binding list
 
+let rec named name = function
+  | [] -> false
+  | b :: rest -> String.equal b.decl.Kernel.Ir.buf_name name || named name rest
+
+let rec check_unique = function
+  | [] -> ()
+  | b :: rest ->
+      let name = b.decl.Kernel.Ir.buf_name in
+      if named name rest then invalid_arg ("Layout.make: duplicate buffer " ^ name);
+      check_unique rest
+
+let rec sorted = function
+  | a :: (b :: _ as rest) -> a.base <= b.base && sorted rest
+  | [ _ ] | [] -> true
+
 let make bindings =
-  let rec dup = function
-    | [] -> ()
-    | b :: rest ->
-        let name = b.decl.Kernel.Ir.buf_name in
-        if List.exists (fun b' -> String.equal b'.decl.Kernel.Ir.buf_name name) rest
-        then invalid_arg ("Layout.make: duplicate buffer " ^ name);
-        dup rest
-  in
-  dup bindings;
-  List.stable_sort (fun a b -> Int.compare a.base b.base) bindings
+  check_unique bindings;
+  if sorted bindings then bindings
+  else List.stable_sort (fun a b -> Int.compare a.base b.base) bindings
 
 let rec find_in name = function
   | [] -> raise Not_found

@@ -25,6 +25,37 @@ let tag : Event.data -> int = function
   | Task_fallback _ -> 16
   | Check_elided _ -> 17
 
+(* ---- The store: a ring of rows, in chunks allocated on first write ---- *)
+
+type t = {
+  capacity : int;
+  ints : int array array;      (* per chunk; [||] until first written *)
+  strs : string array array;   (* per chunk; [||] until a string is written *)
+  mutable next : int;          (* row the next push writes *)
+  mutable len : int;
+  mutable dropped : int;
+}
+
+let chunk_bits = 10
+let chunk_rows = 1 lsl chunk_bits
+
+let create ~capacity =
+  let chunks = (capacity + chunk_rows - 1) lsr chunk_bits in
+  { capacity; ints = Array.make chunks [||]; strs = Array.make chunks [||];
+    next = 0; len = 0; dropped = 0 }
+
+(* Rows in chunk [c]: the last chunk holds only the rows up to [capacity]. *)
+let chunk_len t c = min chunk_rows (t.capacity - (c lsl chunk_bits))
+
+let alloc_chunk t c = t.ints.(c) <- Array.make (chunk_len t c * width) 0
+
+(* Chunk [c]'s string slots.  Only four event kinds carry strings, so the
+   slots are allocated when the first of them lands in the chunk: a full
+   sink of numeric events holds 9 words a row instead of 11. *)
+let strings t c =
+  if Array.length t.strs.(c) = 0 then t.strs.(c) <- Array.make (2 * chunk_len t c) "";
+  t.strs.(c)
+
 (* Top-level setters: local closures over [ints] would allocate per emit. *)
 let set2 (ints : int array) b x y =
   ints.(b) <- x;
@@ -34,7 +65,7 @@ let set3 (ints : int array) b x y z =
   set2 ints b x y;
   ints.(b + 2) <- z
 
-let encode ints strs row (data : Event.data) =
+let encode t c ints row (data : Event.data) =
   let b = (row * width) + 2 and s = 2 * row in
   ints.(b - 1) <- tag data;
   match data with
@@ -48,22 +79,23 @@ let encode ints strs row (data : Event.data) =
   | Check_table_miss { task; obj } | Cap_import { task; obj } -> set2 ints b task obj
   | Check_denial { task; obj; detail } ->
       set2 ints b task obj;
-      strs.(s) <- detail
+      (strings t c).(s) <- detail
   | Table_insert { task; obj; slot } -> set3 ints b task obj slot
   | Table_evict { task; obj; count } -> set3 ints b task obj count
   | Cap_revoke { caps; entries } -> set2 ints b caps entries
   | Task_phase { task; phase; dur } ->
       set2 ints b task dur;
-      strs.(s) <- phase
+      (strings t c).(s) <- phase
   | Mmio_read { offset } | Mmio_write { offset } -> ints.(b) <- offset
   | Fault_injected { layer; kind; task } ->
       ints.(b) <- task;
+      let strs = strings t c in
       strs.(s) <- layer;
       strs.(s + 1) <- kind
   | Task_retry { task; attempt; backoff } -> set3 ints b task attempt backoff
   | Task_fallback { task; reason } ->
       ints.(b) <- task;
-      strs.(s) <- reason
+      (strings t c).(s) <- reason
   | Check_elided { task; count } -> set2 ints b task count
 
 let decode_data ints strs row : Event.data =
@@ -98,34 +130,9 @@ let sample tag =
   ints.(1) <- tag;
   decode_data ints [| ""; "" |] 0
 
-(* ---- The store: a ring of rows, in chunks allocated on first write ---- *)
-
-type t = {
-  capacity : int;
-  ints : int array array;      (* per chunk; [||] until first written *)
-  strs : string array array;
-  mutable next : int;          (* row the next push writes *)
-  mutable len : int;
-  mutable dropped : int;
-}
-
-let chunk_bits = 10
-let chunk_rows = 1 lsl chunk_bits
-
-let create ~capacity =
-  let chunks = (capacity + chunk_rows - 1) lsr chunk_bits in
-  { capacity; ints = Array.make chunks [||]; strs = Array.make chunks [||];
-    next = 0; len = 0; dropped = 0 }
-
 let capacity t = t.capacity
 let length t = t.len
 let dropped t = t.dropped
-
-(* The last chunk holds only the rows up to [capacity]. *)
-let alloc_chunk t c =
-  let rows = min chunk_rows (t.capacity - (c lsl chunk_bits)) in
-  t.ints.(c) <- Array.make (rows * width) 0;
-  t.strs.(c) <- Array.make (2 * rows) ""
 
 let push t ~cycle data =
   let row = t.next in
@@ -133,7 +140,7 @@ let push t ~cycle data =
   if Array.length t.ints.(c) = 0 then alloc_chunk t c;
   let ints = t.ints.(c) in
   ints.(r * width) <- cycle;
-  encode ints t.strs.(c) r data;
+  encode t c ints r data;
   t.next <- (if row + 1 = t.capacity then 0 else row + 1);
   if t.len < t.capacity then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
 

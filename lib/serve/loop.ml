@@ -74,17 +74,6 @@ let mean_service_cycles profiles (wl : Workload.params) =
   in
   max 1 (num / wsum wl.mix)
 
-(* Metric names of the three rejection reasons, built once. *)
-let reject_metric =
-  let name r = "serve.reject." ^ Admission.reason_label r in
-  let gone = name Admission.Gone
-  and inflight = name Admission.Inflight
-  and table = name Admission.Table in
-  function
-  | Admission.Gone -> gone
-  | Admission.Inflight -> inflight
-  | Admission.Table -> table
-
 (* Same-cycle lanes on the loop's scheduler (all below the wheel's rank
    count): arrivals, then the loop's own runtime events (CPU pump, service
    completion, teardown release), then requests, then departures.  Every
@@ -171,7 +160,7 @@ let run p =
     else gap * wl0.Workload.requests / 10
   in
   let wl = { wl0 with Workload.mean_gap = gap; ramp } in
-  let events = Workload.generate wl in
+  let stream = Workload.stream wl in
   let sys =
     Soc.System.create ~instances:p.sv_instances ~cc_entries:p.sv_cc_entries
       p.sv_config
@@ -206,6 +195,9 @@ let run p =
   let root_install_cycles = Checker.install_cycles sys.Soc.System.bus in
   let root_evict_cycles = Checker.evict_cycles sys.Soc.System.bus in
   let pending_mmio = ref 0 in
+  (* Every completed request's latency, for the run-wide percentiles. *)
+  let latencies = Samples.create () in
+  let dispatched = ref 0 and checks = ref 0 in
   let assert_no_entries ~what ~task =
     if p.sv_check_invariants then
       Table.iter_live tbl (fun e ->
@@ -222,8 +214,7 @@ let run p =
     tn.Tenant.root_resident <- false;
     Root_lru.remove roots tn.Tenant.id;
     pending_mmio := !pending_mmio + root_evict_cycles;
-    totals.c_root_evictions <- totals.c_root_evictions + 1;
-    Obs.Metrics.incr metrics "serve.root_evictions"
+    totals.c_root_evictions <- totals.c_root_evictions + 1
   in
   let rec ensure_root (tn : Tenant.t) =
     if not tn.Tenant.root_resident then
@@ -234,10 +225,8 @@ let run p =
           tn.Tenant.root_installs <- tn.Tenant.root_installs + 1;
           pending_mmio := !pending_mmio + root_install_cycles;
           totals.c_root_installs <- totals.c_root_installs + 1;
-          if tn.Tenant.root_installs > 1 then begin
-            totals.c_root_reinstalls <- totals.c_root_reinstalls + 1;
-            Obs.Metrics.incr metrics "serve.root_reinstalls"
-          end
+          if tn.Tenant.root_installs > 1 then
+            totals.c_root_reinstalls <- totals.c_root_reinstalls + 1
       | Table.Table_full -> (
           match Root_lru.victim roots ~idle_only:false ~exclude:tn.Tenant.id with
           | Some v ->
@@ -257,8 +246,8 @@ let run p =
     tn.Tenant.inflight <- tn.Tenant.inflight - 1;
     Root_lru.update roots tn.Tenant.id;
     Tenant.record_latency tn lat;
-    totals.c_completed <- totals.c_completed + 1;
-    Obs.Metrics.observe metrics "serve.latency" lat
+    Samples.push latencies lat;
+    totals.c_completed <- totals.c_completed + 1
   in
   let cancel (rq : rq) =
     rq.rq_cancelled <- true;
@@ -289,7 +278,6 @@ let run p =
     let tn = registry.(rq.rq_tenant) in
     tn.Tenant.cpu_fallbacks <- tn.Tenant.cpu_fallbacks + 1;
     totals.c_cpu_fallbacks <- totals.c_cpu_fallbacks + 1;
-    Obs.Metrics.incr metrics "serve.cpu_fallbacks";
     Queue.push rq cpu_q;
     pump_cpu ()
   in
@@ -334,8 +322,8 @@ let run p =
           + ((prof.Soc.Run.sv_init + prof.Soc.Run.sv_compute) * rq.rq_scale)
         in
         pending_mmio := 0;
-        Obs.Metrics.add metrics "serve.checks"
-          (prof.Soc.Run.sv_checks * rq.rq_scale);
+        incr dispatched;
+        checks := !checks + (prof.Soc.Run.sv_checks * rq.rq_scale);
         Sched.at_rank sched ~cycle:(Sched.now sched + service)
           ~rank:lane_runtime (fun () -> complete rq)
   and complete (rq : rq) =
@@ -412,7 +400,6 @@ let run p =
       ignore (Tenant.teardown checker tn);
       assert_no_entries ~what:"tenant teardown" ~task:tn.Tenant.task_key;
       totals.c_departed <- totals.c_departed + 1;
-      Obs.Metrics.incr metrics "serve.departures";
       try_dispatch ()
     end
     else tn.Tenant.state <- Tenant.Departed
@@ -447,7 +434,6 @@ let run p =
     with
     | Error reason ->
         tn.Tenant.rejected <- tn.Tenant.rejected + 1;
-        Obs.Metrics.incr metrics (reject_metric reason);
         (match reason with
         | Admission.Gone ->
             totals.c_rejected_gone <- totals.c_rejected_gone + 1
@@ -483,7 +469,7 @@ let run p =
   in
   (* -- feed the workload through one cursor and run ------------------------ *)
   (* Only the next workload event is ever pending: firing event i schedules
-     event i+1 (never earlier, as [generate] sorts by (at, rank)) before
+     event i+1 (never earlier, as the stream yields (at, rank) order) before
      running i's action, so the scheduler holds the in-flight runtime events
      plus one workload event instead of the whole schedule. *)
   let fire_event = function
@@ -497,19 +483,19 @@ let run p =
     | Workload.Request { rq = _; tenant; bench; scale } ->
         handle_request ~tenant ~bench ~scale
   in
-  let rest = ref events in
+  let pending = ref (Workload.next stream) in
   let rec fire () =
-    match !rest with
-    | { Workload.ev; _ } :: tl ->
-        rest := tl;
+    match !pending with
+    | Some { Workload.ev; _ } ->
+        pending := Workload.next stream;
         schedule_next ();
         fire_event ev
-    | [] -> ()
+    | None -> ()
   and schedule_next () =
-    match !rest with
-    | { Workload.at; ev } :: _ ->
+    match !pending with
+    | Some { Workload.at; ev } ->
         Sched.at_rank sched ~cycle:at ~rank:(lane_of ev) fire
-    | [] -> ()
+    | None -> ()
   in
   schedule_next ();
   Sched.run sched;
@@ -523,12 +509,7 @@ let run p =
   (* Snapshot per-tenant rows before the final cleanup below, so [departed]
      and [epoch] report mid-run churn, not the end-of-run teardown. *)
   let rows = Array.to_list (Array.map Report.row_of_tenant registry) in
-  let all_lats =
-    Array.fold_left
-      (fun acc (tn : Tenant.t) -> List.rev_append tn.Tenant.latencies acc)
-      [] registry
-  in
-  let p50, p99, max_lat = Report.latency_summary all_lats in
+  let p50, p99, max_lat = Samples.summary latencies in
   (* Final teardown: revoke every still-active compartment so the run ends
      with an empty table (departed tenants already hold nothing). *)
   Array.iter
@@ -537,6 +518,18 @@ let run p =
     registry;
   if p.sv_check_invariants && Table.live_count tbl <> 0 then
     fail "%d live table entries after final teardown" (Table.live_count tbl);
+  (* The loop's counters, added once at the end: a name appears exactly
+     when its event happened at least once. *)
+  let count name n = if n > 0 then Obs.Metrics.add metrics name n in
+  count "serve.root_evictions" totals.c_root_evictions;
+  count "serve.root_reinstalls" totals.c_root_reinstalls;
+  count "serve.cpu_fallbacks" totals.c_cpu_fallbacks;
+  count "serve.departures" totals.c_departed;
+  let reject r = "serve.reject." ^ Admission.reason_label r in
+  count (reject Admission.Gone) totals.c_rejected_gone;
+  count (reject Admission.Inflight) totals.c_rejected_inflight;
+  count (reject Admission.Table) totals.c_rejected_table;
+  if !dispatched > 0 then Obs.Metrics.add metrics "serve.checks" !checks;
   Checker.observe_table checker ~into:metrics;
   {
     Report.rp_config = Soc.Config.label p.sv_config;

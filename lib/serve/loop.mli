@@ -3,7 +3,7 @@
 
     One {!Ccsim.Sched} timeline carries the whole run: workload events
     (tenant arrivals/departures, requests) fire at their scheduled cycles,
-    fed one at a time by a cursor over the generated schedule, in rank
+    fed one at a time by a cursor over the lazily drawn schedule, in rank
     lanes that keep the same-cycle order of arrivals, runtime events,
     requests and departures;
     admitted requests occupy a real accelerator instance through the real

@@ -47,17 +47,10 @@ type t = {
   rp_metrics : (string * int) list;
 }
 
-let latency_summary = function
-  | [] -> (0, 0, 0)
-  | xs ->
-      let sorted = Array.of_list xs in
-      Array.sort Int.compare sorted;
-      let n = Array.length sorted in
-      let at p = sorted.(Ccsim.Stats.nearest_rank_index p n) in
-      (at 0.5, at 0.99, sorted.(n - 1))
+let latency_summary xs = Samples.summary (Samples.of_list xs)
 
 let row_of_tenant (tn : Tenant.t) =
-  let p50, p99, max_lat = latency_summary tn.Tenant.latencies in
+  let p50, p99, max_lat = Samples.summary tn.Tenant.latencies in
   {
     tr_id = tn.Tenant.id;
     tr_admitted = tn.Tenant.admitted;

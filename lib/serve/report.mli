@@ -56,13 +56,14 @@ type t = {
 }
 
 val latency_summary : int list -> int * int * int
-(** [(p50, p99, max)] of the samples from one integer sort, nearest-rank as
-    in {!Ccsim.Stats.percentile_int}; [(0, 0, 0)] on the empty list (the
+(** {!Samples.summary} of a list: [(p50, p99, max)], nearest-rank as in
+    {!Ccsim.Stats.percentile_int}; [(0, 0, 0)] on the empty list (the
     documented zero row). *)
 
 val row_of_tenant : Tenant.t -> tenant_row
-(** Percentiles via {!latency_summary}: a tenant that completed nothing gets
-    an all-zero latency row, never an exception. *)
+(** Percentiles via {!Samples.summary}, which reorders the tenant's samples
+    in place: a tenant that completed nothing gets an all-zero latency row,
+    never an exception. *)
 
 val thrash : t -> int
 (** Eviction thrash: table conflicts + compartment-root evictions — the

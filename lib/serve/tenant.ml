@@ -15,7 +15,7 @@ type t = {
   mutable cancelled : int;
   mutable cpu_fallbacks : int;
   mutable root_installs : int;
-  mutable latencies : int list;
+  latencies : Samples.t;
 }
 
 type registry = t array
@@ -37,12 +37,12 @@ let make_registry ~tenants ~instances =
         cancelled = 0;
         cpu_fallbacks = 0;
         root_installs = 0;
-        latencies = [];
+        latencies = Samples.create ();
       })
 
 let record_latency t lat =
   t.completed <- t.completed + 1;
-  t.latencies <- lat :: t.latencies
+  Samples.push t.latencies lat
 
 let teardown checker t =
   let evicted = Capchecker.Checker.evict_task checker ~task:t.task_key in

@@ -34,7 +34,7 @@ type t = {
   mutable cancelled : int;  (** admitted requests voided by departure *)
   mutable cpu_fallbacks : int;
   mutable root_installs : int;
-  mutable latencies : int list;  (** completed-request latencies, newest first *)
+  latencies : Samples.t;  (** completed-request latencies *)
 }
 
 type registry = t array

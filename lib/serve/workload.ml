@@ -54,20 +54,40 @@ let pick_weighted r items =
    while the cold tail churns the table. *)
 let heavy_tenants p = max 1 (p.tenants / 8)
 
-(* Stable merge of two lists sorted by (at, rank), left first on ties. *)
-let merge l1 l2 =
-  let before a b =
-    a.at < b.at || (a.at = b.at && ev_rank a.ev <= ev_rank b.ev)
+(* One request, drawn from [r] in the order that defines the schedule:
+   gap, tenant (one or two draws), kernel, scale.  The gap is uniform in
+   [1, 2*mean_gap-1] (mean = mean_gap): an open-loop arrival process. *)
+let draw_request p ~heavy r ~rq ~after =
+  let at = after + 1 + Ccsim.Rng.int r (max 1 ((2 * p.mean_gap) - 1)) in
+  let tenant =
+    if Ccsim.Rng.int r 4 = 0 then Ccsim.Rng.int r heavy
+    else Ccsim.Rng.int r p.tenants
   in
-  let rec go acc l1 l2 =
-    match (l1, l2) with
-    | [], l | l, [] -> List.rev_append acc l
-    | a :: t1, b :: t2 ->
-        if before a b then go (a :: acc) t1 l2 else go (b :: acc) l1 t2
-  in
-  go [] l1 l2
+  let bench = pick_weighted r p.mix in
+  let scale = pick_weighted r p.scales in
+  { at; ev = Request { rq; tenant; bench; scale } }
 
-let generate p =
+type stream = {
+  p : params;
+  heavy : int;
+  r_req : Ccsim.Rng.t;
+  arrivals : timed array;  (* sorted by time, tenant order on ties *)
+  departures : timed array;  (* likewise *)
+  mutable next_arrival : int;
+  mutable next_departure : int;
+  mutable drawn : int;  (* requests drawn so far *)
+  mutable request : timed option;  (* the last one drawn, not yet taken *)
+}
+
+let draw_next s ~after =
+  if s.drawn = s.p.requests then None
+  else begin
+    let rq = s.drawn in
+    s.drawn <- rq + 1;
+    Some (draw_request s.p ~heavy:s.heavy s.r_req ~rq ~after)
+  end
+
+let stream p =
   validate p;
   let rng = Ccsim.Rng.create p.seed in
   (* Split order is part of the schedule's definition — changing it changes
@@ -76,45 +96,70 @@ let generate p =
   let r_churn = Ccsim.Rng.split rng in
   let r_req = Ccsim.Rng.split rng in
   let arrivals =
-    Array.init p.tenants (fun _ ->
-        if p.ramp = 0 then 0 else Ccsim.Rng.int r_arrive (p.ramp + 1))
+    Array.init p.tenants (fun i ->
+        { at = (if p.ramp = 0 then 0 else Ccsim.Rng.int r_arrive (p.ramp + 1));
+          ev = Tenant_arrive i })
   in
-  (* Requests: open-loop arrival process, gap uniform in [1, 2*mean_gap-1]
-     (mean = mean_gap); tenant, kernel and scale drawn per request. *)
   let heavy = heavy_tenants p in
-  let t = ref 0 in
-  let requests =
-    List.init p.requests (fun rq ->
-        t := !t + 1 + Ccsim.Rng.int r_req (max 1 ((2 * p.mean_gap) - 1));
-        let tenant =
-          if Ccsim.Rng.int r_req 4 = 0 then Ccsim.Rng.int r_req heavy
-          else Ccsim.Rng.int r_req p.tenants
-        in
-        let bench = pick_weighted r_req p.mix in
-        let scale = pick_weighted r_req p.scales in
-        { at = !t; ev = Request { rq; tenant; bench; scale } })
+  (* Departures fall before the last request, so the horizon comes from a
+     dry run of the request draws on a copy of their generator. *)
+  let horizon =
+    let r = Ccsim.Rng.copy r_req in
+    let t = ref 0 in
+    for rq = 0 to p.requests - 1 do
+      t := (draw_request p ~heavy r ~rq ~after:!t).at
+    done;
+    !t
   in
-  let horizon = !t in
   let departures =
     List.filter_map
       (fun tenant ->
         if Ccsim.Rng.int r_churn 100 < p.churn_pct then
-          let arrive = arrivals.(tenant) in
+          let arrive = arrivals.(tenant).at in
           let span = max 1 (horizon - arrive) in
           Some
             { at = arrive + 1 + Ccsim.Rng.int r_churn span;
               ev = Tenant_depart tenant }
         else None)
       (List.init p.tenants (fun i -> i))
+    |> Array.of_list
   in
-  let arrivals_l =
-    List.init p.tenants (fun i -> { at = arrivals.(i); ev = Tenant_arrive i })
-  in
-  (* The requests are already in time order, and each kind has its own
-     rank, so sorting the two short lists by time and merging the three
-     gives the stable sort of their concatenation without sorting the
-     long one. *)
   let by_at a b = Int.compare a.at b.at in
-  merge
-    (merge (List.stable_sort by_at arrivals_l) requests)
-    (List.stable_sort by_at departures)
+  Array.stable_sort by_at arrivals;
+  Array.stable_sort by_at departures;
+  let s =
+    { p; heavy; r_req; arrivals; departures; next_arrival = 0;
+      next_departure = 0; drawn = 0; request = None }
+  in
+  s.request <- draw_next s ~after:0;
+  s
+
+(* The earliest head of the three time-sorted sources; on a shared cycle
+   arrivals come before requests and requests before departures, which is
+   the stable sort of the whole schedule by (at, rank). *)
+let next s =
+  let head a i = if i < Array.length a then a.(i).at else max_int in
+  let arrive = head s.arrivals s.next_arrival
+  and depart = head s.departures s.next_departure
+  and request = match s.request with Some r -> r.at | None -> max_int in
+  if s.next_arrival < Array.length s.arrivals && arrive <= request && arrive <= depart
+  then begin
+    s.next_arrival <- s.next_arrival + 1;
+    Some s.arrivals.(s.next_arrival - 1)
+  end
+  else
+    match s.request with
+    | Some { at; _ } as taken when at <= depart ->
+        s.request <- draw_next s ~after:at;
+        taken
+    | Some _ | None ->
+        if s.next_departure < Array.length s.departures then begin
+          s.next_departure <- s.next_departure + 1;
+          Some s.departures.(s.next_departure - 1)
+        end
+        else None
+
+let generate p =
+  let s = stream p in
+  let rec drain acc = match next s with Some e -> drain (e :: acc) | None -> List.rev acc in
+  drain []

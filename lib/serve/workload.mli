@@ -1,8 +1,10 @@
 (** Deterministic open-loop workload generation for the service mode.
 
-    A workload is a fully materialized, time-sorted event schedule — tenant
-    arrivals, tenant departures, and requests — drawn from one seeded
-    {!Ccsim.Rng}.  Open-loop means request arrival times are independent of
+    A workload is a time-sorted event schedule — tenant arrivals, tenant
+    departures, and requests — drawn from one seeded {!Ccsim.Rng}.  The
+    service loop reads it as a {!stream} that draws each request when the
+    previous one is taken, so a run holds O(tenants) schedule state at any
+    request count; {!generate} is the same schedule as a list.  Open-loop means request arrival times are independent of
     service completions: a slow system falls behind and queues, it does not
     slow the offered load, which is what makes tail latency a meaningful
     measurement.  The same [params] always generate byte-identical schedules
@@ -49,8 +51,23 @@ val ev_rank : ev -> int
     departures (2), so a tenant arriving, requesting and departing on one
     cycle behaves sensibly. *)
 
+type stream
+(** The schedule, read front to back by {!next}. *)
+
+val stream : params -> stream
+(** The arrivals and departures, drawn up front (the departures' horizon is
+    the last request's cycle, from a dry run of the request draws on a
+    {!Ccsim.Rng.copy}), and the first request.
+    @raise Invalid_argument as {!generate}. *)
+
+val next : stream -> timed option
+(** The next event by [(at, ev_rank)], draw order breaking ties; [None] at
+    the end.  Taking a request draws the one after it, in the same
+    generator order as {!generate}. *)
+
 val generate : params -> timed list
-(** The full schedule sorted by [(at, ev_rank)], draw order breaking ties.
+(** The full schedule sorted by [(at, ev_rank)], draw order breaking ties:
+    every {!next} of a fresh {!stream}.
     A request may target a tenant that has not yet arrived or has already
     departed — admission rejects it ([Gone]), modelling traffic for an
     unknown tenant.  @raise Invalid_argument on non-positive [tenants],

@@ -289,7 +289,8 @@ let capture_dirty t ~task ~obj =
     match
       Capchecker.Table.lookup (Capchecker.Checker.table t.central) ~task ~obj
     with
-    | Some e when e.Capchecker.Table.exn_bit -> t.dirty.(key t ~task ~obj) <- true
+    | Some e when e.Capchecker.Table.exn <> Capchecker.Table.No_exception ->
+        t.dirty.(key t ~task ~obj) <- true
     | _ -> ()
 
 let exec_driver t ~cycle op =

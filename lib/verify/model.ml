@@ -17,7 +17,7 @@ type mutation =
   | M_none
   | M_ghost_exn      (* evicting a denied entry leaves its exception bit for
                         the next install of the key (the pre-fix slot-reuse
-                        bug: exn_bit not cleared on evict) *)
+                        bug: the bit not cleared on evict) *)
   | M_wide_bounds    (* installs widen the capability by one object length —
                         a checker that decodes bounds one object too wide *)
   | M_skip_revoke    (* a revocation-epoch bump never reaches the checker *)

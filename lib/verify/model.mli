@@ -15,7 +15,7 @@ type mutation =
   | M_none
   | M_ghost_exn
       (** evict leaves the denied entry's exception bit set for the next
-          install of the key (the slot-reuse bug class: [exn_bit] not
+          install of the key (the slot-reuse bug class: the exception bit not
           cleared on evict) *)
   | M_wide_bounds
       (** installs widen the capability by one object length *)

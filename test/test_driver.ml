@@ -221,6 +221,35 @@ let test_allocate_rejects_ill_formed_kernel () =
     | exception Invalid_argument _ -> true
     | Ok _ | Error _ -> false)
 
+(* Driver cost follows the table, not the simulator's bookkeeping: a warm
+   allocate/deallocate pair on the CapChecker backend with the null sink
+   allocates a few records per buffer (the bindings, the delegated and the
+   installed capabilities), not a rebuilt free list, hash buckets, boxed
+   register words or a sorted layout.  The budget is a quarter of the 725
+   words a pair took while it still built those (about 126 now, over the
+   four serve kernels' 1 to 5 buffers). *)
+let test_capchecker_pair_allocation () =
+  let checker = Capchecker.Checker.create ~entries:256 Capchecker.Checker.Fine in
+  let driver, _, _ = make_driver ~instances:8 (Driver.Backend.Capchecker checker) in
+  let kernels =
+    Array.map
+      (fun n -> (Machsuite.Registry.find n).Machsuite.Bench_def.kernel)
+      [| "aes"; "kmp"; "sort_merge"; "spmv_crs" |]
+  in
+  let pair i =
+    let a = alloc_exn driver kernels.(i mod Array.length kernels) in
+    ignore (Driver.deallocate driver a.Driver.handle ~denied:None)
+  in
+  (* Warm: every kernel validated, every structure at its working size. *)
+  for i = 0 to 99 do pair i done;
+  let pairs = 1000 in
+  let before = Gc.minor_words () in
+  for i = 0 to pairs - 1 do pair i done;
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+  if per_pair > 181. then
+    Alcotest.failf "%.1f minor words per allocate+deallocate pair (budget 181)"
+      per_pair
+
 let suite =
   [
     ("allocate basics", `Quick, test_allocate_basics);
@@ -239,4 +268,5 @@ let suite =
     ("innocent task not charged", `Quick, test_dealloc_other_tasks_exception_not_charged);
     ("heap returned", `Quick, test_heap_returned_after_dealloc);
     ("heap returned (arena)", `Quick, test_heap_returned_iopmp_arena);
+    ("capchecker pair allocation", `Quick, test_capchecker_pair_allocation);
   ]

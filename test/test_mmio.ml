@@ -127,6 +127,45 @@ let test_exception_key_drain () =
   checki "object traced" 2 obj;
   check64 "drained" (-1L) (Mmio.read m ~offset:Mmio.reg_exc_key)
 
+(* EXC_KEY returns every setting of an exception bit once, also after an
+   earlier drain and an eviction changed which entries have a bit set. *)
+let test_exception_key_drain_after_evict () =
+  let checker, m = make () in
+  let trip task =
+    ignore
+      (Checker.check checker
+         { Guard.Iface.source = task; port = Some 0; addr = 0; size = 8;
+           kind = Guard.Iface.Read })
+  in
+  let drain () = Mmio.split_key (Mmio.read m ~offset:Mmio.reg_exc_key) in
+  List.iter
+    (fun (task, base) ->
+      match Mmio.install m ~task ~obj:0 (cap base 64) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    [ (1, 0x1000); (2, 0x2000); (3, 0x3000) ];
+  trip 1;
+  checki "first drain: task 1" 1 (fst (drain ()));
+  check64 "nothing more" (-1L) (Mmio.read m ~offset:Mmio.reg_exc_key);
+  Mmio.write m ~offset:Mmio.reg_key (Mmio.key_of ~task:1 ~obj:0);
+  Mmio.write m ~offset:Mmio.reg_command Mmio.cmd_evict;
+  trip 2;
+  trip 3;
+  (* A repeated denial on a reported bit is the same setting. *)
+  trip 2;
+  let a = fst (drain ()) in
+  let b = fst (drain ()) in
+  checki "second drain: task 2" 2 a;
+  checki "third drain: task 3" 3 b;
+  check64 "drained" (-1L) (Mmio.read m ~offset:Mmio.reg_exc_key);
+  (* Reinstalling a key clears its bit: the next denial is a new setting. *)
+  (match Mmio.install m ~task:2 ~obj:0 (cap 0x2000 64) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  trip 2;
+  checki "new setting after reinstall" 2 (fst (drain ()));
+  check64 "drained again" (-1L) (Mmio.read m ~offset:Mmio.reg_exc_key)
+
 let test_bad_offsets () =
   let _, m = make () in
   Alcotest.check_raises "misaligned"
@@ -155,6 +194,8 @@ let suite =
     ("evict commands", `Quick, test_evict_commands);
     ("status register", `Quick, test_status_register);
     ("exception key drain", `Quick, test_exception_key_drain);
+    ("exception key drain after evict", `Quick,
+     test_exception_key_drain_after_evict);
     ("bad offsets", `Quick, test_bad_offsets);
     ("unknown registers ignored", `Quick, test_unknown_registers_ignored);
   ]

@@ -432,6 +432,36 @@ let test_observe_table_metrics () =
   checki "live surfaced" 1 (Obs.Metrics.get m "checker.table_live");
   checki "peak surfaced" 2 (Obs.Metrics.get m "checker.table_peak")
 
+(* Memory follows live state: at a fixed tenant count, what a run adds to
+   the major heap per extra request is the latency samples (two ints, plus
+   the slack of their doubling arrays), not a materialised schedule or
+   latency lists.  Measured as major-heap words (direct major allocations
+   plus minor survivors) between two request counts, once a first run has
+   profiled the kernels, with a minor collection on each side so the counts
+   are exact.  A schedule list and latency lists cost about 175 bytes per
+   request; the samples cost about 52. *)
+let test_memory_follows_live_state () =
+  let major_words requests =
+    let p = Serve.Loop.default_params ~seed:3 ~tenants:16 ~requests () in
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    ignore (Serve.Loop.run p);
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words -. before
+  in
+  (* A first run profiles the kernels, which later runs take from the memo. *)
+  ignore (major_words 100);
+  let small = 5_000 and large = 25_000 in
+  let per_request =
+    (major_words large -. major_words small) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (large - small)
+  in
+  if per_request > 96. then
+    Alcotest.failf
+      "%.1f bytes of major heap per extra request (budget 96): the run \
+       holds per-request state beyond its latency samples"
+      per_request
+
 let suite =
   [
     Alcotest.test_case "workload: same seed same schedule" `Quick
@@ -465,4 +495,6 @@ let suite =
       test_table_stats_counters;
     Alcotest.test_case "checker: observe_table" `Quick
       test_observe_table_metrics;
+    Alcotest.test_case "memory: growth follows live state" `Quick
+      test_memory_follows_live_state;
   ]
