@@ -1127,12 +1127,6 @@ let () =
     | [ "--jobs" ] ->
         prerr_endline "bench: --jobs expects a value";
         exit 2
-    | "--cache-dir" :: value :: rest ->
-        Soc.Runcache.set_dir (Some value);
-        parse rest names jobs_n json baseline
-    | [ "--cache-dir" ] ->
-        prerr_endline "bench: --cache-dir expects a directory";
-        exit 2
     | name :: rest -> parse rest (name :: names) jobs_n json baseline
   in
   let names, jobs_n, json, baseline =

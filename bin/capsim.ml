@@ -145,15 +145,6 @@ let fastpath_arg =
                    $(b,off) re-interprets everything (the ground truth); \
                    $(b,diff) computes both legs and fails on any divergence.")
 
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persist eligible run results (no observability sink, no \
-                   fault plan) to $(docv), keyed by the full run \
-                   configuration and a digest of this binary, and reuse \
-                   them across processes.  Off unless given; a rebuild \
-                   orphans old entries.")
-
 (* Parallelism across independent simulations (Ccsim.Pool).  Results are
    index-deterministic: any --jobs value produces byte-identical output to
    --jobs 1 (the CI gate diffs them). *)
@@ -245,9 +236,8 @@ let run_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
   in
-  let run bench config tasks engine topology checkers fastpath cache_dir json =
+  let run bench config tasks engine topology checkers fastpath json =
     Soc.Fastpath.set_mode fastpath;
-    Soc.Runcache.set_dir cache_dir;
     let engine = resolve_engine ~topology engine in
     let r = Soc.Run.run ~tasks ~engine ~topology ~checkers config bench in
     if json then print_endline (Obs.Json.to_string (json_of_result r))
@@ -269,8 +259,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark end to end")
     Term.(const run $ bench_arg $ config_arg $ tasks_arg $ engine_arg
-          $ topology_arg $ checkers_arg $ fastpath_arg $ cache_dir_arg
-          $ json_arg)
+          $ topology_arg $ checkers_arg $ fastpath_arg $ json_arg)
 
 (* ---- trace ---- *)
 
@@ -316,9 +305,8 @@ let sweep_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the sweep as JSON.")
   in
-  let run bench engine topology checkers fastpath cache_dir jobs json =
+  let run bench engine topology checkers fastpath jobs json =
     Soc.Fastpath.set_mode fastpath;
-    Soc.Runcache.set_dir cache_dir;
     let engine = resolve_engine ~topology engine in
     (* All 15 points (5 task counts x 3 configs) are independent full-system
        runs; they execute as one Ccsim.Pool batch and are re-assembled in
@@ -391,7 +379,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Parallelism sweep (Figure 11 style)")
     Term.(const run $ bench_arg $ engine_arg $ topology_arg $ checkers_arg
-          $ fastpath_arg $ cache_dir_arg $ jobs_arg $ json_arg)
+          $ fastpath_arg $ jobs_arg $ json_arg)
 
 (* ---- attack ---- *)
 

@@ -4,13 +4,13 @@
    replaying the bench's recorded script.  Both sources resolve each
    transaction to (buffer index, byte offset, size, kind) and hand it to the
    same per-task pipeline: one adjudicator, one burst former, then one
-   sink — a DMA trace for the legacy replay fabric, the live event core, or
-   the script recorder.
+   sink — a DMA trace for the legacy replay fabric or the live event core.
    Nothing in the pipeline knows which source fed it, so a replayed task
    cannot drift from an interpreted one.  The pipeline is a mutable record
    per task and every stage is a direct call on it: nothing is allocated per
    access beyond what the guard and the sinks themselves need.  Both
-   sources are driven by one resumable cursor (below). *)
+   sources are driven by one resumable cursor (below).  Recording a script
+   walks the interpreter alone, outside the pipeline ({!record}). *)
 
 type addressing = Plain | Coarse_ids | Fine_ports
 
@@ -73,7 +73,6 @@ type sink =
   | Trace_sink of Trace.t * Obs.Trace.t
       (* the sink's clock advances with the compute-local issue clock *)
   | Cursor_sink of wiring  (* the event core *)
-  | Record_sink of Script.Recorder.t
 
 type pipe = {
   p_adj : adjudication;
@@ -178,7 +177,7 @@ let adjudicate p ~buf ~off ~size ~kind =
 
 (* The stages below that hand work to the timing sink return [true] when
    the cursor must stop until its continuation runs — only the event core
-   makes it.  A trace or record sink never yields. *)
+   makes it.  A trace sink never yields. *)
 
 (* One transaction to the timing sink, after which [then_wait] datapath
    cycles pass before the next transaction issues.  On the event core the
@@ -192,7 +191,6 @@ let emit p ~target ~gap ~op ~beats ~latency ~then_wait =
   | Cursor_sink c ->
       Flow.submit c.flow ~k:c.k ~target ~gap ~op ~beats ~latency ~then_wait;
       true
-  | Record_sink _ -> false
 
 (* [gap] datapath cycles pass before the next transaction issues. *)
 let wait p gap =
@@ -206,7 +204,6 @@ let wait p gap =
            Ccsim.Sched.at c.sched ~cycle:(Ccsim.Sched.now c.sched + gap) c.k;
            true
          end
-  | Record_sink _ -> false
 
 (* Close the pending burst, then let [then_wait] cycles pass. *)
 let flush p ~then_wait =
@@ -222,7 +219,7 @@ let flush p ~then_wait =
 let target p phys =
   match p.p_sink with
   | Cursor_sink { ic; _ } -> Bus.Topology.target_for ic ~addr:phys
-  | Trace_sink _ | Record_sink _ -> 0
+  | Trace_sink _ -> 0
 
 (* The burst former.  An access extends the pending burst when it follows
    it back to back: gap 0, the same streaming op, the next bus address, and
@@ -259,7 +256,7 @@ let start_burst p ~gap ~op ~buf ~off ~size ~kind =
 let accessed p ~kind ~size =
   (match p.p_sink with
   | Trace_sink (_, obs) -> Obs.Trace.advance obs (Bus.Params.beats_for p.p_bus size)
-  | Cursor_sink _ | Record_sink _ -> ());
+  | Cursor_sink _ -> ());
   match kind with
   | Guard.Iface.Read -> p.p_reads <- p.p_reads + 1
   | Guard.Iface.Write -> p.p_writes <- p.p_writes + 1
@@ -277,7 +274,7 @@ let copy_start p ~gap ~bytes ~src ~dst =
   p.cp_left <- Bus.Params.beats_for p.p_bus bytes;
   (match p.p_sink with
   | Trace_sink (_, obs) -> Obs.Trace.advance obs (2 * p.cp_left)
-  | Cursor_sink _ | Record_sink _ -> ());
+  | Cursor_sink _ -> ());
   p.cp_off <- 0;
   p.cp_gap <- gap;
   p.cp_write <- false
@@ -330,7 +327,7 @@ type interp = {
   i_elem : Kernel.Ir.elem array;  (* element type per buffer *)
   i_ipc : float;  (* synthesized ops per cycle *)
   i_naive : bool;  (* naive_tag_writes *)
-  mutable i_ops : int;  (* ops since the last access *)
+  mutable i_ops : int;  (* ops executed so far *)
   i_debt : float ref;  (* fractional datapath cycles carried over *)
   mutable i_value : Kernel.Value.t;  (* a store's value, a done load's answer *)
   mutable i_done : bool;  (* the pending call is through: answer its retry *)
@@ -338,24 +335,16 @@ type interp = {
 
 type feed = Script_feed of Script.t | Kernel_feed of interp * Kernel.Interp.t
 
-(* The machine's pending transaction, written into [e], with its datapath
-   gap ({!Script.gap}).  A recording times nothing: the recorder keeps the
-   ops and derives every gap from them when it finalizes. *)
-let pend it p (e : Script.entry) ~copy ~kind ~buf ~off ~size ~dependent =
+(* The machine's pending transaction, written into [e]; {!fetch} adds its
+   datapath gap. *)
+let pend it (e : Script.entry) ~copy ~kind ~buf ~off ~size ~dependent =
   e.copy <- copy;
-  e.ops <- p.p_ops;
+  e.ops <- it.i_ops;
   e.kind <- kind;
   e.dependent <- dependent;
   e.buf <- buf;
   e.off <- off;
-  e.size <- size;
-  match p.p_sink with
-  | Record_sink r ->
-      if copy then Script.Recorder.copy r ~bytes:size ~src:buf ~dst:off ~ops:p.p_ops
-      else Script.Recorder.access r ~kind ~buf ~off ~size ~dependent ~ops:p.p_ops
-  | Trace_sink _ | Cursor_sink _ ->
-      e.gap <- Script.gap ~debt:it.i_debt ~ipc:it.i_ipc it.i_ops;
-      it.i_ops <- 0
+  e.size <- size
 
 (* A retried call finds its access through. *)
 let answered it =
@@ -366,11 +355,11 @@ let answered it =
      end
 
 (* Buffers are named by their declaration index, resolved once. *)
-let machine it p e task =
+let machine it e task =
   let names = List.map (fun d -> d.Kernel.Ir.buf_name) task.kernel.Kernel.Ir.bufs in
   let access kind buf idx dependent =
     let size = Kernel.Ir.elem_bytes it.i_elem.(buf) in
-    pend it p e ~copy:false ~kind ~buf ~off:(idx * size) ~size ~dependent
+    pend it e ~copy:false ~kind ~buf ~off:(idx * size) ~size ~dependent
   in
   {
     Kernel.Interp.buffer =
@@ -398,14 +387,12 @@ let machine it p e task =
         let bytes = elems * Kernel.Ir.elem_bytes it.i_elem.(src) in
         answered it || bytes = 0
         || begin
-             pend it p e ~copy:true ~kind:Guard.Iface.Read ~buf:src ~off:dst
+             pend it e ~copy:true ~kind:Guard.Iface.Read ~buf:src ~off:dst
                ~size:bytes ~dependent:false;
              false
            end);
     tick =
-      (fun _cost n ->
-        it.i_ops <- it.i_ops + n;
-        p.p_ops <- p.p_ops + n);
+      (fun _cost n -> it.i_ops <- it.i_ops + n);
     param =
       (fun name ->
         match List.assoc_opt name task.params with
@@ -433,6 +420,12 @@ type cursor = {
   mutable c_denied : Guard.Iface.denial option;
 }
 
+let interp ~directives ~naive_tag_writes task =
+  let elem d = (Memops.Layout.find task.layout d.Kernel.Ir.buf_name).decl.Kernel.Ir.elem in
+  { i_elem = Array.of_list (List.map elem task.kernel.Kernel.Ir.bufs);
+    i_ipc = directives.Hls.Directives.compute_ipc; i_naive = naive_tag_writes;
+    i_ops = 0; i_debt = ref 0.0; i_value = Kernel.Interp.pending; i_done = false }
+
 let cursor p source ~mem ~directives ~naive_tag_writes task =
   let e = Script.entry () in
   let feed =
@@ -441,18 +434,15 @@ let cursor p source ~mem ~directives ~naive_tag_writes task =
         Obs.Counters.incr Obs.Counters.traces_memoized;
         Script_feed s
     | Interpret ->
-        let elem d = (Memops.Layout.find task.layout d.Kernel.Ir.buf_name).decl.Kernel.Ir.elem in
-        let it =
-          { i_elem = Array.of_list (List.map elem task.kernel.Kernel.Ir.bufs);
-            i_ipc = directives.Hls.Directives.compute_ipc; i_naive = naive_tag_writes;
-            i_ops = 0; i_debt = ref 0.0; i_value = Kernel.Interp.pending; i_done = false }
-        in
-        Kernel_feed (it, Kernel.Interp.start task.kernel (machine it p e task))
+        let it = interp ~directives ~naive_tag_writes task in
+        Kernel_feed (it, Kernel.Interp.start task.kernel (machine it e task))
   in
   { c_p = p; c_feed = feed; c_mem = mem; c_e = e; c_op = Trace.Write; c_i = 0;
     c_phase = Entry; c_denied = None }
 
-(* Decode the next entry into [c_e]; [false] at the stream's end. *)
+(* Decode the next entry into [c_e]; [false] at the stream's end.  An
+   interpreted transaction's gap ({!Script.gap}) covers its ops since the
+   previous fetch, whose count [p_ops] still holds. *)
 let[@inline] fetch c =
   let p = c.c_p and e = c.c_e in
   match c.c_feed with
@@ -463,7 +453,29 @@ let[@inline] fetch c =
   | Script_feed s ->
       p.p_ops <- Script.total_ops s;
       false
-  | Kernel_feed (_, k) -> not (Kernel.Interp.resume k)
+  | Kernel_feed (it, k) ->
+      let more = not (Kernel.Interp.resume k) in
+      if more then e.gap <- Script.gap ~debt:it.i_debt ~ipc:it.i_ipc (e.ops - p.p_ops);
+      p.p_ops <- it.i_ops;
+      more
+
+(* An interpreted task moves entry [e]'s data, an access at [phys] or a
+   copy from [src] to [dst], and the interpreter's retried call gets the
+   answer. *)
+let[@inline] move it mem (e : Script.entry) ~phys ~src ~dst =
+  (if e.copy then begin
+     let data = Tagmem.Mem.read_bytes mem ~addr:src ~size:e.size in
+     if it.i_naive then Tagmem.Mem.unsafe_write_preserving_tags mem ~addr:dst data
+     else Tagmem.Mem.write_bytes mem ~addr:dst data
+   end
+   else
+     let elem = it.i_elem.(e.buf) in
+     match e.kind with
+     | Guard.Iface.Read -> it.i_value <- Memops.Layout.read_elem mem elem ~addr:phys
+     | Guard.Iface.Write when it.i_naive ->
+         Memops.Layout.write_elem_preserving_tags mem elem ~addr:phys it.i_value
+     | Guard.Iface.Write -> Memops.Layout.write_elem mem elem ~addr:phys it.i_value);
+  it.i_done <- true
 
 (* The current entry is through the pipeline, an access granted at [phys]
    or a copy between [p_src_phys] and [p_dst_phys]: an interpreted task
@@ -475,20 +487,7 @@ let[@inline] through c phys =
       Tagmem.Mem.check mem ~addr:p.p_src_phys ~size:e.size;
       Tagmem.Mem.check mem ~addr:p.p_dst_phys ~size:e.size
   | Script_feed _ -> Tagmem.Mem.check mem ~addr:phys ~size:e.size
-  | Kernel_feed (it, _) ->
-      (if e.copy then begin
-         let data = Tagmem.Mem.read_bytes mem ~addr:p.p_src_phys ~size:e.size in
-         if it.i_naive then Tagmem.Mem.unsafe_write_preserving_tags mem ~addr:p.p_dst_phys data
-         else Tagmem.Mem.write_bytes mem ~addr:p.p_dst_phys data
-       end
-       else
-         let elem = it.i_elem.(e.buf) in
-         match e.kind with
-         | Guard.Iface.Read -> it.i_value <- Memops.Layout.read_elem mem elem ~addr:phys
-         | Guard.Iface.Write when it.i_naive ->
-             Memops.Layout.write_elem_preserving_tags mem elem ~addr:phys it.i_value
-         | Guard.Iface.Write -> Memops.Layout.write_elem mem elem ~addr:phys it.i_value);
-      it.i_done <- true
+  | Kernel_feed (it, _) -> move it mem e ~phys ~src:p.p_src_phys ~dst:p.p_dst_phys
 
 (* Run the cursor until the sink takes its continuation or the stream
    ends.  Every recursive call is a tail call. *)
@@ -586,29 +585,50 @@ let run ?(obs = Obs.Trace.null) ~mem ~bus ~directives ~addressing
   { trace; denied; checks = p.p_checks; elided = p.p_elided;
     reads = p.p_reads; writes = p.p_writes; ops = p.p_ops }
 
-(* Recording pass: the interpreter feeding only the recorder.  Every access
-   resolves to its plain address ([Adj_elide]: no guard is consulted, so no
-   checker state moves), no DMA trace is built and no simulated time passes.
-   Without a guard nothing else would stop an access that leaves its
-   buffer, so the recorder does: the pass gives up before moving the data,
-   and the caller interprets live, where the real guard adjudicates it. *)
-let record ~mem ~directives ~addressing ~naive_tag_writes task =
-  let extents =
+(* Recording pass: the interpreter walked outside the pipeline.  Each
+   transaction goes to the recorder, then moves at its plain address: no
+   guard is consulted (so no checker state moves), no burst is formed and
+   no simulated time passes; the recorder derives every gap when it
+   finalizes.  Without a guard nothing else would stop an access that
+   leaves its buffer, so the recorder does: the pass gives up before moving
+   the data, and the caller interprets live, where the real guard
+   adjudicates it. *)
+let record ~mem ~directives ~naive_tag_writes task =
+  let bindings =
     Array.of_list
       (List.map
-         (fun d ->
-           Kernel.Ir.buf_decl_bytes
-             (Memops.Layout.find task.layout d.Kernel.Ir.buf_name).decl)
+         (fun d -> Memops.Layout.find task.layout d.Kernel.Ir.buf_name)
          task.kernel.Kernel.Ir.bufs)
   in
-  let r = Script.Recorder.create ~extents in
-  (* The recorder times nothing, so any bus will do. *)
-  let p = pipe ~bus:Bus.Params.default ~addressing Adj_elide (Record_sink r) task in
-  match feed p Interpret ~mem ~directives ~naive_tag_writes task with
-  | denied ->
-      Script.Recorder.finalize r ~ipc:directives.Hls.Directives.compute_ipc
-        ~total_ops:p.p_ops ~complete:(denied = None)
-  | exception Script.Recorder.Escaped -> None
+  let base i = bindings.(i).Memops.Layout.base in
+  let r =
+    Script.Recorder.create
+      ~extents:
+        (Array.map (fun b -> Kernel.Ir.buf_decl_bytes b.Memops.Layout.decl) bindings)
+  in
+  let e = Script.entry () in
+  let it = interp ~directives ~naive_tag_writes task in
+  let k = Kernel.Interp.start task.kernel (machine it e task) in
+  let rec walk () =
+    if not (Kernel.Interp.resume k) then begin
+      if e.copy then begin
+        Script.Recorder.copy r ~bytes:e.size ~src:e.buf ~dst:e.off ~ops:e.ops;
+        move it mem e ~phys:0 ~src:(base e.buf) ~dst:(base e.off)
+      end
+      else begin
+        Script.Recorder.access r ~kind:e.kind ~buf:e.buf ~off:e.off ~size:e.size
+          ~dependent:e.dependent ~ops:e.ops;
+        move it mem e ~phys:(base e.buf + e.off) ~src:0 ~dst:0
+      end;
+      walk ()
+    end
+  in
+  match walk () with
+  | () ->
+      Some
+        (Script.Recorder.finalize r ~ipc:directives.Hls.Directives.compute_ipc
+           ~total_ops:it.i_ops)
+  | exception (Script.Recorder.Escaped | Tagmem.Mem.Out_of_range _) -> None
 
 let ev_outcome p issue denied =
   { ev_denied = denied; ev_checks = p.p_checks; ev_elided = p.p_elided;

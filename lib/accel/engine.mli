@@ -125,20 +125,18 @@ val run :
 val record :
   mem:Tagmem.Mem.t ->
   directives:Hls.Directives.t ->
-  addressing:addressing ->
   naive_tag_writes:bool ->
   task ->
   Script.t option
-(** Record the task's access script: the interpreter feeding only the
-    recorder.  Every access resolves to its plain physical address without
-    consulting any guard (so no checker state moves), no DMA trace is built
-    and no simulated time passes.  The functional effects land in [mem] as
-    in {!run}.  [None] when an access left its buffer's declared extent (the
-    pass stops before moving that access's data) or escaped physical memory:
-    only a guard could decide what such a task does next, so it must be
-    interpreted live.  The pass keeps each transaction's ops and leaves its
-    datapath gap to {!Script.Recorder.finalize}, which derives it by the
-    rule the live engine applies. *)
+(** Record the task's access script: the interpreter walked outside the
+    access pipeline, each transaction handed to the {!Script.Recorder} and
+    then moved at its plain physical address, so no guard is consulted, no
+    checker state moves and no simulated time passes.  The functional
+    effects land in [mem] as in {!run}.  [None] when an access left its
+    buffer's declared extent (the pass stops before moving that access's
+    data) or escaped physical memory: only a guard could decide what such a
+    task does next, so it must be interpreted live.  Each datapath gap is
+    derived by {!Script.Recorder.finalize}, by the live engine's rule. *)
 
 val run_event :
   ?obs:Obs.Trace.t ->

@@ -117,16 +117,13 @@ module Recorder = struct
     push r ~ops ~off:dst
       ~code:(code ~copy:true ~write:false ~dependent:false ~buf:src ~size:bytes)
 
-  let finalize r ~ipc ~total_ops ~complete =
-    if not complete then None
-    else begin
-      let words = Array.concat (List.rev (Array.sub r.r_words 0 r.r_len :: r.r_full)) in
-      let debt = ref 0.0 and prev = ref 0 in
-      for j = 0 to (Array.length words / 4) - 1 do
-        let ops = words.((4 * j) + 1) in
-        words.(4 * j) <- gap ~debt ~ipc (ops - !prev);
-        prev := ops
-      done;
-      Some { s_words = words; s_total_ops = total_ops }
-    end
+  let finalize r ~ipc ~total_ops =
+    let words = Array.concat (List.rev (Array.sub r.r_words 0 r.r_len :: r.r_full)) in
+    let debt = ref 0.0 and prev = ref 0 in
+    for j = 0 to (Array.length words / 4) - 1 do
+      let ops = words.((4 * j) + 1) in
+      words.(4 * j) <- gap ~debt ~ipc (ops - !prev);
+      prev := ops
+    done;
+    { s_words = words; s_total_ops = total_ops }
 end

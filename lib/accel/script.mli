@@ -50,8 +50,8 @@ val load : t -> int -> entry -> unit
 (** [load s i e] decodes transaction [i] into [e].  It allocates nothing,
     so a driver can walk a script as a plain index and one reused entry. *)
 
-(** Accumulates the access sequence during a recording interpretation (the
-    engine's record sink, see {!Engine.record}). *)
+(** Accumulates the access sequence during a recording interpretation (see
+    {!Engine.record}). *)
 module Recorder : sig
   type script := t
   type t
@@ -79,10 +79,8 @@ module Recorder : sig
   val copy : t -> bytes:int -> src:int -> dst:int -> ops:int -> unit
   (** [ops] is the datapath ops executed before the transaction. *)
 
-  val finalize : t -> ipc:float -> total_ops:int -> complete:bool -> script option
-  (** [None] unless [complete]: a recording truncated by a denial or an
-      exhausted retry budget is not a faithful skeleton of the kernel.
-      Each transaction's gap is {!gap} of its ops since the previous one at
-      [ipc], the rule a live stream follows, so a recording times
-      nothing. *)
+  val finalize : t -> ipc:float -> total_ops:int -> script
+  (** The whole recording as a script.  Each transaction's gap is {!gap} of
+      its ops since the previous one at [ipc], the rule a live stream
+      follows, so a recording times nothing. *)
 end

@@ -24,9 +24,6 @@ let traces_memoized = make "traces_memoized"
 let runs_memoized = make "runs_memoized"
 (* whole system runs served from the cross-sweep result cache *)
 
-let runs_disk_cached = make "runs_disk_cached"
-(* whole system runs served from the on-disk cross-process cache *)
-
 let periods_leaped = make "periods_leaped"
 (* always 0: kept registered for the benchmark's [bus.periods_leaped]
    metric, see counters.mli *)
@@ -37,7 +34,7 @@ let events_coalesced = make "events_coalesced"
 
 let all =
   [ segments_replayed; accesses_fast_pathed; traces_memoized; runs_memoized;
-    runs_disk_cached; periods_leaped; events_coalesced ]
+    periods_leaped; events_coalesced ]
 
 let name c = c.name
 let get c = Atomic.get c.cell

@@ -24,9 +24,6 @@ val traces_memoized : t
 val runs_memoized : t
 (** Whole system runs served from the cross-sweep result cache. *)
 
-val runs_disk_cached : t
-(** Whole system runs served from the on-disk cross-process cache. *)
-
 val periods_leaped : t
 (** Always 0: nothing in the simulator leaps.  Registered only because the
     frozen [bench/perf] harness reports it as [bus.periods_leaped]; it goes

@@ -143,17 +143,7 @@ let memo_run key compute =
   | Some r ->
       Obs.Counters.incr Obs.Counters.runs_memoized;
       r
-  | None -> (
-      (* Second level: the on-disk cross-process cache (opt-in, see
-         {!Runcache}).  Only memo-eligible runs reach [memo_run], so every
-         disk entry satisfies the same no-sink / no-faults contract as the
-         in-memory table. *)
-      match (Runcache.load key : result option) with
-      | Some r -> Ccsim.Memo.add run_memo key r
-      | None ->
-          let r = Ccsim.Memo.add run_memo key (compute ()) in
-          Runcache.store key r;
-          r)
+  | None -> Ccsim.Memo.add run_memo key (compute ())
 
 (* Observation-only phase markers: stamped on the shared sink at the phase's
    start cycle.  The sink is never consulted by the simulation, so emitting
@@ -180,8 +170,6 @@ let record_script sys (bench : Machsuite.Bench_def.t) (a : Driver.allocated) =
       init_layout sys.System.mem bench layout;
       match
         Accel.Engine.record ~mem:sys.System.mem ~directives:bench.directives
-          ~addressing:
-            (Driver.Backend.addressing (Option.get sys.System.backend))
           ~naive_tag_writes:(System.naive_tag_writes sys)
           (engine_task bench a.Driver.handle)
       with

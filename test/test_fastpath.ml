@@ -316,8 +316,7 @@ let record_script (bench : Machsuite.Bench_def.t) =
   let mem = Tagmem.Mem.create ~size:(1 lsl 22) in
   let heap = Tagmem.Alloc.create ~base:4096 ~size:((1 lsl 22) - 4096) in
   match
-    Accel.Engine.record ~mem ~directives:bench.directives
-      ~addressing:Accel.Engine.Plain ~naive_tag_writes:false
+    Accel.Engine.record ~mem ~directives:bench.directives ~naive_tag_writes:false
       (engine_task ~mem ~heap bench 0)
   with
   | Some script -> script
@@ -463,7 +462,8 @@ let test_soc_counters_move () =
 (* Fast-pathing happens only on a script-replayed stream: [Soc.Run] records
    a script for every fast group and interprets live only when recording
    stopped early.  That is sound because a proven bench never stops early:
-   each one records a complete script under every addressing mode. *)
+   each one records a complete script on the allocation of a configuration
+   of every addressing mode. *)
 let test_proven_benches_record () =
   let modes =
     List.map
@@ -481,7 +481,7 @@ let test_proven_benches_record () =
   List.iter
     (fun (bench : Machsuite.Bench_def.t) ->
       List.iter
-        (fun (sys, addressing) ->
+        (fun (sys, _) ->
           let driver = Option.get sys.Soc.System.driver in
           let a = Result.get_ok (Driver.allocate driver bench.kernel) in
           let h = a.Driver.handle in
@@ -492,7 +492,7 @@ let test_proven_benches_record () =
             (Memops.Layout.bindings h.Driver.layout);
           let script =
             Accel.Engine.record ~mem:sys.Soc.System.mem
-              ~directives:bench.directives ~addressing
+              ~directives:bench.directives
               ~naive_tag_writes:(Soc.System.naive_tag_writes sys)
               { Accel.Engine.instance = h.Driver.task_id; kernel = bench.kernel;
                 layout = h.Driver.layout; params = bench.params;
@@ -502,6 +502,25 @@ let test_proven_benches_record () =
           ignore (Driver.deallocate driver h ~denied:None))
         modes)
     proven
+
+(* Every registry bench's recorded script, entry by entry, under one MD5: a
+   recorder that drops, reorders or re-gaps a transaction moves it. *)
+let test_recorded_scripts_pinned () =
+  let b = Buffer.create 4096 in
+  let e = Accel.Script.entry () in
+  List.iter
+    (fun (bench : Machsuite.Bench_def.t) ->
+      let s = record_script bench in
+      Printf.bprintf b "%s %d %d\n" bench.name (Accel.Script.length s)
+        (Accel.Script.total_ops s);
+      for i = 0 to Accel.Script.length s - 1 do
+        Accel.Script.load s i e;
+        Printf.bprintf b "%b %d %d %b %b %d %d %d\n" e.copy e.gap e.ops
+          (e.kind = Guard.Iface.Write) e.dependent e.buf e.off e.size
+      done)
+    Machsuite.Registry.all;
+  Alcotest.(check string) "script digest" "ddeaca908358a5e6ee51609ed5c4737c"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let suite =
   [
@@ -531,4 +550,6 @@ let suite =
       test_soc_counters_move;
     Alcotest.test_case "soc: proven benches record complete scripts" `Quick
       test_proven_benches_record;
+    Alcotest.test_case "soc: recorded scripts pinned" `Quick
+      test_recorded_scripts_pinned;
   ]

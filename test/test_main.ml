@@ -30,6 +30,5 @@ let () =
       ("serve", Test_serve.suite);
       ("verify", Test_verify.suite);
       ("fastpath", Test_fastpath.suite);
-      ("runcache", Test_runcache.suite);
       ("golden", Test_golden.suite);
     ]

@@ -530,9 +530,7 @@ let cursor_words_per_transaction kind ~sources =
     end;
     incr i
   done;
-  let script =
-    Option.get (Accel.Script.Recorder.finalize r ~ipc:1.0 ~total_ops:!ops ~complete:true)
-  in
+  let script = Accel.Script.Recorder.finalize r ~ipc:1.0 ~total_ops:!ops in
   let sched = Ccsim.Sched.create () in
   let ic = Bus.Topology.create ~sched ~kind Bus.Params.default in
   let retired = ref 0 in
