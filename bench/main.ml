@@ -698,6 +698,30 @@ let validation () =
 (* Bechamel micro-benchmarks: one per experiment's core data path        *)
 (* ------------------------------------------------------------------ *)
 
+(* The scheduler alone: eight cursors reschedule themselves 1-4 cycles on
+   (the calendar wheel's path) for 10 M events, their closures built before
+   the clock starts, so every word counted is the scheduler's own. *)
+let sched_cursors () =
+  let events = 10_000_000 in
+  let s = Ccsim.Sched.create () in
+  let left = ref events in
+  for i = 0 to 7 do
+    let rec k () =
+      if !left > 0 then begin
+        decr left;
+        Ccsim.Sched.at s ~cycle:(Ccsim.Sched.now s + 1 + (i land 3)) k
+      end
+    in
+    Ccsim.Sched.at s ~cycle:0 k
+  done;
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let ran = Ccsim.Sched.run_steps s max_int in
+  let secs = Unix.gettimeofday () -. t0 and words = Gc.minor_words () -. w0 in
+  Printf.printf "  %-32s %12.1f ns/event %6.2f words/event\n"
+    "sched_8_cursors (event)"
+    (secs *. 1e9 /. float_of_int ran)
+    (words /. float_of_int ran)
+
 let micro () =
   print_string (section "Bechamel micro-benchmarks (core data paths)");
   let open Bechamel in
@@ -783,7 +807,8 @@ let micro () =
           | Some [ ns ] -> Printf.printf "  %-32s %12.1f ns/run\n" name ns
           | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
         results)
-    tests
+    tests;
+  sched_cursors ()
 
 (* ------------------------------------------------------------------ *)
 (* Static check elision: cycles the CapChecker never has to spend        *)

@@ -6,29 +6,27 @@
    bumping them can never perturb a result.  Atomics, because bench
    sections bump them from pool worker domains. *)
 
-type t = { name : string; cell : int Atomic.t }
+type t = int Atomic.t
 
-let make name = { name; cell = Atomic.make 0 }
-
-let segments_replayed = make "segments_replayed"
+let segments_replayed = Atomic.make 0
 (* always 0: kept registered for the benchmark's [accel.segments_replayed]
    metric, see counters.mli *)
 
-let accesses_fast_pathed = make "accesses_fast_pathed"
+let accesses_fast_pathed = Atomic.make 0
 (* adjudications skipped because the task was statically proven in bounds
    and the guard declared a pure constant-latency check path *)
 
-let traces_memoized = make "traces_memoized"
+let traces_memoized = Atomic.make 0
 (* interpretations avoided by replaying a recorded access script *)
 
-let runs_memoized = make "runs_memoized"
+let runs_memoized = Atomic.make 0
 (* whole system runs served from the cross-sweep result cache *)
 
-let periods_leaped = make "periods_leaped"
+let periods_leaped = Atomic.make 0
 (* always 0: kept registered for the benchmark's [bus.periods_leaped]
    metric, see counters.mli *)
 
-let events_coalesced = make "events_coalesced"
+let events_coalesced = Atomic.make 0
 (* arbitration events never enqueued because a live event at or before the
    same cycle makes them provable no-ops *)
 
@@ -36,9 +34,7 @@ let all =
   [ segments_replayed; accesses_fast_pathed; traces_memoized; runs_memoized;
     periods_leaped; events_coalesced ]
 
-let name c = c.name
-let get c = Atomic.get c.cell
-let add c n = ignore (Atomic.fetch_and_add c.cell n)
+let get c = Atomic.get c
+let add c n = ignore (Atomic.fetch_and_add c n)
 let incr c = add c 1
-let reset () = List.iter (fun c -> Atomic.set c.cell 0) all
-let snapshot () = List.map (fun c -> (c.name, get c)) all
+let reset () = List.iter (fun c -> Atomic.set c 0) all

@@ -33,13 +33,9 @@ val events_coalesced : t
 (** Arbitration events never enqueued because a live event at or before
     the same cycle makes them provable no-ops. *)
 
-val name : t -> string
 val get : t -> int
 val add : t -> int -> unit
 val incr : t -> unit
 
 val reset : unit -> unit
 (** Zero every counter (start of a bench section or test case). *)
-
-val snapshot : unit -> (string * int) list
-(** All counters as [(name, value)] pairs, in declaration order. *)

@@ -125,6 +125,154 @@ let test_interleaving () =
       ("slow", 9) ]
     (List.rev !log)
 
+(* A negative rank, or one above the 255 the packed event key holds, is
+   rejected before the scheduler changes: nothing is left pending, on the
+   wheel's path (a near cycle) or the heap's (a cycle a wheel lap ahead). *)
+let test_rank_out_of_range () =
+  let s = Ccsim.Sched.create () in
+  List.iter
+    (fun (cycle, rank) ->
+      let raised =
+        match Ccsim.Sched.at_rank s ~cycle ~rank ignore with
+        | () -> None
+        | exception Invalid_argument msg -> Some msg
+      in
+      Alcotest.(check (option string))
+        (Printf.sprintf "rank %d at cycle %d" rank cycle)
+        (Some (Printf.sprintf "Sched.at_rank: rank %d outside 0..255" rank))
+        raised;
+      checki "nothing scheduled" 0 (Ccsim.Sched.pending s))
+    [ (5, -1); (5000, -1); (5, min_int); (5, 256); (5000, 256); (5, max_int) ];
+  let log = ref [] in
+  Ccsim.Sched.at_rank s ~cycle:5 ~rank:255 (fun () -> log := 255 :: !log);
+  Ccsim.Sched.at_rank s ~cycle:5 ~rank:4 (fun () -> log := 4 :: !log);
+  Ccsim.Sched.at s ~cycle:5 (fun () -> log := 0 :: !log);
+  Ccsim.Sched.run s;
+  Alcotest.(check (list int)) "ranks 0..255 order a cycle" [ 0; 4; 255 ]
+    (List.rev !log)
+
+(* ---- model: the scheduler against a sorted list ---- *)
+
+(* A random program: phases that each schedule a forest of events from
+   outside any event, run under a list of [run_steps] budgets and may end
+   with a [reset].  An event schedules its children when it runs, at a
+   delta from its own cycle: negative (a past cycle, clamped), zero (the
+   current cycle), near, across the wheel's 4096-cycle window or far.
+   Ranks 0-6 cover the wheel's ranks and the heap's. *)
+type node = { delta : int; rank : int; kids : node list }
+type phase = { roots : node list; budgets : int list; reset : bool }
+
+type entry =
+  | Ran of int * int  (* scheduling index, cycle *)
+  | Steps of int * int * int  (* events run, pending, now *)
+  | Reset
+
+let deltas = [| -5; 0; 0; 1; 1; 2; 3; 7; 64; 4095; 4096; 4097; 9000; 100_000 |]
+
+let gen_program =
+  let open QCheck.Gen in
+  let node =
+    fix
+      (fun self depth ->
+        let* delta = oneofa deltas and* rank = int_bound 6 in
+        let+ kids =
+          if depth = 0 then return [] else list_size (int_bound 3) (self (depth - 1))
+        in
+        { delta; rank; kids })
+  in
+  let budget = frequency [ (4, int_bound 40); (1, return max_int) ] in
+  let phase =
+    let* roots = list_size (int_range 1 4) (int_bound 4 >>= node)
+    and* budgets = list_size (int_range 1 3) budget
+    and* reset = bool in
+    return { roots; budgets; reset }
+  in
+  list_size (int_range 1 4) phase
+
+let rec show_node n =
+  Printf.sprintf "{%d@%d%s}" n.delta n.rank
+    (String.concat "" (List.map show_node n.kids))
+
+let show_program prog =
+  String.concat " ; "
+    (List.map
+       (fun p ->
+         Printf.sprintf "%s run %s%s"
+           (String.concat "" (List.map show_node p.roots))
+           (String.concat "," (List.map string_of_int p.budgets))
+           (if p.reset then " reset" else ""))
+       prog)
+
+(* Both interpreters number events in the order they are scheduled, so a
+   differing execution order shows as differing [Ran] entries. *)
+let interpret ~schedule ~run_steps ~pending ~now ~reset prog =
+  let log = ref [] in
+  let count = ref 0 in
+  let rec sched node =
+    let id = !count in
+    incr count;
+    schedule ~delta:node.delta ~rank:node.rank (fun () ->
+        log := Ran (id, now ()) :: !log;
+        List.iter sched node.kids)
+  in
+  List.iter
+    (fun p ->
+      List.iter sched p.roots;
+      List.iter
+        (fun b ->
+          let n = run_steps b in
+          log := Steps (n, pending (), now ()) :: !log)
+        p.budgets;
+      if p.reset then begin
+        reset ();
+        log := Reset :: !log
+      end)
+    prog;
+  List.rev !log
+
+let run_sched prog =
+  let s = Ccsim.Sched.create () in
+  interpret prog
+    ~schedule:(fun ~delta ~rank fn ->
+      Ccsim.Sched.at_rank s ~cycle:(Ccsim.Sched.now s + delta) ~rank fn)
+    ~run_steps:(Ccsim.Sched.run_steps s)
+    ~pending:(fun () -> Ccsim.Sched.pending s)
+    ~now:(fun () -> Ccsim.Sched.now s)
+    ~reset:(fun () -> Ccsim.Sched.reset s)
+
+(* The model: pending events in a list, the least (cycle, rank, seq) run
+   next. *)
+let run_model prog =
+  let clock = ref 0 and seq = ref 0 and pending = ref [] in
+  let key (c, r, q, _) = (c, r, q) in
+  let rec run_steps n =
+    if n = 0 then 0
+    else
+      match List.sort (fun a b -> compare (key a) (key b)) !pending with
+      | [] -> 0
+      | ((c, _, _, fn) as ev) :: _ ->
+          pending := List.filter (fun e -> e != ev) !pending;
+          clock := c;
+          fn ();
+          1 + run_steps (n - 1)
+  in
+  interpret prog
+    ~schedule:(fun ~delta ~rank fn ->
+      pending := (max !clock (!clock + delta), rank, !seq, fn) :: !pending;
+      incr seq)
+    ~run_steps
+    ~pending:(fun () -> List.length !pending)
+    ~now:(fun () -> !clock)
+    ~reset:(fun () ->
+      clock := 0;
+      seq := 0;
+      pending := [])
+
+let prop_matches_model =
+  QCheck.Test.make ~count:300 ~name:"scheduler == sorted-list model"
+    (QCheck.make ~print:show_program gen_program)
+    (fun prog -> run_sched prog = run_model prog)
+
 (* ---- reset ---- *)
 
 (* A branching workload over both event stores: near rank-0/1/3 events land
@@ -469,30 +617,36 @@ let words_per_transaction kind ~sources =
   Ccsim.Sched.run sched;
   (Gc.minor_words () -. before) /. float_of_int total
 
-let test_flow_allocation_budget () =
+let kinds =
+  [ Bus.Topology.Shared;
+    Bus.Topology.Crossbar { banks = 4 };
+    Bus.Topology.Hierarchical { clusters = 4 } ]
+
+(* Scheduler events are pool slots and the flows keep their state in place,
+   so a transaction allocates nothing: what the measurement sees is the
+   pool and heap growing to their peak, under 0.06 words per transaction.
+   One word of slack. *)
+let check_words_budget measure =
   List.iter
-    (fun (kind, budget) ->
+    (fun kind ->
       List.iter
         (fun sources ->
-          let words = words_per_transaction kind ~sources in
+          let words = measure kind ~sources in
           checkb
-            (Printf.sprintf "%s, %d source(s): %.1f words per transaction <= %d"
-               (Bus.Topology.kind_to_string kind) sources words budget)
-            true
-            (words <= float_of_int budget))
+            (Printf.sprintf "%s, %d source(s): %.3f words per transaction <= 1"
+               (Bus.Topology.kind_to_string kind) sources words)
+            true (words <= 1.0))
         [ 1; 4 ])
-    [ (Bus.Topology.Shared, 32);
-      (Bus.Topology.Crossbar { banks = 4 }, 32);
-      (Bus.Topology.Hierarchical { clusters = 4 }, 48) ]
+    kinds
+
+let test_flow_allocation_budget () = check_words_budget words_per_transaction
 
 (* The same budget for a script-fed task through [Accel.Engine.run_event]:
    a proven task behind a constant-latency guard ([Adj_fastpath]) replays a
    hand-recorded script of 12,000 transactions (element accesses with
    gaps, and DMA copies every 50th entry) from [sources] instances.  The
-   script cursor is continued from scheduler events and from the flow, so
-   the only thing it may allocate is the scheduler's six-word events: at
-   most 6 words per event plus 2 words of slack per transaction.  Returns
-   (words, events) per transaction. *)
+   script cursor is continued from scheduler events and from the flow, and
+   neither allocates per transaction.  Returns the words per transaction. *)
 let cursor_words_per_transaction kind ~sources =
   let total = 12_000 in
   let open Kernel.Ir in
@@ -546,28 +700,45 @@ let cursor_words_per_transaction kind ~sources =
           incr retired)
   done;
   let before = Gc.minor_words () in
-  let events = Ccsim.Sched.run_steps sched max_int in
+  Ccsim.Sched.run sched;
   let words = Gc.minor_words () -. before in
   checki "every task retired" sources !retired;
-  let n = float_of_int (sources * !transactions) in
-  (words /. n, float_of_int events /. n)
+  words /. float_of_int (sources * !transactions)
 
 let test_cursor_allocation_budget () =
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun sources ->
-          let words, events = cursor_words_per_transaction kind ~sources in
-          checkb
-            (Printf.sprintf
-               "%s, %d source(s): %.1f words per transaction <= 6 x %.2f events + 2"
-               (Bus.Topology.kind_to_string kind) sources words events)
-            true
-            (words <= (6.0 *. events) +. 2.0))
-        [ 1; 4 ])
-    [ Bus.Topology.Shared;
-      Bus.Topology.Crossbar { banks = 4 };
-      Bus.Topology.Hierarchical { clusters = 4 } ]
+  check_words_budget cursor_words_per_transaction
+
+(* The scheduler itself: once its pool and heap have grown to a workload's
+   peak, running that workload again allocates nothing.  Eight cursors
+   reschedule themselves near (the wheel) or far and at rank 5 (the heap);
+   their closures are built before the measurement. *)
+let test_warm_run_allocates_nothing () =
+  let s = Ccsim.Sched.create () in
+  let events = 200_000 in
+  let load () =
+    let left = ref events in
+    for i = 0 to 7 do
+      let rec k () =
+        if !left > 0 then begin
+          decr left;
+          let now = Ccsim.Sched.now s in
+          if !left mod 7 = 0 then
+            Ccsim.Sched.at_rank s ~cycle:(now + 5000 + i) ~rank:5 k
+          else Ccsim.Sched.at s ~cycle:(now + 1 + (i land 3)) k
+        end
+      in
+      Ccsim.Sched.at s ~cycle:0 k
+    done
+  in
+  load ();
+  Ccsim.Sched.run s;
+  Ccsim.Sched.reset s;
+  load ();
+  let before = Gc.minor_words () in
+  let ran = Ccsim.Sched.run_steps s max_int in
+  let words = Gc.minor_words () -. before in
+  checki "every event ran" (events + 8) ran;
+  Alcotest.(check (float 0.0)) "minor words in a warm run" 0.0 words
 
 let suite =
   [
@@ -575,6 +746,7 @@ let suite =
     ("stable ties", `Quick, test_stable_ties);
     ("rank within cycle", `Quick, test_rank_orders_within_cycle);
     ("past cycle clamped", `Quick, test_past_cycle_clamped);
+    ("rank out of range rejected", `Quick, test_rank_out_of_range);
     ("on_advance monotone", `Quick, test_on_advance_monotone);
     ("cursor wait", `Quick, test_cursor_wait);
     ("cursor handoff", `Quick, test_cursor_handoff);
@@ -600,4 +772,6 @@ let suite =
      test_flow_allocation_budget);
     ("cursor: allocation budget per transaction", `Quick,
      test_cursor_allocation_budget);
+    ("warm run allocates nothing", `Quick, test_warm_run_allocates_nothing);
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_matches_model ]
