@@ -722,6 +722,60 @@ let sched_cursors () =
     (secs *. 1e9 /. float_of_int ran)
     (words /. float_of_int ran)
 
+(* The kernel interpreter alone: ns and minor words per executed op (the
+   total of the per-class counts) for gemm_ncubed, on the reference machine
+   and under the CPU model, best of five runs. *)
+let interp_op () =
+  let bench = Machsuite.Registry.find "gemm_ncubed" in
+  let pure () =
+    let bufs =
+      List.map
+        (fun (d : Kernel.Ir.buf_decl) -> (d.buf_name, Machsuite.Bench_def.initial_array bench d))
+        bench.kernel.Kernel.Ir.bufs
+    in
+    Kernel.Interp.pure_machine ~bufs ~params:bench.params ()
+  in
+  let ops =
+    let m = pure () in
+    Kernel.Interp.run bench.kernel m;
+    Kernel.Interp.total m.Kernel.Interp.ops
+  in
+  let mem = Tagmem.Mem.create ~size:(4 lsl 20) in
+  let heap = Tagmem.Alloc.create ~base:4096 ~size:((4 lsl 20) - 4096) in
+  let layout =
+    Memops.Layout.make
+      (List.map
+         (fun (decl : Kernel.Ir.buf_decl) ->
+           let align, padded =
+             Cheri.Bounds_enc.malloc_shape ~length:(Kernel.Ir.buf_decl_bytes decl)
+           in
+           { Memops.Layout.decl; base = Tagmem.Alloc.malloc heap ~align padded })
+         bench.kernel.Kernel.Ir.bufs)
+  in
+  List.iter
+    (fun (binding : Memops.Layout.binding) ->
+      Memops.Layout.init_buffer mem binding (fun idx ->
+          bench.init binding.decl.Kernel.Ir.buf_name idx))
+    (Memops.Layout.bindings layout);
+  let per_op name prepare run =
+    let best = ref infinity and words = ref infinity in
+    for _ = 1 to 5 do
+      let x = prepare () in
+      let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+      run x;
+      best := Float.min !best (Unix.gettimeofday () -. t0);
+      words := Float.min !words (Gc.minor_words () -. w0)
+    done;
+    Printf.printf "  %-32s %12.1f ns/op %6.2f words/op\n" name
+      (!best *. 1e9 /. float_of_int ops)
+      (!words /. float_of_int ops)
+  in
+  per_op "interp_op gemm_ncubed (pure)" pure (fun m -> Kernel.Interp.run bench.kernel m);
+  per_op "interp_op gemm_ncubed (cpu)" ignore (fun () ->
+      ignore
+        (Cpu.Model.run (Cpu.Model.config Cpu.Model.Rv64) mem bench.kernel layout
+           ~params:bench.params ()))
+
 let micro () =
   print_string (section "Bechamel micro-benchmarks (core data paths)");
   let open Bechamel in
@@ -808,7 +862,8 @@ let micro () =
           | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
         results)
     tests;
-  sched_cursors ()
+  sched_cursors ();
+  interp_op ()
 
 (* ------------------------------------------------------------------ *)
 (* Static check elision: cycles the CapChecker never has to spend        *)

@@ -317,17 +317,17 @@ let copy_done p =
 
    A script feed decodes its next entry.  A kernel feed resumes the
    interpreter, whose machine answers "pending" at every DMA access and
-   leaves the transaction in [c_e]; ticks since the last access become its
-   gap.  Once the pipeline has taken an entry, an interpreted task moves
-   its data and the interpreter's retried call gets the answer, while a
-   script meets the same physical-memory decode the data movement would,
-   so an escaping access is the same bus error. *)
+   leaves the transaction in [c_e]; the ops counted since the last access
+   become its gap.  Once the pipeline has taken an entry, an interpreted
+   task moves its data and the interpreter's retried call gets the answer,
+   while a script meets the same physical-memory decode the data movement
+   would, so an escaping access is the same bus error. *)
 
 type interp = {
   i_elem : Kernel.Ir.elem array;  (* element type per buffer *)
   i_ipc : float;  (* synthesized ops per cycle *)
   i_naive : bool;  (* naive_tag_writes *)
-  mutable i_ops : int;  (* ops executed so far *)
+  i_ops : int array;  (* ops executed so far, per cost class *)
   i_debt : float ref;  (* fractional datapath cycles carried over *)
   mutable i_value : Kernel.Value.t;  (* a store's value, a done load's answer *)
   mutable i_done : bool;  (* the pending call is through: answer its retry *)
@@ -339,7 +339,7 @@ type feed = Script_feed of Script.t | Kernel_feed of interp * Kernel.Interp.t
    datapath gap. *)
 let pend it (e : Script.entry) ~copy ~kind ~buf ~off ~size ~dependent =
   e.copy <- copy;
-  e.ops <- it.i_ops;
+  e.ops <- Kernel.Interp.total it.i_ops;
   e.kind <- kind;
   e.dependent <- dependent;
   e.buf <- buf;
@@ -391,13 +391,12 @@ let machine it e task =
                ~size:bytes ~dependent:false;
              false
            end);
-    tick =
-      (fun _cost n -> it.i_ops <- it.i_ops + n);
     param =
       (fun name ->
         match List.assoc_opt name task.params with
         | Some value -> value
         | None -> invalid_arg ("Accel.Engine: unknown param " ^ name));
+    ops = it.i_ops;
   }
 
 type phase =
@@ -424,7 +423,8 @@ let interp ~directives ~naive_tag_writes task =
   let elem d = (Memops.Layout.find task.layout d.Kernel.Ir.buf_name).decl.Kernel.Ir.elem in
   { i_elem = Array.of_list (List.map elem task.kernel.Kernel.Ir.bufs);
     i_ipc = directives.Hls.Directives.compute_ipc; i_naive = naive_tag_writes;
-    i_ops = 0; i_debt = ref 0.0; i_value = Kernel.Interp.pending; i_done = false }
+    i_ops = Kernel.Interp.counters (); i_debt = ref 0.0;
+    i_value = Kernel.Interp.pending; i_done = false }
 
 let cursor p source ~mem ~directives ~naive_tag_writes task =
   let e = Script.entry () in
@@ -456,7 +456,7 @@ let[@inline] fetch c =
   | Kernel_feed (it, k) ->
       let more = not (Kernel.Interp.resume k) in
       if more then e.gap <- Script.gap ~debt:it.i_debt ~ipc:it.i_ipc (e.ops - p.p_ops);
-      p.p_ops <- it.i_ops;
+      p.p_ops <- Kernel.Interp.total it.i_ops;
       more
 
 (* An interpreted task moves entry [e]'s data, an access at [phys] or a
@@ -627,7 +627,7 @@ let record ~mem ~directives ~naive_tag_writes task =
   | () ->
       Some
         (Script.Recorder.finalize r ~ipc:directives.Hls.Directives.compute_ipc
-           ~total_ops:it.i_ops)
+           ~total_ops:(Kernel.Interp.total it.i_ops))
   | exception (Script.Recorder.Escaped | Tagmem.Mem.Out_of_range _) -> None
 
 let ev_outcome p issue denied =

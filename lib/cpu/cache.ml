@@ -11,21 +11,34 @@ let default_config =
 type t = {
   cfg : config;
   tags : int array;  (* -1 = invalid *)
+  line_shift : int;  (* log2 line_bytes *)
   obs : Obs.Trace.t;
   core : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?(obs = Obs.Trace.null) ?(core = 0) cfg =
-  let lines = cfg.size_bytes / cfg.line_bytes in
-  assert (lines > 0);
-  { cfg; tags = Array.make lines (-1); obs; core; hits = 0; misses = 0 }
+let power_of_two n = n > 0 && n land (n - 1) = 0
 
+let create ?(obs = Obs.Trace.null) ?(core = 0) cfg =
+  if not (power_of_two cfg.size_bytes && power_of_two cfg.line_bytes
+          && cfg.line_bytes <= cfg.size_bytes)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Cpu.Cache.create: size_bytes %d and line_bytes %d must be powers of two, \
+          the line no larger than the cache"
+         cfg.size_bytes cfg.line_bytes);
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
+  { cfg; tags = Array.make (cfg.size_bytes / cfg.line_bytes) (-1);
+    line_shift = log2 cfg.line_bytes; obs; core; hits = 0; misses = 0 }
+
+(* Addresses are non-negative, so a shift and a mask stand for the divide
+   and the modulo by the line size and the line count. *)
 let access t ~addr =
-  let line = addr / t.cfg.line_bytes in
-  let set = line mod Array.length t.tags in
-  if t.tags.(set) = line then begin
+  let line = addr lsr t.line_shift in
+  let set = line land (Array.length t.tags - 1) in
+  if Array.unsafe_get t.tags set = line then begin
     t.hits <- t.hits + 1;
     if Obs.Trace.enabled t.obs then
       Obs.Trace.emit t.obs (Obs.Event.Cache_hit { core = t.core; addr });
@@ -33,7 +46,7 @@ let access t ~addr =
   end
   else begin
     t.misses <- t.misses + 1;
-    t.tags.(set) <- line;
+    Array.unsafe_set t.tags set line;
     if Obs.Trace.enabled t.obs then
       Obs.Trace.emit t.obs (Obs.Event.Cache_miss { core = t.core; addr });
     t.cfg.miss_cycles
@@ -42,10 +55,10 @@ let access t ~addr =
 let touch_range t ~addr ~size =
   if size <= 0 then 0
   else
-    let first = addr / t.cfg.line_bytes and last = (addr + size - 1) / t.cfg.line_bytes in
+    let first = addr lsr t.line_shift and last = (addr + size - 1) lsr t.line_shift in
     let cycles = ref 0 in
     for line = first to last do
-      cycles := !cycles + access t ~addr:(line * t.cfg.line_bytes)
+      cycles := !cycles + access t ~addr:(line lsl t.line_shift)
     done;
     !cycles
 

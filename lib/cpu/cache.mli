@@ -17,12 +17,14 @@ val default_config : config
 type t
 
 val create : ?obs:Obs.Trace.t -> ?core:int -> config -> t
-(** [obs] (default {!Obs.Trace.null}) receives a [Cache_hit]/[Cache_miss]
-    event per access, attributed to track [core] (default 0).  Tracing never
-    alters the cycle accounting. *)
+(** Raises [Invalid_argument] unless [size_bytes] and [line_bytes] are
+    powers of two and the line is no larger than the cache.  [obs] (default
+    {!Obs.Trace.null}) receives a [Cache_hit]/[Cache_miss] event per access,
+    attributed to track [core] (default 0).  Tracing never alters the cycle
+    accounting. *)
 
 val access : t -> addr:int -> int
-(** Cycles for one access; updates the tag array. *)
+(** Cycles for one access at a non-negative [addr]; updates the tag array. *)
 
 val touch_range : t -> addr:int -> size:int -> int
 (** Cycles for streaming sequentially over a range (one access per line). *)

@@ -70,11 +70,23 @@ let derive_caps bufs =
 
 let run ?(obs = Obs.Trace.null) cfg mem kernel layout ?(params = []) () =
   let cache = Cache.create ~obs cfg.cache in
-  let cycles = ref 0 in
+  (* The kernel's ops are counted by class in [ops] and weighted here; every
+     other cycle (memory, copies, capability traffic) accrues in [cycles]. *)
+  let cycles = ref 0 and ops = Kernel.Interp.counters () in
+  let weights = Array.map (cost_of cfg) Kernel.Interp.costs in
+  let op_cycles () =
+    let sum = ref 0 in
+    for c = 0 to Array.length ops - 1 do
+      sum := !sum + (ops.(c) * weights.(c))
+    done;
+    !sum
+  in
   (* Keep the trace clock in lock-step with the accounted cycles so cache
      events are stamped where they happen; the sink never feeds back. *)
   let t0 = Obs.Trace.now obs in
-  let sync () = Obs.Trace.set_now obs (t0 + !cycles) in
+  let sync () =
+    if Obs.Trace.enabled obs then Obs.Trace.set_now obs (t0 + !cycles + op_cycles ())
+  in
   let loads = ref 0 and stores = ref 0 in
   let mem_accesses = ref 0 in
   (* A buffer's handle is its index among the layout's bindings. *)
@@ -142,12 +154,12 @@ let run ?(obs = Obs.Trace.null) cfg mem kernel layout ?(params = []) () =
           cycles := !cycles + Cache.touch_range cache ~addr:sb.base ~size:bytes;
           cycles := !cycles + Cache.touch_range cache ~addr:db.base ~size:bytes;
           true);
-      tick = (fun c n -> cycles := !cycles + (n * cost_of cfg c));
       param =
         (fun name ->
           match List.assoc_opt name params with
           | Some value -> value
           | None -> invalid_arg ("Cpu.Model.run: unknown param " ^ name));
+      ops;
     }
   in
   let trap =
@@ -157,7 +169,7 @@ let run ?(obs = Obs.Trace.null) cfg mem kernel layout ?(params = []) () =
   in
   sync ();
   {
-    cycles = !cycles;
+    cycles = !cycles + op_cycles ();
     loads = !loads;
     stores = !stores;
     cache_hits = Cache.hits cache;

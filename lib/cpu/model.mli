@@ -60,10 +60,13 @@ val run :
   ?params:(string * Kernel.Value.t) list ->
   unit ->
   result
-(** Execute the kernel to completion (or trap) and account cycles.  [obs]
-    (default {!Obs.Trace.null}) receives per-access cache events; the trace
-    clock is advanced alongside the accounted cycles from whatever value it
-    held at entry.  Tracing never alters the result. *)
+(** Execute the kernel to completion (or trap) and account cycles: the
+    interpreter's per-class op counts weighted by [costs] ([Sram] at one
+    cycle), plus the cache, copy and capability-traffic cycles of every
+    access.  [obs] (default {!Obs.Trace.null}) receives per-access cache
+    events; the trace clock is advanced to the cycles accounted so far at
+    every access, from whatever value it held at entry.  Tracing never alters
+    the result. *)
 
 val cap_setup_cycles : config -> n_bufs:int -> int
 (** Call-boundary cost of deriving one bounded capability per buffer

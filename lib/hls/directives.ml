@@ -34,10 +34,12 @@ type design = {
 }
 
 (* The schedule walk: count the datapath operations each statement
-   elaborates to (one per expression node, matching the interpreter's tick
-   accounting) and the deepest loop nest, without executing anything.  This
-   is the pure, launch-parameter-independent part of "running Vitis HLS";
-   it costs microseconds, so it is not cached. *)
+   elaborates to (one per expression node, a static count: leaves and
+   stores included, where the interpreter's per-class op counts take only
+   operators, branches and scratch accesses, per execution) and the deepest
+   loop nest, without executing anything.  This is the pure,
+   launch-parameter-independent part of "running Vitis HLS"; it costs
+   microseconds, so it is not cached. *)
 let rec exp_ops (e : Kernel.Ir.exp) =
   match e with
   | Kernel.Ir.Int _ | Kernel.Ir.Flt _ | Kernel.Ir.Var _ | Kernel.Ir.Param _ -> 1

@@ -43,6 +43,22 @@ type t = {
 
 let find_buf t name = List.find (fun b -> b.buf_name = name) t.bufs
 
+type ty = TI | TF
+
+let binop_ty = function
+  | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Shl | Shr | Imin | Imax
+  | Lt | Le | Gt | Ge | Eq | Ne -> (TI, TI)
+  | Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax -> (TF, TF)
+  | Flt | Fle | Fgt | Fge -> (TF, TI)
+
+let infer ~local ~param ~elem = function
+  | Int _ | Un ((Neg | Bnot | F2i), _) -> TI
+  | Flt _ | Un ((Fneg | Fabs | Fsqrt | Fexp | I2f), _) -> TF
+  | Var name -> local name
+  | Param name -> param name
+  | Load (b, _) -> if elem_is_float (elem b) then TF else TI
+  | Bin (op, _, _) -> snd (binop_ty op)
+
 let rec contains_load = function
   | Int _ | Flt _ | Var _ | Param _ -> false
   | Load _ -> true

@@ -71,6 +71,18 @@ type t = {
 val find_buf : t -> string -> buf_decl
 (** Raises [Not_found]. *)
 
+(** {1 Types}  Every operator fixes its operands' and its result's types,
+    so an expression's type is its root's.  The interpreter and the RISC-V
+    code generator both type kernels by this rule. *)
+
+type ty = TI | TF  (** an integer or an IEEE double *)
+
+val binop_ty : binop -> ty * ty
+(** The operands' type and the result's. *)
+
+val infer :
+  local:(string -> ty) -> param:(string -> ty) -> elem:(string -> elem) -> exp -> ty
+
 val validate : t -> (unit, string) result
 (** Static sanity: buffer references resolve, buffer names unique, memcpy
     element types agree, stores only target writable buffers. *)

@@ -4,6 +4,10 @@ type t = VI of int | VF of float
 
 exception Type_error of string
 
+val of_int : int -> t
+(** [VI n], shared for small [n] (-512 to 1023), which therefore allocates
+    nothing. *)
+
 val as_int : t -> int
 (** Raises {!Type_error} on a float. *)
 

@@ -1,9 +1,13 @@
-(* Row layout: [cycle; tag; f0 .. f6] in [ints], two string slots per row in
-   [strs].  Fields a constructor does not use keep whatever an older row left
-   there; [decode_data] reads only the fields of the row's own tag. *)
+(* Row layout: [cycle; head; f0 .. f5] in [ints], two string slots per row
+   in [strs].  [head] packs the tag with [Bus_grant]'s read flag, so the
+   widest event takes eight words.  Fields a constructor does not use keep
+   whatever an older row left there; [decode_data] reads only the fields of
+   the row's own tag. *)
 
-let width = 9
+let width = 8
 let tags = 18
+
+let head ~tag ~flag = (tag lsl 1) lor flag
 
 let tag : Event.data -> int = function
   | Bus_grant _ -> 0
@@ -51,7 +55,7 @@ let alloc_chunk t c = t.ints.(c) <- Array.make (chunk_len t c * width) 0
 
 (* Chunk [c]'s string slots.  Only four event kinds carry strings, so the
    slots are allocated when the first of them lands in the chunk: a full
-   sink of numeric events holds 9 words a row instead of 11. *)
+   sink of numeric events holds 8 words a row instead of 10. *)
 let strings t c =
   if Array.length t.strs.(c) = 0 then t.strs.(c) <- Array.make (2 * chunk_len t c) "";
   t.strs.(c)
@@ -67,12 +71,12 @@ let set3 (ints : int array) b x y z =
 
 let encode t c ints row (data : Event.data) =
   let b = (row * width) + 2 and s = 2 * row in
-  ints.(b - 1) <- tag data;
+  let flag = match data with Bus_grant { read; _ } -> Bool.to_int read | _ -> 0 in
+  ints.(b - 1) <- head ~tag:(tag data) ~flag;
   match data with
-  | Bus_grant { source; beats; read; at; granted_at; data_done; completed } ->
-      set3 ints b source beats (Bool.to_int read);
-      set2 ints (b + 3) at granted_at;
-      set2 ints (b + 5) data_done completed
+  | Bus_grant { source; beats; read = _; at; granted_at; data_done; completed } ->
+      set3 ints b source beats at;
+      set3 ints (b + 3) granted_at data_done completed
   | Bus_beat { source; beats } -> set2 ints b source beats
   | Cache_hit { core; addr } | Cache_miss { core; addr } -> set2 ints b core addr
   | Check_ok { task; obj; latency } -> set3 ints b task obj latency
@@ -101,11 +105,11 @@ let encode t c ints row (data : Event.data) =
 let decode_data ints strs row : Event.data =
   let b = (row * width) + 2 and s = 2 * row in
   let f k = ints.(b + k) and str k = strs.(s + k) in
-  match ints.(b - 1) with
+  match ints.(b - 1) lsr 1 with
   | 0 ->
       Bus_grant
-        { source = f 0; beats = f 1; read = f 2 <> 0; at = f 3;
-          granted_at = f 4; data_done = f 5; completed = f 6 }
+        { source = f 0; beats = f 1; read = ints.(b - 1) land 1 <> 0; at = f 2;
+          granted_at = f 3; data_done = f 4; completed = f 5 }
   | 1 -> Bus_beat { source = f 0; beats = f 1 }
   | 2 -> Cache_hit { core = f 0; addr = f 1 }
   | 3 -> Cache_miss { core = f 0; addr = f 1 }
@@ -127,7 +131,7 @@ let decode_data ints strs row : Event.data =
 
 let sample tag =
   let ints = Array.make width 0 in
-  ints.(1) <- tag;
+  ints.(1) <- head ~tag ~flag:0;
   decode_data ints [| ""; "" |] 0
 
 let capacity t = t.capacity

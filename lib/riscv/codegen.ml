@@ -95,22 +95,6 @@ let take pool =
 let give pool r = pool.free <- r :: pool.free
 
 (* ------------------------------------------------------------------ *)
-(* Types                                                                *)
-(* ------------------------------------------------------------------ *)
-
-type ty = TI | TF
-
-let ty_of_elem elem = if Kernel.Ir.elem_is_float elem then TF else TI
-
-let ty_of_binop (op : Kernel.Ir.binop) ~operand =
-  match op with
-  | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Shl | Shr | Imin | Imax ->
-      (TI, TI)
-  | Lt | Le | Gt | Ge | Eq | Ne -> (operand, TI)
-  | Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax -> (TF, TF)
-  | Flt | Fle | Fgt | Fge -> (TF, TI)
-
-(* ------------------------------------------------------------------ *)
 (* The compiler                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -122,7 +106,7 @@ type env = {
   params : (string * Kernel.Value.t) list;
   scratch_base : int;
   scratch_offsets : (string, int) Hashtbl.t;
-  locals : (string, ty * int) Hashtbl.t;
+  locals : (string, Kernel.Ir.ty * int) Hashtbl.t;
   itemps : pool;
   ftemps : pool;
   ilocals : pool;
@@ -140,27 +124,18 @@ let buf_decl env name =
   else (Memops.Layout.find env.layout name).Memops.Layout.decl
 
 (* Static type of an expression; locals must already be bound. *)
-let rec infer env (e : Kernel.Ir.exp) =
-  match e with
-  | Int _ -> TI
-  | Flt _ -> TF
-  | Var name -> (
+let infer env =
+  Kernel.Ir.infer
+    ~local:(fun name ->
       match Hashtbl.find_opt env.locals name with
       | Some (ty, _) -> ty
       | None -> fail "unbound local %s" name)
-  | Param name -> (
+    ~param:(fun name ->
       match List.assoc_opt name env.params with
-      | Some (Kernel.Value.VI _) -> TI
+      | Some (Kernel.Value.VI _) -> Kernel.Ir.TI
       | Some (Kernel.Value.VF _) -> TF
       | None -> fail "unknown param %s" name)
-  | Load (b, _) -> ty_of_elem (buf_decl env b).elem
-  | Bin (op, a, _) ->
-      let operand = infer env a in
-      snd (ty_of_binop op ~operand)
-  | Un (op, _) -> (
-      match op with
-      | Neg | Bnot | F2i -> TI
-      | Fneg | Fabs | Fsqrt | Fexp | I2f -> TF)
+    ~elem:(fun b -> (buf_decl env b).elem)
 
 (* Heap element width/type as seen by memory instructions. *)
 let heap_access env name =

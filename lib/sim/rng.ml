@@ -1,20 +1,31 @@
-type t = { mutable state : int64 }
+(* The state is one 64-bit word kept unboxed in a byte buffer, so a draw
+   allocates nothing. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 finalizer (Steele, Lea, Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next64 t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
 
 let int t bound =
   assert (bound > 0);
@@ -31,9 +42,7 @@ let float t bound =
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 
-let split t =
-  let s = next64 t in
-  { state = mix s }
+let split t = of_state (mix (next64 t))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

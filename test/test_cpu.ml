@@ -39,6 +39,52 @@ let test_cache_reset () =
   checki "stats cleared" 0 (Cpu.Cache.misses c);
   checki "cold again" Cpu.Cache.default_config.miss_cycles (Cpu.Cache.access c ~addr:0)
 
+let test_cache_refuses_non_powers_of_two () =
+  let refused cfg =
+    match Cpu.Cache.create cfg with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let d = Cpu.Cache.default_config in
+  checkb "size 3000" true (refused { d with size_bytes = 3000 });
+  checkb "line 48" true (refused { d with line_bytes = 48 });
+  checkb "line 0" true (refused { d with line_bytes = 0 });
+  checkb "line larger than the cache" true
+    (refused { d with size_bytes = 32; line_bytes = 64 });
+  checkb "one-line cache" false (refused { d with size_bytes = 64; line_bytes = 64 })
+
+(* Hit/miss sequences of fixed address streams, pinned from the model when
+   it divided by the line size and the line count. *)
+let test_cache_sequence_pinned () =
+  let seq cfg addrs =
+    let c = Cpu.Cache.create cfg in
+    String.concat ""
+      (List.map
+         (fun addr -> if Cpu.Cache.access c ~addr = cfg.Cpu.Cache.hit_cycles then "h" else "m")
+         addrs)
+  in
+  let lcg x = (x * 1103515245 + 12345) land 0x3fffffff in
+  let x = ref 7 in
+  let local =
+    List.init 64 (fun j ->
+        x := lcg !x;
+        if j mod 3 = 0 then !x land 0x3ff else (j * 4) land 0x1ff)
+  in
+  let small = { Cpu.Cache.size_bytes = 256; line_bytes = 16; hit_cycles = 1; miss_cycles = 9 } in
+  Alcotest.(check string) "256 B cache, 16 B lines"
+    "mmhmmhhhmmhhmmhmmhmhmmhhmmhhmhmhmhhhmmhmmhmhmhhhmmhmmhmhmmhhmmhm" (seq small local);
+  let x = ref 12345 in
+  let far =
+    List.init 20_000 (fun j ->
+        x := lcg !x;
+        if j mod 5 = 0 then (!x lsr 4) land 0xffff else ((j * 24) + (!x land 0x3f)) land 0x7fff)
+  in
+  let s = seq Cpu.Cache.default_config far in
+  checki "default cache hits" 10391
+    (String.fold_left (fun n ch -> if ch = 'h' then n + 1 else n) 0 s);
+  Alcotest.(check string) "default cache sequence digest" "13ae112cf666c6f84c0b03fc7994a498"
+    (Digest.to_hex (Digest.string s))
+
 (* ---------------- model ---------------- *)
 
 let setup_layout kernel =
@@ -171,6 +217,8 @@ let suite =
     ("cache conflict", `Quick, test_cache_conflict_eviction);
     ("cache touch_range", `Quick, test_cache_touch_range);
     ("cache reset", `Quick, test_cache_reset);
+    ("cache refuses non-powers of two", `Quick, test_cache_refuses_non_powers_of_two);
+    ("cache hit/miss sequence pinned", `Quick, test_cache_sequence_pinned);
     ("functional run", `Quick, test_run_functional);
     ("cheri functional parity", `Quick, test_cheri_run_matches_functionally);
     ("cheri traps on OOB", `Quick, test_cheri_traps_on_oob);

@@ -279,25 +279,19 @@ let test_cost_classes () =
   checkb "compare is alu" true (Interp.cost_of_binop Lt = Interp.Alu);
   checkb "fsqrt is special" true (Interp.cost_of_unop Fsqrt = Interp.Fspec)
 
+let count (ops : int array) c = ops.(Interp.cost_index c)
+
 let test_tick_counts () =
-  let ticks = Hashtbl.create 8 in
   let k =
     simple "ticks"
       [ let_ "x" ((i 1 +: i 2) *: i 3); for_ "j" (i 0) (i 4) [ let_ "y" (v "j") ] ]
   in
-  let pure = Interp.pure_machine ~bufs:[ ("out", Array.make 8 (Value.VI 0)) ] () in
-  let m =
-    { pure with
-      Interp.tick =
-        (fun c n ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt ticks c) in
-          Hashtbl.replace ticks c (cur + n)) }
-  in
+  let m = Interp.pure_machine ~bufs:[ ("out", Array.make 8 (Value.VI 0)) ] () in
   Interp.run k m;
-  checki "one add" 1 (Option.value ~default:0 (Hashtbl.find_opt ticks Interp.Alu));
-  checki "one mul" 1 (Option.value ~default:0 (Hashtbl.find_opt ticks Interp.Imul));
-  checki "four back-edges" 4
-    (Option.value ~default:0 (Hashtbl.find_opt ticks Interp.Branch))
+  checki "one add" 1 (count m.ops Interp.Alu);
+  checki "one mul" 1 (count m.ops Interp.Imul);
+  checki "four back-edges" 4 (count m.ops Interp.Branch);
+  checki "nothing else" 6 (Interp.total m.ops)
 
 let test_unbound_var_message () =
   let k = simple "unbound" [ store "out" (i 0) (v "x") ] in
@@ -326,42 +320,48 @@ let test_for_body_assigns_loop_var () =
     (List.init 7 (fun j -> Value.as_int out.(j)))
 
 let test_fuel_exhaustion_ticks () =
-  let branches = ref 0 and bodies = ref 0 in
+  let bodies = ref 0 in
   let k = simple "spin" [ while_ (i 1) [ store "out" (i 0) (i 0) ] ] in
   let pure = Interp.pure_machine ~bufs:[ ("out", Array.make 8 (Value.VI 0)) ] () in
   let m =
     { pure with
-      Interp.tick = (fun c _ -> if c = Interp.Branch then incr branches);
-      store = (fun name ~idx x -> incr bodies; pure.store name ~idx x) }
+      Interp.store =
+        (fun name ~idx x ->
+          incr bodies;
+          checki "condition counts at a body's store" !bodies (count pure.ops Interp.Branch);
+          pure.store name ~idx x) }
   in
   (match Interp.run ~fuel:5 k m with
   | () -> Alcotest.fail "expected fuel exhaustion"
   | exception Interp.Fuel_exhausted -> ());
-  checki "condition ticks" 5 !branches;
+  checki "condition counts" 5 (count pure.ops Interp.Branch);
   checki "bodies run" 4 !bodies
 
 (* ---------------- call sequence ---------------- *)
 
 (* The interpreter's observable behaviour is the exact sequence of machine
-   callbacks it makes.  Every registry benchmark runs on a machine that
-   records each call (kind, buffer, index, dependent flag, value, cost class
-   and count) around [pure_machine]; the digest over all of them pins the
-   order and arguments of every load, store, copy, tick and param. *)
-let call_sequence_golden = "75a5a0e560f55e85"
-
-let cost_tag : Interp.cost -> char = function
-  | Alu -> 'a' | Imul -> 'm' | Idiv -> 'd' | Fadd -> 'F' | Fmul -> 'M'
-  | Fdiv -> 'D' | Fspec -> 's' | Branch -> 'b' | Sram -> 'r'
+   callbacks it makes, and the ops it has counted by each of them.  Every
+   registry benchmark runs on a machine that records each call (kind,
+   buffer, index, dependent flag, value) with the per-class op counts it
+   finds, around [pure_machine]; the digest over all of them and over each
+   bench's final counts pins the order and arguments of every load, store,
+   copy and param, and every op count at each.  The value was computed by
+   summing a per-op cost callback, independently of the counts. *)
+let call_sequence_golden = "7b00a14840df0fcf"
 
 (* A 63-bit multiply-xorshift hash folded over every recorded field: cheap
-   enough for the ~25 M callbacks of the registry, and any change in the
+   enough for the ~25 M fields of the registry, and any change in the
    order or value of a field moves it. *)
+let hash h n =
+  let x = (!h + n) * 0x5bd1e9955bd1e995 in
+  h := x lxor (x lsr 29)
+
+let hash_counts h (ops : int array) = Array.iter (hash h) ops
+
 let recording_machine h (pure : Interp.machine) =
-  let int n =
-    let x = (!h + n) * 0x5bd1e9955bd1e995 in
-    h := x lxor (x lsr 29)
-  in
+  let int = hash h in
   let str s = int (Hashtbl.hash s) in
+  let at_call () = hash_counts h pure.ops in
   (* Calls name buffers by handle; the digest hashes their names. *)
   let names = Hashtbl.create 8 in
   let buf b = str (Hashtbl.find names b) in
@@ -379,26 +379,31 @@ let recording_machine h (pure : Interp.machine) =
         b);
     load =
       (fun b ~idx ~dependent ->
-        int (Char.code 'L'); buf b; int idx; int (Bool.to_int dependent);
+        int (Char.code 'L'); buf b; int idx; int (Bool.to_int dependent); at_call ();
         let x = pure.load b ~idx ~dependent in
         value x;
         x);
     store =
       (fun b ~idx x ->
-        int (Char.code 'S'); buf b; int idx; value x;
+        int (Char.code 'S'); buf b; int idx; value x; at_call ();
         pure.store b ~idx x);
     copy =
       (fun ~dst ~src ~elems ->
-        int (Char.code 'C'); buf dst; buf src; int elems;
+        int (Char.code 'C'); buf dst; buf src; int elems; at_call ();
         pure.copy ~dst ~src ~elems);
-    tick = (fun c n -> int (Char.code 'T'); int (Char.code (cost_tag c)); int n);
     param =
       (fun name ->
-        int (Char.code 'P'); str name;
+        int (Char.code 'P'); str name; at_call ();
         let x = pure.param name in
         value x;
         x);
+    ops = pure.ops;
   }
+
+(* A bench's end: its final counts. *)
+let record_end h (m : Interp.machine) =
+  hash h (Char.code 'E');
+  hash_counts h m.ops
 
 let bench_bufs (bd : Machsuite.Bench_def.t) =
   List.map
@@ -443,7 +448,9 @@ let test_call_sequence_digest () =
   let h = ref 0 in
   List.iter
     (fun (bd : Machsuite.Bench_def.t) ->
-      Interp.run bd.kernel (recording_machine h (bench_machine bd)))
+      let m = bench_machine bd in
+      Interp.run bd.kernel (recording_machine h m);
+      record_end h m)
     Machsuite.Registry.all;
   checki "every registry bench" 19 (List.length Machsuite.Registry.all);
   Alcotest.(check string) "call-sequence digest" call_sequence_golden
@@ -464,6 +471,7 @@ let test_pending_at_every_access () =
         let k = Queue.pop queue in
         if not (Interp.resume k) then Queue.add k queue
       done;
+      record_end h m;
       let reference = bench_bufs bd in
       let pure = Interp.pure_machine ~bufs:reference ~params:bd.params () in
       Interp.run bd.kernel
@@ -482,9 +490,9 @@ let test_pending_at_every_access () =
     (Printf.sprintf "%016x" !h)
 
 (* A loop whose condition loads a DMA buffer: a scan to a zero sentinel.
-   Every trip must run the condition's branch tick and its load at the
-   current index, on a machine that never stops and on one that stops at
-   every access. *)
+   Every trip must count the condition's branch before its load at the
+   current index, and its compare after it, on a machine that never stops
+   and on one that stops at every access. *)
 let test_while_condition_loads () =
   let k =
     simple "scan" ~bufs:[ buf ~writable:false "a" I64 6; buf "out" I64 2 ]
@@ -497,19 +505,26 @@ let test_while_condition_loads () =
         store "out" (i 1) (v "sum");
       ]
   in
-  let trip j = [ "Tb"; Printf.sprintf "La%d" j; "Ta" ] in
+  (* A call, with the branches and ALU ops counted before it. *)
+  let at s branches alu = Printf.sprintf "%s b%d a%d" s branches alu in
   let expected =
-    List.concat_map (fun j -> trip j @ [ Printf.sprintf "La%d" j; "Ta"; "Ta" ]) [ 0; 1; 2 ]
-    @ trip 3 @ [ "Sout0=3"; "Sout1=15" ]
+    List.concat_map
+      (fun j ->
+        let load = Printf.sprintf "La%d" j in
+        [ at load (j + 1) (3 * j); at load (j + 1) ((3 * j) + 1) ])
+      [ 0; 1; 2 ]
+    @ [ at "La3" 4 9; at "Sout0=3" 4 10; at "Sout1=15" 4 10 ]
   in
   let run stopping =
     let log = ref [] in
-    let say s = log := s :: !log in
     let arrays =
       [ ("a", Array.map (fun x -> Value.VI x) [| 5; 3; 7; 0; 9; 1 |]);
         ("out", Array.make 2 (Value.VI 0)) ]
     in
     let pure = Interp.pure_machine ~bufs:arrays () in
+    let say s =
+      log := at s (count pure.ops Interp.Branch) (count pure.ops Interp.Alu) :: !log
+    in
     let name b = fst (List.nth arrays b) in
     let logged =
       { pure with
@@ -520,8 +535,7 @@ let test_while_condition_loads () =
         store =
           (fun b ~idx x ->
             say (Printf.sprintf "S%s%d=%d" (name b) idx (Value.as_int x));
-            pure.store b ~idx x);
-        tick = (fun c _ -> say (Printf.sprintf "T%c" (cost_tag c))) }
+            pure.store b ~idx x) }
     in
     let stops = ref 0 in
     (if stopping then begin
@@ -534,37 +548,27 @@ let test_while_condition_loads () =
     Alcotest.(check (list int))
       (Printf.sprintf "final j and sum (stopping %b)" stopping) [ 3; 15 ]
       (Array.to_list (Array.map Value.as_int (List.assoc "out" arrays)));
-    checki "one stop per access" (if stopping then 9 else 0) !stops
+    checki "one stop per access" (if stopping then 9 else 0) !stops;
+    checki "ops in all" 14 (Interp.total pure.ops)
   in
   run false;
   run true
 
 (* Allocation budget: the interpreter resolves locals, buffers and costs
-   before it runs, so an executed op (one machine callback) allocates little
-   more than the values it computes.  Per-node name hashing costs ~3.5-4
-   minor words per op on these kernels. *)
+   before it runs and computes on unboxed ints and floats, so an executed
+   op allocates only where a value crosses the machine boundary: a stored
+   value, which a boxed evaluator paid on every op (2-4 words an op on
+   these kernels). *)
 let test_allocation_budget () =
   List.iter
     (fun name ->
       let bd = Machsuite.Registry.find name in
-      let pure = bench_machine bd in
-      let ops = ref 0 in
-      let m =
-        {
-          Interp.buffer = pure.buffer;
-          load = (fun b ~idx ~dependent -> incr ops; pure.load b ~idx ~dependent);
-          store = (fun b ~idx x -> incr ops; pure.store b ~idx x);
-          copy = (fun ~dst ~src ~elems -> incr ops; pure.copy ~dst ~src ~elems);
-          tick = (fun _ _ -> incr ops);
-          param = (fun p -> incr ops; pure.param p);
-        }
-      in
+      let m = bench_machine bd in
       let before = Gc.minor_words () in
       Interp.run bd.kernel m;
-      let per_op = (Gc.minor_words () -. before) /. float_of_int !ops in
-      if per_op > 3.0 then
-        Alcotest.failf "%s: %.2f minor words per executed op (budget 3.0)" name
-          per_op)
+      let per_op = (Gc.minor_words () -. before) /. float_of_int (Interp.total m.ops) in
+      if per_op > 0.5 then
+        Alcotest.failf "%s: %.2f minor words per executed op (budget 0.5)" name per_op)
     [ "gemm_ncubed"; "kmp"; "aes"; "nw" ]
 
 let prop_interp_deterministic =
@@ -584,7 +588,246 @@ let prop_interp_deterministic =
       let r2 = List.assoc "out" (run_pure k [ ("a", a ()) ]) in
       r1 = r2)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_interp_deterministic ]
+(* ---------------- reference evaluator ---------------- *)
+
+(* A boxed tree-walking evaluator: the semantics the compiled interpreter
+   must reproduce on a machine of plain arrays (final buffers, the
+   exception, the per-class op counts), counting each op where it is
+   evaluated. *)
+let reference (k : Ir.t) bufs =
+  let ops = Interp.counters () in
+  let tick c = ops.(Interp.cost_index c) <- ops.(Interp.cost_index c) + 1 in
+  let vi n = Value.VI n and vf x = Value.VF x and bit b = Value.VI (Bool.to_int b) in
+  let env = Hashtbl.create 8 in
+  let zero (d : buf_decl) = if elem_is_float d.elem then vf 0.0 else vi 0 in
+  let scratch =
+    List.map (fun (d : buf_decl) -> (d.buf_name, Array.make d.len (zero d))) k.scratch
+  in
+  let internal b = List.mem_assoc b scratch in
+  let array b = if internal b then List.assoc b scratch else List.assoc b bufs in
+  let element b j =
+    if internal b && (j < 0 || j >= Array.length (array b)) then
+      raise (Interp.Aborted (Printf.sprintf "scratch %s index %d out of bounds" b j))
+  in
+  let access b j =
+    if internal b then tick Interp.Sram;
+    element b j
+  in
+  let int_op op (x : int) y =
+    let div what f =
+      if y = 0 then raise (Interp.Aborted ("integer " ^ what ^ " by zero")) else f x y
+    in
+    match (op : binop) with
+    | Add -> vi (x + y) | Sub -> vi (x - y) | Mul -> vi (x * y)
+    | Div -> vi (div "division" ( / )) | Mod -> vi (div "modulo" ( mod ))
+    | Band -> vi (x land y) | Bor -> vi (x lor y) | Bxor -> vi (x lxor y)
+    | Shl -> vi (x lsl y) | Shr -> vi (x asr y)
+    | Imin -> vi (min x y) | Imax -> vi (max x y)
+    | Lt -> bit (x < y) | Le -> bit (x <= y) | Gt -> bit (x > y) | Ge -> bit (x >= y)
+    | Eq -> bit (x = y) | Ne -> bit (x <> y)
+    | _ -> assert false
+  in
+  let float_op op (x : float) y =
+    match (op : binop) with
+    | Fadd -> vf (x +. y) | Fsub -> vf (x -. y) | Fmul -> vf (x *. y) | Fdiv -> vf (x /. y)
+    | Fmin -> vf (Float.min x y) | Fmax -> vf (Float.max x y)
+    | Flt -> bit (x < y) | Fle -> bit (x <= y) | Fgt -> bit (x > y) | Fge -> bit (x >= y)
+    | _ -> assert false
+  in
+  let rec exp : exp -> Value.t = function
+    | Int n -> vi n
+    | Flt x -> vf x
+    | Var x -> (
+        match Hashtbl.find_opt env x with
+        | Some value -> value
+        | None -> raise (Value.Type_error ("unbound local " ^ x)))
+    | Param _ -> assert false
+    | Load (b, j) ->
+        let j = Value.as_int (exp j) in
+        access b j;
+        (array b).(j)
+    | Bin (op, x, y) -> (
+        let a = exp x in
+        let b = exp y in
+        tick (Interp.cost_of_binop op);
+        match fst (binop_ty op) with
+        | TI -> int_op op (Value.as_int a) (Value.as_int b)
+        | TF -> float_op op (Value.as_float a) (Value.as_float b))
+    | Un (op, x) -> (
+        let a = exp x in
+        tick (Interp.cost_of_unop op);
+        let f = Value.as_float and i = Value.as_int in
+        match op with
+        | Neg -> vi (-i a) | Bnot -> vi (lnot (i a))
+        | I2f -> vf (float_of_int (i a)) | F2i -> vi (int_of_float (f a))
+        | Fneg -> vf (-.f a) | Fabs -> vf (Float.abs (f a))
+        | Fsqrt -> vf (sqrt (f a)) | Fexp -> vf (Float.exp (f a)))
+  in
+  let rec stmt : stmt -> unit = function
+    | Let (x, e) -> Hashtbl.replace env x (exp e)
+    | Store (b, j, e) ->
+        let j = Value.as_int (exp j) in
+        let value = exp e in
+        access b j;
+        (array b).(j) <- value
+    | For (x, lo, hi, body) ->
+        let lo = Value.as_int (exp lo) in
+        let hi = Value.as_int (exp hi) in
+        let rec trip j =
+          Hashtbl.replace env x (vi j);
+          if j < hi then begin
+            tick Interp.Branch;
+            List.iter stmt body;
+            trip (j + 1)
+          end
+        in
+        trip lo
+    | While (c, body) as loop ->
+        tick Interp.Branch;
+        if Value.truthy (exp c) then begin
+          List.iter stmt body;
+          stmt loop
+        end
+    | If (c, a, b) ->
+        tick Interp.Branch;
+        List.iter stmt (if Value.truthy (exp c) then a else b)
+    | Memcpy { dst; src; elems } ->
+        let n = Value.as_int (exp elems) in
+        if n < 0 then raise (Interp.Aborted "memcpy with negative length");
+        let sides = List.length (List.filter internal [ dst; src ]) in
+        if sides = 0 then Array.blit (array src) 0 (array dst) 0 n
+        else begin
+          ops.(Interp.cost_index Sram) <- ops.(Interp.cost_index Sram) + (sides * n);
+          for j = 0 to n - 1 do
+            element src j;
+            element dst j;
+            (array dst).(j) <- (array src).(j)
+          done
+        end
+  in
+  let outcome =
+    match List.iter stmt k.body with () -> "ok" | exception e -> Printexc.to_string e
+  in
+  (outcome, ops)
+
+(* Random well-typed kernels: int locals x y, float locals u w, loop
+   variables and while counters by nesting; DMA buffers a b (i64) and f
+   (f64), scratch s t (i64) and g (f64) whose indices may run out of
+   bounds; division by zero and negative copy lengths occur. *)
+let gen_kernel =
+  let open QCheck.Gen in
+  let masked mask e = Bin (Band, e, Int mask) in
+  (* A scratch index: now and then one past the end of the 8 elements. *)
+  let scratch_mask = frequency [ (8, return 7); (1, return 15) ] in
+  let bin ops a b = map3 (fun op a b -> Bin (op, a, b)) (oneofl ops) a b in
+  let un ops a = map2 (fun op a -> Un (op, a)) (oneofl ops) a in
+  let load bufs mask idx = map3 (fun b m e -> Load (b, masked m e)) (oneofl bufs) mask idx in
+  let rec iexp vars n =
+    let leaf =
+      oneof [ map (fun n -> Int n) (int_range (-3) 9); map (fun x -> Var x) (oneofl vars) ]
+    in
+    if n <= 0 then leaf
+    else
+      let sub = iexp vars (n / 2) and fsub = fexp vars (n / 2) in
+      frequency
+        [ (2, leaf);
+          (4, bin [ Add; Sub; Mul; Div; Mod; Band; Bor; Bxor; Lt; Le; Gt; Ge; Eq; Ne;
+                    Imin; Imax ] sub sub);
+          (1, bin [ Shl; Shr ] sub (map (masked 7) sub));
+          (1, load [ "a"; "b" ] (return 7) sub);
+          (1, load [ "s"; "t" ] scratch_mask sub);
+          (1, un [ Neg; Bnot ] sub);
+          (1, un [ F2i ] fsub);
+          (1, bin [ Flt; Fle; Fgt; Fge ] fsub fsub) ]
+  and fexp vars n =
+    let leaf =
+      oneof
+        [ map (fun x -> Flt (float_of_int x /. 4.)) (int_range (-8) 8);
+          oneofl [ Var "u"; Var "w" ] ]
+    in
+    if n <= 0 then leaf
+    else
+      let sub = fexp vars (n / 2) and isub = iexp vars (n / 2) in
+      frequency
+        [ (2, leaf);
+          (3, bin [ Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax ] sub sub);
+          (1, load [ "f" ] (return 7) isub);
+          (1, load [ "g" ] scratch_mask isub);
+          (1, un [ I2f ] isub);
+          (1, un [ Fneg; Fabs; Fsqrt ] sub) ]
+  in
+  (* [depth] counts the enclosing loops, whose variables are in scope;
+     [level] every enclosing body, which names a while loop's counter. *)
+  let rec stmts ~depth ~level n =
+    let vars = [ "x"; "y" ] @ List.init depth (fun d -> Printf.sprintf "i%d" d) in
+    let ie = iexp vars 4 and fe = fexp vars 4 in
+    let body ~depth =
+      if n <= 0 then return []
+      else
+        list_size (int_range 1 3) (stmts ~depth ~level:(level + 1) (n - 1)) >|= List.concat
+    in
+    let store bufs mask value =
+      map3 (fun b (m, j) e -> [ Store (b, masked m j, e) ]) (oneofl bufs) (pair mask ie) value
+    in
+    let copy =
+      oneofl [ ("a", "b"); ("s", "a"); ("a", "s"); ("s", "t"); ("g", "f"); ("f", "g") ]
+    in
+    let counter = Printf.sprintf "c%d" level in
+    frequency
+      [ (3, map2 (fun x e -> [ Let (x, e) ]) (oneofl [ "x"; "y" ]) ie);
+        (2, map2 (fun x e -> [ Let (x, e) ]) (oneofl [ "u"; "w" ]) fe);
+        (2, store [ "a"; "b" ] (return 7) ie);
+        (1, store [ "f" ] (return 7) fe);
+        (1, store [ "s"; "t" ] scratch_mask ie);
+        (1, store [ "g" ] scratch_mask fe);
+        (1, map2 (fun (dst, src) e ->
+                [ Memcpy { dst; src; elems = Bin (Sub, masked 7 e, Int 1) } ])
+              copy ie);
+        ( (if n > 0 then 2 else 0),
+          map3 (fun lo hi body ->
+              [ For (Printf.sprintf "i%d" depth, Int lo, masked 7 hi, body) ])
+            (int_range (-1) 2) ie (body ~depth:(depth + 1)) );
+        ( (if n > 0 then 2 else 0),
+          map3 (fun c a b -> [ If (c, a, b) ]) ie (body ~depth) (body ~depth) );
+        ( (if n > 0 then 1 else 0),
+          map2 (fun trips body ->
+              [ Let (counter, Int 0);
+                While (Bin (Lt, Var counter, Int trips),
+                       body @ [ Let (counter, Bin (Add, Var counter, Int 1)) ]) ])
+            (int_range 0 3) (body ~depth) ) ]
+  in
+  let init =
+    [ Let ("x", Int 2); Let ("y", Int (-1)); Let ("u", Flt 0.5); Let ("w", Flt (-1.5)) ]
+  in
+  map
+    (fun body ->
+      { name = "random";
+        bufs = [ buf "a" I64 8; buf "b" I64 8; buf "f" F64 8 ];
+        scratch = [ buf "s" I64 8; buf "t" I64 8; buf "g" F64 8 ];
+        body = init @ List.concat body })
+    (list_size (int_range 2 8) (stmts ~depth:0 ~level:0 2))
+
+let prop_reference =
+  QCheck.Test.make ~count:500 ~name:"interpreter == reference evaluator"
+    (QCheck.make ~print:Ir.to_string gen_kernel)
+    (fun k ->
+      let bufs () =
+        [ ("a", Array.init 8 (fun j -> Value.VI ((3 * j) - 5)));
+          ("b", Array.init 8 (fun j -> Value.VI (j * j)));
+          ("f", Array.init 8 (fun j -> Value.VF ((float_of_int j *. 0.75) -. 2.0))) ]
+      in
+      let mine = bufs () and theirs = bufs () in
+      let m = Interp.pure_machine ~bufs:mine () in
+      let got =
+        match Interp.run k m with () -> "ok" | exception e -> Printexc.to_string e
+      in
+      let want, ops = reference k theirs in
+      if got <> want then QCheck.Test.fail_reportf "outcome %s, reference %s" got want;
+      if m.ops <> ops then QCheck.Test.fail_report "op counts differ";
+      List.for_all2 (fun (_, x) (_, y) -> Array.for_all2 Value.equal x y) mine theirs)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_interp_deterministic; prop_reference ]
 
 let suite =
   [
