@@ -24,26 +24,27 @@ let create ?(error_retry_limit = 4) ~start ~max_outstanding () =
     outstanding = Array.make limit 0; o_head = 0; o_len = 0; ready = start;
     finish = start; retries = 0; errors = 0; failed = false }
 
-let window_full t (op : Trace.op) = op = Trace.Stream_read && t.o_len >= t.limit
+let[@inline] window_full t (op : Trace.op) =
+  op = Trace.Stream_read && t.o_len >= t.limit
 
 (* A streaming read with a full outstanding window must wait for the oldest
    in-flight read to return. *)
-let candidate t ~gap ~op =
+let[@inline] candidate t ~gap ~op =
   let cand = t.ready + gap in
   if window_full t op then Int.max cand t.outstanding.(t.o_head) else cand
 
-let take_slot t ~op =
+let[@inline] take_slot t ~op =
   if window_full t op then begin
     t.o_head <- (if t.o_head + 1 = t.limit then 0 else t.o_head + 1);
     t.o_len <- t.o_len - 1
   end
 
-let push_outstanding t completed =
+let[@inline] push_outstanding t completed =
   let i = t.o_head + t.o_len in
   t.outstanding.(if i >= t.limit then i - t.limit else i) <- completed;
   t.o_len <- t.o_len + 1
 
-let absorb t ~op (g : Bus.Fabric.grant) =
+let[@inline] absorb t ~op (g : Bus.Fabric.grant) =
   if g.Bus.Fabric.errored then begin
     t.errors <- t.errors + 1;
     t.finish <- Int.max t.finish g.Bus.Fabric.completed;

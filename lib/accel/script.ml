@@ -47,7 +47,7 @@ let entry () =
   { copy = false; gap = 0; ops = 0; kind = Guard.Iface.Read; dependent = false;
     buf = 0; off = 0; size = 0 }
 
-let load s i e =
+let[@inline] load s i e =
   let w = s.s_words and j = 4 * i in
   let code = w.(j + 3) in
   e.copy <- code land 1 <> 0;

@@ -52,16 +52,20 @@ let add t ~gap ~op ~beats ~latency =
 
 let length t = t.len
 
-let word t idx k =
-  if idx < 0 || idx >= t.len then invalid_arg "Accel.Trace: index out of range";
+(* The per-transaction accessors inline into the replay loops; only the
+   bounds check's [raise] stays out of line. *)
+let[@inline never] out_of_range () = invalid_arg "Accel.Trace: index out of range"
+
+let[@inline] word t idx k =
+  if idx < 0 || idx >= t.len then out_of_range ();
   Array.unsafe_get
     (Array.unsafe_get t.chunks (idx lsr chunk_bits))
     ((4 * (idx land chunk_mask)) + k)
 
-let gap t idx = word t idx 0
-let op t idx = of_code (word t idx 1)
-let beats t idx = word t idx 2
-let latency t idx = word t idx 3
+let[@inline] gap t idx = word t idx 0
+let[@inline] op t idx = of_code (word t idx 1)
+let[@inline] beats t idx = word t idx 2
+let[@inline] latency t idx = word t idx 3
 
 let total_beats t =
   let total = ref 0 in

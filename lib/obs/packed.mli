@@ -1,16 +1,20 @@
 (** The event store behind a recording {!Trace} sink.
 
-    Events are kept as fixed-width rows of one [int array] — cycle,
-    constructor tag and up to seven int fields ([Bus_grant] is the widest;
-    [read] is stored as 0/1) — plus a parallel [string array] with two slots
-    per row, written only by [Check_denial], [Task_phase], [Fault_injected]
-    and [Task_fallback].  Pushing an int-only event therefore allocates
-    nothing and fires no write barrier, and nothing it stores survives a
-    minor collection; reading back decodes each row into a fresh
-    {!Event.t}.  The store is a ring that keeps the newest [capacity] events
-    and counts the rest as dropped; its rows live in chunks of 1024, each
-    allocated when first written, so a large capacity costs nothing until
-    it is used and no row is ever copied.
+    Events are kept as five-word rows of one [int array] — cycle, a head
+    word holding the constructor tag, and three int fields — plus a
+    parallel [string array] with two slots per row, written only by
+    [Check_denial], [Task_phase], [Fault_injected] and [Task_fallback].
+    [Bus_grant], the only event with more than three int fields, keeps
+    [source] and [read] in the head, [at] whole, and its three time gaps and
+    [beats] as 31- and 32-bit halves; a grant whose values do not fit is
+    kept whole in a side table, so every event decodes exactly.  Pushing an
+    int-only event that fits therefore allocates nothing and fires no write
+    barrier, and nothing it stores survives a minor collection; reading back
+    decodes each row into a fresh {!Event.t}.  The store is a ring that
+    keeps the newest [capacity] events and counts the rest as dropped; its
+    rows live in chunks of 1024, each allocated when first written, so a
+    large capacity costs nothing until it is used and no row is ever
+    copied.
 
     This is the one place that maps {!Event.data} to rows and back. *)
 

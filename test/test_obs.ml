@@ -226,6 +226,52 @@ let test_emit_allocates_nothing () =
     Alcotest.failf "emit_at allocates %.2f minor words per call" per_call;
   check_int "still full" 1024 (Obs.Trace.length t)
 
+(* Grants at the edges of the packed row: gaps just inside and just past
+   its 31/32-bit halves, negative gaps, and times near the ends of [int]. *)
+let edge_grants =
+  let grant ?(source = 3) ?(beats = 4) ~at d1 d2 d3 =
+    Obs.Event.Bus_grant
+      { source; beats; read = d1 land 1 = 0; at; granted_at = at + d1;
+        data_done = at + d1 + d2; completed = at + d1 + d2 + d3 }
+  in
+  let h = 1 lsl 30 and l = 1 lsl 31 in
+  [ grant ~at:10 2 16 2;
+    grant ~at:100 (h - 1) (l - 1) (-h);
+    grant ~at:100 h 0 0;
+    grant ~at:100 0 l 0;
+    grant ~at:100 0 (-l) (-h - 1);
+    grant ~at:0 (-5) (-7) (-9);
+    grant ~at:max_int 1 1 1;
+    grant ~at:min_int (-1) max_int min_int;
+    grant ~source:(1 lsl 56) ~at:1 1 1 1;
+    grant ~source:(-(1 lsl 56)) ~beats:(-l) ~at:1 1 1 1;
+    grant ~source:max_int ~beats:l ~at:1 1 1 1 ]
+
+let test_packed_edge_grants () =
+  let evs = List.mapi (fun i data -> { Obs.Event.cycle = 100_000 + i; data }) edge_grants in
+  let t = Obs.Trace.create ~capacity:64 () in
+  emit_all t evs;
+  check_bool "every edge grant decodes exactly" true (Obs.Trace.events t = evs)
+
+let test_packed_overwrites_wide_rows () =
+  (* A ring of 3 wrapped several times over grants that alternately fit
+     and do not: each overwrite must drop what the old row held. *)
+  let evs =
+    List.init 40 (fun i ->
+        let data = List.nth edge_grants (i mod List.length edge_grants) in
+        { Obs.Event.cycle = i; data })
+  in
+  let narrow = [ { Obs.Event.cycle = 99; data = Obs.Event.Mmio_read { offset = 1 } } ] in
+  List.iter
+    (fun capacity ->
+      let t = Obs.Trace.create ~capacity () in
+      emit_all t evs;
+      check_bool (Printf.sprintf "capacity %d" capacity) true (retains_newest t evs);
+      emit_all t narrow;
+      check_bool (Printf.sprintf "capacity %d, row reused" capacity) true
+        (retains_newest t (evs @ narrow)))
+    [ 1; 2; 3; 5 ]
+
 let test_create_is_lazy () =
   (* An empty minor heap keeps a collection, and its accounting, out of the
      measured window. *)
@@ -590,6 +636,10 @@ let suite =
       test_packed_across_chunks;
     Alcotest.test_case "emit_at allocates nothing" `Quick
       test_emit_allocates_nothing;
+    Alcotest.test_case "packed sink decodes edge grants" `Quick
+      test_packed_edge_grants;
+    Alcotest.test_case "packed sink overwrites wide rows" `Quick
+      test_packed_overwrites_wide_rows;
     Alcotest.test_case "create allocates lazily" `Quick test_create_is_lazy;
     Alcotest.test_case "merge_into order and clock" `Quick
       test_merge_into_order_and_clock;
