@@ -34,18 +34,12 @@ type outcome = {
   denied : Guard.Iface.denial option;
   checks : int;
   elided : int;
-  reads : int;
-  writes : int;
-  ops : int;
 }
 
 type ev_outcome = {
   ev_denied : Guard.Iface.denial option;
   ev_checks : int;
   ev_elided : int;
-  ev_reads : int;
-  ev_writes : int;
-  ev_ops : int;
   ev_finish : int;
   ev_failed : bool;
 }
@@ -85,9 +79,7 @@ type pipe = {
   mutable p_checks : int;
   mutable p_elided : int;
   mutable p_fastpathed : int;
-  mutable p_reads : int;
-  mutable p_writes : int;
-  mutable p_ops : int;
+  mutable p_ops : int;            (* ops executed as of the last fetch *)
   mutable p_latency : int;        (* checker latency of the last grant *)
   mutable p_src_phys : int;       (* physical ends of the last copy *)
   mutable p_dst_phys : int;
@@ -138,8 +130,8 @@ let pipe ~bus ~addressing adj sink task =
           match addressing with
           | Fine_ports -> Some (obj i)
           | Plain | Coarse_ids -> None);
-    p_checks = 0; p_elided = 0; p_fastpathed = 0; p_reads = 0; p_writes = 0;
-    p_ops = 0; p_latency = 0; p_src_phys = 0; p_dst_phys = 0;
+    p_checks = 0; p_elided = 0; p_fastpathed = 0; p_ops = 0; p_latency = 0;
+    p_src_phys = 0; p_dst_phys = 0;
     b_live = false; b_gap = 0; b_op = Trace.Write; b_latency = 0; b_target = 0;
     b_end = 0; b_bytes = 0;
     cp_left = 0; cp_beats = 0; cp_off = 0; cp_gap = 0; cp_write = false;
@@ -253,13 +245,10 @@ let start_burst p ~gap ~op ~buf ~off ~size ~kind =
   phys
 
 (* An access is done: the trace sink's clock moves over its beats. *)
-let accessed p ~kind ~size =
-  (match p.p_sink with
+let accessed p ~size =
+  match p.p_sink with
   | Trace_sink (_, obs) -> Obs.Trace.advance obs (Bus.Params.beats_for p.p_bus size)
-  | Cursor_sink _ -> ());
-  match kind with
-  | Guard.Iface.Read -> p.p_reads <- p.p_reads + 1
-  | Guard.Iface.Write -> p.p_writes <- p.p_writes + 1
+  | Cursor_sink _ -> ()
 
 (* DMA block move of [bytes] from buffer [src] to buffer [dst], once the
    pending burst is flushed: both ends adjudicated once, leaving the
@@ -301,10 +290,6 @@ let copy_half p =
     emit p ~target:(target p (p.p_src_phys + p.cp_off)) ~gap:p.cp_gap
       ~op:Trace.Stream_read ~beats ~latency:p.cp_rd_latency ~then_wait:0
   end
-
-let copy_done p =
-  p.p_reads <- p.p_reads + 1;
-  p.p_writes <- p.p_writes + 1
 
 (* ---- the cursor ----
 
@@ -450,9 +435,7 @@ let[@inline] fetch c =
       Script.load s c.c_i e;
       p.p_ops <- e.ops;
       true
-  | Script_feed s ->
-      p.p_ops <- Script.total_ops s;
-      false
+  | Script_feed _ -> false
   | Kernel_feed (it, k) ->
       let more = not (Kernel.Interp.resume k) in
       if more then e.gap <- Script.gap ~debt:it.i_debt ~ipc:it.i_ipc (e.ops - p.p_ops);
@@ -505,7 +488,7 @@ let rec step c =
           let op = Trace.op_of e.kind ~dependent:e.dependent in
           if merges p ~gap:e.gap ~op ~buf:e.buf ~off:e.off ~size:e.size then begin
             let phys = extend p ~buf:e.buf ~off:e.off ~size:e.size ~kind:e.kind in
-            accessed p ~kind:e.kind ~size:e.size;
+            accessed p ~size:e.size;
             through c phys;
             next c
           end
@@ -521,7 +504,7 @@ let rec step c =
         start_burst p ~gap:e.gap ~op:c.c_op ~buf:e.buf ~off:e.off ~size:e.size
           ~kind:e.kind
       in
-      accessed p ~kind:e.kind ~size:e.size;
+      accessed p ~size:e.size;
       through c phys;
       next c
   | Copy_flushed ->
@@ -533,7 +516,6 @@ let rec step c =
         if not (copy_half p) then step c
       end
       else begin
-        copy_done p;
         through c 0;
         next c
       end
@@ -582,8 +564,7 @@ let run ?(obs = Obs.Trace.null) ~mem ~bus ~directives ~addressing
      denied access still transfers. *)
   ignore (flush p ~then_wait:0 : bool);
   retire p ~obs task;
-  { trace; denied; checks = p.p_checks; elided = p.p_elided;
-    reads = p.p_reads; writes = p.p_writes; ops = p.p_ops }
+  { trace; denied; checks = p.p_checks; elided = p.p_elided }
 
 (* Recording pass: the interpreter walked outside the pipeline.  Each
    transaction goes to the recorder, then moves at its plain address: no
@@ -632,14 +613,12 @@ let record ~mem ~directives ~naive_tag_writes task =
 
 let ev_outcome p issue denied =
   { ev_denied = denied; ev_checks = p.p_checks; ev_elided = p.p_elided;
-    ev_reads = p.p_reads; ev_writes = p.p_writes; ev_ops = p.p_ops;
     ev_finish = Issue.finish issue; ev_failed = Issue.failed issue }
 
-let run_event ?(obs = Obs.Trace.null) ?error_retry_limit ~sched ~ic ~start ~mem
-    ~bus ~directives ~addressing ~naive_tag_writes adj source task ~on_done =
+let run_event ?(obs = Obs.Trace.null) ~sched ~ic ~start ~mem ~bus ~directives
+    ~addressing ~naive_tag_writes adj source task ~on_done =
   let issue =
-    Issue.create ?error_retry_limit ~start
-      ~max_outstanding:directives.Hls.Directives.max_outstanding ()
+    Issue.create ~start ~max_outstanding:directives.Hls.Directives.max_outstanding ()
   in
   let flow = Flow.create ~sched ~ic ~src:task.instance issue in
   let w = { flow; sched; ic; k = ignore } in

@@ -74,9 +74,6 @@ type outcome = {
   checks : int;   (** guard adjudications performed *)
   elided : int;   (** adjudications skipped because the task's footprint was
                       statically proven in bounds (see {!Analysis}) *)
-  reads : int;
-  writes : int;
-  ops : int;      (** datapath operations executed *)
 }
 
 type ev_outcome = {
@@ -84,9 +81,6 @@ type ev_outcome = {
       (** [Some _] if the guard blocked an access; the stream stops there *)
   ev_checks : int;
   ev_elided : int;
-  ev_reads : int;
-  ev_writes : int;
-  ev_ops : int;
   ev_finish : int;
       (** settle cycle of the instance's last bus transaction (the task's
           contribution to the makespan); [start] if it issued none *)
@@ -94,9 +88,9 @@ type ev_outcome = {
       (** injected bus-error responses exhausted the retry budget; the run is
           lost and the driver decides what to do with the task *)
 }
-(** Outcome of one event-driven execution (see {!run_event}).  Check, access
-    and op counts match what {!run} would report for the same task; there is
-    no recorded trace because transactions were issued live. *)
+(** Outcome of one event-driven execution (see {!run_event}).  Check counts
+    match what {!run} would report for the same task; there is no recorded
+    trace because transactions were issued live. *)
 
 val run :
   ?obs:Obs.Trace.t ->
@@ -140,7 +134,6 @@ val record :
 
 val run_event :
   ?obs:Obs.Trace.t ->
-  ?error_retry_limit:int ->
   sched:Ccsim.Sched.t ->
   ic:Bus.Topology.t ->
   start:int ->
@@ -174,4 +167,4 @@ val run_event :
     caller collects outcomes after {!Ccsim.Sched.run} drains.  [obs] is only
     used to emit the task's {!Obs.Event.Check_elided} marker — timestamps come
     from the shared scheduler clock, which the SoC layer mirrors into the
-    sink.  [error_retry_limit] is passed to {!Issue.create}. *)
+    sink. *)

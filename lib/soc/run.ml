@@ -179,11 +179,12 @@ let record_script sys (bench : Machsuite.Bench_def.t) (a : Driver.allocated) =
           Fastpath.store_script key script ~correct;
           Some (script, correct))
 
-(* Fault-free heterogeneous execution runs over task groups, shared by
-   [run] (one group of [tasks] identical tasks) and [run_mixed] (one group of
-   one task per bench).  Every task of a group is adjudicated alike and fed
-   from the same source: the bench's recorded script (which carries its
-   recording run's verdict) or, without one, a live interpretation. *)
+(* Heterogeneous execution runs over task groups [(bench, design, count)],
+   shared by [run] (one group of [tasks] identical tasks) and [run_mixed]
+   (one group of one task per bench).  On a fault-free run every task of a
+   group is adjudicated alike and fed from the same source: the bench's
+   recorded script (which carries its recording run's verdict) or, without
+   one, a live interpretation. *)
 type group = {
   g_bench : Machsuite.Bench_def.t;
   g_design : Hls.Directives.design;
@@ -207,22 +208,27 @@ let verified sys g (a : Driver.allocated) denied =
   | Some (_, correct) -> correct
   | None -> verify sys.System.mem g.g_bench a.Driver.handle.Driver.layout
 
-(* Event-driven compute phase: one engine cursor per task (fed by its
-   script or by the interpreter), all contending for the bus through a
-   round-robin arbiter on a shared discrete-event timeline.  The scheduler's clock is mirrored into the observability sink
-   so guard and bus events carry their true cycles.  Whatever a task's
-   source, a stateful checker sees the real interleaving of checks across
-   instances. *)
-let run_event_compute sys ~start tasks_l =
+(* A fresh event timeline and interconnect for one compute phase.  The
+   scheduler's clock is mirrored into the observability sink so guard, bus
+   and fault events carry their true cycles. *)
+let event_core sys =
   let obs = sys.System.obs in
-  let backend = Option.get sys.System.backend in
   let sched =
     Ccsim.Sched.create ~on_advance:(fun cycle -> Obs.Trace.set_now obs cycle) ()
   in
-  let ic =
+  ( sched,
     Bus.Topology.create ~obs ~faults:sys.System.faults ~sched
-      ~kind:sys.System.topology sys.System.bus
-  in
+      ~kind:sys.System.topology sys.System.bus )
+
+(* Event-driven compute phase: one engine cursor per task (fed by its
+   script or by the interpreter), all contending for the bus through a
+   round-robin arbiter on a shared discrete-event timeline.  Whatever a
+   task's source, a stateful checker sees the real interleaving of checks
+   across instances. *)
+let run_event_compute sys ~start tasks_l =
+  let obs = sys.System.obs in
+  let backend = Option.get sys.System.backend in
+  let sched, ic = event_core sys in
   (* With a fleet present, central-port contention is modelled against the
      live scheduler clock for the duration of the compute phase. *)
   (match sys.System.fleet with
@@ -325,7 +331,64 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
     ~tasks ~phases ~correct ~denials:[] ~checks:0 ~entries_peak:0 ~bus_beats:0
     ~area_luts:(System.total_area_luts sys ~accel_luts_per_instance:0) ()
 
-(* Fault-free heterogeneous execution over task groups (see {!group}).
+(* One run's accounting, written by placement, compute and teardown alike:
+   allocation (retry backoff included), initialization and teardown cycles,
+   adjudications, the peak of live guard entries, each teardown's denials
+   (newest first), and under a fault plan the recovered tasks and the CPU
+   fallbacks (newest first). *)
+type tally = {
+  mutable t_alloc : int;
+  mutable t_init : int;
+  mutable t_teardown : int;
+  mutable t_checks : int;
+  mutable t_peak : int;
+  mutable t_denials : Guard.Iface.denial list list;
+  mutable t_recovered : int;
+  mutable t_fallbacks : fallback list;
+}
+
+(* A task is placed: charge its allocation and its input initialization. *)
+let charge sys tally (bench : Machsuite.Bench_def.t) (a : Driver.allocated) =
+  tally.t_alloc <- tally.t_alloc + a.Driver.cycles;
+  tally.t_init <-
+    tally.t_init
+    + Cpu.Model.init_store_cycles sys.System.cpu_cfg
+        ~bytes:(buffer_bytes bench.Machsuite.Bench_def.kernel)
+
+let tear_down sys tally (a : Driver.allocated) denied =
+  let report =
+    Driver.deallocate (Option.get sys.System.driver) a.Driver.handle ~denied
+  in
+  tally.t_teardown <- tally.t_teardown + report.Driver.cycles;
+  tally.t_denials <- report.Driver.denials :: tally.t_denials
+
+(* What a compute phase leaves behind: its length, the bus beats, elided
+   checks and verdict, and the tasks still resident, each with the denial
+   its teardown reports. *)
+type settled = {
+  s_compute : int;
+  s_beats : int;
+  s_elided : int;
+  s_correct : bool;
+  s_resident : (Driver.allocated * Guard.Iface.denial option) list;
+}
+
+let stream (a : Driver.allocated) trace (design : Hls.Directives.design) =
+  { Accel.Replay.instance = a.Driver.handle.Driver.task_id; trace;
+    max_outstanding = design.Hls.Directives.d_max_outstanding }
+
+(* The legacy compute phase: every stream replays from [start] through the
+   system's serialized fabric.  Error responses are only drawn under an
+   active plan, so the retry limit moves nothing on a fault-free run. *)
+let replay_legacy sys ~policy ~start streams =
+  Accel.Replay.run ~error_retry_limit:policy.Driver.max_attempts
+    sys.System.fabric ~start streams
+
+(* Fault-free placement: every task is allocated up front (a failure
+   raises) and each group's source is settled before any compute.  A fast
+   run records a missing script from the group's lead and derives every
+   task of the group from it, on either engine.  Returns the lead task and
+   the compute phase.
 
    [Legacy_replay] feeds one DMA trace per group from its lead task and
    replays it once per task of the group through the serialized fabric:
@@ -333,31 +396,29 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
    happens once.  Only the lead carries the group's denial and verdict; its
    checks and elided checks count once per task.  [Event_driven] runs every
    task on the shared event timeline (see {!run_event_compute}). *)
-let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
+let place_groups sys tally ~fast ~elide ~engine ~policy groups =
   let driver = Option.get sys.System.driver in
   let backend = Option.get sys.System.backend in
-  let addressing = Driver.Backend.addressing backend in
   let obs = sys.System.obs in
   (* Scripts and fast paths are gated off while a sink is attached: the
      derivations skip the interpreter whose side effects (guard events on the
      interpreter's clock, functional stores) the sink would have seen. *)
   let fast = fast && not (Obs.Trace.enabled obs) in
   let guard = System.guard sys in
-  let t0 = Obs.Trace.now obs in
   let allocs =
     List.map
       (fun ((bench : Machsuite.Bench_def.t), design, count) ->
         ( bench, design,
           List.init count (fun _ ->
               match Driver.allocate driver bench.kernel with
-              | Ok a -> a
+              | Ok a ->
+                  charge sys tally bench a;
+                  a
               | Error msg ->
                   failwith
                     ("driver allocation failed for " ^ bench.name ^ ": " ^ msg)) ))
       groups
   in
-  (* A fast run records a missing script up front from the group's lead and
-     then derives every task of the group from it, on either engine. *)
   let groups =
     List.map
       (fun (bench, design, allocs) ->
@@ -381,27 +442,7 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
             init_layout sys.System.mem g.g_bench a.handle.Driver.layout)
           g.g_allocs)
     groups;
-  let alloc_cycles, init_cycles =
-    List.fold_left
-      (fun (alloc, init) g ->
-        let bytes = buffer_bytes g.g_bench.Machsuite.Bench_def.kernel in
-        List.fold_left
-          (fun (alloc, init) (a : Driver.allocated) ->
-            ( alloc + a.cycles,
-              init + Cpu.Model.init_store_cycles sys.System.cpu_cfg ~bytes ))
-          (alloc, init) g.g_allocs)
-      (0, 0) groups
-  in
-  let lead_task = (List.hd (List.hd groups).g_allocs).handle.Driver.task_id in
-  emit_phase obs ~at:t0 ~task:lead_task "alloc" alloc_cycles;
-  emit_phase obs ~at:(t0 + alloc_cycles) ~task:lead_task "init" init_cycles;
-  Obs.Trace.set_now obs (t0 + alloc_cycles + init_cycles);
-  (* Compute on the shared timeline starting at the compute phase, so bus
-     events land at their true cycles even when the sink is shared across
-     runs; the phase length is the makespan relative to that start. *)
-  let replay_start = t0 + alloc_cycles + init_cycles in
-  (* Per task (allocation, denial); then totals. *)
-  let per_task, makespan, bus_beats, checks, elided_checks, correct =
+  let compute ~start =
     match engine with
     | Legacy_replay ->
         let fed =
@@ -411,7 +452,8 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
               let o =
                 Accel.Engine.run ~obs ~mem:sys.System.mem ~bus:sys.System.bus
                   ~directives:g.g_bench.Machsuite.Bench_def.directives
-                  ~addressing ~naive_tag_writes:(System.naive_tag_writes sys)
+                  ~addressing:(Driver.Backend.addressing backend)
+                  ~naive_tag_writes:(System.naive_tag_writes sys)
                   g.g_adj (source_of g)
                   (engine_task g.g_bench lead.Driver.handle)
               in
@@ -421,15 +463,10 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
             groups
         in
         let replayed =
-          Accel.Replay.run sys.System.fabric ~start:replay_start
+          replay_legacy sys ~policy ~start
             (List.concat_map
                (fun (g, (o : Accel.Engine.outcome), _) ->
-                 let max_outstanding = g.g_design.Hls.Directives.d_max_outstanding in
-                 List.map
-                   (fun (a : Driver.allocated) ->
-                     { Accel.Replay.instance = a.handle.Driver.task_id;
-                       trace = o.trace; max_outstanding })
-                   g.g_allocs)
+                 List.map (fun a -> stream a o.trace g.g_design) g.g_allocs)
                fed)
         in
         let per_group f =
@@ -437,20 +474,21 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
             (fun acc (g, o, _) -> acc + (f o * List.length g.g_allocs))
             0 fed
         in
-        ( List.concat_map
-            (fun (g, (o : Accel.Engine.outcome), _) ->
-              List.mapi
-                (fun i a -> (a, if i = 0 then o.denied else None))
-                g.g_allocs)
-            fed,
-          replayed.Accel.Replay.makespan,
-          replayed.Accel.Replay.bus_beats,
-          per_group (fun o -> o.Accel.Engine.checks),
-          per_group (fun o -> o.Accel.Engine.elided),
-          List.for_all (fun (_, _, correct) -> correct) fed )
+        tally.t_checks <- per_group (fun o -> o.Accel.Engine.checks);
+        { s_compute = replayed.Accel.Replay.makespan - start;
+          s_beats = replayed.Accel.Replay.bus_beats;
+          s_elided = per_group (fun o -> o.Accel.Engine.elided);
+          s_correct = List.for_all (fun (_, _, correct) -> correct) fed;
+          s_resident =
+            List.concat_map
+              (fun (g, (o : Accel.Engine.outcome), _) ->
+                List.mapi
+                  (fun i a -> (a, if i = 0 then o.denied else None))
+                  g.g_allocs)
+              fed }
     | Event_driven ->
         let outcomes, makespan, bus_beats =
-          run_event_compute sys ~start:replay_start
+          run_event_compute sys ~start
             (List.concat_map
                (fun g -> List.map (fun a -> (g, a)) g.g_allocs)
                groups)
@@ -461,49 +499,17 @@ let run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts groups =
               o.Accel.Engine.ev_denied)
           outcomes;
         let sum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 outcomes in
-        ( List.map (fun ((_, a), o) -> (a, o.Accel.Engine.ev_denied)) outcomes,
-          makespan, bus_beats,
-          sum (fun o -> o.Accel.Engine.ev_checks),
-          sum (fun o -> o.Accel.Engine.ev_elided),
-          List.for_all
-            (fun ((g, a), o) -> verified sys g a o.Accel.Engine.ev_denied)
-            outcomes )
+        tally.t_checks <- sum (fun o -> o.Accel.Engine.ev_checks);
+        { s_compute = makespan - start; s_beats = bus_beats;
+          s_elided = sum (fun o -> o.Accel.Engine.ev_elided);
+          s_correct =
+            List.for_all
+              (fun ((g, a), o) -> verified sys g a o.Accel.Engine.ev_denied)
+              outcomes;
+          s_resident =
+            List.map (fun ((_, a), o) -> (a, o.Accel.Engine.ev_denied)) outcomes }
   in
-  let entries_peak = guard.Guard.Iface.entries_in_use () in
-  let compute_cycles = makespan - replay_start in
-  emit_phase obs ~at:replay_start ~task:lead_task "compute" compute_cycles;
-  Obs.Trace.set_now obs (replay_start + compute_cycles);
-  let teardown_start = Obs.Trace.now obs in
-  let teardown_cycles, denial_lists =
-    List.fold_left
-      (fun (cycles, acc) ((a : Driver.allocated), denied) ->
-        let report = Driver.deallocate driver a.handle ~denied in
-        (cycles + report.Driver.cycles, report.Driver.denials :: acc))
-      (0, []) per_task
-  in
-  let denials = List.concat (List.rev denial_lists) in
-  emit_phase obs ~at:teardown_start ~task:lead_task "teardown" teardown_cycles;
-  Obs.Trace.set_now obs (teardown_start + teardown_cycles);
-  let phases =
-    { alloc = alloc_cycles; init = init_cycles;
-      compute = compute_cycles; teardown = teardown_cycles }
-  in
-  finish sys ~config_label:(Config.label sys.System.config) ~benchmark
-    ~tasks:(List.length per_task) ~phases ~correct ~denials ~checks
-    ~elided_checks ~entries_peak ~bus_beats ~area_luts ()
-
-(* Fault-aware execution. *)
-
-type accel_task = {
-  at_bench : Machsuite.Bench_def.t;
-  at_alloc : Driver.allocated;
-  at_outcome : Accel.Engine.outcome;
-  at_retried : bool;
-}
-
-type placed_task =
-  | P_accel of accel_task
-  | P_degraded of Machsuite.Bench_def.t * string
+  ((List.hd (List.hd groups).g_allocs).handle.Driver.task_id, compute)
 
 (* CPU fallback for one task of a degraded heterogeneous run: a full
    recompute on fresh buffers plus the driver's allocation, initialization,
@@ -520,41 +526,32 @@ let cpu_fallback sys (bench : Machsuite.Bench_def.t) =
     + (n_bufs * Driver.free_cycles),
     correct )
 
-(* Heterogeneous execution under an active fault plan.  Tasks are placed and
-   interpreted one at a time so each can independently retry (transient
-   denials tear down and re-allocate with exponential backoff) or degrade to
-   CPU execution; surviving accelerator streams still share the interconnect
-   in one replay.  The invariant this path maintains: every task either
-   verifies correct on the accelerator or is recomputed (and verified) on the
-   CPU with an explicit fallback record — never a silently wrong result. *)
-let run_hetero_faulted sys ~benchmark ~area_luts ~policy ~engine
-    (benches : Machsuite.Bench_def.t list) =
+(* Faulted placement: tasks are placed and interpreted one at a time, in
+   group order and with live adjudication, so each can independently retry
+   (transient denials tear down and re-allocate with exponential backoff)
+   or degrade to CPU execution.  No cache is consulted and no adjudication
+   skipped: every retry, degrade and fault draw happens against the live
+   system.  The compute phase replays the surviving tasks' recorded traces
+   on the interconnect, then recomputes every degraded or bus-failed task
+   on the CPU.  The invariant this maintains: every task either verifies
+   correct on the accelerator or is recomputed (and verified) on the CPU
+   with an explicit fallback record — never a silently wrong result.  The
+   lead is the first task placed on an accelerator, or [-1] if none is. *)
+let place_faulted sys tally ~policy ~engine groups =
   let driver = Option.get sys.System.driver in
   let backend = Option.get sys.System.backend in
   let inj = sys.System.faults in
   let obs = sys.System.obs in
   let guard = System.guard sys in
-  let t0 = Obs.Trace.now obs in
-  let alloc_cycles = ref 0 in
-  let init_cycles = ref 0 in
-  let teardown_cycles = ref 0 in
-  let checks = ref 0 in
-  let entries_peak = ref 0 in
-  let denial_lists = ref [] in
-  let attempt_task (bench : Machsuite.Bench_def.t) =
-    let kernel = bench.Machsuite.Bench_def.kernel in
+  let attempt (bench : Machsuite.Bench_def.t) =
     let rec go attempt ~retried =
-      match Driver.allocate_with_retry ~policy driver kernel with
-      | Error msg -> P_degraded (bench, "allocation failed: " ^ msg)
-      | Ok (a, alloc_retries) ->
+      match Driver.allocate_with_retry ~policy driver bench.kernel with
+      | Error msg -> Error ("allocation failed: " ^ msg)
+      | Ok (a, alloc_retries) -> (
           let retried = retried || alloc_retries > 0 in
-          alloc_cycles := !alloc_cycles + a.Driver.cycles;
+          charge sys tally bench a;
           init_layout sys.System.mem bench a.Driver.handle.Driver.layout;
-          init_cycles :=
-            !init_cycles
-            + Cpu.Model.init_store_cycles sys.System.cpu_cfg
-                ~bytes:(buffer_bytes kernel);
-          let outcome =
+          let o =
             Accel.Engine.run ~obs ~mem:sys.System.mem ~bus:sys.System.bus
               ~directives:bench.directives
               ~addressing:(Driver.Backend.addressing backend)
@@ -562,123 +559,135 @@ let run_hetero_faulted sys ~benchmark ~area_luts ~policy ~engine
               (Accel.Engine.Adj_live guard) Accel.Engine.Interpret
               (engine_task bench a.Driver.handle)
           in
-          checks := !checks + outcome.Accel.Engine.checks;
-          entries_peak := max !entries_peak (guard.Guard.Iface.entries_in_use ());
-          (match outcome.Accel.Engine.denied with
-          | None -> P_accel { at_bench = bench; at_alloc = a; at_outcome = outcome; at_retried = retried }
+          tally.t_checks <- tally.t_checks + o.Accel.Engine.checks;
+          tally.t_peak <- max tally.t_peak (guard.Guard.Iface.entries_in_use ());
+          match o.Accel.Engine.denied with
+          | None -> Ok (a, o.Accel.Engine.trace, retried)
           | Some d ->
               (* Denied mid-run: tear the task down (scrubbing its buffers),
                  then either retry from scratch after backoff or give up. *)
-              let report = Driver.deallocate driver a.Driver.handle ~denied:(Some d) in
-              teardown_cycles := !teardown_cycles + report.Driver.cycles;
-              denial_lists := report.Driver.denials :: !denial_lists;
+              tear_down sys tally a (Some d);
               if attempt < policy.Driver.max_attempts then begin
                 let backoff = Driver.backoff_cycles policy ~attempt in
                 Fault.Injector.note_retry inj ~backoff;
                 Obs.Trace.emit obs
                   (Obs.Event.Task_retry
                      { task = a.Driver.handle.Driver.task_id; attempt; backoff });
-                alloc_cycles := !alloc_cycles + backoff + Driver.retry_probe_cycles;
+                tally.t_alloc <-
+                  tally.t_alloc + backoff + Driver.retry_probe_cycles;
                 go (attempt + 1) ~retried:true
               end
               else
-                P_degraded
-                  ( bench,
-                    Printf.sprintf "denied after %d attempts: %s" attempt
-                      d.Guard.Iface.detail ))
+                Error
+                  (Printf.sprintf "denied after %d attempts: %s" attempt
+                     d.Guard.Iface.detail))
     in
     go 1 ~retried:false
   in
-  let placed = List.map attempt_task benches in
+  let placed =
+    List.concat_map
+      (fun (bench, design, count) ->
+        List.init count (fun _ -> (bench, design, attempt bench)))
+      groups
+  in
   let accel =
-    List.filter_map (function P_accel at -> Some at | P_degraded _ -> None) placed
+    List.filter_map
+      (function
+        | _, design, Ok (a, trace, _) -> Some (a, trace, design)
+        | _, _, Error _ -> None)
+      placed
   in
-  let streams =
-    List.map
-      (fun at ->
-        let design =
-          Hls.Directives.synthesize
-            ~kernel:at.at_bench.Machsuite.Bench_def.kernel
-            at.at_bench.directives
-        in
-        { Accel.Replay.instance = at.at_alloc.Driver.handle.Driver.task_id;
-          trace = at.at_outcome.Accel.Engine.trace;
-          max_outstanding = design.Hls.Directives.d_max_outstanding })
-      accel
+  let compute ~start =
+    let streams =
+      List.map (fun (a, trace, design) -> stream a trace design) accel
+    in
+    let replayed =
+      match engine with
+      | Legacy_replay -> replay_legacy sys ~policy ~start streams
+      | Event_driven ->
+          let sched, ic = event_core sys in
+          Accel.Replay.run_event ~error_retry_limit:policy.Driver.max_attempts
+            ~sched ~ic ~start streams
+    in
+    let fallback_cycles = ref 0 in
+    let correct = ref true in
+    let fall_back ~task bench reason =
+      Fault.Injector.note_fallback inj;
+      Obs.Trace.emit obs (Obs.Event.Task_fallback { task; reason });
+      let cycles, ok = cpu_fallback sys bench in
+      fallback_cycles := !fallback_cycles + cycles;
+      if not ok then correct := false;
+      tally.t_fallbacks <- { task; reason } :: tally.t_fallbacks
+    in
+    List.iteri
+      (fun task (bench, _, placement) ->
+        match placement with
+        | Error reason -> fall_back ~task bench reason
+        | Ok ((a : Driver.allocated), _, retried) ->
+            if List.mem a.handle.Driver.task_id replayed.Accel.Replay.failed then
+              fall_back ~task bench
+                "bus error responses exhausted the retry budget"
+            else begin
+              if retried then tally.t_recovered <- tally.t_recovered + 1;
+              if not (verify sys.System.mem bench a.handle.Driver.layout) then
+                correct := false
+            end)
+      placed;
+    { s_compute = replayed.Accel.Replay.makespan - start + !fallback_cycles;
+      s_beats = replayed.Accel.Replay.bus_beats; s_elided = 0;
+      s_correct = !correct;
+      s_resident = List.map (fun (a, _, _) -> (a, None)) accel }
   in
-  let replay_start = Obs.Trace.now obs in
-  (* Placement and retry above stay sequential in both modes — driver
-     semantics and the phase accounting don't depend on bus interleaving —
-     so only the contention replay switches cores.  Note the fault draw
-     order differs between cores (grants interleave differently), so runs
-     are deterministic per engine, not across engines. *)
-  let replayed =
-    match engine with
-    | Legacy_replay ->
-        Accel.Replay.run ~error_retry_limit:policy.Driver.max_attempts
-          sys.System.fabric ~start:replay_start streams
-    | Event_driven ->
-        let sched = Ccsim.Sched.create () in
-        let ic =
-          Bus.Topology.create ~obs ~faults:inj ~sched
-            ~kind:sys.System.topology sys.System.bus
-        in
-        Accel.Replay.run_event ~error_retry_limit:policy.Driver.max_attempts
-          ~sched ~ic ~start:replay_start streams
+  match accel with
+  | ((a : Driver.allocated), _, _) :: _ -> (a.handle.Driver.task_id, compute)
+  | [] -> (-1, compute)
+
+(* The one heterogeneous executor, for every fault plan.  Placement is the
+   part an active plan changes ({!place_faulted} instead of
+   {!place_groups}); the rest is one sequence.  Allocation and
+   initialization are stamped; compute runs from [start = t0 + alloc +
+   init], so bus events land at their true cycles even when the sink is
+   shared across runs; every resident task is torn down; the result is
+   built.  Phase markers carry the lead task. *)
+let run_hetero sys ~fast ~elide ~engine ~policy ~benchmark ~area_luts groups =
+  let obs = sys.System.obs in
+  let t0 = Obs.Trace.now obs in
+  let tally =
+    { t_alloc = 0; t_init = 0; t_teardown = 0; t_checks = 0; t_peak = 0;
+      t_denials = []; t_recovered = 0; t_fallbacks = [] }
   in
-  let accel_compute = replayed.Accel.Replay.makespan - replay_start in
-  let fallback_cycles = ref 0 in
-  let recovered = ref 0 in
-  let fallbacks = ref [] in
-  let all_correct = ref true in
-  let do_fallback ~task bench reason =
-    Fault.Injector.note_fallback inj;
-    Obs.Trace.emit obs (Obs.Event.Task_fallback { task; reason });
-    let cycles, ok = cpu_fallback sys bench in
-    fallback_cycles := !fallback_cycles + cycles;
-    if not ok then all_correct := false;
-    fallbacks := { task; reason } :: !fallbacks
+  let lead, compute =
+    if Fault.Injector.active sys.System.faults then
+      place_faulted sys tally ~policy ~engine groups
+    else place_groups sys tally ~fast ~elide ~engine ~policy groups
   in
-  List.iteri
-    (fun idx p ->
-      match p with
-      | P_degraded (bench, reason) -> do_fallback ~task:idx bench reason
-      | P_accel at ->
-          let id = at.at_alloc.Driver.handle.Driver.task_id in
-          if List.mem id replayed.Accel.Replay.failed then
-            do_fallback ~task:idx at.at_bench
-              "bus error responses exhausted the retry budget"
-          else begin
-            if at.at_retried then incr recovered;
-            if
-              not (verify sys.System.mem at.at_bench at.at_alloc.Driver.handle.Driver.layout)
-            then all_correct := false
-          end)
-    placed;
-  List.iter
-    (fun at ->
-      let report = Driver.deallocate driver at.at_alloc.Driver.handle ~denied:None in
-      teardown_cycles := !teardown_cycles + report.Driver.cycles;
-      denial_lists := report.Driver.denials :: !denial_lists)
-    accel;
+  let start = t0 + tally.t_alloc + tally.t_init in
+  emit_phase obs ~at:t0 ~task:lead "alloc" tally.t_alloc;
+  emit_phase obs ~at:(t0 + tally.t_alloc) ~task:lead "init" tally.t_init;
+  Obs.Trace.set_now obs start;
+  let s = compute ~start in
+  let entries_peak =
+    max tally.t_peak ((System.guard sys).Guard.Iface.entries_in_use ())
+  in
+  emit_phase obs ~at:start ~task:lead "compute" s.s_compute;
+  (* A traced interpretation can run the sink's clock past the end of
+     compute; teardown starts after both. *)
+  Obs.Trace.set_now obs (start + s.s_compute);
+  let teardown_start = Obs.Trace.now obs in
+  List.iter (fun (a, denied) -> tear_down sys tally a denied) s.s_resident;
+  emit_phase obs ~at:teardown_start ~task:lead "teardown" tally.t_teardown;
+  Obs.Trace.set_now obs (teardown_start + tally.t_teardown);
   let phases =
-    { alloc = !alloc_cycles; init = !init_cycles;
-      compute = accel_compute + !fallback_cycles; teardown = !teardown_cycles }
+    { alloc = tally.t_alloc; init = tally.t_init; compute = s.s_compute;
+      teardown = tally.t_teardown }
   in
-  emit_phase obs ~at:t0 ~task:(-1) "alloc" phases.alloc;
-  emit_phase obs ~at:(t0 + phases.alloc) ~task:(-1) "init" phases.init;
-  emit_phase obs ~at:(t0 + phases.alloc + phases.init) ~task:(-1) "compute"
-    phases.compute;
-  emit_phase obs
-    ~at:(t0 + phases.alloc + phases.init + phases.compute)
-    ~task:(-1) "teardown" phases.teardown;
-  Obs.Trace.set_now obs (t0 + wall_of phases);
   finish sys ~config_label:(Config.label sys.System.config) ~benchmark
-    ~tasks:(List.length benches) ~phases ~correct:!all_correct
-    ~denials:(List.concat (List.rev !denial_lists))
-    ~checks:!checks ~entries_peak:!entries_peak
-    ~bus_beats:replayed.Accel.Replay.bus_beats ~area_luts ~recovered:!recovered
-    ~fallbacks:(List.rev !fallbacks) ()
+    ~tasks:(List.fold_left (fun n (_, _, count) -> n + count) 0 groups)
+    ~phases ~correct:s.s_correct
+    ~denials:(List.concat (List.rev tally.t_denials))
+    ~checks:tally.t_checks ~elided_checks:s.s_elided ~entries_peak
+    ~bus_beats:s.s_beats ~area_luts ~recovered:tally.t_recovered
+    ~fallbacks:(List.rev tally.t_fallbacks) ()
 
 let require_event_engine ~engine ~topology ~what =
   match (engine, topology) with
@@ -742,14 +751,8 @@ let run ?(tasks = 8) ?instances ?(cc_entries = 256) ?(bus = Bus.Params.default)
           System.total_area_luts sys
             ~accel_luts_per_instance:design.Hls.Directives.d_area_luts
         in
-        if Fault.Plan.is_none faults then
-          run_groups sys ~fast ~elide ~engine ~benchmark ~area_luts
-            [ (bench, design, tasks) ]
-        else
-          (* Faulted runs never consult a cache or skip an adjudication: every
-             retry, degrade and fault draw happens against the live system. *)
-          run_hetero_faulted sys ~benchmark ~area_luts ~policy:retry ~engine
-            (List.init tasks (fun _ -> bench))
+        run_hetero sys ~fast ~elide ~engine ~policy:retry ~benchmark ~area_luts
+          [ (bench, design, tasks) ]
   in
   let memo_eligible = obs = None && Fault.Plan.is_none faults in
   let key =
@@ -833,12 +836,9 @@ let run_mixed ?instances ?obs ?(faults = Fault.Plan.none)
              (fun acc (d : Hls.Directives.design) -> acc + d.d_area_luts)
              0 designs)
     in
-    if Fault.Plan.is_none faults then
-      run_groups sys ~fast ~elide ~engine ~benchmark:"mixed" ~area_luts
-        (List.map2 (fun b d -> (b, d, 1)) benches designs)
-    else
-      run_hetero_faulted sys ~benchmark:"mixed" ~area_luts ~policy:retry ~engine
-        benches
+    run_hetero sys ~fast ~elide ~engine ~policy:retry ~benchmark:"mixed"
+      ~area_luts
+      (List.map2 (fun b d -> (b, d, 1)) benches designs)
   in
   let memo_eligible = obs = None && Fault.Plan.is_none faults in
   let key =

@@ -93,12 +93,8 @@ val run :
   Machsuite.Bench_def.t ->
   result
 (** Run [tasks] identical independent tasks (default 8, the paper's eight
-    instances).  [cc_entries] sizes the CapChecker table (default 256).
-    Under the default [engine] ([Legacy_replay]) homogeneous accelerator
-    tasks are interpreted once and their DMA stream replicated per instance —
-    concurrent timing is still modeled exactly, per-instance, through the
-    shared interconnect; [Event_driven] instead executes every instance live
-    on the shared event timeline.  Raises [Invalid_argument] if
+    instances) as one task group (see {!run_mixed}).  [cc_entries] sizes
+    the CapChecker table (default 256).  Raises [Invalid_argument] if
     [tasks <= 0].
 
     [obs] (default {!Obs.Trace.null}) records an event trace of the run:
@@ -109,23 +105,18 @@ val run :
 
     [faults] (default {!Fault.Plan.none}) injects seeded faults at the bus,
     guard and driver layers.  With the [none] plan the run is bit-identical
-    to one without fault plumbing.  Under an active plan each task is placed
-    and interpreted individually so it can retry per [retry] (default
-    {!Driver.default_retry_policy}, backoff cycles charged to the alloc
-    phase) or degrade to CPU execution with an explicit [fallbacks] record —
-    every run either verifies [correct = true] or reports its fallbacks,
-    never a silently wrong result.
+    to one without fault plumbing.  Under an active plan each task can retry
+    per [retry] (default {!Driver.default_retry_policy}, backoff cycles
+    charged to the alloc phase) or degrade to CPU execution with an explicit
+    [fallbacks] record — every run either verifies [correct = true] or
+    reports its fallbacks, never a silently wrong result.
 
     [elide] (default [Elide_off]) selects the adaptive check-elision policy
-    for statically proven tasks; it only applies to the fault-free
-    heterogeneous path (an active fault plan keeps every check, since faults
-    invalidate the static model's assumptions).
+    for statically proven tasks.  An active fault plan keeps every check:
+    faults invalidate the static model's assumptions.
 
-    [engine] (default [Legacy_replay]) selects the timing core.  Under an
-    active fault plan, task placement and retry stay sequential in both
-    modes and only the contention replay switches cores; fault draw order
-    differs between cores, so seeded runs are reproducible per engine, not
-    across engines.
+    [engine] (default [Legacy_replay]) selects the timing core; seeded
+    fault draws are reproducible per engine, not across engines.
 
     [topology] (default [Shared]) selects the interconnect shape and
     [checkers] (default [Central]) the checking placement (see
@@ -171,15 +162,24 @@ val run_mixed :
     [faults]/[retry]/[engine] behave as in {!run}.  [area_luts] sums each
     instance's datapath exactly (no per-task mean).
 
-    Fault-free, [run] and [run_mixed] share one executor over task groups
-    [(bench, design, task count)]: [run] passes one group of [tasks] tasks,
-    [run_mixed] one group of one task per listed bench.  Under
-    [Legacy_replay] each group derives one DMA trace from its lead task and
-    every task of the group replays it; the lead alone carries the group's
-    denial and verdict, and its checks count once per task.  A repeated
-    bench in a mixed list is its own group, so it derives its own trace.
-    Hence [run_mixed config [b]] equals [run ~tasks:1 ~instances:1 config b]
-    in every field but [benchmark]. *)
+    [run] and [run_mixed] share one executor over task groups
+    [(bench, design, task count)] for every fault plan: [run] passes one
+    group of [tasks] tasks, [run_mixed] one group of one task per listed
+    bench.  It places every task, computes from the end of allocation and
+    initialization, then tears every resident task down, so accounting,
+    phase markers (carrying the lead task) and teardown do not depend on
+    the plan.  Fault-free under [Legacy_replay], each group's lead derives
+    one DMA trace that every task of the group replays; the lead alone
+    carries the group's denial and verdict, and its checks count once per
+    task.  A repeated bench in a mixed list is its own group.  Hence
+    [run_mixed config [b]] equals [run ~tasks:1 ~instances:1 config b] in
+    every field but [benchmark].
+
+    Under an active plan only placement and the compute source differ: each
+    task is allocated with retry, interpreted alone and retried or degraded
+    before compute, and its recorded trace contends for the bus, so a
+    stateful checker never sees faulted tasks interleave (event-engine
+    compute can differ from a fault-free run's even if no fault fires). *)
 
 (** {1 Batch execution on a domain pool}
 

@@ -117,8 +117,6 @@ let test_engine_functional () =
   Memops.Layout.init_buffer mem src (fun idx -> Kernel.Value.VI idx);
   let o = run_engine mem scale_kernel layout in
   checkb "completed" true (o.Accel.Engine.denied = None);
-  checki "reads" 32 o.Accel.Engine.reads;
-  checki "writes" 32 o.Accel.Engine.writes;
   let dst = Memops.Layout.find layout "dst" in
   checki "value scaled" 22
     (Kernel.Value.as_int

@@ -152,7 +152,7 @@ let test_faulted_run_deterministic () =
   Alcotest.(check string) "identical trace" t1 t2;
   (* Pins the export of the string-bearing events (fault, fallback, phase)
      too, so a change to how a sink stores events cannot move it. *)
-  Alcotest.(check string) "pinned trace digest" "81eeeb67e8fcd88c33fef98ccd9b0975"
+  Alcotest.(check string) "pinned trace digest" "fa56c31e9b11755495ca7e72f0b56069"
     (Digest.to_hex (Digest.string t1))
 
 let test_faulted_tracing_changes_nothing () =
@@ -168,6 +168,112 @@ let test_faulted_tracing_changes_nothing () =
       (find "fft_transpose")
   in
   checkb "result identical under tracing" true (plain = traced)
+
+(* A traced faulted run is observed like a fault-free one: its phase
+   markers carry the lead task and bracket its events.  Every bus grant and
+   beat lies in [compute start, teardown start), and the final teardown's
+   driver events (those between the compute and teardown markers in the
+   stream) lie at or after the teardown marker. *)
+let test_faulted_markers_bracket_events () =
+  let markers obs =
+    List.filter_map
+      (fun (ev : Obs.Event.t) ->
+        match ev.data with
+        | Obs.Event.Task_phase { task; phase; _ }
+          when List.mem phase [ "alloc"; "init"; "compute"; "teardown" ] ->
+            Some (phase, (task, ev.cycle))
+        | _ -> None)
+      (Obs.Trace.events obs)
+  in
+  let traced ~faults ~engine =
+    let obs = Obs.Trace.create () in
+    let r =
+      Soc.Run.run ~tasks:4 ~obs ~faults ~engine Soc.Config.ccpu_caccel
+        (find "fft_transpose")
+    in
+    (r, obs)
+  in
+  List.iter
+    (fun engine ->
+      let r, obs = traced ~faults:(Fault.Plan.default ~seed:3) ~engine in
+      let m = markers obs in
+      checki "four markers" 4 (List.length m);
+      let lead, compute_at = List.assoc "compute" m in
+      let _, teardown_at = List.assoc "teardown" m in
+      checki "compute starts after alloc + init"
+        (snd (List.assoc "alloc" m) + r.Soc.Run.phases.Soc.Run.alloc
+       + r.Soc.Run.phases.Soc.Run.init)
+        compute_at;
+      let grants = ref 0 and final_teardowns = ref 0 in
+      let after_compute = ref false in
+      List.iter
+        (fun (ev : Obs.Event.t) ->
+          match ev.data with
+          | Obs.Event.Bus_grant _ | Obs.Event.Bus_beat _ ->
+              incr grants;
+              if ev.cycle < compute_at || ev.cycle >= teardown_at then
+                Alcotest.failf "bus event at %d outside compute [%d, %d)" ev.cycle
+                  compute_at teardown_at
+          | Obs.Event.Task_phase { phase = "compute"; _ } -> after_compute := true
+          | Obs.Event.Task_phase { phase = "driver-teardown"; _ }
+            when !after_compute ->
+              incr final_teardowns;
+              if ev.cycle < teardown_at then
+                Alcotest.failf "final teardown at %d before the marker at %d"
+                  ev.cycle teardown_at
+          | _ -> ())
+        (Obs.Trace.events obs);
+      checkb "bus events seen" true (!grants > 0);
+      checkb "final teardowns seen" true (!final_teardowns > 0);
+      checkb "some task stayed on an accelerator" true
+        (List.length r.Soc.Run.fallbacks < 4);
+      checkb "markers carry the lead task" true
+        (lead >= 0 && List.for_all (fun (_, (task, _)) -> task = lead) m))
+    [ Soc.Run.Legacy_replay; Soc.Run.Event_driven ];
+  (* With every task degraded there is no lead: the markers carry -1. *)
+  let r, obs =
+    traced ~faults:(only (fun p -> { p with Fault.Plan.alloc_fail_prob = 1.0 }))
+      ~engine:Soc.Run.Legacy_replay
+  in
+  checki "every task degraded" 4 (List.length r.Soc.Run.fallbacks);
+  let m = markers obs in
+  checki "four markers" 4 (List.length m);
+  checkb "markers carry -1" true (List.for_all (fun (_, (task, _)) -> task = -1) m)
+
+(* An active plan that never fires is still a faulted run: placement goes
+   one task at a time.  Its result equals the fault-free one wherever the
+   model promises it: on the replay engine for every config, and on the
+   event engine for configs whose checker keeps no state across checks.
+   The cached CapChecker on the event engine is left out: faulted placement
+   interprets tasks one by one, so that checker never sees them interleave,
+   and its compute cycles differ from a fault-free event run's. *)
+let test_silent_plan_equals_none () =
+  let silent =
+    { Fault.Plan.none with
+      Fault.Plan.seed = 7; bus_stall_prob = 1e-300; bus_stall_max = 1 }
+  in
+  checkb "silent plan is active" false (Fault.Plan.is_none silent);
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (config, engines) ->
+          List.iter
+            (fun engine ->
+              List.iter
+                (fun tasks ->
+                  let run faults =
+                    Soc.Run.run ~tasks ~faults ~engine config (find name)
+                  in
+                  if run Fault.Plan.none <> run silent then
+                    Alcotest.failf "%s on %s, %d tasks: silent plan differs" name
+                      (Soc.Config.label config) tasks)
+                [ 1; 4 ])
+            engines)
+        [ (Soc.Config.ccpu_caccel, [ Soc.Run.Legacy_replay; Soc.Run.Event_driven ]);
+          (Soc.Config.ccpu_accel, [ Soc.Run.Legacy_replay; Soc.Run.Event_driven ]);
+          (Soc.Config.ccpu_caccel_cached, [ Soc.Run.Legacy_replay ]) ])
+    [ "aes"; "kmp"; "spmv_crs"; "sort_merge"; "fft_transpose"; "md_knn";
+      "gemm_ncubed"; "stencil2d" ]
 
 (* ---- Layer-by-layer: certainty plans isolate each injection site ---- *)
 
@@ -332,6 +438,9 @@ let suite =
      test_faulted_run_deterministic);
     ("tracing changes nothing under faults", `Slow,
      test_faulted_tracing_changes_nothing);
+    ("faulted phase markers bracket their events", `Slow,
+     test_faulted_markers_bracket_events);
+    ("silent plan equals no plan", `Slow, test_silent_plan_equals_none);
     ("alloc-fail exhaustion degrades all", `Quick, test_alloc_fail_exhaustion);
     ("guard-denial exhaustion degrades all", `Quick, test_guard_denial_exhaustion);
     ("table-full exhaustion degrades all", `Quick, test_table_full_exhaustion);

@@ -1,4 +1,4 @@
-(* Simulator utilities: deterministic RNG, statistics, the clock, the
+(* Simulator utilities: deterministic RNG, statistics, the
    table/figure text renderer and the domain-safe memo. *)
 
 let checki = Alcotest.(check int)
@@ -122,19 +122,6 @@ let test_percentile_empty_raises () =
     (Invalid_argument "Stats.percentile: empty sample list") (fun () ->
       ignore (Stats.percentile 0.5 []))
 
-(* ---------------- Clock ---------------- *)
-
-let test_clock () =
-  let c = Clock.create () in
-  checki "starts at zero" 0 (Clock.now c);
-  Clock.advance c 5;
-  Clock.advance_to c 3;
-  checki "never goes back" 5 (Clock.now c);
-  Clock.advance_to c 9;
-  checki "advances forward" 9 (Clock.now c);
-  Clock.reset c;
-  checki "reset" 0 (Clock.now c)
-
 (* ---------------- Report ---------------- *)
 
 let test_table_alignment () =
@@ -222,7 +209,6 @@ let suite =
     ("geomean", `Quick, test_geomean);
     ("mean/percentile", `Quick, test_mean_percentile);
     ("percentile rejects empty input", `Quick, test_percentile_empty_raises);
-    ("clock", `Quick, test_clock);
     ("report table", `Quick, test_table_alignment);
     ("report bar", `Quick, test_bar);
     ("report log bar", `Quick, test_log_bar);
